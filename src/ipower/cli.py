@@ -33,9 +33,11 @@ from .correlations import (
 )
 from .errors import NotIdentifiableError, SubsystemANotQubitError
 from .estimation import (
+    SWEEP_COLUMNS,
     NoiseSpec,
     ProbeFamily,
     adaptive_localize,
+    rows_csv_text,
     run_experiment,
     run_sweep,
     sweep_csv_text,
@@ -84,23 +86,9 @@ def _default_seed() -> int:
         return 0
 
 
-def _cell(row: dict, column: str) -> str:
-    value = row[column]
-    if column == "s":
-        return str(value)
-    if column == "k":
-        return str(int(value))
-    if column == "failed":
-        return "true" if value else "false"
-    return _fmt12(value)
-
-
 def _dataset_text(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_cell(row, c) for c in columns))
-        return "\n".join(lines) + "\n"
+        return rows_csv_text(rows, columns)
     payload = []
     for row in rows:
         record = {}
@@ -138,7 +126,7 @@ def cmd_figure3(config: SweepConfig) -> list[str]:
     sweep_path = f"{config.out}_sweep.{ext}"
     _write(
         sweep_path,
-        sweep_csv_text(runs) if ext == "csv" else sweep_json_text(runs),
+        rows_csv_text(rows, SWEEP_COLUMNS) if ext == "csv" else sweep_json_text(runs),
     )
     paths.append(sweep_path)
     for name, columns in DATASET_COLUMNS.items():
@@ -148,15 +136,26 @@ def cmd_figure3(config: SweepConfig) -> list[str]:
     return paths
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of the float flags; argparse names the flag and exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> list[float]:
     return [float(x) for x in text.replace(",", " ").split()]
 
 
 def _add_common_flags(parser, with_noise=True):
-    parser.add_argument("--phi-true", type=float, default=math.pi / 4)
-    parser.add_argument("--nu", type=float, default=1e15)
+    parser.add_argument("--phi-true", type=_finite_float, default=math.pi / 4)
+    parser.add_argument("--nu", type=_finite_float, default=1e15)
     if with_noise:
-        parser.add_argument("--noise", type=float, default=0.0)
+        parser.add_argument("--noise", type=_finite_float, default=0.0)
     parser.add_argument("--seed", type=int, default=None)
 
 
@@ -174,9 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument(
         "--setting", action="append", default=None, help="setting index(es) among 1,2,3"
     )
-    fig.add_argument("--p-start", type=float, default=0.0, help="flip angle start, degrees")
-    fig.add_argument("--p-stop", type=float, default=90.0, help="flip angle stop, degrees")
-    fig.add_argument("--p-steps", type=float, default=2.5, help="flip angle step, degrees")
+    fig.add_argument("--p-start", type=_finite_float, default=0.0, help="flip angle start, degrees")
+    fig.add_argument("--p-stop", type=_finite_float, default=90.0, help="flip angle stop, degrees")
+    fig.add_argument("--p-steps", type=_finite_float, default=2.5, help="flip angle step, degrees")
     _add_common_flags(fig)
     fig.add_argument("--out", default="figure3")
     fig.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--probe", default="Q", choices=("Q", "C", "werner", "belldiag", "sep", "bell")
     )
-    est.add_argument("--p", type=float, default=0.5)
+    est.add_argument("--p", type=_finite_float, default=0.5)
     est.add_argument(
         "--params", default=None, help="comma-separated parameters, e.g. 0.5,0.3,0.1"
     )
@@ -200,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ada = sub.add_parser("adaptive", help="iterative phase localization")
     ada.add_argument("--probe", default="Q", choices=("Q", "C"))
-    ada.add_argument("--p", type=float, default=0.13)
+    ada.add_argument("--p", type=_finite_float, default=0.13)
     ada.add_argument("--setting", type=int, default=1)
     ada.add_argument("--max-iters", type=int, default=10)
     _add_common_flags(ada, with_noise=False)

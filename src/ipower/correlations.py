@@ -9,8 +9,10 @@ The central quantities for a bipartite state rho with spectral decomposition
   spectrum (-1, +1), computed as the smallest eigenvalue of a 3x3 quadratic form
 * ``local_quantum_uncertainty``  the worst-case skew information over the same class
 
-Pairs whose eigenvalue sum falls below ``RANK_CUTOFF`` are excluded from all
-spectral sums.
+QFI and skew information are one spectral sum 1/2 sum_{i,l} w_il |<psi_i|O x I|psi_l>|^2
+with the QFI pair weight (q_i - q_l)^2 / (q_i + q_l), zero on pairs whose sum falls
+below ``RANK_CUTOFF``, or the skew pair weight (sqrt(q_i) - sqrt(q_l))^2; both 3x3
+forms are its bilinear version over the Pauli operators.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import (
     DimensionMismatchError,
@@ -26,6 +27,7 @@ from .errors import (
     SubsystemANotQubitError,
 )
 from .linalg import PAULIS, RANK_CUTOFF, TOL_PSD, dagger, eig_hermitian, tensor
+from .probes import bell_diagonal_state
 from .states import DensityMatrix, LocalHamiltonian, evolve
 
 TOL_CLOSED = 1e-9
@@ -35,8 +37,11 @@ TOL_SLD = 1e-9
 # singular and the spectral route is used instead.
 BELL_DIAGONAL_DENOMINATOR_CUTOFF = 1e-9
 
+# (theta, phi) offsets of the compass-search stencil; row 4 is the centre.
+_STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 
-def _pair_weights(q: np.ndarray) -> np.ndarray:
+
+def _qfi_weights(q: np.ndarray) -> np.ndarray:
     """(q_i - q_l)^2 / (q_i + q_l) with vanishing-sum pairs dropped."""
     s = q[:, None] + q[None, :]
     d = q[:, None] - q[None, :]
@@ -46,27 +51,44 @@ def _pair_weights(q: np.ndarray) -> np.ndarray:
     return w
 
 
-def _generator_in_eigenbasis(
-    rho: DensityMatrix, ham: LocalHamiltonian
-) -> np.ndarray:
-    if ham.d_a != rho.d_a:
+def _skew_weights(q: np.ndarray) -> np.ndarray:
+    """(sqrt(q_i) - sqrt(q_l))^2."""
+    root = np.sqrt(q)
+    return (root[:, None] - root[None, :]) ** 2
+
+
+def _elements(rho: DensityMatrix, ops) -> np.ndarray:
+    """<psi_i|O x I|psi_l> in the eigenbasis of rho, stacked over the A-side operators O."""
+    if len(ops[0]) != rho.d_a:
         raise DimensionMismatchError(
-            f"Hamiltonian dimension {ham.d_a} != subsystem A dimension {rho.d_a}"
-        )
-    h_full = tensor(ham.matrix, np.eye(rho.d_b))
-    v = rho.eigenvectors
-    return dagger(v) @ h_full @ v
-
-
-def _pauli_stack_in_eigenbasis(rho: DensityMatrix) -> np.ndarray:
-    """sigma_m x I_B written in the eigenbasis of rho, stacked over m."""
-    if rho.d_a != 2:
-        raise SubsystemANotQubitError(
-            f"subsystem A has dimension {rho.d_a}, closed form needs a qubit"
+            f"operator dimension {len(ops[0])} != subsystem A dimension {rho.d_a}"
         )
     v = rho.eigenvectors
     eye_b = np.eye(rho.d_b)
-    return np.stack([dagger(v) @ tensor(s, eye_b) @ v for s in PAULIS])
+    return np.stack([dagger(v) @ tensor(op, eye_b) @ v for op in ops])
+
+
+def _spectral_sum(w: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """1/2 sum_{i,l} w_il |E_il|^2 for every matrix E of a stack."""
+    return 0.5 * np.einsum("il,gil->g", w, np.abs(elements) ** 2)
+
+
+def _require_qubit(rho: DensityMatrix) -> None:
+    if rho.d_a != 2:
+        raise SubsystemANotQubitError(f"subsystem A has dimension {rho.d_a}, need a qubit")
+
+
+def _quadratic_form(rho: DensityMatrix, weights) -> np.ndarray:
+    """Real symmetric 3x3 form K with n^T K n = _spectral_sum(w, n . sigma x I).
+
+    Entry (m, n) is half the double spectral sum of
+    w_il <psi_i|sigma_m x I|psi_l><psi_l|sigma_n x I|psi_i>.
+    """
+    _require_qubit(rho)
+    s_el = _elements(rho, PAULIS)
+    w = weights(rho.eigenvalues)
+    form = 0.5 * np.einsum("il,mil,nil->mn", w, s_el, s_el.conj()).real
+    return (form + form.T) / 2.0
 
 
 def qfi(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
@@ -76,10 +98,9 @@ def qfi(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
     The value is invariant under a global phase of the eigenvectors and under
     adding multiples of the identity to H.
     """
-    h_el = _generator_in_eigenbasis(rho, ham)
-    w = _pair_weights(rho.eigenvalues)
-    # 4 * sum_{i<l} == 2 * full double sum (the diagonal vanishes).
-    return float(2.0 * np.sum(w * np.abs(h_el) ** 2))
+    w = _qfi_weights(rho.eigenvalues)
+    # 4 * sum_{i<l} == 4 * half the full double sum (the diagonal vanishes).
+    return float(4.0 * _spectral_sum(w, _elements(rho, [ham.matrix]))[0])
 
 
 @dataclass(frozen=True)
@@ -116,7 +137,7 @@ def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposit
     encoded = evolve(rho, ham, phi0)
     q = encoded.eigenvalues
     v = encoded.eigenvectors
-    h_el = _generator_in_eigenbasis(encoded, ham)
+    h_el = _elements(encoded, [ham.matrix])[0]
     s = q[:, None] + q[None, :]
     d = q[None, :] - q[:, None]  # q_j - q_i
     coeff = np.zeros_like(s)
@@ -135,10 +156,7 @@ def qfi_quadratic_form(rho: DensityMatrix) -> np.ndarray:
     (q_i - q_l)^2/(q_i + q_l) <psi_i|sigma_m x I|psi_l><psi_l|sigma_n x I|psi_i>.
     Requires subsystem A to be a qubit; B may have any finite dimension.
     """
-    s_el = _pauli_stack_in_eigenbasis(rho)
-    w = _pair_weights(rho.eigenvalues)
-    form = 0.5 * np.einsum("il,mil,nil->mn", w, s_el, s_el.conj()).real
-    return (form + form.T) / 2.0
+    return _quadratic_form(rho, _qfi_weights)
 
 
 def interferometric_power(rho: DensityMatrix) -> float:
@@ -151,9 +169,11 @@ def interferometric_power(rho: DensityMatrix) -> float:
     return max(smallest, 0.0)
 
 
-def _unit_vector(theta: float, phi: float) -> np.ndarray:
-    return np.array(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)]
+def _bloch(theta, phi) -> np.ndarray:
+    """Unit vectors n(theta, phi), stacked along a trailing axis of length 3."""
+    return np.stack(
+        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+        axis=-1,
     )
 
 
@@ -166,10 +186,39 @@ def bloch_directions(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, 
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.arange(n_phi) * (2.0 * np.pi / n_phi)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    ns = np.stack(
-        [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-    )
-    return thetas, phis, ns.reshape(-1, 3)
+    return thetas, phis, _bloch(tt, pp).reshape(-1, 3)
+
+
+def _pauli_landscape(rho: DensityMatrix, weights):
+    """Closure ns -> _spectral_sum(w, n . sigma x I) evaluated at every row n of ns."""
+    _require_qubit(rho)
+    s_el = _elements(rho, PAULIS)
+    w = weights(rho.eigenvalues)
+    return lambda ns: _spectral_sum(w, np.einsum("gm,mil->gil", ns, s_el))
+
+
+def _sphere_minimum(landscape, n_theta: int, n_phi: int) -> tuple[float, np.ndarray]:
+    """Minimum of ``landscape`` over unit vectors: grid argmin, then compass search.
+
+    ``landscape`` maps an (N, 3) stack of unit vectors to N values.  It is
+    scored on :func:`bloch_directions`; from the best grid point a 3x3 stencil
+    in (theta, phi), one grid spacing wide, moves to its lowest point and
+    halves its steps whenever the centre is lowest, until both steps fall
+    below 1e-10.  Returns (value, direction).
+    """
+    thetas, phis, ns = bloch_directions(n_theta, n_phi)
+    i, j = divmod(int(np.argmin(landscape(ns))), n_phi)
+    x = np.array([thetas[i], phis[j]])
+    step = np.array([thetas[1] - thetas[0], phis[1] - phis[0]])
+    while step.max() >= 1e-10:
+        points = x + _STENCIL * step
+        values = landscape(_bloch(points[:, 0], points[:, 1]))
+        k = int(np.argmin(values))
+        if values[k] < values[4]:
+            x = points[k]
+        else:
+            step = step / 2.0
+    return float(values[4]), _bloch(*x)
 
 
 def qfi_sphere_grid(
@@ -181,10 +230,7 @@ def qfi_sphere_grid(
     returns (thetas, phis, F) with F of shape (n_theta, n_phi).
     """
     thetas, phis, ns = bloch_directions(n_theta, n_phi)
-    s_el = _pauli_stack_in_eigenbasis(rho)
-    w = _pair_weights(rho.eigenvalues)
-    b = np.einsum("gm,mil->gil", ns, s_el)
-    f = 2.0 * np.einsum("il,gil->g", w, np.abs(b) ** 2).real
+    f = 4.0 * _pauli_landscape(rho, _qfi_weights)(ns)
     return thetas, phis, f.reshape(n_theta, n_phi)
 
 
@@ -201,12 +247,10 @@ def ip_grid_search(
     """
     if n_theta < 64 or n_phi < 64:
         raise ValueError("grid must have at least 64 points per angle")
-    thetas, phis, grid = qfi_sphere_grid(rho, n_theta, n_phi)
-    flat = grid.reshape(-1)
-    best = int(np.argmin(flat))
-    i, j = divmod(best, n_phi)
-    direction = _unit_vector(thetas[i], phis[j])
-    return float(flat[best]) / 4.0, direction
+    _, _, ns = bloch_directions(n_theta, n_phi)
+    values = _pauli_landscape(rho, _qfi_weights)(ns)
+    best = int(np.argmin(values))
+    return float(values[best]), ns[best]
 
 
 def ip_bell_diagonal(c1: float, c2: float, c3: float) -> float:
@@ -226,23 +270,16 @@ def ip_bell_diagonal(c1: float, c2: float, c3: float) -> float:
             1 - c1 - c2 - c3,
         ]
     ) / 4.0
-    if eigs.min() < -TOL_PSD:
+    if not np.all(np.isfinite(c)) or eigs.min() < -TOL_PSD:
         raise InvalidCorrelationTripleError(
             f"triple {tuple(c)} gives eigenvalues {np.sort(eigs)}"
         )
     sup_sq = float(np.max(c**2))
     if 1.0 - sup_sq < BELL_DIAGONAL_DENOMINATOR_CUTOFF:
-        return interferometric_power(_bell_diagonal_state(c1, c2, c3))
+        return interferometric_power(bell_diagonal_state(c1, c2, c3))
     hs_sq = float(np.sum(c**2))
     det = float(np.prod(c))
     return (hs_sq - sup_sq + 2.0 * det) / (1.0 - sup_sq)
-
-
-def _bell_diagonal_state(c1: float, c2: float, c3: float) -> DensityMatrix:
-    matrix = np.eye(4, dtype=complex)
-    for coefficient, pauli in zip((c1, c2, c3), PAULIS):
-        matrix += coefficient * tensor(pauli, pauli)
-    return DensityMatrix.from_matrix(matrix / 4.0, (2, 2))
 
 
 def skew_information(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
@@ -252,115 +289,55 @@ def skew_information(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
     1/2 sum_{i,l} (sqrt(q_i) - sqrt(q_l))^2 |<psi_i|H x I|psi_l>|^2.
     Bounded above by qfi/4, with equality on pure states.
     """
-    h_el = _generator_in_eigenbasis(rho, ham)
-    root = np.sqrt(rho.eigenvalues)
-    w = (root[:, None] - root[None, :]) ** 2
-    return max(float(0.5 * np.sum(w * np.abs(h_el) ** 2)), 0.0)
-
-
-def _skew_quadratic_form(rho: DensityMatrix) -> np.ndarray:
-    """3x3 symmetric form K with n^T K n = skew_information(rho, n . sigma).
-
-    Built by evaluating the skew information on the three axes and the three
-    diagonal directions and polarizing the quadratic identity.
-    """
-    if rho.d_a != 2:
-        raise SubsystemANotQubitError(
-            f"subsystem A has dimension {rho.d_a}, closed form needs a qubit"
-        )
-    axes = np.eye(3)
-    k = np.zeros((3, 3))
-    for m in range(3):
-        k[m, m] = skew_information(rho, LocalHamiltonian.from_bloch(axes[m]))
-    for m in range(3):
-        for n in range(m + 1, 3):
-            u = (axes[m] + axes[n]) / np.sqrt(2.0)
-            value = skew_information(rho, LocalHamiltonian.from_bloch(u))
-            k[m, n] = k[n, m] = value - (k[m, m] + k[n, n]) / 2.0
-    return k
+    w = _skew_weights(rho.eigenvalues)
+    return max(float(_spectral_sum(w, _elements(rho, [ham.matrix]))[0]), 0.0)
 
 
 def local_quantum_uncertainty(rho: DensityMatrix) -> float:
     """Worst-case skew information over qubit generators on A with spectrum (-1, +1).
 
-    Lower-bounds the interferometric power for every state.
+    Equals the smallest eigenvalue of the 3x3 skew form K = I - W with
+    W_mn = Tr[sqrt(rho) sigma_m x I sqrt(rho) sigma_n x I], built directly in
+    the eigenbasis of rho.  Lower-bounds the interferometric power for every
+    state.
     """
-    smallest = float(np.linalg.eigvalsh(_skew_quadratic_form(rho))[0])
+    smallest = float(np.linalg.eigvalsh(_quadratic_form(rho, _skew_weights))[0])
     return max(smallest, 0.0)
 
 
 def skew_grid_search(
-    rho: DensityMatrix, n_theta: int = 128, n_phi: int = 256, refine: bool = True
+    rho: DensityMatrix, n_theta: int = 128, n_phi: int = 256
 ) -> tuple[float, np.ndarray]:
     """Dense-grid minimization of the skew information over the Bloch sphere.
 
     Cross-checks :func:`local_quantum_uncertainty` without going through the
-    polarized quadratic form; ``refine`` polishes the grid argmin with a
-    direct simplex search on the angles.
+    3x3 form: the skew information is summed separately for every direction,
+    first on the (n_theta, n_phi) grid and then along a compass search on the
+    angles that polishes the grid argmin.  Returns (value, direction).
     """
-    thetas, phis, ns = bloch_directions(n_theta, n_phi)
-    s_el = _pauli_stack_in_eigenbasis(rho)
-    root = np.sqrt(rho.eigenvalues)
-    w = (root[:, None] - root[None, :]) ** 2
-    b = np.einsum("gm,mil->gil", ns, s_el)
-    values = 0.5 * np.einsum("il,gil->g", w, np.abs(b) ** 2).real
-    best = int(np.argmin(values))
-
-    def of_angles(x):
-        m = np.einsum("m,mil->il", _unit_vector(*x), s_el)
-        return 0.5 * float(np.sum(w * np.abs(m) ** 2))
-
-    i, j = divmod(best, n_phi)
-    x0 = np.array([thetas[i], phis[j]])
-    if refine:
-        res = minimize(
-            of_angles, x0, method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-12}
-        )
-        x0 = res.x
-    return of_angles(x0), _unit_vector(*x0)
+    return _sphere_minimum(_pauli_landscape(rho, _skew_weights), n_theta, n_phi)
 
 
 def min_local_variance(
-    rho: DensityMatrix, n_theta: int = 128, n_phi: int = 256, refine: bool = True
+    rho: DensityMatrix, n_theta: int = 128, n_phi: int = 256
 ) -> tuple[float, np.ndarray]:
     """Minimum of Var(n . sigma x I) over unit Bloch vectors n, by direct search.
 
     The variance is evaluated literally as Tr[rho H^2] - Tr[rho H]^2 at every
-    grid direction (no spectral shortcut), then polished with a simplex search
-    when ``refine`` is set.  For pure states this equals the interferometric
-    power.
+    grid direction (no spectral shortcut), then polished by a compass search
+    on the angles.  For pure states this equals the interferometric power.
     """
-    if rho.d_a != 2:
-        raise SubsystemANotQubitError(
-            f"subsystem A has dimension {rho.d_a}, Bloch search needs a qubit"
-        )
+    _require_qubit(rho)
     eye_b = np.eye(rho.d_b)
     stack = np.stack([tensor(s, eye_b) for s in PAULIS])
 
-    def variance(n):
-        h = np.einsum("m,mij->ij", n, stack)
-        first = np.trace(rho.matrix @ h).real
-        second = np.trace(rho.matrix @ h @ h).real
-        return float(second - first * first)
+    def variance(ns):
+        h_all = np.einsum("gm,mij->gij", ns, stack)
+        first = np.einsum("gij,ji->g", h_all, rho.matrix).real
+        second = np.einsum("gij,gjk,ki->g", h_all, h_all, rho.matrix).real
+        return second - first**2
 
-    thetas, phis, ns = bloch_directions(n_theta, n_phi)
-    h_all = np.einsum("gm,mij->gij", ns, stack)
-    first = np.einsum("gij,ji->g", h_all, rho.matrix).real
-    second = np.einsum("gij,gjk,ki->g", h_all, h_all, rho.matrix).real
-    values = second - first**2
-    best = int(np.argmin(values))
-    i, j = divmod(best, n_phi)
-    x0 = np.array([thetas[i], phis[j]])
-
-    def of_angles(x):
-        return variance(_unit_vector(*x))
-
-    if refine:
-        res = minimize(
-            of_angles, x0, method="Nelder-Mead", options={"xatol": 1e-9, "fatol": 1e-12}
-        )
-        x0 = res.x
-    return of_angles(x0), _unit_vector(*x0)
+    return _sphere_minimum(variance, n_theta, n_phi)
 
 
 def qfi_scaling_check(

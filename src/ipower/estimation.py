@@ -384,30 +384,31 @@ def sweep_rows(runs: list[EstimationRun]) -> list[dict]:
     return rows
 
 
-def sweep_csv_text(runs: list[EstimationRun]) -> str:
-    """Render a sweep as CSV with the fixed column schema.
+def _csv_cell(row: dict, column: str) -> str:
+    value = row[column]
+    if column == "s":
+        return str(value)
+    if column == "k":
+        return str(int(value))
+    if column == "failed":
+        return "true" if value else "false"
+    return _fmt12(value)
+
+
+def rows_csv_text(rows: list[dict], columns: tuple[str, ...]) -> str:
+    """Render :func:`sweep_rows` output as CSV restricted to ``columns``.
 
     Numbers carry 12 significant digits; the decimal separator is always '.'
     and the field separator ','.
     """
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in sweep_rows(runs):
-        lines.append(
-            ",".join(
-                [
-                    row["s"],
-                    str(row["k"]),
-                    _fmt12(row["p"]),
-                    _fmt12(row["f_exp_over_4"]),
-                    _fmt12(row["ip"]),
-                    _fmt12(row["var"]),
-                    _fmt12(row["nu_var_product"]),
-                    _fmt12(row["phi_hat"]),
-                    "true" if row["failed"] else "false",
-                ]
-            )
-        )
+    lines = [",".join(columns)]
+    lines += [",".join(_csv_cell(row, c) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def sweep_csv_text(runs: list[EstimationRun]) -> str:
+    """Render a sweep as CSV with the fixed column schema."""
+    return rows_csv_text(sweep_rows(runs), SWEEP_COLUMNS)
 
 
 def sweep_json_text(runs: list[EstimationRun]) -> str:

@@ -89,26 +89,29 @@ def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     return vals, _sort_degenerate_clusters(vals, vecs)
 
 
-def _sort_degenerate_clusters(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Reorder eigenvector columns inside degenerate clusters deterministically."""
-    n = len(vals)
-    out = vecs.copy()
+def degenerate_clusters(vals: np.ndarray, gap: float = DEGENERACY_GAP):
+    """Yield ``(start, stop)`` for every run of two or more ascending eigenvalues
+    in which each neighbouring pair differs by less than ``gap``."""
     start = 0
-    while start < n:
+    while start < len(vals):
         stop = start + 1
-        while stop < n and vals[stop] - vals[stop - 1] < DEGENERACY_GAP:
+        while stop < len(vals) and vals[stop] - vals[stop - 1] < gap:
             stop += 1
         if stop - start > 1:
-            cols = range(start, stop)
-            keys = {
-                j: tuple(
-                    np.round(np.concatenate([vecs[:, j].real, vecs[:, j].imag]), 12)
-                )
-                for j in cols
-            }
-            order = sorted(cols, key=keys.get)
-            out[:, start:stop] = vecs[:, order]
+            yield start, stop
         start = stop
+
+
+def _sort_degenerate_clusters(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Reorder eigenvector columns inside degenerate clusters deterministically."""
+    out = vecs.copy()
+    for start, stop in degenerate_clusters(vals):
+        cols = range(start, stop)
+        keys = {
+            j: tuple(np.round(np.concatenate([vecs[:, j].real, vecs[:, j].imag]), 12))
+            for j in cols
+        }
+        out[:, start:stop] = vecs[:, sorted(cols, key=keys.get)]
     return out
 
 

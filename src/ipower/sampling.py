@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger, tensor
+from .linalg import DEGENERACY_GAP, dagger, degenerate_clusters, tensor
 from .states import DensityMatrix
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -90,7 +90,7 @@ def random_classical_classical_state(
 
 
 def remix_degenerate_eigenspaces(
-    rho: DensityMatrix, rng: np.random.Generator, gap: float = 1e-8
+    rho: DensityMatrix, rng: np.random.Generator, gap: float = DEGENERACY_GAP
 ) -> DensityMatrix:
     """Rotate the eigenvectors inside each degenerate eigenvalue cluster.
 
@@ -98,18 +98,10 @@ def remix_degenerate_eigenspaces(
     different orthonormal basis for degenerate eigenspaces.  Downstream
     spectral formulas must be invariant under this remixing.
     """
-    vals = rho.eigenvalues
     vecs = rho.eigenvectors.copy()
-    start = 0
-    while start < len(vals):
-        stop = start + 1
-        while stop < len(vals) and vals[stop] - vals[stop - 1] < gap:
-            stop += 1
-        if stop - start > 1:
-            mix = haar_unitary(stop - start, rng)
-            vecs[:, start:stop] = vecs[:, start:stop] @ mix
-        start = stop
-    return DensityMatrix.from_spectrum(vals, vecs, rho.dims)
+    for start, stop in degenerate_clusters(rho.eigenvalues, gap):
+        vecs[:, start:stop] = vecs[:, start:stop] @ haar_unitary(stop - start, rng)
+    return DensityMatrix.from_spectrum(rho.eigenvalues, vecs, rho.dims)
 
 
 def apply_channel_b(rho: DensityMatrix, kraus: list[np.ndarray]) -> DensityMatrix:

@@ -72,6 +72,32 @@ class TestFigure3:
         assert set(precision[0]) == {"s", "k", "p", "f_exp_over_4", "ip"}
 
 
+class TestFloatFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure3", "--p-steps", "nan"],
+            ["figure3", "--p-start", "inf"],
+            ["figure3", "--p-stop=-inf"],
+            ["figure3", "--phi-true", "nan"],
+            ["figure3", "--noise", "nan"],
+            ["figure3", "--nu", "inf"],
+            ["estimate", "--phi-true", "nan"],
+            ["estimate", "--noise", "nan"],
+            ["estimate", "--p", "nan"],
+            ["adaptive", "--phi-true", "nan"],
+            ["adaptive", "--p", "inf"],
+            ["adaptive", "--nu", "abc"],
+        ],
+    )
+    def test_non_finite_value_exits_2_naming_the_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        assert info.value.code == 2
+        flag = argv[1].split("=")[0]
+        assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
+
+
 class TestIpCommand:
     def test_werner_report(self, tmp_path, capsys):
         path = tmp_path / "werner.json"

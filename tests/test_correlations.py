@@ -23,7 +23,7 @@ from ipower.errors import (
     InvalidCorrelationTripleError,
     SubsystemANotQubitError,
 )
-from ipower.linalg import SIGMA_X, SIGMA_Z, dagger, tensor
+from ipower.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, tensor
 from ipower.probes import (
     classical_probe,
     discordant_probe,
@@ -32,6 +32,8 @@ from ipower.probes import (
     werner_state,
 )
 from ipower.sampling import (
+    apply_channel_b,
+    haar_unitary,
     random_classical_classical_state,
     random_classical_quantum_state,
     random_density_matrix,
@@ -212,15 +214,35 @@ class TestInterferometricPower:
                 interferometric_power(rho), abs=1e-10
             )
 
-    def test_faithfulness_on_classical_states(self):
-        rng = np.random.default_rng(13)
+    def test_faithfulness_on_classical_states(self, d_b=2, seed=13):
+        rng = np.random.default_rng(seed)
         for i in range(20):
             classical = (
-                random_classical_quantum_state((2, 2), rng)
+                random_classical_quantum_state((2, d_b), rng)
                 if i % 2
-                else random_classical_classical_state((2, 2), rng)
+                else random_classical_classical_state((2, d_b), rng)
             )
             assert interferometric_power(classical) <= 1e-9
+
+    @pytest.mark.parametrize("d_b", [3, 4])
+    def test_faithfulness_on_classical_states_qudit(self, d_b):
+        self.test_faithfulness_on_classical_states(d_b, seed=113 + d_b)
+
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    def test_local_unitary_invariance_and_channel_monotonicity(self, d_b):
+        rng = np.random.default_rng(120 + d_b)
+        for _ in range(10):
+            rho = random_density_matrix((2, d_b), rng)
+            u = tensor(haar_unitary(2, rng), haar_unitary(d_b, rng))
+            rotated = DensityMatrix.from_matrix(u @ rho.matrix @ dagger(u), rho.dims)
+            # Kraus operators K_j = (I x <j|) V of a random isometry V on B.
+            n_kraus = int(rng.integers(1, 4))
+            isometry = haar_unitary(d_b * n_kraus, rng)[:, :d_b]
+            kraus = [isometry[j * d_b : (j + 1) * d_b] for j in range(n_kraus)]
+            degraded = apply_channel_b(rho, kraus)
+            for measure in (interferometric_power, local_quantum_uncertainty):
+                assert measure(rotated) == pytest.approx(measure(rho), abs=1e-9)
+                assert measure(degraded) <= measure(rho) + 1e-9
 
     def test_positive_on_random_full_rank_states(self):
         rng = np.random.default_rng(14)
@@ -247,16 +269,22 @@ class TestGridSearch:
         _, _, grid = qfi_sphere_grid(MIXED, 64, 64)
         assert np.max(np.abs(grid)) <= 1e-14
 
-    def test_never_below_closed_form(self):
-        rng = np.random.default_rng(15)
+    def test_never_below_closed_form(self, d_b=2, seed=15):
+        rng = np.random.default_rng(seed)
         for _ in range(10):
-            rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
+            rho = random_density_matrix(
+                (2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1))
+            )
             value, direction = ip_grid_search(rho, 64, 128)
             closed = interferometric_power(rho)
             assert value >= closed - 1e-12
             assert qfi(rho, LocalHamiltonian.from_bloch(direction)) / 4 == (
                 pytest.approx(value, abs=1e-12)
             )
+
+    @pytest.mark.parametrize("d_b", [3, 4])
+    def test_never_below_closed_form_qudit(self, d_b):
+        self.test_never_below_closed_form(d_b, seed=115 + d_b)
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="64"):
@@ -288,6 +316,9 @@ class TestBellDiagonal:
     def test_invalid_triple_rejected(self):
         with pytest.raises(InvalidCorrelationTripleError):
             ip_bell_diagonal(1.0, 1.0, 1.0)
+        for triple in ((math.nan, 0.1, 0.2), (0.1, math.inf, 0.2), (0.1, 0.2, -math.inf)):
+            with pytest.raises(InvalidCorrelationTripleError):
+                ip_bell_diagonal(*triple)
 
 
 class TestSkewInformation:
@@ -344,22 +375,56 @@ class TestLocalQuantumUncertainty:
                 interferometric_power(rho) + 1e-10
             )
 
-    def test_matches_dense_grid_search(self):
-        rng = np.random.default_rng(18)
+    def test_matches_dense_grid_search(self, d_b=2, seed=18):
+        rng = np.random.default_rng(seed)
         for _ in range(10):
-            rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
+            rho = random_density_matrix(
+                (2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1))
+            )
             closed = local_quantum_uncertainty(rho)
             grid_value, _ = skew_grid_search(rho)
             assert grid_value == pytest.approx(closed, abs=1e-6)
             assert grid_value >= closed - 1e-12
 
-    def test_hierarchy_on_random_states(self):
-        rng = np.random.default_rng(19)
+    @pytest.mark.parametrize("d_b", [3, 4])
+    def test_matches_dense_grid_search_qudit(self, d_b):
+        self.test_matches_dense_grid_search(d_b, seed=118 + d_b)
+
+    def test_hierarchy_on_random_states(self, d_b=2, seed=19):
+        rng = np.random.default_rng(seed)
         for _ in range(50):
-            rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
+            rho = random_density_matrix(
+                (2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1))
+            )
             assert interferometric_power(rho) >= (
                 local_quantum_uncertainty(rho) - 1e-10
             )
+
+    @pytest.mark.parametrize("d_b", [3, 4])
+    def test_hierarchy_on_random_states_qudit(self, d_b):
+        self.test_hierarchy_on_random_states(d_b, seed=119 + d_b)
+
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    def test_matches_square_root_reference(self, d_b):
+        # LQU = 1 - lambda_max(W), W_mn = Tr[sqrt(rho) s_m sqrt(rho) s_n] with
+        # s_m = sigma_m x I and sqrt(rho) from its own eigendecomposition.
+        # On rank-deficient states the square roots of eigenvalue dust
+        # (~1e-17) enter at ~1e-8, hence the looser bound there.
+        rng = np.random.default_rng(130 + d_b)
+        paulis = [tensor(s, np.eye(d_b)) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
+        for env_dim, bound in ((None, 1e-12), (1, 1e-7), (d_b, 1e-7)):
+            for _ in range(5):
+                rho = random_density_matrix((2, d_b), rng, env_dim=env_dim)
+                vals, vecs = np.linalg.eigh(rho.matrix)
+                root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ dagger(vecs)
+                assert_allclose(root @ root, rho.matrix, atol=1e-12)
+                w = np.array(
+                    [[np.trace(root @ a @ root @ b).real for b in paulis] for a in paulis]
+                )
+                reference = 1.0 - np.linalg.eigvalsh(w)[-1]
+                assert local_quantum_uncertainty(rho) == pytest.approx(
+                    reference, abs=bound
+                )
 
 
 class TestScalingIdentity:
@@ -384,12 +449,16 @@ class TestScalingIdentity:
 
 
 class TestLocalVarianceSearch:
-    def test_pure_state_reduction(self):
-        rng = np.random.default_rng(20)
+    def test_pure_state_reduction(self, d_b=2, seed=20):
+        rng = np.random.default_rng(seed)
         for _ in range(10):
-            rho = random_pure_density_matrix((2, 2), rng)
+            rho = random_pure_density_matrix((2, d_b), rng)
             value, _ = min_local_variance(rho)
             assert value == pytest.approx(interferometric_power(rho), abs=1e-6)
+
+    @pytest.mark.parametrize("d_b", [3, 4])
+    def test_pure_state_reduction_qudit(self, d_b):
+        self.test_pure_state_reduction(d_b, seed=120 + d_b)
 
     def test_requires_qubit_a(self):
         rho = DensityMatrix.from_matrix(np.eye(6) / 6.0, (3, 2))
