@@ -31,7 +31,11 @@ from .correlations import (
     ip_grid_search,
     local_quantum_uncertainty,
 )
-from .errors import NotIdentifiableError, SubsystemANotQubitError
+from .errors import (
+    NotIdentifiableError,
+    PhaseOutOfWindowError,
+    SubsystemANotQubitError,
+)
 from .estimation import (
     SWEEP_COLUMNS,
     NoiseSpec,
@@ -254,7 +258,11 @@ def _figure3(args, parser) -> int:
         out=args.out,
         fmt=args.format,
     )
-    for path in cmd_figure3(config):
+    try:
+        paths = cmd_figure3(config)
+    except PhaseOutOfWindowError as exc:
+        parser.error(f"--phi-true: {exc}")
+    for path in paths:
         print(path)
     return 0
 
@@ -314,6 +322,8 @@ def _estimate(args, parser) -> int:
         run = run_experiment(
             family, args.setting, args.phi_true, int(args.nu), noise
         )
+    except PhaseOutOfWindowError as exc:
+        parser.error(f"--phi-true: {exc}")
     except ValueError as exc:
         parser.error(f"--probe: {exc}")
     if args.format == "json":
@@ -331,12 +341,17 @@ def _estimate(args, parser) -> int:
 def _adaptive(args, parser) -> int:
     if args.setting not in (1, 2, 3):
         parser.error(f"--setting: must be 1, 2 or 3, got {args.setting}")
-    rho = make_probe(ProbeFamily(args.probe, (args.p,)))
+    try:
+        rho = make_probe(ProbeFamily(args.probe, (args.p,)))
+    except ValueError as exc:
+        parser.error(f"--p: {exc}")
     ham = setting_hamiltonian(args.setting)
     try:
         trials, converged = adaptive_localize(
             rho, ham, args.phi_true, max_iters=args.max_iters
         )
+    except PhaseOutOfWindowError as exc:
+        parser.error(f"--phi-true: {exc}")
     except NotIdentifiableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -51,3 +51,7 @@ class ZeroInformationError(ValueError):
 
 class NotIdentifiableError(ValueError):
     """The phase cannot be localized because the QFI vanishes."""
+
+
+class PhaseOutOfWindowError(NotIdentifiableError):
+    """The true phase lies outside the window [0, pi/omega) in which the fit identifies it."""

@@ -7,6 +7,16 @@ populations and the design eigenvalues, and infers the phase by least squares.
 In exact mode the populations are the ideal ensemble expectation values; in
 noisy mode each population receives an independent relative Gaussian
 perturbation before renormalization.
+
+The least-squares fit is closed form.  A qubit generator with spectrum
+(h_1, h_2) imprints the phase through theta = omega phi, omega = h_2 - h_1, so
+every population is a first-order Fourier series
+d(theta) = a + b cos(theta) + c sin(theta), fixed by three model evaluations.
+The stationary points of the objective are the angles of the roots of one
+quartic in z = exp(i theta), polished by Newton steps.  Phases are searched and
+reported in the window [0, pi/omega]; a true phase outside [0, pi/omega) could
+alias onto it (for some probes the data at phi and phi - pi/omega coincide), so
+the protocol rejects it with :class:`PhaseOutOfWindowError`.
 """
 
 from __future__ import annotations
@@ -18,7 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import SldDecomposition, interferometric_power, qfi, sld
-from .errors import BasisMismatchError, NotIdentifiableError, ZeroInformationError
+from .errors import (
+    BasisMismatchError,
+    NotIdentifiableError,
+    PhaseOutOfWindowError,
+    SubsystemANotQubitError,
+    ZeroInformationError,
+)
 from .linalg import dagger, tensor
 from .probes import ProbeFamily, make_probe, setting_hamiltonian
 from .states import DensityMatrix, LocalHamiltonian
@@ -27,10 +43,10 @@ from .states import DensityMatrix, LocalHamiltonian
 # analytic zero of a pathological setting rather than numerical dust.
 FLAT_CUTOFF = 1e-10
 
-# Golden-section tolerance on the bracket width.
-SEARCH_TOL = 1e-9
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Newton polish of the quartic's roots: at most this many steps, stopping once
+# every step is below the tolerance (radians of theta).
+_NEWTON_STEPS = 64
+_NEWTON_TOL = 1e-13
 
 SWEEP_COLUMNS = (
     "s",
@@ -69,7 +85,8 @@ class EstimationRun:
     """Record of one protocol instance.
 
     ``phi_hat_mean`` and ``phi_hat_var`` are ``None`` when the run failed
-    (flat least-squares landscape or vanishing Fisher information).
+    (flat least-squares landscape or vanishing Fisher information).  ``ip`` is
+    the interferometric power of the probe; the JSON record leaves it out.
     """
 
     probe_label: str
@@ -84,6 +101,7 @@ class EstimationRun:
     f_exp: float
     failed: bool
     seed: int | None
+    ip: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -145,23 +163,40 @@ def measure_populations(
     return d / total
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimization on [lo, hi]; returns (argmin, value)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    x = (a + b) / 2.0
-    return x, fun(x)
+def _frequency(ham: LocalHamiltonian) -> float:
+    """omega = h_2 - h_1 of a qubit generator: the populations depend on omega phi."""
+    if ham.d_a != 2:
+        raise SubsystemANotQubitError(
+            f"the phase fit needs a qubit generator, got dimension {ham.d_a}"
+        )
+    return float(ham.spectrum[1] - ham.spectrum[0])
+
+
+def _check_in_window(ham: LocalHamiltonian, phi_true: float) -> None:
+    """Reject a true phase outside the identifiability window [0, pi/omega)."""
+    end = math.pi / _frequency(ham)
+    if not 0.0 <= phi_true < end:
+        raise PhaseOutOfWindowError(
+            f"phase {phi_true:.12g} lies outside the window [0, {end:.12g}) = "
+            "[0, pi/omega) in which the generator's phase is identified"
+        )
+
+
+def _polish(theta: np.ndarray, alpha, b, c) -> np.ndarray:
+    """Newton steps on f'(theta) = 2 r.r' from every start, r = alpha + b cos + c sin."""
+    for _ in range(_NEWTON_STEPS):
+        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        r = alpha + b * cos + c * sin
+        dr = c * cos - b * sin
+        slope = np.sum(r * dr, axis=1)
+        curvature = np.sum(dr * dr + r * (alpha - r), axis=1)  # r'' = alpha - r
+        step = np.divide(
+            slope, curvature, out=np.zeros_like(slope), where=curvature != 0.0
+        )
+        theta = theta - step
+        if np.max(np.abs(step), initial=0.0) <= _NEWTON_TOL:
+            break
+    return theta
 
 
 def least_squares_estimate(
@@ -169,55 +204,59 @@ def least_squares_estimate(
     rho: DensityMatrix,
     ham: LocalHamiltonian,
     sldref: SldDecomposition,
-    interval: tuple[float, float] = (0.0, math.pi / 2.0),
-    tol: float = SEARCH_TOL,
 ) -> LeastSquaresResult:
-    """Phase inference by least squares against the population model.
+    """Phase inference by least squares against the population model, in closed form.
 
-    Minimizes sum_j (d_j_model(phi) - d_j_measured)^2 over the search interval
-    with golden-section runs started on the four quarter subintervals plus a
-    polish around the best point of a coarse scan.  When the objective is flat
-    over the whole interval (range below ``FLAT_CUTOFF``) the estimation is
-    unreliable and the result is flagged failed.
+    With theta = omega phi, omega = h_2 - h_1 the gap of the qubit generator,
+    the model is d(theta) = a + b cos(theta) + c sin(theta), read off from
+    :func:`theory_populations` at theta = 0, 2 pi/3 and 4 pi/3.  With
+    alpha = a - d_meas the objective f(theta) = |d(theta) - d_meas|^2 has the
+    derivative A cos(theta) + B sin(theta) + C cos(2 theta) + D sin(2 theta),
+    A = 2 alpha.c, B = -2 alpha.b, C = 2 b.c and D = c.c - b.b.  Times 2 z^2
+    it is a quartic in z = exp(i theta).  The angle of every root, on the unit
+    circle or not, starts Newton steps on f' = 2 r.r' computed from the
+    residual r itself; they restore full precision where roots cluster (a
+    root-only answer is off by a few 1e-6 at a triple root).
+
+    f is evaluated exactly at the polished roots inside the window
+    [0, pi/omega] and at both of its ends; these include its minimum and
+    maximum on the window.  When the range of f there, or omega itself, is
+    below ``FLAT_CUTOFF`` the landscape is flat and the result is flagged
+    failed.  Otherwise ``phi_hat`` is the smallest phase whose value lies
+    within 1e-12 of the range above the minimum, since exactly symmetric
+    populations can zero the objective at two phases.
     """
     d_meas = np.asarray(d_meas, dtype=float)
     if d_meas.size != rho.dim:
         raise BasisMismatchError(
             f"got {d_meas.size} populations for dimension {rho.dim}"
         )
+    omega = _frequency(ham)
+    if omega <= FLAT_CUTOFF:
+        delta = theory_populations(rho, ham, sldref, 0.0) - d_meas
+        return LeastSquaresResult(math.nan, float(delta @ delta), True)
 
-    def objective(phi: float) -> float:
-        delta = theory_populations(rho, ham, sldref, phi) - d_meas
-        return float(np.sum(delta * delta))
-
-    lo, hi = interval
-    scan = np.linspace(lo, hi, 33)
-    scan_values = np.array([objective(x) for x in scan])
-    if scan_values.max() - scan_values.min() < FLAT_CUTOFF:
-        return LeastSquaresResult(math.nan, float(scan_values.min()), True)
-
-    candidates = []
-    quarters = np.linspace(lo, hi, 5)
-    for a, b in zip(quarters[:-1], quarters[1:]):
-        candidates.append(_golden_section(objective, a, b, tol))
-    best_scan = int(np.argmin(scan_values))
-    step = scan[1] - scan[0]
-    candidates.append(
-        _golden_section(
-            objective,
-            max(lo, scan[best_scan] - step),
-            min(hi, scan[best_scan] + step),
-            tol,
-        )
+    d0, d1, d2 = (
+        theory_populations(rho, ham, sldref, theta / omega)
+        for theta in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
     )
-    # Exactly symmetric populations can zero the objective at two phases;
-    # near-ties resolve deterministically toward the smaller phase.
-    best_value = min(v for _, v in candidates)
-    tie_band = best_value + 1e-12 * (scan_values.max() - scan_values.min())
-    phi_hat, residual = min(
-        (c for c in candidates if c[1] <= tie_band), key=lambda c: c[0]
-    )
-    return LeastSquaresResult(float(phi_hat), float(residual), False)
+    alpha = (d0 + d1 + d2) / 3.0 - d_meas
+    b = (2.0 * d0 - d1 - d2) / 3.0
+    c = (d1 - d2) / math.sqrt(3.0)
+    A, B = 2.0 * (alpha @ c), -2.0 * (alpha @ b)
+    C, D = 2.0 * (b @ c), c @ c - b @ b
+    roots = np.roots([C - 1j * D, A - 1j * B, 0.0, A + 1j * B, C + 1j * D])
+    theta = _polish(np.angle(roots), alpha, b, c) % (2.0 * math.pi)
+    theta = np.concatenate(([0.0, math.pi], theta[theta <= math.pi]))
+
+    residuals = alpha + np.outer(np.cos(theta), b) + np.outer(np.sin(theta), c)
+    values = np.sum(residuals * residuals, axis=1)
+    spread = values.max() - values.min()
+    if spread < FLAT_CUTOFF:
+        return LeastSquaresResult(math.nan, float(values.min()), True)
+    tied = values <= values.min() + 1e-12 * spread
+    best = int(np.argmin(np.where(tied, theta, np.inf)))
+    return LeastSquaresResult(float(theta[best] / omega), float(values[best]), False)
 
 
 def estimator_statistics(
@@ -252,10 +291,12 @@ def adaptive_localize(
     Starts from a trial phase of zero; each round measures (exactly) in the
     SLD eigenbasis at the current trial phase and replaces the trial with the
     least-squares estimate.  Returns the trial sequence and whether some trial
-    came within ``tol`` of the true phase.
+    came within ``tol`` of the true phase.  Raises
+    :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside [0, pi/omega).
     """
     if qfi(rho, ham) <= FLAT_CUTOFF:
         raise NotIdentifiableError("QFI vanishes for this probe and generator")
+    _check_in_window(ham, phi_true)
     trials = [0.0]
     converged = abs(trials[0] - phi_true) < tol
     while not converged and len(trials) < max_iters:
@@ -279,11 +320,14 @@ def run_experiment(
     """One full protocol instance for a probe family and generator setting.
 
     The measurement basis is the SLD eigenbasis at the true phase (the
-    adaptive pre-localization is assumed to have converged there).
+    adaptive pre-localization is assumed to have converged there).  Raises
+    :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside the window
+    [0, pi/omega) of the setting's generator, [0, pi/2) for settings 1-3.
     """
     noise = noise or NoiseSpec()
     rho = make_probe(probe)
     ham = setting_hamiltonian(k)
+    _check_in_window(ham, phi_true)
     reference = sld(rho, ham, phi_true)
     populations = measure_populations(rho, ham, phi_true, reference, noise)
     l_values = reference.eigenvalues
@@ -308,6 +352,7 @@ def run_experiment(
         f_exp=f_exp,
         failed=failed,
         seed=noise.seed if noise.sigma > 0 else None,
+        ip=interferometric_power(rho),
     )
 
 
@@ -365,7 +410,6 @@ def sweep_rows(runs: list[EstimationRun]) -> list[dict]:
     """Tabular view of a sweep, one dict per run with the documented columns."""
     rows = []
     for run in runs:
-        ip = interferometric_power(make_probe(_family_for(run.probe_label, run.p)))
         nu_var = None if run.phi_hat_var is None else run.nu * run.phi_hat_var
         rows.append(
             {
@@ -373,7 +417,7 @@ def sweep_rows(runs: list[EstimationRun]) -> list[dict]:
                 "k": run.setting_k,
                 "p": run.p,
                 "f_exp_over_4": run.f_exp / 4.0,
-                "ip": ip,
+                "ip": run.ip,
                 "var": run.phi_hat_var,
                 "nu_var_product": nu_var,
                 "phi_hat": run.phi_hat_mean,

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +188,53 @@ class TestAdaptiveCommand:
     def test_pathological_setting_exits_2(self, capsys):
         assert run_cli(["adaptive", "--probe", "C", "--setting", "3"]) == 2
         assert "QFI" in capsys.readouterr().err
+
+    def test_p_out_of_range_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["adaptive", "--p", "1.5"])
+        assert info.value.code == 2
+        assert "--p" in capsys.readouterr().err
+
+
+class TestPhaseWindowFlag:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure3", "--phi-true", "2.0"],
+            ["estimate", "--phi-true", "2.0"],
+            ["estimate", "--phi-true", "-0.5"],
+            ["adaptive", "--phi-true", "2.0"],
+        ],
+    )
+    def test_outside_window_exits_2(self, argv, tmp_path, capsys):
+        if argv[0] == "figure3":
+            argv = argv + ["--out", str(tmp_path / "fig")]
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--phi-true" in err and "window" in err
+        assert not list(tmp_path.iterdir())
+
+    def test_probe_errors_still_name_probe(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["estimate", "--probe", "Q", "--p", "1.5"])
+        assert info.value.code == 2
+        assert "--probe" in capsys.readouterr().err
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "ipower", "estimate", "--probe", "Q", "--p", "0.5"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["probe_label"] == "Q"
 
 
 class TestVerifyCommand:

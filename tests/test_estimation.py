@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ipower.estimation as estimation_mod
 from ipower.correlations import interferometric_power, sld
 from ipower.errors import (
     BasisMismatchError,
     NotIdentifiableError,
+    SubsystemANotQubitError,
     ZeroInformationError,
 )
 from ipower.estimation import (
@@ -26,7 +28,7 @@ from ipower.estimation import (
     sweep_rows,
     theory_populations,
 )
-from ipower.linalg import dagger, tensor
+from ipower.linalg import SIGMA_X, SIGMA_Z, dagger, tensor
 from ipower.probes import (
     ProbeFamily,
     classical_probe,
@@ -34,6 +36,7 @@ from ipower.probes import (
     flip_angle_grid,
     setting_hamiltonian,
 )
+from ipower.states import DensityMatrix, LocalHamiltonian
 
 PI4 = math.pi / 4
 
@@ -137,6 +140,114 @@ class TestLeastSquares:
         assert fit.phi_hat == pytest.approx(0.0, abs=1e-6)
 
 
+class TestClosedFormFit:
+    """Guards of the closed-form least-squares fit."""
+
+    @pytest.mark.parametrize("label", ["Q", "C"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_never_above_dense_grid_minimum(self, label, k):
+        ham = setting_hamiltonian(k)
+        grid = np.linspace(0.0, math.pi / 2.0, 501)  # the window [0, pi/omega]
+        for p in (0.13, 0.6, 1.0):
+            rho = discordant_probe(p) if label == "Q" else classical_probe(p)
+            for sigma, seed in ((0.0, None), (0.05, 3), (0.2, 4)):
+                for phi0 in (0.0, PI4):
+                    basis = sld(rho, ham, phi0)
+                    d = measure_populations(
+                        rho, ham, 1.0, basis, NoiseSpec(sigma, seed)
+                    )
+
+                    def objective(phi):
+                        delta = theory_populations(rho, ham, basis, phi) - d
+                        return float(delta @ delta)
+
+                    fit = least_squares_estimate(d, rho, ham, basis)
+                    if fit.failed:
+                        continue
+                    assert 0.0 <= fit.phi_hat <= math.pi / 2.0
+                    assert fit.residual <= min(map(objective, grid)) + 1e-15
+                    assert fit.residual == pytest.approx(
+                        objective(fit.phi_hat), abs=1e-12
+                    )
+
+    def test_three_model_evaluations_per_fit(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return theory_populations(*args)
+
+        monkeypatch.setattr(estimation_mod, "theory_populations", counted)
+        rho = discordant_probe(0.7)
+        ham = setting_hamiltonian(2)
+        basis = sld(rho, ham, 0.4)
+        d = measure_populations(rho, ham, 0.4, basis)
+        calls.clear()
+        least_squares_estimate(d, rho, ham, basis)
+        assert len(calls) == 3
+
+    def test_segment_landscape_from_zero_basis(self):
+        # Measured in the SLD basis at 0, the populations trace a segment and
+        # pi/4 sits at its end: the quartic has a triple root there.
+        rho = discordant_probe(0.13)
+        ham = setting_hamiltonian(1)
+        basis = sld(rho, ham, 0.0)
+        d = measure_populations(rho, ham, PI4, basis)
+        fit = least_squares_estimate(d, rho, ham, basis)
+        assert not fit.failed
+        assert fit.phi_hat == pytest.approx(PI4, abs=1e-9)
+
+    @pytest.mark.parametrize("phi", [0.3, 1.2, 2.0])
+    def test_generator_with_general_spectrum(self, phi):
+        ham = LocalHamiltonian.from_matrix(
+            0.5 * SIGMA_Z + 0.3 * SIGMA_X + 0.2 * np.eye(2)
+        )
+        omega = ham.spectrum[1] - ham.spectrum[0]
+        assert omega == pytest.approx(2.0 * math.sqrt(0.34), abs=1e-12)
+        assert phi < math.pi / omega
+        rho = discordant_probe(0.8)
+        basis = sld(rho, ham, phi)
+        d = measure_populations(rho, ham, phi, basis)
+        fit = least_squares_estimate(d, rho, ham, basis)
+        assert not fit.failed
+        assert fit.phi_hat == pytest.approx(phi, abs=1e-9)
+
+    def test_degenerate_generator_is_flat(self):
+        rho = discordant_probe(0.5)
+        ham = LocalHamiltonian.from_matrix(np.eye(2))
+        basis = sld(rho, setting_hamiltonian(1), 0.0)
+        d = measure_populations(rho, ham, 0.0, basis)
+        fit = least_squares_estimate(d, rho, ham, basis)
+        assert fit.failed
+        assert math.isnan(fit.phi_hat)
+
+    def test_qutrit_generator_rejected(self):
+        rho = DensityMatrix.from_matrix(np.eye(6) / 6.0, (3, 2))
+        ham = LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 2.0]))
+        basis = sld(rho, ham, 0.0)
+        with pytest.raises(SubsystemANotQubitError):
+            least_squares_estimate(np.full(6, 1.0 / 6.0), rho, ham, basis)
+
+
+class TestPhaseWindow:
+    @pytest.mark.parametrize("phi", [2.0, math.pi / 2.0, -0.1])
+    def test_run_outside_window_raises(self, phi):
+        # Exact data at 2.0 and at 2.0 - pi/2 coincide: the fit would return
+        # 0.4292 without any failure flag.
+        with pytest.raises(NotIdentifiableError, match="window"):
+            run_experiment(ProbeFamily("Q", (0.8,)), 1, phi)
+
+    def test_adaptive_outside_window_raises(self):
+        with pytest.raises(NotIdentifiableError, match="window"):
+            adaptive_localize(discordant_probe(0.5), setting_hamiltonian(1), 2.0)
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 8, 3 * math.pi / 8, 1.57])
+    def test_phases_inside_window_recovered(self, phi):
+        run = run_experiment(ProbeFamily("Q", (0.8,)), 1, phi)
+        assert not run.failed
+        assert run.phi_hat_mean == pytest.approx(phi, abs=1e-9)
+
+
 class TestEstimatorStatistics:
     def test_bell_probe_reference_variance(self):
         # F = 4 at p = 1 under setting 1, so Var = 1/(nu F) = 2.5e-16.
@@ -198,6 +309,10 @@ class TestRunExperiment:
             for k in (2, 3):
                 run = run_experiment(ProbeFamily("Q", (p,)), k, PI4)
                 assert run.f_exp / 4.0 == pytest.approx(power, abs=1e-9)
+
+    def test_run_carries_interferometric_power(self):
+        run = run_experiment(ProbeFamily("Q", (0.6,)), 2, PI4)
+        assert run.ip == interferometric_power(discordant_probe(0.6))
 
     def test_pathological_setting_fails(self):
         run = run_experiment(ProbeFamily("C", (0.8,)), 3, PI4)
