@@ -10,8 +10,9 @@ adaptive  run the iterative phase localization loop
 verify    run the seeded property suites
 
 The environment variable ``IPOWER_SEED`` overrides the default seed when
-``--seed`` is not given.  Exit codes: 2 for configuration errors, 3 when a
-state file does not have a qubit on subsystem A, 1 when verification fails.
+``--seed`` is not given; both must be non-negative integers.  Exit codes: 2
+for configuration errors, 3 when a state file does not have a qubit on
+subsystem A, 1 when verification fails.
 """
 
 from __future__ import annotations
@@ -80,16 +81,6 @@ class SweepConfig:
         return flip_angle_grid(self.p_start, self.p_stop, self.p_steps)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("IPOWER_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        return 0
-
-
 def _dataset_text(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
     if fmt == "csv":
         return rows_csv_text(rows, columns)
@@ -140,15 +131,40 @@ def cmd_figure3(config: SweepConfig) -> list[str]:
     return paths
 
 
-def _finite_float(text: str) -> float:
-    """argparse type of the float flags; argparse names the flag and exits 2."""
+def _number(kind=float, low=-math.inf):
+    """argparse type of a finite ``kind`` (float or int) not below ``low``.
+
+    On a bad value argparse names the flag in its message and exits 2.
+    """
+    expected = "an integer" if kind is int else "a finite number"
+    if low > -math.inf:
+        expected += f" >= {low:g}"
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_finite_float = _number()
+_seed = _number(int, 0)
+
+
+def _env_seed(parser) -> int:
+    """The seed from ``IPOWER_SEED``, or 0 when it is unset."""
+    text = os.environ.get("IPOWER_SEED")
+    if text is None:
+        return 0
     try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+        return _seed(text)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(f"IPOWER_SEED: {exc}")
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -157,10 +173,10 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _add_common_flags(parser, with_noise=True):
     parser.add_argument("--phi-true", type=_finite_float, default=math.pi / 4)
-    parser.add_argument("--nu", type=_finite_float, default=1e15)
+    parser.add_argument("--nu", type=_number(float, 1), default=1e15)
     if with_noise:
-        parser.add_argument("--noise", type=_finite_float, default=0.0)
-    parser.add_argument("--seed", type=int, default=None)
+        parser.add_argument("--noise", type=_number(float, 0), default=0.0)
+    parser.add_argument("--seed", type=_seed, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,13 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     ada.add_argument("--probe", default="Q", choices=("Q", "C"))
     ada.add_argument("--p", type=_finite_float, default=0.13)
     ada.add_argument("--setting", type=int, default=1)
-    ada.add_argument("--max-iters", type=int, default=10)
+    ada.add_argument("--max-iters", type=_number(int, 1), default=10)
     _add_common_flags(ada, with_noise=False)
     ada.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify", help="run the seeded property suites")
-    ver.add_argument("--trials", type=int, default=100, help="base ensemble size")
-    ver.add_argument("--seed", type=int, default=None)
+    ver.add_argument(
+        "--trials", type=_number(int, 1), default=100, help="base ensemble size"
+    )
+    ver.add_argument("--seed", type=_seed, default=None)
 
     return parser
 
@@ -241,10 +259,6 @@ def _figure3(args, parser) -> int:
         parser.error("--p-steps: step must be positive (empty grid)")
     if args.p_stop < args.p_start:
         parser.error("--p-stop: must not precede --p-start")
-    if args.noise < 0:
-        parser.error("--noise: must be nonnegative")
-    if args.nu < 1:
-        parser.error("--nu: must be at least 1")
     config = SweepConfig(
         probes=tuple(sorted(set(probes))),
         settings=tuple(sorted(set(settings))),
@@ -254,7 +268,7 @@ def _figure3(args, parser) -> int:
         phi_true=args.phi_true,
         nu=int(args.nu),
         noise=args.noise,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=args.seed,
         out=args.out,
         fmt=args.format,
     )
@@ -305,12 +319,7 @@ def _ip(args) -> int:
 def _estimate(args, parser) -> int:
     if args.setting not in (1, 2, 3):
         parser.error(f"--setting: must be 1, 2 or 3, got {args.setting}")
-    if args.noise < 0:
-        parser.error("--noise: must be nonnegative")
-    if args.nu < 1:
-        parser.error("--nu: must be at least 1")
-    seed = args.seed if args.seed is not None else _default_seed()
-    noise = NoiseSpec(args.noise, seed) if args.noise > 0 else NoiseSpec()
+    noise = NoiseSpec(args.noise, args.seed) if args.noise > 0 else NoiseSpec()
     if args.params is not None:
         params = tuple(_parse_float_list(args.params))
     elif args.probe in ("Q", "C", "werner"):
@@ -372,20 +381,19 @@ def _adaptive(args, parser) -> int:
 
 
 def _verify(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    results = verify_mod.run_all(seed=seed, scale=args.trials / 100.0)
-    failures = 0
+    results = verify_mod.run_all(seed=args.seed, scale=args.trials / 100.0)
     for result in results:
         print(result.line())
-        if not result.passed:
-            failures += 1
-    print(f"{len(results) - failures}/{len(results)} property families passed")
-    return 1 if failures else 0
+    passed = sum(result.passed for result in results)
+    print(f"{passed}/{len(results)} property families passed")
+    return 0 if passed == len(results) else 1
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) is None:  # every subcommand but ip has --seed
+        args.seed = _env_seed(parser)
     try:
         if args.command == "figure3":
             return _figure3(args, parser)

@@ -1,5 +1,10 @@
 """Acceptance suite: one test per exit criterion, each printing a pass/fail line.
 
+Criteria 02, 05, 06, 07, 08 and 11 call the ``ipower.verify`` checks, the one
+implementation of those property families, with the seeds, sizes and bounds
+pinned here. Criteria 01, 03, 04, 09 and 10 keep their own references; the
+hard-coded curves of criterion 01 are independent of ``predicted_qfi``.
+
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 report.  Every tolerance is pinned here; nothing is calibrated at runtime.
 """
@@ -9,38 +14,28 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
-from ipower.correlations import (
-    interferometric_power,
-    ip_bell_diagonal,
-    ip_grid_search,
-    local_quantum_uncertainty,
-    min_local_variance,
-    qfi,
-)
-from ipower.estimation import NoiseSpec, ProbeFamily, adaptive_localize, run_experiment, run_sweep
-from ipower.linalg import dagger, tensor
+from ipower.correlations import interferometric_power, ip_bell_diagonal, qfi
+from ipower.estimation import ProbeFamily, adaptive_localize, run_experiment
 from ipower.probes import (
     bell_diagonal_state,
     classical_probe,
     discordant_probe,
     flip_angle_grid,
-    make_probe,
-    predicted_qfi,
     setting_hamiltonian,
+    werner_state,
 )
-from ipower.sampling import (
-    amplitude_damping_kraus,
-    apply_channel_b,
-    depolarizing_kraus,
-    haar_unitary,
-    random_classical_classical_state,
-    random_classical_quantum_state,
-    random_density_matrix,
-    random_pure_density_matrix,
+from ipower.verify import (
+    check_channel_monotonicity,
+    check_exact_sweep,
+    check_faithfulness,
+    check_hierarchy,
+    check_local_unitary_invariance,
+    check_noise_robustness,
+    check_oracle_equivalence,
+    check_probe_regression,
+    check_pure_state_reduction,
 )
-from ipower.states import DensityMatrix
 
 PI4 = math.pi / 4
 P_GRID = flip_angle_grid()  # 37 points, p = cos(theta), theta = 0..90 deg by 2.5
@@ -54,6 +49,10 @@ def criterion(number, description):
         print(f"[FAIL] criterion {number:2d}: {description}")
         raise
     print(f"[PASS] criterion {number:2d}: {description}")
+
+
+def assert_passes(result):
+    assert result.passed, result.line()
 
 
 def test_criterion_01_precision_curves():
@@ -78,16 +77,12 @@ def test_criterion_01_precision_curves():
 
 def test_criterion_02_power_identity():
     with criterion(2, "power of the Q family is p^2, of the C family is 0"):
-        for p in P_GRID:
-            assert abs(interferometric_power(discordant_probe(p)) - p * p) <= 1e-9
-            assert interferometric_power(classical_probe(p)) <= 1e-10
+        assert_passes(check_probe_regression(1e-9))
 
 
 def test_criterion_03_werner_formula():
     with criterion(3, "Werner power equals 2 f^2 / (1 + f)"):
         for f in np.arange(0.0, 1.0 + 1e-12, 0.1):
-            from ipower.probes import werner_state
-
             value = interferometric_power(werner_state(f))
             assert abs(value - 2 * f**2 / (1 + f)) <= 1e-9, f
 
@@ -116,92 +111,30 @@ def test_criterion_04_bell_diagonal_closed_form():
 
 def test_criterion_05_oracle_equivalence():
     with criterion(5, "sphere-grid minimization agrees with the closed form"):
-        rng = np.random.default_rng(50)
         start = time.perf_counter()
-        for _ in range(200):
-            rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
-            closed = interferometric_power(rho)
-            value, _ = ip_grid_search(rho, 256, 512)
-            assert value >= closed - 1e-12
-            assert abs(value - closed) <= 5e-4
+        assert_passes(check_oracle_equivalence(np.random.default_rng(50), 200, 5e-4))
         assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_06_hierarchy():
     with criterion(6, "power never falls below the local quantum uncertainty"):
-        rng = np.random.default_rng(60)
-        for _ in range(500):
-            rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
-            assert interferometric_power(rho) >= (
-                local_quantum_uncertainty(rho) - 1e-10
-            )
+        assert_passes(check_hierarchy(np.random.default_rng(60), 500, 1e-10))
 
 
 def test_criterion_07_measure_properties():
     with criterion(7, "faithfulness, unitary invariance, monotonicity, purity"):
         start = time.perf_counter()
-        rng = np.random.default_rng(70)
-
-        # Faithfulness: classical states vanish, generic states do not.
-        for sampler in (
-            random_classical_quantum_state,
-            random_classical_classical_state,
-        ):
-            for _ in range(50):
-                assert interferometric_power(sampler((2, 2), rng)) <= 1e-9
-        for _ in range(50):
-            assert interferometric_power(random_density_matrix((2, 2), rng)) > 1e-6
-
-        # Invariance under local unitaries.
-        for _ in range(100):
-            rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
-            u = tensor(haar_unitary(2, rng), haar_unitary(2, rng))
-            rotated = DensityMatrix.from_matrix(u @ rho.matrix @ dagger(u), (2, 2))
-            assert abs(
-                interferometric_power(rotated) - interferometric_power(rho)
-            ) <= 1e-9
-
-        # Monotonicity under channels on the unshifted side.
-        for i in range(100):
-            rho = random_density_matrix((2, 2), rng)
-            kraus = (
-                depolarizing_kraus(rng.uniform(0, 1))
-                if i % 2 == 0
-                else amplitude_damping_kraus(rng.uniform(0, 1))
-            )
-            degraded = apply_channel_b(rho, kraus)
-            assert interferometric_power(degraded) <= (
-                interferometric_power(rho) + 1e-9
-            )
-
-        # Pure-state reduction to the minimal local variance.
-        for _ in range(50):
-            pure = random_pure_density_matrix((2, 2), rng)
-            power = interferometric_power(pure)
-            variance, _ = min_local_variance(pure)
-            assert abs(power - variance) <= 1e-6
-            assert abs(local_quantum_uncertainty(pure) - power) <= 1e-6
-
+        rng = np.random.default_rng(70)  # shared, drawn in this order
+        assert_passes(check_faithfulness(rng, 50, 1e-9))
+        assert_passes(check_local_unitary_invariance(rng, 100, 1e-9))
+        assert_passes(check_channel_monotonicity(rng, 100, 1e-9))
+        assert_passes(check_pure_state_reduction(rng, 50, 1e-6))
         assert time.perf_counter() - start < 120.0
 
 
 def test_criterion_08_estimation_exact_mode():
     with criterion(8, "exact-mode estimation is unbiased and saturates Cramer-Rao"):
-        runs = run_sweep(("Q", "C"), (1, 2, 3), P_GRID, PI4, nu=10**15)
-        for run in runs:
-            if run.probe_label == "C" and run.setting_k == 3:
-                assert run.failed
-                continue
-            if run.p == 0.0 or run.f_exp <= 1e-10:
-                assert run.failed  # no information at p = 0
-                continue
-            assert not run.failed, (run.probe_label, run.setting_k, run.p)
-            assert abs(run.phi_hat_mean - PI4) <= 1e-6
-            assert abs(run.nu * run.phi_hat_var * run.f_exp - 1.0) <= 1e-9
-            f_th = predicted_qfi(run.probe_label, run.p, run.setting_k)
-            assert run.phi_hat_var == pytest.approx(
-                1.0 / (run.nu * f_th), rel=1e-9
-            )
+        assert_passes(check_exact_sweep(1e-9))
 
 
 def test_criterion_09_qfi_saturates_power():
@@ -227,17 +160,4 @@ def test_criterion_11_noise_robustness_substitute():
     # Hardware-correlated error scatter is not reproducible in simulation;
     # the agreed substitute is the seeded 5 percent relative-Gaussian model.
     with criterion(11, "95 percent of 5 percent-noise runs stay within 0.05 rad"):
-        grid = [p for p in P_GRID if p >= 0.3]
-        rng = np.random.default_rng(110)
-        seeds = rng.integers(0, 2**63 - 1, size=200)
-        hits = 0
-        for i in range(200):
-            run = run_experiment(
-                ProbeFamily("Q", (grid[i % len(grid)],)),
-                1,
-                PI4,
-                noise=NoiseSpec(0.05, int(seeds[i])),
-            )
-            if not run.failed and abs(run.phi_hat_mean - PI4) <= 0.05:
-                hits += 1
-        assert hits >= 190, f"only {hits}/200 runs within 0.05 rad"
+        assert_passes(check_noise_robustness(np.random.default_rng(110), 200, 0.05))

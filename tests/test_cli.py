@@ -102,6 +102,43 @@ class TestFloatFlags:
         assert f"argument {flag}: expected a finite number" in capsys.readouterr().err
 
 
+class TestBoundedFlags:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["figure3", "--seed", "-1"], "an integer >= 0"),
+            (["estimate", "--seed", "-1"], "an integer >= 0"),
+            (["adaptive", "--seed", "1.5"], "an integer >= 0"),
+            (["verify", "--seed", "-1"], "an integer >= 0"),
+            (["verify", "--seed", "abc"], "an integer >= 0"),
+            (["verify", "--trials", "0"], "an integer >= 1"),
+            (["verify", "--trials", "-3"], "an integer >= 1"),
+            (["adaptive", "--max-iters", "0"], "an integer >= 1"),
+            (["estimate", "--noise", "-0.1"], "a finite number >= 0"),
+            (["figure3", "--nu", "0.5"], "a finite number >= 1"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_naming_the_flag(self, argv, expected, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv + ["--out", str(tmp_path / "x")] if argv[0] == "figure3" else argv)
+        assert info.value.code == 2
+        assert f"argument {argv[1]}: expected {expected}, got " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_env_seed_exits_2_naming_the_variable(self, value, capsys, monkeypatch):
+        monkeypatch.setenv("IPOWER_SEED", value)
+        with pytest.raises(SystemExit) as info:
+            run_cli(["estimate", "--noise", "0.05"])
+        assert info.value.code == 2
+        assert "IPOWER_SEED: expected an integer >= 0" in capsys.readouterr().err
+
+    def test_seed_flag_overrides_bad_env_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("IPOWER_SEED", "abc")
+        assert run_cli(["estimate", "--noise", "0.05", "--seed", "5"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+
 class TestIpCommand:
     def test_werner_report(self, tmp_path, capsys):
         path = tmp_path / "werner.json"

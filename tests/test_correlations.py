@@ -41,6 +41,7 @@ from ipower.sampling import (
     remix_degenerate_eigenspaces,
 )
 from ipower.states import DensityMatrix, LocalHamiltonian, evolve
+from ipower.verify import check_hierarchy, check_pure_state_reduction
 
 MIXED = DensityMatrix.from_matrix(np.eye(4) / 4.0, (2, 2))
 
@@ -391,14 +392,8 @@ class TestLocalQuantumUncertainty:
         self.test_matches_dense_grid_search(d_b, seed=118 + d_b)
 
     def test_hierarchy_on_random_states(self, d_b=2, seed=19):
-        rng = np.random.default_rng(seed)
-        for _ in range(50):
-            rho = random_density_matrix(
-                (2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1))
-            )
-            assert interferometric_power(rho) >= (
-                local_quantum_uncertainty(rho) - 1e-10
-            )
+        result = check_hierarchy(np.random.default_rng(seed), 50, 1e-10, d_b)
+        assert result.passed, result.line()
 
     @pytest.mark.parametrize("d_b", [3, 4])
     def test_hierarchy_on_random_states_qudit(self, d_b):
@@ -450,11 +445,8 @@ class TestScalingIdentity:
 
 class TestLocalVarianceSearch:
     def test_pure_state_reduction(self, d_b=2, seed=20):
-        rng = np.random.default_rng(seed)
-        for _ in range(10):
-            rho = random_pure_density_matrix((2, d_b), rng)
-            value, _ = min_local_variance(rho)
-            assert value == pytest.approx(interferometric_power(rho), abs=1e-6)
+        result = check_pure_state_reduction(np.random.default_rng(seed), 10, 1e-6, d_b)
+        assert result.passed, result.line()
 
     @pytest.mark.parametrize("d_b", [3, 4])
     def test_pure_state_reduction_qudit(self, d_b):

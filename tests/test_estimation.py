@@ -33,10 +33,10 @@ from ipower.probes import (
     ProbeFamily,
     classical_probe,
     discordant_probe,
-    flip_angle_grid,
     setting_hamiltonian,
 )
 from ipower.states import DensityMatrix, LocalHamiltonian
+from ipower.verify import check_adaptive_convergence
 
 PI4 = math.pi / 4
 
@@ -405,22 +405,8 @@ def test_power_lower_bounds_every_direction():
 
 
 def test_adaptive_converges_for_random_informative_pairs():
-    rng = np.random.default_rng(21)
-    found = 0
-    while found < 5:
-        label = "Q" if rng.uniform() < 0.5 else "C"
-        p = float(rng.uniform(0.05, 1.0))
-        k = int(rng.integers(1, 4))
-        rho = discordant_probe(p) if label == "Q" else classical_probe(p)
-        from ipower.correlations import qfi
-
-        if qfi(rho, setting_hamiltonian(k)) <= 0.1:
-            continue
-        found += 1
-        trials, converged = adaptive_localize(
-            rho, setting_hamiltonian(k), PI4, max_iters=5
-        )
-        assert converged and len(trials) <= 5
+    result = check_adaptive_convergence(np.random.default_rng(21), 5, 0.5)
+    assert result.passed, result.line()
 
 
 def test_theory_populations_match_reference_at_reference_phase():

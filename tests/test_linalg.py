@@ -13,6 +13,7 @@ from ipower.linalg import (
     is_hermitian,
     tensor,
 )
+from ipower.verify import check_eig_roundtrip
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -46,17 +47,9 @@ class TestEigHermitian:
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_eigen_equation_and_orthonormality(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            dim = int(rng.integers(2, 9))
-            z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            herm = (z + dagger(z)) / 2.0
-            vals, vecs = eig_hermitian(herm)
-            assert np.all(np.diff(vals) >= 0)
-            assert_allclose(herm @ vecs, vecs * vals, atol=1e-9)
-            assert_allclose(dagger(vecs) @ vecs, np.eye(dim), atol=1e-9)
-            recon = (vecs * vals) @ dagger(vecs)
-            assert_allclose(recon, herm, atol=1e-9)
+        # Sorted eigenvalues, eigen equation, orthonormality and reconstruction.
+        result = check_eig_roundtrip(np.random.default_rng(11), 100, 1e-9)
+        assert result.passed, result.line()
 
     def test_deterministic_on_degenerate_input(self):
         m = tensor(SIGMA_Z, np.eye(2))  # doubly degenerate spectrum

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ipower.correlations import interferometric_power, qfi, qfi_sphere_grid
+from ipower.correlations import qfi_sphere_grid
 from ipower.errors import (
     BadSettingError,
     NotPositiveSemidefiniteError,
@@ -20,6 +20,7 @@ from ipower.probes import (
     setting_hamiltonian,
     werner_state,
 )
+from ipower.verify import check_probe_regression
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -111,22 +112,12 @@ class TestPredictedQfi:
             predicted_qfi("werner", 0.5, 1)
 
     def test_matches_computed_qfi_on_grid(self):
-        for p in flip_angle_grid():
-            for label, probe in (
-                ("Q", discordant_probe(p)),
-                ("C", classical_probe(p)),
-            ):
-                for k in (1, 2, 3):
-                    assert qfi(probe, setting_hamiltonian(k)) == pytest.approx(
-                        predicted_qfi(label, p, k), abs=1e-9
-                    )
+        result = check_probe_regression(1e-9)
+        assert result.passed, result.line()
 
     def test_interferometric_power_identities_on_grid(self):
-        for p in flip_angle_grid():
-            assert interferometric_power(discordant_probe(p)) == pytest.approx(
-                p * p, abs=1e-9
-            )
-            assert interferometric_power(classical_probe(p)) <= 1e-10
+        result = check_probe_regression(1e-9)
+        assert result.passed, result.line()
 
 
 class TestFlipAngleGrid:

@@ -23,6 +23,7 @@ from ipower.states import (
     partial_trace,
     save_state,
 )
+from ipower.verify import check_evolve_spectrum
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -132,15 +133,8 @@ class TestEvolve:
         assert_allclose(out.matrix, expected, atol=1e-14)
 
     def test_spectrum_preserved(self):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
-            n = rng.standard_normal(3)
-            ham = LocalHamiltonian.from_bloch(n / np.linalg.norm(n))
-            out = evolve(rho, ham, rng.uniform(0, 2 * np.pi))
-            assert_allclose(
-                np.sort(out.eigenvalues), np.sort(rho.eigenvalues), atol=1e-9
-            )
+        result = check_evolve_spectrum(np.random.default_rng(3), 25, 1e-9)
+        assert result.passed, result.line()
 
     def test_dimension_mismatch(self):
         rho = DensityMatrix.from_matrix(np.eye(4) / 4.0, (4, 1))
