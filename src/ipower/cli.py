@@ -132,10 +132,7 @@ def cmd_figure3(config: SweepConfig) -> list[str]:
 
 
 def _number(kind=float, low=-math.inf):
-    """argparse type of a finite ``kind`` (float or int) not below ``low``.
-
-    On a bad value argparse names the flag in its message and exits 2.
-    """
+    """argparse type of a finite ``kind`` not below ``low``; argparse exits 2 otherwise."""
     expected = "an integer" if kind is int else "a finite number"
     if low > -math.inf:
         expected += f" >= {low:g}"
@@ -152,17 +149,13 @@ def _number(kind=float, low=-math.inf):
     return parse
 
 
-_finite_float = _number()
 _seed = _number(int, 0)
 
 
 def _env_seed(parser) -> int:
     """The seed from ``IPOWER_SEED``, or 0 when it is unset."""
-    text = os.environ.get("IPOWER_SEED")
-    if text is None:
-        return 0
     try:
-        return _seed(text)
+        return _seed(os.environ.get("IPOWER_SEED", "0"))
     except argparse.ArgumentTypeError as exc:
         parser.error(f"IPOWER_SEED: {exc}")
 
@@ -172,7 +165,7 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def _add_common_flags(parser, with_noise=True):
-    parser.add_argument("--phi-true", type=_finite_float, default=math.pi / 4)
+    parser.add_argument("--phi-true", type=_number(), default=math.pi / 4)
     parser.add_argument("--nu", type=_number(float, 1), default=1e15)
     if with_noise:
         parser.add_argument("--noise", type=_number(float, 0), default=0.0)
@@ -193,9 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument(
         "--setting", action="append", default=None, help="setting index(es) among 1,2,3"
     )
-    fig.add_argument("--p-start", type=_finite_float, default=0.0, help="flip angle start, degrees")
-    fig.add_argument("--p-stop", type=_finite_float, default=90.0, help="flip angle stop, degrees")
-    fig.add_argument("--p-steps", type=_finite_float, default=2.5, help="flip angle step, degrees")
+    fig.add_argument("--p-start", type=_number(), default=0.0, help="flip angle start, degrees")
+    fig.add_argument("--p-stop", type=_number(), default=90.0, help="flip angle stop, degrees")
+    fig.add_argument("--p-steps", type=_number(), default=2.5, help="flip angle step, degrees")
     _add_common_flags(fig)
     fig.add_argument("--out", default="figure3")
     fig.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -208,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument(
         "--probe", default="Q", choices=("Q", "C", "werner", "belldiag", "sep", "bell")
     )
-    est.add_argument("--p", type=_finite_float, default=0.5)
+    est.add_argument("--p", type=_number(), default=0.5)
     est.add_argument(
         "--params", default=None, help="comma-separated parameters, e.g. 0.5,0.3,0.1"
     )
@@ -219,16 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ada = sub.add_parser("adaptive", help="iterative phase localization")
     ada.add_argument("--probe", default="Q", choices=("Q", "C"))
-    ada.add_argument("--p", type=_finite_float, default=0.13)
+    ada.add_argument("--p", type=_number(), default=0.13)
     ada.add_argument("--setting", type=int, default=1)
     ada.add_argument("--max-iters", type=_number(int, 1), default=10)
     _add_common_flags(ada, with_noise=False)
     ada.add_argument("--out", default=None)
 
     ver = sub.add_parser("verify", help="run the seeded property suites")
-    ver.add_argument(
-        "--trials", type=_number(int, 1), default=100, help="base ensemble size"
-    )
+    ver.add_argument("--trials", type=_number(int, 1), default=100, help="base ensemble size")
     ver.add_argument("--seed", type=_seed, default=None)
 
     return parser

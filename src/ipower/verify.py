@@ -1,17 +1,9 @@
 """Seeded property suites: the one implementation of every property check.
 
-``ipower verify`` runs them all through :func:`run_all`; the acceptance suite
-calls them with its own pinned seeds, sizes and bounds.
-
-A sampled check takes ``(rng, n, bound)``: it draws ``n`` samples from ``rng``
-in a fixed order and fails each sample whose deviation exceeds ``bound``. A
-deterministic check takes ``bound`` alone. Secondary quantities are rescaled
-to that one bound, and a sample that fails outright scores far above it. A
-family that evaluated no trial fails.
-
-``run_all`` gives each sampled family its own child generator
-``default_rng([seed, family])``, so the outcome of one family never depends on
-how many samples another family consumed.
+A sampled check takes ``(rng, n, bound)`` and draws ``n`` samples from ``rng``
+in a fixed order; a deterministic check takes ``bound`` alone. A sample fails
+when its deviation exceeds ``bound``, and a family without trials fails.
+:func:`run_all` seeds each family with ``default_rng([seed, family])``.
 """
 
 from __future__ import annotations
@@ -93,10 +85,6 @@ def _result(name, deviations, bound) -> PropertyResult:
     )
 
 
-def _on_qudit(name: str, d_b: int) -> str:
-    return name if d_b == 2 else f"{name} (d_B = {d_b})"
-
-
 def _random_bloch(rng) -> np.ndarray:
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
@@ -112,7 +100,7 @@ def check_eig_roundtrip(rng, n, bound) -> PropertyResult:
         recon = (vecs * vals) @ dagger(vecs)
         orth = np.max(np.abs(dagger(vecs) @ vecs - np.eye(dim)))
         residual = np.max(np.abs(herm @ vecs - vecs * vals))
-        unsorted = max(-np.min(np.diff(vals)), 0.0)
+        unsorted = 0.0 if np.all(np.diff(vals) >= 0) else math.inf
         devs.append(max(np.max(np.abs(recon - herm)), orth, residual, unsorted))
     return _result("eigendecomposition round trip", devs, bound)
 
@@ -125,12 +113,8 @@ def check_partial_trace_factors(rng, n, bound) -> PropertyResult:
         product = DensityMatrix.from_matrix(
             tensor(rho_a.matrix, rho_b.matrix), (2, 2)
         )
-        devs.append(
-            np.max(np.abs(partial_trace(product, "A").matrix - rho_a.matrix))
-        )
-        devs.append(
-            np.max(np.abs(partial_trace(product, "B").matrix - rho_b.matrix))
-        )
+        for label, part in (("A", rho_a), ("B", rho_b)):
+            devs.append(np.max(np.abs(partial_trace(product, label).matrix - part.matrix)))
     return _result("partial trace of product states", devs, bound)
 
 
@@ -171,18 +155,19 @@ def check_oracle_equivalence(rng, n, bound) -> PropertyResult:
     return _result("closed form vs sphere-grid minimization", devs, bound)
 
 
-def check_faithfulness(rng, n, bound) -> PropertyResult:
+def check_faithfulness(rng, n, bound, d_b=2) -> PropertyResult:
     """``n`` classical-quantum, then ``n`` classical-classical states must have
     a power within ``bound``; then ``n`` random states must exceed 1e-6."""
     devs = [
-        interferometric_power(sampler((2, 2), rng))
+        interferometric_power(sampler((2, d_b), rng))
         for sampler in (random_classical_quantum_state, random_classical_classical_state)
         for _ in range(n)
     ]
     for _ in range(n):
-        value = interferometric_power(random_density_matrix((2, 2), rng))
+        value = interferometric_power(random_density_matrix((2, d_b), rng))
         devs.append(0.0 if value > 1e-6 else 1.0)
-    return _result("faithfulness on classical vs discordant states", devs, bound)
+    qudit = "" if d_b == 2 else f" (d_B = {d_b})"
+    return _result(f"faithfulness on classical vs discordant states{qudit}", devs, bound)
 
 
 def check_local_unitary_invariance(rng, n, bound) -> PropertyResult:
@@ -219,9 +204,8 @@ def check_pure_state_reduction(rng, n, bound, d_b=2) -> PropertyResult:
         variance, _ = min_local_variance(pure)
         devs.append(abs(ip - variance))
         devs.append(abs(local_quantum_uncertainty(pure) - ip))
-    return _result(
-        _on_qudit("pure-state reduction to minimal local variance", d_b), devs, bound
-    )
+    qudit = "" if d_b == 2 else f" (d_B = {d_b})"
+    return _result(f"pure-state reduction to minimal local variance{qudit}", devs, bound)
 
 
 def check_hierarchy(rng, n, bound, d_b=2) -> PropertyResult:
@@ -232,7 +216,8 @@ def check_hierarchy(rng, n, bound, d_b=2) -> PropertyResult:
         )
         gap = local_quantum_uncertainty(rho) - interferometric_power(rho)
         devs.append(max(gap, 0.0))
-    return _result(_on_qudit("uncertainty lower-bounds the power", d_b), devs, bound)
+    qudit = "" if d_b == 2 else f" (d_B = {d_b})"
+    return _result(f"uncertainty lower-bounds the power{qudit}", devs, bound)
 
 
 def check_sld_equation(rng, n, bound) -> PropertyResult:
@@ -317,9 +302,9 @@ def check_setting_landscape(bound) -> PropertyResult:
     return _result("worst/best-case landscape locations", devs, bound)
 
 
-def check_guaranteed_precision(bound) -> PropertyResult:
+def check_guaranteed_precision(bound, ps=(0.2, 0.5, 0.8, 1.0)) -> PropertyResult:
     devs = []
-    for p in (0.2, 0.5, 0.8, 1.0):
+    for p in ps:
         for rho in (discordant_probe(p), classical_probe(p)):
             ip = interferometric_power(rho)
             _, _, grid = qfi_sphere_grid(rho, 64, 64)
@@ -327,34 +312,25 @@ def check_guaranteed_precision(bound) -> PropertyResult:
     return _result("worst-case value certifies every direction", devs, bound)
 
 
-def _exact_deviation(run, deviation) -> float:
-    """An exact-mode run fails exactly when the model predicts no information:
-    probe C under setting 3, p = 0 or f_exp <= 1e-10. A run that breaks this
-    rule scores 1.0; any other scores ``deviation(run)``."""
-    no_information = (
-        (run.probe_label == "C" and run.setting_k == 3)
-        or run.p == 0.0
-        or run.f_exp <= 1e-10
-    )
-    if no_information or run.failed:
-        return 0.0 if no_information and run.failed else 1.0
-    return deviation(run)
+def _misflagged(run) -> bool:
+    """An exact-mode run must fail exactly when the model predicts no information:
+    probe C under setting 3, p = 0 or f_exp <= 1e-10."""
+    no_information = run.probe_label == "C" and run.setting_k == 3
+    return run.failed != (no_information or run.p == 0.0 or run.f_exp <= 1e-10)
 
 
 def check_exact_sweep(bound) -> PropertyResult:
     """The figure-3 sweep at pi/4: Cramer-Rao saturation and the predicted
     variance (relative) within ``bound``, the bias within 1e-6."""
-
-    def deviation(run):
+    devs = []
+    for run in run_sweep(("Q", "C"), (1, 2, 3), flip_angle_grid(), math.pi / 4, nu=10**15):
+        if run.failed or _misflagged(run):
+            devs.append(math.inf if _misflagged(run) else 0.0)
+            continue
         predicted = 1.0 / (run.nu * predicted_qfi(run.probe_label, run.p, run.setting_k))
-        return max(
-            abs(run.phi_hat_mean - math.pi / 4) * (bound / 1e-6),
-            abs(run.nu * run.phi_hat_var * run.f_exp - 1.0),
-            abs(run.phi_hat_var - predicted) / predicted,
-        )
-
-    runs = run_sweep(("Q", "C"), (1, 2, 3), flip_angle_grid(), math.pi / 4, nu=10**15)
-    devs = [_exact_deviation(run, deviation) for run in runs]
+        bias = abs(run.phi_hat_mean - math.pi / 4) * (bound / 1e-6)
+        cramer_rao = abs(run.nu * run.phi_hat_var * run.f_exp - 1.0)
+        devs.append(max(bias, cramer_rao, abs(run.phi_hat_var - predicted) / predicted))
     return _result("exact-mode sweep: unbiased and Cramer-Rao saturated", devs, bound)
 
 
@@ -364,7 +340,10 @@ def check_unbiasedness_exact(bound) -> PropertyResult:
         (math.pi / 8, math.pi / 4, 3 * math.pi / 8), ("Q", "C"), (1, 2, 3), (0.13, 0.5, 0.9)
     ):
         run = run_experiment(ProbeFamily(label, (p,)), k, phi_true)
-        devs.append(_exact_deviation(run, lambda r: abs(r.phi_hat_mean - phi_true)))
+        if run.failed or _misflagged(run):
+            devs.append(math.inf if _misflagged(run) else 0.0)
+        else:
+            devs.append(abs(run.phi_hat_mean - phi_true))
     return _result("exact-mode unbiasedness", devs, bound)
 
 

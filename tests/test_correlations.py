@@ -34,14 +34,16 @@ from ipower.probes import (
 from ipower.sampling import (
     apply_channel_b,
     haar_unitary,
-    random_classical_classical_state,
-    random_classical_quantum_state,
     random_density_matrix,
     random_pure_density_matrix,
     remix_degenerate_eigenspaces,
 )
 from ipower.states import DensityMatrix, LocalHamiltonian, evolve
-from ipower.verify import check_hierarchy, check_pure_state_reduction
+from ipower.verify import (
+    check_faithfulness,
+    check_hierarchy,
+    check_pure_state_reduction,
+)
 
 MIXED = DensityMatrix.from_matrix(np.eye(4) / 4.0, (2, 2))
 
@@ -216,14 +218,8 @@ class TestInterferometricPower:
             )
 
     def test_faithfulness_on_classical_states(self, d_b=2, seed=13):
-        rng = np.random.default_rng(seed)
-        for i in range(20):
-            classical = (
-                random_classical_quantum_state((2, d_b), rng)
-                if i % 2
-                else random_classical_classical_state((2, d_b), rng)
-            )
-            assert interferometric_power(classical) <= 1e-9
+        result = check_faithfulness(np.random.default_rng(seed), 10, 1e-9, d_b)
+        assert result.passed, result.line()
 
     @pytest.mark.parametrize("d_b", [3, 4])
     def test_faithfulness_on_classical_states_qudit(self, d_b):
@@ -246,10 +242,8 @@ class TestInterferometricPower:
                 assert measure(degraded) <= measure(rho) + 1e-9
 
     def test_positive_on_random_full_rank_states(self):
-        rng = np.random.default_rng(14)
-        for _ in range(20):
-            rho = random_density_matrix((2, 2), rng)
-            assert interferometric_power(rho) > 1e-6
+        result = check_faithfulness(np.random.default_rng(14), 20, 1e-9)
+        assert result.passed, result.line()
 
 
 class TestGridSearch:

@@ -36,7 +36,7 @@ from ipower.probes import (
     setting_hamiltonian,
 )
 from ipower.states import DensityMatrix, LocalHamiltonian
-from ipower.verify import check_adaptive_convergence
+from ipower.verify import check_adaptive_convergence, check_guaranteed_precision
 
 PI4 = math.pi / 4
 
@@ -395,13 +395,8 @@ class TestSweepSerialization:
 
 def test_power_lower_bounds_every_direction():
     # The worst-case value certifies the QFI of every concrete generator.
-    from ipower.correlations import qfi_sphere_grid
-
-    for p in (0.2, 0.6, 1.0):
-        for rho in (discordant_probe(p), classical_probe(p)):
-            power = interferometric_power(rho)
-            _, _, grid = qfi_sphere_grid(rho, 64, 64)
-            assert grid.min() / 4.0 >= power - 1e-9
+    result = check_guaranteed_precision(1e-9, (0.2, 0.6, 1.0))
+    assert result.passed, result.line()
 
 
 def test_adaptive_converges_for_random_informative_pairs():

@@ -111,13 +111,16 @@ class TestPredictedQfi:
         with pytest.raises(ParameterOutOfRangeError):
             predicted_qfi("werner", 0.5, 1)
 
-    def test_matches_computed_qfi_on_grid(self):
-        result = check_probe_regression(1e-9)
-        assert result.passed, result.line()
+    # One run of the grid regression (purity, QFI per setting, power) backs both.
+    @pytest.fixture(scope="class")
+    def regression(self):
+        return check_probe_regression(1e-9)
 
-    def test_interferometric_power_identities_on_grid(self):
-        result = check_probe_regression(1e-9)
-        assert result.passed, result.line()
+    def test_matches_computed_qfi_on_grid(self, regression):
+        assert regression.passed, regression.line()
+
+    def test_interferometric_power_identities_on_grid(self, regression):
+        assert regression.passed, regression.line()
 
 
 class TestFlipAngleGrid:

@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ipower.correlations import interferometric_power
 from ipower.linalg import dagger
 from ipower.sampling import (
     amplitude_damping_kraus,
     apply_channel_b,
     depolarizing_kraus,
     haar_unitary,
-    random_classical_classical_state,
-    random_classical_quantum_state,
     random_density_matrix,
     remix_degenerate_eigenspaces,
 )
+from ipower.verify import check_faithfulness
 
 
 def test_haar_unitary_is_unitary():
@@ -34,14 +32,8 @@ def test_random_density_matrix_rank_control():
 
 
 def test_classical_states_have_no_power():
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        assert interferometric_power(
-            random_classical_quantum_state((2, 2), rng)
-        ) <= 1e-9
-        assert interferometric_power(
-            random_classical_classical_state((2, 2), rng)
-        ) <= 1e-9
+    result = check_faithfulness(np.random.default_rng(2), 10, 1e-9)
+    assert result.passed, result.line()
 
 
 def test_channels_preserve_state_validity():
