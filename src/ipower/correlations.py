@@ -21,12 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvalidCorrelationTripleError,
-    SubsystemANotQubitError,
-)
-from .linalg import PAULIS, RANK_CUTOFF, TOL_PSD, dagger, eig_hermitian, tensor
+from .errors import InvalidCorrelationTripleError, SubsystemANotQubitError
+from .linalg import PAULIS, RANK_CUTOFF, TOL_PSD, apply_local, dagger, eigh_sorted, tensor
 from .probes import bell_diagonal_state
 from .states import DensityMatrix, LocalHamiltonian, evolve
 
@@ -58,14 +54,9 @@ def _skew_weights(q: np.ndarray) -> np.ndarray:
 
 
 def _elements(rho: DensityMatrix, ops) -> np.ndarray:
-    """<psi_i|O x I|psi_l> in the eigenbasis of rho, stacked over the A-side operators O."""
-    if len(ops[0]) != rho.d_a:
-        raise DimensionMismatchError(
-            f"operator dimension {len(ops[0])} != subsystem A dimension {rho.d_a}"
-        )
+    """<psi_i|O x I|psi_l> = ((O x I)|psi_i>)† |psi_l> for a stack of Hermitian A-side O."""
     v = rho.eigenvectors
-    eye_b = np.eye(rho.d_b)
-    return np.stack([dagger(v) @ tensor(op, eye_b) @ v for op in ops])
+    return dagger(apply_local(np.asarray(ops), v, rho.dims)) @ v
 
 
 def _spectral_sum(w: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -145,7 +136,7 @@ def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposit
     coeff[mask] = 2.0 * d[mask] / s[mask]
     l_el = -1j * coeff * h_el
     l_matrix = v @ l_el @ dagger(v)
-    l_vals, l_vecs = eig_hermitian(l_matrix)
+    l_vals, l_vecs = eigh_sorted((l_matrix + dagger(l_matrix)) / 2.0)
     return SldDecomposition(l_vals, l_vecs, float(phi0), ham)
 
 

@@ -35,7 +35,7 @@ from .errors import (
     SubsystemANotQubitError,
     ZeroInformationError,
 )
-from .linalg import dagger, tensor
+from .linalg import apply_local, dagger
 from .probes import ProbeFamily, make_probe, setting_hamiltonian
 from .states import DensityMatrix, LocalHamiltonian
 
@@ -126,12 +126,9 @@ def theory_populations(
     basis: SldDecomposition,
     phi: float,
 ) -> np.ndarray:
-    """Model populations <lambda_j| U(phi) rho U(phi)† |lambda_j>."""
-    u_full = tensor(ham.phase_unitary(phi), np.eye(rho.d_b))
-    encoded = u_full @ rho.matrix @ dagger(u_full)
-    return np.einsum(
-        "ji,jk,ki->i", basis.eigenbasis.conj(), encoded, basis.eigenbasis
-    ).real
+    """Populations <lambda_j|U rho U†|lambda_j> = w_j† rho w_j, w_j = (U† x I)|lambda_j>."""
+    w = apply_local(dagger(ham.phase_unitary(phi)), basis.eigenbasis, rho.dims)
+    return np.einsum("ji,jk,ki->i", w.conj(), rho.matrix, w).real
 
 
 def measure_populations(

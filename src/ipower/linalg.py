@@ -2,22 +2,24 @@
 
 Everything operates on plain ``numpy.ndarray`` objects with ``complex128``
 entries; matrices are row-major and square.
+
+Row ``a * d_B + b`` of a bipartite matrix belongs to |a>|b>, the layout of
+:func:`tensor`; :func:`apply_local` applies an operator on one factor by reshaping.
+Data entering the program passes :func:`hermitian_part` once; :func:`eigh_sorted`
+trusts its input.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoConvergenceError, NonHermitianError
+from .errors import DimensionMismatchError, NoConvergenceError, NonHermitianError
 
 # Tolerances used throughout the library.
 TOL_HERM = 1e-10
 TOL_TRACE = 1e-10
 TOL_NORM = 1e-10
 TOL_PSD = 1e-9
-TOL_EIG = 1e-9
-TOL_ORTH = 1e-9
-TOL_RECON = 1e-9
 
 # Eigenvalue pairs whose sum falls below this cutoff are dropped from the
 # spectral sums (the analytic formulas skip vanishing denominators).
@@ -43,8 +45,8 @@ def as_square_complex(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of every matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
@@ -52,38 +54,66 @@ def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
     return bool(np.max(np.abs(m - dagger(m))) <= tol)
 
 
+def hermitian_part(m, tol: float = TOL_HERM, what: str = "matrix") -> np.ndarray:
+    """Check ``m`` is a finite square matrix, Hermitian within ``tol``, and
+    return (m + m^dagger) / 2, which is exactly Hermitian."""
+    arr = as_square_complex(m)
+    if not is_hermitian(arr, tol):
+        raise NonHermitianError(
+            f"{what} is not Hermitian within {tol:g} "
+            f"(deviation {np.max(np.abs(arr - dagger(arr))):.3e})"
+        )
+    return (arr + dagger(arr)) / 2.0
+
+
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices.
+    """Kronecker product of two square matrices, validated.
 
     Entry ((i*db + k), (j*db + l)) of the result is ``a[i, j] * b[k, l]``.
     """
     return np.kron(as_square_complex(a), as_square_complex(b))
 
 
+def apply_local(op: np.ndarray, m: np.ndarray, dims, side: str = "A") -> np.ndarray:
+    """``(op x I) @ m`` for side ``'A'``, ``(I x op) @ m`` for side ``'B'``, by reshape.
+
+    ``m`` has d_A d_B rows; ``op`` acts on the chosen factor.  Either may be a
+    stack, and leading stack axes broadcast.  Only the shapes are checked.
+    """
+    d_a, d_b = dims
+    size = {"A": d_a, "B": d_b}[side]
+    if op.shape[-1] != size:
+        raise DimensionMismatchError(
+            f"operator dimension {op.shape[-1]} != subsystem {side} dimension {size}"
+        )
+    k = m.shape[-1]
+    if side == "A":
+        out = op @ m.reshape(m.shape[:-2] + (d_a, d_b * k))
+        return out.reshape(out.shape[:-2] + (d_a * d_b, k))
+    out = op[..., None, :, :] @ m.reshape(m.shape[:-2] + (d_a, d_b, k))
+    return out.reshape(out.shape[:-3] + (d_a * d_b, k))
+
+
 def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, validated by :func:`hermitian_part`.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in ascending
     order and orthonormal eigenvectors as the columns of the second array.
     Within clusters of eigenvalues closer than ``DEGENERACY_GAP`` the columns
-    are reordered lexicographically by their rounded components, so the output
-    is deterministic for bit-identical inputs.
-
-    Raises
-    ------
-    NonHermitianError
-        If ``m`` deviates from Hermiticity by more than ``tol``.
-    NoConvergenceError
-        If the underlying iteration fails to converge.
+    are reordered lexicographically by their rounded components, yet the basis
+    LAPACK picks inside a cluster rotates under rounding-level changes of the
+    input: it is reproducible only for bit-identical inputs, and so is anything
+    read off in it, such as seeded noisy populations in a degenerate SLD
+    eigenspace.  Raises :class:`NonHermitianError` beyond ``tol`` and
+    :class:`NoConvergenceError` if LAPACK fails.
     """
-    arr = as_square_complex(m)
-    if not is_hermitian(arr, tol):
-        raise NonHermitianError(
-            f"matrix is not Hermitian within {tol:g} "
-            f"(deviation {np.max(np.abs(arr - dagger(arr))):.3e})"
-        )
+    return eigh_sorted(hermitian_part(m, tol))
+
+
+def eigh_sorted(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`eig_hermitian` without the checks, for an exactly Hermitian ``herm``."""
     try:
-        vals, vecs = np.linalg.eigh((arr + dagger(arr)) / 2.0)
+        vals, vecs = np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
     return vals, _sort_degenerate_clusters(vals, vecs)
@@ -114,8 +144,3 @@ def _sort_degenerate_clusters(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         out[:, start:stop] = vecs[:, sorted(cols, key=keys.get)]
     return out
 
-
-def expm_hermitian(h: np.ndarray, scale: complex = 1.0) -> np.ndarray:
-    """``exp(scale * h)`` for Hermitian ``h`` via its eigendecomposition."""
-    vals, vecs = eig_hermitian(h)
-    return (vecs * np.exp(scale * vals)) @ dagger(vecs)

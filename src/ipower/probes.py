@@ -147,15 +147,18 @@ def make_probe(family: ProbeFamily) -> DensityMatrix:
     return bell_probe()
 
 
+# The three benchmark generators, built once; their arrays are frozen.
+_SETTINGS = tuple(
+    LocalHamiltonian.from_matrix(m)
+    for m in (SIGMA_Z, (SIGMA_X + SIGMA_Y) * _INV_SQRT2, SIGMA_X)
+)
+
+
 def setting_hamiltonian(k: int) -> LocalHamiltonian:
     """Benchmark generator for setting k: sigma_z, (sigma_x + sigma_y)/sqrt(2), sigma_x."""
-    if k == 1:
-        return LocalHamiltonian.from_matrix(SIGMA_Z)
-    if k == 2:
-        return LocalHamiltonian.from_matrix((SIGMA_X + SIGMA_Y) * _INV_SQRT2)
-    if k == 3:
-        return LocalHamiltonian.from_matrix(SIGMA_X)
-    raise BadSettingError(f"setting must be 1, 2 or 3, got {k!r}")
+    if k not in (1, 2, 3):
+        raise BadSettingError(f"setting must be 1, 2 or 3, got {k!r}")
+    return _SETTINGS[int(k) - 1]
 
 
 def predicted_qfi(label: str, p: float, k: int) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEGENERACY_GAP, dagger, degenerate_clusters, tensor
+from .linalg import DEGENERACY_GAP, PAULIS, apply_local, dagger, degenerate_clusters, tensor
 from .states import DensityMatrix
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,12 +105,10 @@ def remix_degenerate_eigenspaces(
 
 
 def apply_channel_b(rho: DensityMatrix, kraus: list[np.ndarray]) -> DensityMatrix:
-    """Apply a channel with the given Kraus operators on subsystem B."""
-    eye_a = np.eye(rho.d_a)
-    out = np.zeros_like(rho.matrix)
-    for op in kraus:
-        full = tensor(eye_a, op)
-        out = out + full @ rho.matrix @ dagger(full)
+    """Apply a channel with the caller's Kraus operators on B; the output is validated."""
+    ops = np.asarray(kraus, dtype=complex)
+    left = apply_local(ops, rho.matrix, rho.dims, "B")  # (I x K) rho
+    out = apply_local(ops, dagger(left), rho.dims, "B").sum(axis=0)  # left† = rho (I x K)†
     return DensityMatrix.from_matrix(out, rho.dims)
 
 
@@ -118,8 +116,6 @@ def depolarizing_kraus(strength: float, dim: int = 2) -> list[np.ndarray]:
     """Kraus operators of the qubit depolarizing channel of the given strength."""
     if dim != 2:
         raise ValueError("depolarizing channel implemented for qubits only")
-    from .linalg import PAULIS
-
     ops = [np.sqrt(1.0 - 3.0 * strength / 4.0) * np.eye(2, dtype=complex)]
     ops += [np.sqrt(strength / 4.0) * s for s in PAULIS]
     return ops

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -28,13 +30,16 @@ from ipower.estimation import (
     sweep_rows,
     theory_populations,
 )
-from ipower.linalg import SIGMA_X, SIGMA_Z, dagger, tensor
+from ipower.linalg import SIGMA_X, SIGMA_Z, dagger, degenerate_clusters, tensor
 from ipower.probes import (
     ProbeFamily,
     classical_probe,
     discordant_probe,
+    flip_angle_grid,
+    make_probe,
     setting_hamiltonian,
 )
+from ipower.sampling import haar_unitary
 from ipower.states import DensityMatrix, LocalHamiltonian
 from ipower.verify import check_adaptive_convergence, check_guaranteed_precision
 
@@ -211,6 +216,31 @@ class TestClosedFormFit:
         fit = least_squares_estimate(d, rho, ham, basis)
         assert not fit.failed
         assert fit.phi_hat == pytest.approx(phi, abs=1e-9)
+
+    def test_exact_fit_independent_of_degenerate_basis(self):
+        # LAPACK's basis inside a degenerate SLD eigenspace is arbitrary, so an
+        # exact-mode fit must not depend on it: rotate each cluster by Haar
+        # unitaries and recover the phase from every fit that does not fail.
+        rng = np.random.default_rng(26)
+        worst, fits = 0.0, 0
+        for label, k, p, phi in product(
+            ("Q", "C"), (1, 2, 3), flip_angle_grid(), (PI4 / 2, PI4, 3 * PI4 / 2)
+        ):
+            rho = make_probe(ProbeFamily(label, (p,)))
+            ham = setting_hamiltonian(k)
+            reference = sld(rho, ham, phi)
+            for _ in range(3):
+                vecs = reference.eigenbasis.copy()
+                for start, stop in degenerate_clusters(reference.eigenvalues):
+                    vecs[:, start:stop] = vecs[:, start:stop] @ haar_unitary(stop - start, rng)
+                basis = dataclasses.replace(reference, eigenbasis=vecs)
+                d = measure_populations(rho, ham, phi, basis)
+                fit = least_squares_estimate(d, rho, ham, basis)
+                if not fit.failed:
+                    worst, fits = max(worst, abs(fit.phi_hat - phi)), fits + 1
+        # Only the runs without information fail: C under setting 3, and p = 0.
+        assert fits == 1620
+        assert worst <= 1e-9
 
     def test_degenerate_generator_is_flat(self):
         rho = discordant_probe(0.5)

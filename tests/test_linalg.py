@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ipower.errors import NonHermitianError
+from ipower.errors import DimensionMismatchError, NonHermitianError
 from ipower.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     dagger,
+    apply_local,
     eig_hermitian,
-    expm_hermitian,
     is_hermitian,
     tensor,
 )
@@ -91,15 +91,26 @@ def test_is_hermitian():
     assert not is_hermitian(SIGMA_Y + 1e-8 * np.array([[0, 1], [0, 0]]))
 
 
-def test_expm_hermitian_matches_series():
-    rng = np.random.default_rng(2)
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = (z + dagger(z)) / 2.0
-    u = expm_hermitian(h, -1j * 0.37)
-    series = np.eye(3, dtype=complex)
-    term = np.eye(3, dtype=complex)
-    for n in range(1, 40):
-        term = term @ (-1j * 0.37 * h) / n
-        series = series + term
-    assert_allclose(u, series, atol=1e-12)
-    assert_allclose(u @ dagger(u), np.eye(3), atol=1e-12)
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("d_b", [1, 2, 3, 4])
+def test_apply_local_matches_tensor(d_b, side):
+    rng = np.random.default_rng(40 + d_b)
+    size = 2 if side == "A" else d_b
+    ops = rng.standard_normal((3, size, size)) + 1j * rng.standard_normal((3, size, size))
+    m = rng.standard_normal((2 * d_b, 5)) + 1j * rng.standard_normal((2 * d_b, 5))
+
+    def full(op):
+        return tensor(op, np.eye(d_b)) if side == "A" else tensor(np.eye(2), op)
+
+    expected = np.stack([full(op) @ m for op in ops])
+    dims = (2, d_b)
+    assert_allclose(apply_local(ops[0], m, dims, side), expected[0], rtol=0, atol=1e-14)
+    assert_allclose(apply_local(ops, m, dims, side), expected, rtol=0, atol=1e-14)
+    # Stacks broadcast: operator j acts on matrix j.
+    paired = apply_local(ops, np.stack([m, 2 * m, 3 * m]), dims, side)
+    assert_allclose(paired, expected * [[[1]], [[2]], [[3]]], rtol=0, atol=1e-14)
+
+
+def test_apply_local_rejects_wrong_factor_dimension():
+    with pytest.raises(DimensionMismatchError):
+        apply_local(np.eye(3), np.eye(4), (2, 2), "B")

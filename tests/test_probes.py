@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ipower.correlations import qfi_sphere_grid
 from ipower.errors import (
     BadSettingError,
     NotPositiveSemidefiniteError,
@@ -20,7 +19,7 @@ from ipower.probes import (
     setting_hamiltonian,
     werner_state,
 )
-from ipower.verify import check_probe_regression
+from ipower.verify import check_probe_regression, check_setting_landscape
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -140,18 +139,7 @@ class TestFlipAngleGrid:
 
 class TestSettingLandscape:
     def test_best_and_worst_directions_at_p08(self):
-        thetas, phis, grid_q = qfi_sphere_grid(discordant_probe(0.8), 181, 360)
-        _, _, grid_c = qfi_sphere_grid(classical_probe(0.8), 181, 360)
-
-        # Both families peak at the pole.
-        assert grid_q.max() <= grid_q[0, 0] + 1e-12
-        assert grid_c.max() <= grid_c[0, 0] + 1e-12
-
-        # Worst case sits on the equator; for the classical family it pins
-        # the azimuth to 0 mod pi.
-        q_min = np.unravel_index(np.argmin(grid_q), grid_q.shape)
-        c_min = np.unravel_index(np.argmin(grid_c), grid_c.shape)
-        assert abs(thetas[q_min[0]] - np.pi / 2) <= 0.02
-        assert abs(thetas[c_min[0]] - np.pi / 2) <= 0.02
-        azimuth = phis[c_min[1]] % np.pi
-        assert min(azimuth, np.pi - azimuth) <= 0.02
+        # Both families peak at the pole (within 1e-12); the worst case sits on
+        # the equator, and for the classical family at azimuth 0 mod pi.
+        result = check_setting_landscape(0.02)
+        assert result.passed, result.line()

@@ -10,7 +10,7 @@ import pytest
 from ipower import estimation, verify
 
 ip, lqu = verify.interferometric_power, verify.local_quantum_uncertainty
-run, eig = verify.run_experiment, verify.eig_hermitian
+run, eig, landscape = verify.run_experiment, verify.eig_hermitian, verify.qfi_sphere_grid
 
 
 def rng():
@@ -39,6 +39,16 @@ def biased(offset):
     return planted
 
 
+def pole_lowered(offset):
+    def planted(rho, *grid):
+        thetas, phis, values = landscape(rho, *grid)
+        values = values.copy()
+        values[0, 0] -= offset  # the grid maximum now exceeds the pole by ~offset
+        return thetas, phis, values
+
+    return planted
+
+
 def swap_lowest_pair(herm):
     vals, vecs = eig(herm)
     order = [1, 0, *range(2, len(vals))]
@@ -49,6 +59,7 @@ CHECKS = {
     "eig": lambda: verify.check_eig_roundtrip(rng(), 3, 1e-9),
     "eig-near-degenerate": lambda: verify.check_eig_roundtrip(NEAR_DEGENERATE, 1, 1e-9),
     "regression": lambda: verify.check_probe_regression(1e-9),
+    "landscape": lambda: verify.check_setting_landscape(0.02),
     "oracle": lambda: verify.check_oracle_equivalence(rng(), 3, 5e-4),
     "hierarchy": lambda: verify.check_hierarchy(rng(), 5, 1e-10),
     "hierarchy-qutrit": lambda: verify.check_hierarchy(rng(), 5, 1e-10, d_b=3),
@@ -66,6 +77,7 @@ FAULTS = {
     "eig-near-degenerate-swap": ("eig-near-degenerate", "eig_hermitian", swap_lowest_pair),
     "regression-Q-power": ("regression", "interferometric_power", shifted(2e-9)),
     "regression-C-power": ("regression", "interferometric_power", shifted(5e-10)),
+    "landscape-pole-below-maximum": ("landscape", "qfi_sphere_grid", pole_lowered(1e-10)),
     "oracle-grid-below-closed-form": ("oracle", "ip_grid_search", minimum_at(-1e-9)),
     "oracle-grid-far-above": ("oracle", "ip_grid_search", minimum_at(1e-3)),
     "hierarchy-LQU-above-IP": ("hierarchy", "local_quantum_uncertainty", shifted(1e-8)),
