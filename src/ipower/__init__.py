@@ -16,7 +16,6 @@ from .correlations import (
     min_local_variance,
     qfi,
     qfi_quadratic_form,
-    qfi_scaling_check,
     qfi_sphere_grid,
     skew_grid_search,
     skew_information,
@@ -105,7 +104,6 @@ __all__ = [
     "predicted_qfi",
     "qfi",
     "qfi_quadratic_form",
-    "qfi_scaling_check",
     "qfi_sphere_grid",
     "run_experiment",
     "run_sweep",

@@ -22,9 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-
-import numpy as np
 
 from . import verify as verify_mod
 from .correlations import (
@@ -51,7 +48,7 @@ from .estimation import (
     _fmt12,
     _round12,
 )
-from .probes import flip_angle_grid, make_probe, setting_hamiltonian
+from .probes import PROBE_LABELS, flip_angle_grid, make_probe, setting_hamiltonian
 from .states import DensityMatrix
 
 DATASET_COLUMNS = {
@@ -59,26 +56,6 @@ DATASET_COLUMNS = {
     "variance": ("s", "k", "p", "var", "nu_var_product"),
     "mean": ("s", "k", "p", "phi_hat", "failed"),
 }
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated configuration of a figure3 sweep."""
-
-    probes: tuple[str, ...]
-    settings: tuple[int, ...]
-    p_start: float
-    p_stop: float
-    p_steps: float
-    phi_true: float
-    nu: int
-    noise: float
-    seed: int
-    out: str
-    fmt: str
-
-    def p_grid(self) -> np.ndarray:
-        return flip_angle_grid(self.p_start, self.p_stop, self.p_steps)
 
 
 def _dataset_text(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
@@ -102,33 +79,6 @@ def _write(path: str, text: str) -> None:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def cmd_figure3(config: SweepConfig) -> list[str]:
-    """Run the sweep and write the output files; returns the paths written."""
-    runs = run_sweep(
-        config.probes,
-        config.settings,
-        config.p_grid(),
-        config.phi_true,
-        config.nu,
-        config.noise,
-        config.seed,
-    )
-    rows = sweep_rows(runs)
-    ext = config.fmt
-    paths = []
-    sweep_path = f"{config.out}_sweep.{ext}"
-    _write(
-        sweep_path,
-        rows_csv_text(rows, SWEEP_COLUMNS) if ext == "csv" else sweep_json_text(runs),
-    )
-    paths.append(sweep_path)
-    for name, columns in DATASET_COLUMNS.items():
-        path = f"{config.out}_{name}.{ext}"
-        _write(path, _dataset_text(rows, columns, ext))
-        paths.append(path)
-    return paths
 
 
 def _number(kind=float, low=-math.inf):
@@ -198,14 +148,12 @@ def build_parser() -> argparse.ArgumentParser:
     ipc.add_argument("--grid", default="180x360", help="oracle grid, e.g. 180x360")
 
     est = sub.add_parser("estimate", help="run one estimation instance")
-    est.add_argument(
-        "--probe", default="Q", choices=("Q", "C", "werner", "belldiag", "sep", "bell")
-    )
+    est.add_argument("--probe", default="Q", choices=PROBE_LABELS)
     est.add_argument("--p", type=_number(), default=0.5)
     est.add_argument(
         "--params", default=None, help="comma-separated parameters, e.g. 0.5,0.3,0.1"
     )
-    est.add_argument("--setting", type=int, default=1)
+    est.add_argument("--setting", type=int, choices=(1, 2, 3), default=1)
     _add_common_flags(est)
     est.add_argument("--out", default=None)
     est.add_argument("--format", choices=("csv", "json"), default="json")
@@ -213,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     ada = sub.add_parser("adaptive", help="iterative phase localization")
     ada.add_argument("--probe", default="Q", choices=("Q", "C"))
     ada.add_argument("--p", type=_number(), default=0.13)
-    ada.add_argument("--setting", type=int, default=1)
+    ada.add_argument("--setting", type=int, choices=(1, 2, 3), default=1)
     ada.add_argument("--max-iters", type=_number(int, 1), default=10)
     _add_common_flags(ada, with_noise=False)
     ada.add_argument("--out", default=None)
@@ -250,24 +198,26 @@ def _figure3(args, parser) -> int:
         parser.error("--p-steps: step must be positive (empty grid)")
     if args.p_stop < args.p_start:
         parser.error("--p-stop: must not precede --p-start")
-    config = SweepConfig(
-        probes=tuple(sorted(set(probes))),
-        settings=tuple(sorted(set(settings))),
-        p_start=args.p_start,
-        p_stop=args.p_stop,
-        p_steps=args.p_steps,
-        phi_true=args.phi_true,
-        nu=int(args.nu),
-        noise=args.noise,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-    )
     try:
-        paths = cmd_figure3(config)
+        runs = run_sweep(
+            tuple(sorted(set(probes))),
+            tuple(sorted(set(settings))),
+            flip_angle_grid(args.p_start, args.p_stop, args.p_steps),
+            args.phi_true,
+            int(args.nu),
+            args.noise,
+            args.seed,
+        )
     except PhaseOutOfWindowError as exc:
         parser.error(f"--phi-true: {exc}")
-    for path in paths:
+    rows = sweep_rows(runs)
+    ext = args.format
+    sweep_text = rows_csv_text(rows, SWEEP_COLUMNS) if ext == "csv" else sweep_json_text(runs)
+    outputs = {f"{args.out}_sweep.{ext}": sweep_text}
+    for name, columns in DATASET_COLUMNS.items():
+        outputs[f"{args.out}_{name}.{ext}"] = _dataset_text(rows, columns, ext)
+    for path, text in outputs.items():
+        _write(path, text)
         print(path)
     return 0
 
@@ -308,8 +258,6 @@ def _ip(args) -> int:
 
 
 def _estimate(args, parser) -> int:
-    if args.setting not in (1, 2, 3):
-        parser.error(f"--setting: must be 1, 2 or 3, got {args.setting}")
     noise = NoiseSpec(args.noise, args.seed) if args.noise > 0 else NoiseSpec()
     if args.params is not None:
         params = tuple(_parse_float_list(args.params))
@@ -339,8 +287,6 @@ def _estimate(args, parser) -> int:
 
 
 def _adaptive(args, parser) -> int:
-    if args.setting not in (1, 2, 3):
-        parser.error(f"--setting: must be 1, 2 or 3, got {args.setting}")
     try:
         rho = make_probe(ProbeFamily(args.probe, (args.p,)))
     except ValueError as exc:

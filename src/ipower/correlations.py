@@ -26,9 +26,6 @@ from .linalg import PAULIS, RANK_CUTOFF, TOL_PSD, apply_local, dagger, eigh_sort
 from .probes import bell_diagonal_state
 from .states import DensityMatrix, LocalHamiltonian, evolve
 
-TOL_CLOSED = 1e-9
-TOL_SLD = 1e-9
-
 # Below this value of 1 - ||C||_inf^2 the Bell-diagonal closed formula is
 # singular and the spectral route is used instead.
 BELL_DIAGONAL_DENOMINATOR_CUTOFF = 1e-9
@@ -330,13 +327,3 @@ def min_local_variance(
 
     return _sphere_minimum(variance, n_theta, n_phi)
 
-
-def qfi_scaling_check(
-    rho: DensityMatrix, ham: LocalHamiltonian, a: float, b: float
-) -> bool:
-    """Check the identity qfi(rho, a H + b I) = a^2 qfi(rho, H)."""
-    shifted = LocalHamiltonian.from_matrix(
-        a * ham.matrix + b * np.eye(ham.d_a)
-    )
-    reference = a * a * qfi(rho, ham)
-    return abs(qfi(rho, shifted) - reference) <= TOL_CLOSED * max(1.0, reference)

@@ -43,6 +43,9 @@ from .states import DensityMatrix, LocalHamiltonian
 # analytic zero of a pathological setting rather than numerical dust.
 FLAT_CUTOFF = 1e-10
 
+# The adaptive loop has converged once a trial is this close to the true phase.
+LOCALIZED_WITHIN = 1e-6
+
 # Newton polish of the quartic's roots: at most this many steps, stopping once
 # every step is below the tolerance (radians of theta).
 _NEWTON_STEPS = 64
@@ -281,21 +284,20 @@ def adaptive_localize(
     ham: LocalHamiltonian,
     phi_true: float,
     max_iters: int = 10,
-    tol: float = 1e-6,
 ) -> tuple[list[float], bool]:
     """Iterative localization of the phase, refining the measurement basis.
 
     Starts from a trial phase of zero; each round measures (exactly) in the
     SLD eigenbasis at the current trial phase and replaces the trial with the
     least-squares estimate.  Returns the trial sequence and whether some trial
-    came within ``tol`` of the true phase.  Raises
+    came within ``LOCALIZED_WITHIN`` of the true phase.  Raises
     :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside [0, pi/omega).
     """
     if qfi(rho, ham) <= FLAT_CUTOFF:
         raise NotIdentifiableError("QFI vanishes for this probe and generator")
     _check_in_window(ham, phi_true)
     trials = [0.0]
-    converged = abs(trials[0] - phi_true) < tol
+    converged = abs(trials[0] - phi_true) < LOCALIZED_WITHIN
     while not converged and len(trials) < max_iters:
         basis = sld(rho, ham, trials[-1])
         populations = measure_populations(rho, ham, phi_true, basis)
@@ -303,7 +305,7 @@ def adaptive_localize(
         if result.failed:
             break
         trials.append(result.phi_hat)
-        converged = abs(trials[-1] - phi_true) < tol
+        converged = abs(trials[-1] - phi_true) < LOCALIZED_WITHIN
     return trials, converged
 
 

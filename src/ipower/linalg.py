@@ -49,18 +49,18 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
-    """True when ``m`` equals its conjugate transpose within ``tol`` (max norm)."""
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
+def is_hermitian(m: np.ndarray) -> bool:
+    """True when ``m`` equals its conjugate transpose within ``TOL_HERM`` (max norm)."""
+    return bool(np.max(np.abs(m - dagger(m))) <= TOL_HERM)
 
 
-def hermitian_part(m, tol: float = TOL_HERM, what: str = "matrix") -> np.ndarray:
-    """Check ``m`` is a finite square matrix, Hermitian within ``tol``, and
+def hermitian_part(m, what: str = "matrix") -> np.ndarray:
+    """Check ``m`` is a finite square matrix, Hermitian within ``TOL_HERM``, and
     return (m + m^dagger) / 2, which is exactly Hermitian."""
     arr = as_square_complex(m)
-    if not is_hermitian(arr, tol):
+    if not is_hermitian(arr):
         raise NonHermitianError(
-            f"{what} is not Hermitian within {tol:g} "
+            f"{what} is not Hermitian within {TOL_HERM:g} "
             f"(deviation {np.max(np.abs(arr - dagger(arr))):.3e})"
         )
     return (arr + dagger(arr)) / 2.0
@@ -94,7 +94,7 @@ def apply_local(op: np.ndarray, m: np.ndarray, dims, side: str = "A") -> np.ndar
     return out.reshape(out.shape[:-3] + (d_a * d_b, k))
 
 
-def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, validated by :func:`hermitian_part`.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in ascending
@@ -104,10 +104,10 @@ def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     LAPACK picks inside a cluster rotates under rounding-level changes of the
     input: it is reproducible only for bit-identical inputs, and so is anything
     read off in it, such as seeded noisy populations in a degenerate SLD
-    eigenspace.  Raises :class:`NonHermitianError` beyond ``tol`` and
+    eigenspace.  Raises :class:`NonHermitianError` beyond ``TOL_HERM`` and
     :class:`NoConvergenceError` if LAPACK fails.
     """
-    return eigh_sorted(hermitian_part(m, tol))
+    return eigh_sorted(hermitian_part(m))
 
 
 def eigh_sorted(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,13 +119,13 @@ def eigh_sorted(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, _sort_degenerate_clusters(vals, vecs)
 
 
-def degenerate_clusters(vals: np.ndarray, gap: float = DEGENERACY_GAP):
+def degenerate_clusters(vals: np.ndarray):
     """Yield ``(start, stop)`` for every run of two or more ascending eigenvalues
-    in which each neighbouring pair differs by less than ``gap``."""
+    in which each neighbouring pair differs by less than ``DEGENERACY_GAP``."""
     start = 0
     while start < len(vals):
         stop = start + 1
-        while stop < len(vals) and vals[stop] - vals[stop - 1] < gap:
+        while stop < len(vals) and vals[stop] - vals[stop - 1] < DEGENERACY_GAP:
             stop += 1
         if stop - start > 1:
             yield start, stop

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEGENERACY_GAP, PAULIS, apply_local, dagger, degenerate_clusters, tensor
+from .errors import ParameterOutOfRangeError
+from .linalg import PAULIS, apply_local, dagger, degenerate_clusters, tensor
 from .states import DensityMatrix
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -89,9 +90,7 @@ def random_classical_classical_state(
     return DensityMatrix.from_matrix(blocks, dims)
 
 
-def remix_degenerate_eigenspaces(
-    rho: DensityMatrix, rng: np.random.Generator, gap: float = DEGENERACY_GAP
-) -> DensityMatrix:
+def remix_degenerate_eigenspaces(rho: DensityMatrix, rng: np.random.Generator) -> DensityMatrix:
     """Rotate the eigenvectors inside each degenerate eigenvalue cluster.
 
     The state is unchanged; only the stored spectral decomposition picks a
@@ -99,7 +98,7 @@ def remix_degenerate_eigenspaces(
     spectral formulas must be invariant under this remixing.
     """
     vecs = rho.eigenvectors.copy()
-    for start, stop in degenerate_clusters(rho.eigenvalues, gap):
+    for start, stop in degenerate_clusters(rho.eigenvalues):
         vecs[:, start:stop] = vecs[:, start:stop] @ haar_unitary(stop - start, rng)
     return DensityMatrix.from_spectrum(rho.eigenvalues, vecs, rho.dims)
 
@@ -112,17 +111,30 @@ def apply_channel_b(rho: DensityMatrix, kraus: list[np.ndarray]) -> DensityMatri
     return DensityMatrix.from_matrix(out, rho.dims)
 
 
-def depolarizing_kraus(strength: float, dim: int = 2) -> list[np.ndarray]:
-    """Kraus operators of the qubit depolarizing channel of the given strength."""
-    if dim != 2:
-        raise ValueError("depolarizing channel implemented for qubits only")
+def _require_within(name: str, value: float, high: float) -> None:
+    if not 0.0 <= value <= high:  # also rejects nan
+        raise ParameterOutOfRangeError(f"{name} must lie in [0, {high:.6g}], got {value!r}")
+
+
+def depolarizing_kraus(strength: float) -> list[np.ndarray]:
+    """Kraus operators of the qubit depolarizing channel of strength in [0, 4/3]."""
+    _require_within("depolarizing strength", strength, 4.0 / 3.0)
     ops = [np.sqrt(1.0 - 3.0 * strength / 4.0) * np.eye(2, dtype=complex)]
     ops += [np.sqrt(strength / 4.0) * s for s in PAULIS]
     return ops
 
 
 def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
-    """Kraus operators of the qubit amplitude-damping channel."""
+    """Kraus operators of the qubit amplitude-damping channel, gamma in [0, 1]."""
+    _require_within("damping gamma", gamma, 1.0)
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return [k0, k1]
+
+
+def random_isometry_kraus(dim: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Kraus operators of a random channel on C^dim: the m row blocks
+    K_j = (<j| x I) V of a Haar isometry V: C^dim -> C^m x C^dim, m uniform in 1..3."""
+    m = int(rng.integers(1, 4))
+    v = haar_unitary(dim * m, rng)[:, :dim]
+    return [v[j * dim : (j + 1) * dim] for j in range(m)]

@@ -62,7 +62,7 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, matrix, dims: tuple[int, int]) -> "DensityMatrix":
         """Validate a raw matrix (Hermitian, unit trace, PSD) and diagonalize it."""
-        arr = hermitian_part(matrix, TOL_HERM, "density matrix")
+        arr = hermitian_part(matrix, "density matrix")
         d_a, d_b = int(dims[0]), int(dims[1])
         if d_a < 1 or d_b < 1 or d_a * d_b != arr.shape[0]:
             raise DimensionMismatchError(
@@ -172,7 +172,7 @@ class LocalHamiltonian:
 
     @classmethod
     def from_matrix(cls, matrix) -> "LocalHamiltonian":
-        arr = hermitian_part(matrix, TOL_HERM, "Hamiltonian")
+        arr = hermitian_part(matrix, "Hamiltonian")
         vals, vecs = eigh_sorted(arr)
         bloch = None
         if arr.shape[0] == 2:

@@ -125,6 +125,15 @@ class TestBoundedFlags:
         assert f"argument {argv[1]}: expected {expected}, got " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv", [["estimate", "--setting", "4"], ["adaptive", "--setting", "0"]]
+    )
+    def test_setting_outside_1_to_3_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(argv)
+        assert info.value.code == 2
+        assert "--setting" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
     def test_bad_env_seed_exits_2_naming_the_variable(self, value, capsys, monkeypatch):
         monkeypatch.setenv("IPOWER_SEED", value)

@@ -12,7 +12,6 @@ from ipower.correlations import (
     min_local_variance,
     qfi,
     qfi_quadratic_form,
-    qfi_scaling_check,
     qfi_sphere_grid,
     skew_grid_search,
     skew_information,
@@ -31,18 +30,16 @@ from ipower.probes import (
     setting_hamiltonian,
     werner_state,
 )
-from ipower.sampling import (
-    apply_channel_b,
-    haar_unitary,
-    random_density_matrix,
-    random_pure_density_matrix,
-    remix_degenerate_eigenspaces,
-)
+from ipower.sampling import random_density_matrix, random_pure_density_matrix
 from ipower.states import DensityMatrix, LocalHamiltonian, evolve
 from ipower.verify import (
+    check_basis_independence,
+    check_channel_monotonicity,
     check_faithfulness,
     check_hierarchy,
+    check_local_unitary_invariance,
     check_pure_state_reduction,
+    check_sld_equation,
 )
 
 MIXED = DensityMatrix.from_matrix(np.eye(4) / 4.0, (2, 2))
@@ -135,28 +132,8 @@ class TestSld:
         assert trace == pytest.approx(4 * p**2, abs=1e-10)
 
     def test_defining_equation_and_moments(self):
-        rng = np.random.default_rng(9)
-        for _ in range(15):
-            rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
-            n = rng.standard_normal(3)
-            ham = LocalHamiltonian.from_bloch(n / np.linalg.norm(n))
-            phi0 = rng.uniform(0, math.pi)
-            decomposition = sld(rho, ham, phi0)
-            encoded = evolve(rho, ham, phi0)
-            h_full = tensor(ham.matrix, np.eye(2))
-            drho = -1j * (h_full @ encoded.matrix - encoded.matrix @ h_full)
-            op = decomposition.operator()
-            residual = drho - (encoded.matrix @ op + op @ encoded.matrix) / 2.0
-            assert np.linalg.norm(residual, 2) <= 1e-9
-            assert abs(np.trace(encoded.matrix @ op).real) <= 1e-9
-            assert np.trace(encoded.matrix @ op @ op).real == pytest.approx(
-                qfi(rho, ham), abs=1e-9
-            )
-            assert_allclose(
-                dagger(decomposition.eigenbasis) @ decomposition.eigenbasis,
-                np.eye(4),
-                atol=1e-12,
-            )
+        result = check_sld_equation(np.random.default_rng(9), 15, 1e-9)
+        assert result.passed, result.line()
 
 
 class TestQuadraticForm:
@@ -209,13 +186,9 @@ class TestInterferometricPower:
         assert value == pytest.approx(0.5, abs=1e-12)
 
     def test_basis_independence_under_degenerate_remix(self):
-        rng = np.random.default_rng(12)
-        for f in (0.3, 0.6):
-            rho = werner_state(f)
-            remixed = remix_degenerate_eigenspaces(rho, rng)
-            assert interferometric_power(remixed) == pytest.approx(
-                interferometric_power(rho), abs=1e-10
-            )
+        # Samples 0 and 2 are Werner states.
+        result = check_basis_independence(np.random.default_rng(12), 4, 1e-10)
+        assert result.passed, result.line()
 
     def test_faithfulness_on_classical_states(self, d_b=2, seed=13):
         result = check_faithfulness(np.random.default_rng(seed), 10, 1e-9, d_b)
@@ -227,19 +200,14 @@ class TestInterferometricPower:
 
     @pytest.mark.parametrize("d_b", [2, 3, 4])
     def test_local_unitary_invariance_and_channel_monotonicity(self, d_b):
+        # 60 draws give at least 10 full-rank states whose uncertainty the
+        # invariance check compares (18, 11 and 11 for d_B = 2, 3, 4), and at
+        # least 20 random isometric channels.
         rng = np.random.default_rng(120 + d_b)
-        for _ in range(10):
-            rho = random_density_matrix((2, d_b), rng)
-            u = tensor(haar_unitary(2, rng), haar_unitary(d_b, rng))
-            rotated = DensityMatrix.from_matrix(u @ rho.matrix @ dagger(u), rho.dims)
-            # Kraus operators K_j = (I x <j|) V of a random isometry V on B.
-            n_kraus = int(rng.integers(1, 4))
-            isometry = haar_unitary(d_b * n_kraus, rng)[:, :d_b]
-            kraus = [isometry[j * d_b : (j + 1) * d_b] for j in range(n_kraus)]
-            degraded = apply_channel_b(rho, kraus)
-            for measure in (interferometric_power, local_quantum_uncertainty):
-                assert measure(rotated) == pytest.approx(measure(rho), abs=1e-9)
-                assert measure(degraded) <= measure(rho) + 1e-9
+        invariance = check_local_unitary_invariance(rng, 60, 1e-9, d_b)
+        assert invariance.passed and invariance.trials - 60 >= 10, invariance.line()
+        monotonicity = check_channel_monotonicity(rng, 60, 1e-9, d_b)
+        assert monotonicity.passed, monotonicity.line()
 
     def test_positive_on_random_full_rank_states(self):
         result = check_faithfulness(np.random.default_rng(14), 20, 1e-9)
@@ -420,19 +388,17 @@ class TestScalingIdentity:
     def test_identity_shift_is_unobservable(self):
         rho = discordant_probe(0.5)
         ham = setting_hamiltonian(1)
-        assert qfi_scaling_check(rho, ham, 1.0, 2.345)
+        shifted = LocalHamiltonian.from_matrix(ham.matrix + 2.345 * np.eye(2))
+        assert qfi(rho, shifted) == pytest.approx(qfi(rho, ham), abs=1e-12)
 
     def test_quadratic_scaling(self):
         rho = discordant_probe(0.5)
         ham = setting_hamiltonian(1)
-        assert qfi_scaling_check(rho, ham, 2.0, 0.0)
         doubled = LocalHamiltonian.from_matrix(2.0 * ham.matrix)
         assert qfi(rho, doubled) == pytest.approx(4.0 * qfi(rho, ham), abs=1e-12)
 
     def test_zero_scale_kills_information(self):
         rho = discordant_probe(0.5)
-        ham = setting_hamiltonian(1)
-        assert qfi_scaling_check(rho, ham, 0.0, 1.0)
         constant = LocalHamiltonian.from_matrix(np.eye(2))
         assert qfi(rho, constant) <= 1e-14
 

@@ -9,7 +9,9 @@ import pytest
 
 from ipower import estimation, verify
 
-ip, lqu = verify.interferometric_power, verify.local_quantum_uncertainty
+ip, lqu, qfi, sld = (
+    verify.interferometric_power, verify.local_quantum_uncertainty, verify.qfi, verify.sld
+)
 run, eig, landscape = verify.run_experiment, verify.eig_hermitian, verify.qfi_sphere_grid
 
 
@@ -49,6 +51,11 @@ def pole_lowered(offset):
     return planted
 
 
+def eigenbasis_scaled(*args):  # each column's norm is now 1 + 1e-11
+    decomposition = sld(*args)
+    return dataclasses.replace(decomposition, eigenbasis=decomposition.eigenbasis * (1 + 1e-11))
+
+
 def swap_lowest_pair(herm):
     vals, vecs = eig(herm)
     order = [1, 0, *range(2, len(vals))]
@@ -65,7 +72,13 @@ CHECKS = {
     "hierarchy-qutrit": lambda: verify.check_hierarchy(rng(), 5, 1e-10, d_b=3),
     "faithfulness": lambda: verify.check_faithfulness(rng(), 3, 1e-9),
     "invariance": lambda: verify.check_local_unitary_invariance(rng(), 3, 1e-9),
+    # The fourth draw is the first full-rank state, whose uncertainty is compared.
+    "invariance-qutrit": lambda: verify.check_local_unitary_invariance(rng(), 4, 1e-9, d_b=3),
     "monotonicity": lambda: verify.check_channel_monotonicity(rng(), 4, 1e-9),
+    "monotonicity-qutrit": lambda: verify.check_channel_monotonicity(rng(), 3, 1e-9, d_b=3),
+    "sld": lambda: verify.check_sld_equation(rng(), 3, 1e-9),
+    "qfi-scaling": lambda: verify.check_qfi_additive_invariance(rng(), 3, 1e-9),
+    "basis": lambda: verify.check_basis_independence(rng(), 2, 1e-10),
     "pure-reduction": lambda: verify.check_pure_state_reduction(rng(), 3, 1e-6),
     "exact-sweep": lambda: verify.check_exact_sweep(1e-9),
     "noise": lambda: verify.check_noise_robustness(rng(), 5, 0.05),
@@ -87,8 +100,21 @@ FAULTS = {
     "invariance-matrix-element": (
         "invariance", "interferometric_power", lambda rho: ip(rho) + 1e-6 * rho.matrix[0, 0].real
     ),
+    "invariance-qutrit-LQU": (
+        "invariance-qutrit", "local_quantum_uncertainty",
+        lambda rho: lqu(rho) + 1e-6 * rho.matrix[0, 0].real,
+    ),
     "monotonicity-grows-with-mixing": (
         "monotonicity", "interferometric_power", lambda rho: 1.0 - rho.purity()),
+    "monotonicity-qutrit-LQU-grows-with-mixing": (
+        "monotonicity-qutrit", "local_quantum_uncertainty", lambda rho: 1.0 - rho.purity()),
+    "sld-eigenbasis-off-orthonormal": ("sld", "sld", eigenbasis_scaled),
+    "qfi-scaling-sees-the-shift": (
+        "qfi-scaling", "qfi", lambda rho, ham: qfi(rho, ham) + 1e-6 * ham.matrix[0, 0].real
+    ),
+    "basis-dependent-power": (
+        "basis", "interferometric_power", lambda rho: ip(rho) + 1e-6 * abs(rho.eigenvectors[0, 0])
+    ),
     "pure-reduction-variance": ("pure-reduction", "min_local_variance", minimum_at(1e-5)),
     "pure-reduction-LQU": ("pure-reduction", "local_quantum_uncertainty", shifted(1e-5, lqu)),
     "exact-sweep-bias": ("exact-sweep", "run_experiment", biased(2e-6)),
