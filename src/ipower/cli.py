@@ -1,18 +1,22 @@
-"""Command-line front end.
+"""Command-line front end: parse flags, call the library, write files.
 
 Subcommands
 -----------
-figure3   sweep both probe families over the flip-angle grid and emit the
+figure3   sweep probe families over the flip-angle grid and emit the
           precision / variance / mean datasets plus the full sweep table
 ip        evaluate the correlation measures of a state stored in a JSON file
 estimate  run a single estimation instance
 adaptive  run the iterative phase localization loop
 verify    run the seeded property suites
 
-The environment variable ``IPOWER_SEED`` overrides the default seed when
-``--seed`` is not given; both must be non-negative integers.  Exit codes: 2
-for configuration errors, 3 when a state file does not have a qubit on
-subsystem A, 1 when verification fails.
+The library owns every decision behind a flag: the file formats
+(``estimation.FIGURE3_COLUMNS`` and ``estimation.rows_text``), the probe
+families and which of them take p (``probes.PROBE_LABELS``,
+``probes.SWEPT_LABELS``) and the range checks.  This module only maps their
+errors to exit codes.  The environment variable ``IPOWER_SEED`` overrides the
+default seed when ``--seed`` is not given; both must be non-negative integers.
+Exit codes: 2 for configuration errors, 3 when a state file does not have a
+qubit on subsystem A, 1 when verification fails.
 """
 
 from __future__ import annotations
@@ -31,46 +35,30 @@ from .correlations import (
 )
 from .errors import (
     NotIdentifiableError,
+    ParameterOutOfRangeError,
     PhaseOutOfWindowError,
     SubsystemANotQubitError,
 )
 from .estimation import (
-    SWEEP_COLUMNS,
     NoiseSpec,
-    ProbeFamily,
     adaptive_localize,
-    rows_csv_text,
+    figure3_texts,
+    fmt12,
+    round12,
     run_experiment,
     run_sweep,
     sweep_csv_text,
-    sweep_json_text,
-    sweep_rows,
-    _fmt12,
-    _round12,
 )
-from .probes import PROBE_LABELS, flip_angle_grid, make_probe, setting_hamiltonian
-from .states import DensityMatrix
-
-DATASET_COLUMNS = {
-    "precision": ("s", "k", "p", "f_exp_over_4", "ip"),
-    "variance": ("s", "k", "p", "var", "nu_var_product"),
-    "mean": ("s", "k", "p", "phi_hat", "failed"),
-}
-
-
-def _dataset_text(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
-    if fmt == "csv":
-        return rows_csv_text(rows, columns)
-    payload = []
-    for row in rows:
-        record = {}
-        for c in columns:
-            if c in ("s", "k", "failed"):
-                record[c] = row[c]
-            else:
-                record[c] = _round12(row[c])
-        payload.append(record)
-    return json.dumps(payload, indent=1) + "\n"
+from .probes import (
+    PROBE_LABELS,
+    SETTINGS,
+    SWEPT_LABELS,
+    ProbeFamily,
+    flip_angle_grid,
+    make_probe,
+    setting_hamiltonian,
+)
+from .states import load_state
 
 
 def _write(path: str, text: str) -> None:
@@ -110,8 +98,29 @@ def _env_seed(parser) -> int:
         parser.error(f"IPOWER_SEED: {exc}")
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.replace(",", " ").split()]
+def _choice(options):
+    """argparse type of one of ``options``, matched by its text."""
+
+    def parse(text: str):
+        for option in options:
+            if str(option) == text:
+                return option
+        expected = ", ".join(str(option) for option in options)
+        raise argparse.ArgumentTypeError(f"expected one of {expected}, got {text!r}")
+
+    return parse
+
+
+def _listed(item):
+    """argparse type of a non-empty comma-separated list of ``item`` values."""
+
+    def parse(text: str) -> list:
+        values = [item(x.strip()) for x in text.split(",") if x.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected a comma-separated list, got {text!r}")
+        return values
+
+    return parse
 
 
 def _add_common_flags(parser, with_noise=True):
@@ -131,10 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig = sub.add_parser("figure3", help="sweep the probe families over the p grid")
     fig.add_argument(
-        "--probe", action="append", default=None, help="probe label(s), e.g. Q or Q,C"
+        "--probe", type=_listed(_choice(SWEPT_LABELS)), action="extend",
+        help="probe labels, e.g. Q or Q,C (default Q,C)",
     )
     fig.add_argument(
-        "--setting", action="append", default=None, help="setting index(es) among 1,2,3"
+        "--setting", type=_listed(_choice(SETTINGS)), action="extend",
+        help="setting indices among 1,2,3 (default all)",
     )
     fig.add_argument("--p-start", type=_number(), default=0.0, help="flip angle start, degrees")
     fig.add_argument("--p-stop", type=_number(), default=90.0, help="flip angle stop, degrees")
@@ -142,66 +153,48 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(fig)
     fig.add_argument("--out", default="figure3")
     fig.add_argument("--format", choices=("csv", "json"), default="csv")
+    fig.set_defaults(run=_figure3)
 
     ipc = sub.add_parser("ip", help="correlation measures of a JSON state file")
     ipc.add_argument("state_file")
     ipc.add_argument("--grid", default="180x360", help="oracle grid, e.g. 180x360")
+    ipc.set_defaults(run=_ip)
 
     est = sub.add_parser("estimate", help="run one estimation instance")
     est.add_argument("--probe", default="Q", choices=PROBE_LABELS)
     est.add_argument("--p", type=_number(), default=0.5)
     est.add_argument(
-        "--params", default=None, help="comma-separated parameters, e.g. 0.5,0.3,0.1"
+        "--params", type=_listed(_number()), default=None,
+        help="comma-separated parameters, e.g. 0.5,0.3,0.1",
     )
-    est.add_argument("--setting", type=int, choices=(1, 2, 3), default=1)
+    est.add_argument("--setting", type=int, choices=SETTINGS, default=1)
     _add_common_flags(est)
     est.add_argument("--out", default=None)
     est.add_argument("--format", choices=("csv", "json"), default="json")
+    est.set_defaults(run=_estimate)
 
     ada = sub.add_parser("adaptive", help="iterative phase localization")
-    ada.add_argument("--probe", default="Q", choices=("Q", "C"))
+    ada.add_argument("--probe", default="Q", choices=SWEPT_LABELS)
     ada.add_argument("--p", type=_number(), default=0.13)
-    ada.add_argument("--setting", type=int, choices=(1, 2, 3), default=1)
+    ada.add_argument("--setting", type=int, choices=SETTINGS, default=1)
     ada.add_argument("--max-iters", type=_number(int, 1), default=10)
     _add_common_flags(ada, with_noise=False)
     ada.add_argument("--out", default=None)
+    ada.set_defaults(run=_adaptive)
 
     ver = sub.add_parser("verify", help="run the seeded property suites")
     ver.add_argument("--trials", type=_number(int, 1), default=100, help="base ensemble size")
     ver.add_argument("--seed", type=_seed, default=None)
+    ver.set_defaults(run=_verify)
 
     return parser
 
 
 def _figure3(args, parser) -> int:
-    probes = []
-    for chunk in args.probe or ["Q,C"]:
-        probes += [x.strip() for x in chunk.split(",") if x.strip()]
-    for label in probes:
-        if label not in ("Q", "C", "werner"):
-            parser.error(
-                f"--probe: {label!r} cannot be swept over the p grid "
-                "(choose among Q, C, werner)"
-            )
-    settings = []
-    for chunk in args.setting or ["1,2,3"]:
-        for x in chunk.split(","):
-            if x.strip():
-                try:
-                    settings.append(int(x))
-                except ValueError:
-                    parser.error(f"--setting: not an integer: {x!r}")
-    for k in settings:
-        if k not in (1, 2, 3):
-            parser.error(f"--setting: must be 1, 2 or 3, got {k}")
-    if args.p_steps <= 0:
-        parser.error("--p-steps: step must be positive (empty grid)")
-    if args.p_stop < args.p_start:
-        parser.error("--p-stop: must not precede --p-start")
     try:
         runs = run_sweep(
-            tuple(sorted(set(probes))),
-            tuple(sorted(set(settings))),
+            set(args.probe or ("Q", "C")),
+            set(args.setting or SETTINGS),
             flip_angle_grid(args.p_start, args.p_stop, args.p_steps),
             args.phi_true,
             int(args.nu),
@@ -210,47 +203,34 @@ def _figure3(args, parser) -> int:
         )
     except PhaseOutOfWindowError as exc:
         parser.error(f"--phi-true: {exc}")
-    rows = sweep_rows(runs)
-    ext = args.format
-    sweep_text = rows_csv_text(rows, SWEEP_COLUMNS) if ext == "csv" else sweep_json_text(runs)
-    outputs = {f"{args.out}_sweep.{ext}": sweep_text}
-    for name, columns in DATASET_COLUMNS.items():
-        outputs[f"{args.out}_{name}.{ext}"] = _dataset_text(rows, columns, ext)
-    for path, text in outputs.items():
+    except ParameterOutOfRangeError as exc:
+        parser.error(f"flip-angle grid --p-start/--p-stop/--p-steps: {exc}")
+    for name, text in figure3_texts(runs, args.format).items():
+        path = f"{args.out}_{name}.{args.format}"
         _write(path, text)
         print(path)
     return 0
 
 
-def _ip(args) -> int:
+def _ip(args, parser) -> int:
     try:
-        with open(args.state_file, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        rho = DensityMatrix.from_json_dict(payload)
-    except SystemExit:
-        raise
-    except Exception as exc:
+        rho = load_state(args.state_file)
+    except (OSError, ValueError) as exc:
         print(f"error: state_file: {exc}", file=sys.stderr)
         return 2
-    if rho.d_a != 2:
-        print(
-            f"error: subsystem A has dimension {rho.d_a}, need a qubit",
-            file=sys.stderr,
-        )
-        return 3
+    power = interferometric_power(rho)  # SubsystemANotQubitError: exit 3
+    uncertainty = local_quantum_uncertainty(rho)
     try:
         n_theta, n_phi = (int(x) for x in args.grid.lower().split("x"))
-        power = interferometric_power(rho)
-        uncertainty = local_quantum_uncertainty(rho)
         value, direction = ip_grid_search(rho, n_theta, n_phi)
     except ValueError as exc:
         print(f"error: --grid: {exc}", file=sys.stderr)
         return 2
-    print(f"interferometric_power {_fmt12(power)}")
-    print(f"local_quantum_uncertainty {_fmt12(uncertainty)}")
+    print(f"interferometric_power {fmt12(power)}")
+    print(f"local_quantum_uncertainty {fmt12(uncertainty)}")
     print(
-        f"oracle_minimum {_fmt12(value)} at direction "
-        f"({_fmt12(direction[0])}, {_fmt12(direction[1])}, {_fmt12(direction[2])})"
+        f"oracle_minimum {fmt12(value)} at direction "
+        f"({fmt12(direction[0])}, {fmt12(direction[1])}, {fmt12(direction[2])})"
     )
     ok = power >= uncertainty - 1e-10
     print(f"hierarchy power >= uncertainty: {'OK' if ok else 'VIOLATED'}")
@@ -259,12 +239,9 @@ def _ip(args) -> int:
 
 def _estimate(args, parser) -> int:
     noise = NoiseSpec(args.noise, args.seed) if args.noise > 0 else NoiseSpec()
-    if args.params is not None:
-        params = tuple(_parse_float_list(args.params))
-    elif args.probe in ("Q", "C", "werner"):
-        params = (args.p,)
-    else:
-        params = ()
+    params = args.params
+    if params is None:
+        params = (args.p,) if args.probe in SWEPT_LABELS else ()
     try:
         family = ProbeFamily(args.probe, params)
         run = run_experiment(
@@ -302,22 +279,22 @@ def _adaptive(args, parser) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for n, value in enumerate(trials, start=1):
-        print(f"trial {n} {_fmt12(value)}")
+        print(f"trial {n} {fmt12(value)}")
     print(f"converged {'true' if converged else 'false'}")
     if args.out:
         payload = {
             "probe": args.probe,
-            "p": _round12(args.p),
+            "p": round12(args.p),
             "setting": args.setting,
-            "phi_true": _round12(args.phi_true),
-            "trials": [_round12(t) for t in trials],
+            "phi_true": round12(args.phi_true),
+            "trials": [round12(t) for t in trials],
             "converged": converged,
         }
         _write(args.out, json.dumps(payload, indent=1) + "\n")
     return 0
 
 
-def _verify(args) -> int:
+def _verify(args, parser) -> int:
     results = verify_mod.run_all(seed=args.seed, scale=args.trials / 100.0)
     for result in results:
         print(result.line())
@@ -332,15 +309,7 @@ def main(argv=None) -> int:
     if getattr(args, "seed", 0) is None:  # every subcommand but ip has --seed
         args.seed = _env_seed(parser)
     try:
-        if args.command == "figure3":
-            return _figure3(args, parser)
-        if args.command == "ip":
-            return _ip(args)
-        if args.command == "estimate":
-            return _estimate(args, parser)
-        if args.command == "adaptive":
-            return _adaptive(args, parser)
-        return _verify(args)
+        return args.run(args, parser)
     except SubsystemANotQubitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -30,6 +30,10 @@ from .states import DensityMatrix, LocalHamiltonian, evolve
 # singular and the spectral route is used instead.
 BELL_DIAGONAL_DENOMINATOR_CUTOFF = 1e-9
 
+# (theta, phi) grid that skew_grid_search and min_local_variance score before
+# their compass search.
+SEARCH_GRID = (128, 256)
+
 # (theta, phi) offsets of the compass-search stencil; row 4 is the centre.
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 
@@ -185,17 +189,17 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     return lambda ns: _spectral_sum(w, np.einsum("gm,mil->gil", ns, s_el))
 
 
-def _sphere_minimum(landscape, n_theta: int, n_phi: int) -> tuple[float, np.ndarray]:
+def _sphere_minimum(landscape) -> tuple[float, np.ndarray]:
     """Minimum of ``landscape`` over unit vectors: grid argmin, then compass search.
 
     ``landscape`` maps an (N, 3) stack of unit vectors to N values.  It is
-    scored on :func:`bloch_directions`; from the best grid point a 3x3 stencil
-    in (theta, phi), one grid spacing wide, moves to its lowest point and
-    halves its steps whenever the centre is lowest, until both steps fall
-    below 1e-10.  Returns (value, direction).
+    scored on :func:`bloch_directions` over ``SEARCH_GRID``; from the best grid
+    point a 3x3 stencil in (theta, phi), one grid spacing wide, moves to its
+    lowest point and halves its steps whenever the centre is lowest, until
+    both steps fall below 1e-10.  Returns (value, direction).
     """
-    thetas, phis, ns = bloch_directions(n_theta, n_phi)
-    i, j = divmod(int(np.argmin(landscape(ns))), n_phi)
+    thetas, phis, ns = bloch_directions(*SEARCH_GRID)
+    i, j = divmod(int(np.argmin(landscape(ns))), len(phis))
     x = np.array([thetas[i], phis[j]])
     step = np.array([thetas[1] - thetas[0], phis[1] - phis[0]])
     while step.max() >= 1e-10:
@@ -293,22 +297,18 @@ def local_quantum_uncertainty(rho: DensityMatrix) -> float:
     return max(smallest, 0.0)
 
 
-def skew_grid_search(
-    rho: DensityMatrix, n_theta: int = 128, n_phi: int = 256
-) -> tuple[float, np.ndarray]:
+def skew_grid_search(rho: DensityMatrix) -> tuple[float, np.ndarray]:
     """Dense-grid minimization of the skew information over the Bloch sphere.
 
     Cross-checks :func:`local_quantum_uncertainty` without going through the
     3x3 form: the skew information is summed separately for every direction,
-    first on the (n_theta, n_phi) grid and then along a compass search on the
+    first on the ``SEARCH_GRID`` and then along a compass search on the
     angles that polishes the grid argmin.  Returns (value, direction).
     """
-    return _sphere_minimum(_pauli_landscape(rho, _skew_weights), n_theta, n_phi)
+    return _sphere_minimum(_pauli_landscape(rho, _skew_weights))
 
 
-def min_local_variance(
-    rho: DensityMatrix, n_theta: int = 128, n_phi: int = 256
-) -> tuple[float, np.ndarray]:
+def min_local_variance(rho: DensityMatrix) -> tuple[float, np.ndarray]:
     """Minimum of Var(n . sigma x I) over unit Bloch vectors n, by direct search.
 
     The variance is evaluated literally as Tr[rho H^2] - Tr[rho H]^2 at every
@@ -325,5 +325,5 @@ def min_local_variance(
         second = np.einsum("gij,gjk,ki->g", h_all, h_all, rho.matrix).real
         return second - first**2
 
-    return _sphere_minimum(variance, n_theta, n_phi)
+    return _sphere_minimum(variance)
 

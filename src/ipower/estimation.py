@@ -36,7 +36,7 @@ from .errors import (
     ZeroInformationError,
 )
 from .linalg import apply_local, dagger
-from .probes import ProbeFamily, make_probe, setting_hamiltonian
+from .probes import SWEPT_LABELS, ProbeFamily, make_probe, setting_hamiltonian
 from .states import DensityMatrix, LocalHamiltonian
 
 # Fisher information (or least-squares range) below this cutoff counts as the
@@ -62,6 +62,15 @@ SWEEP_COLUMNS = (
     "phi_hat",
     "failed",
 )
+
+# Columns of the four files ``ipower figure3 --out P`` writes as P_<name>.<fmt>;
+# in JSON the sweep file holds the full run records instead.
+FIGURE3_COLUMNS = {
+    "sweep": SWEEP_COLUMNS,
+    "precision": ("s", "k", "p", "f_exp_over_4", "ip"),
+    "variance": ("s", "k", "p", "var", "nu_var_product"),
+    "mean": ("s", "k", "p", "phi_hat", "failed"),
+}
 
 
 @dataclass(frozen=True)
@@ -109,15 +118,15 @@ class EstimationRun:
     def to_json_dict(self) -> dict:
         return {
             "probe_label": self.probe_label,
-            "p": _round12(self.p),
+            "p": round12(self.p),
             "setting_k": self.setting_k,
-            "phi0": _round12(self.phi0),
+            "phi0": round12(self.phi0),
             "nu": self.nu,
-            "d_meas": [_round12(x) for x in self.d_meas],
-            "l_values": [_round12(x) for x in self.l_values],
-            "phi_hat_mean": _round12(self.phi_hat_mean),
-            "phi_hat_var": _round12(self.phi_hat_var),
-            "f_exp": _round12(self.f_exp),
+            "d_meas": [round12(x) for x in self.d_meas],
+            "l_values": [round12(x) for x in self.l_values],
+            "phi_hat_mean": round12(self.phi_hat_mean),
+            "phi_hat_var": round12(self.phi_hat_var),
+            "f_exp": round12(self.f_exp),
             "failed": self.failed,
             "seed": self.seed,
         }
@@ -381,28 +390,23 @@ def run_sweep(
     runs = []
     for (label, k, p), run_seed in zip(combos, run_seeds):
         noise = NoiseSpec(sigma, int(run_seed)) if sigma > 0 else NoiseSpec()
-        runs.append(run_experiment(_family_for(label, p), k, phi_true, nu, noise))
+        family = ProbeFamily(label, (p,) if label in SWEPT_LABELS else ())
+        runs.append(run_experiment(family, k, phi_true, nu, noise))
     return runs
 
 
-def _round12(x) -> float | None:
+def round12(x) -> float | None:
     """Round to 12 significant digits for stable, readable output files."""
     if x is None or math.isnan(x):
         return None
     return float(f"{float(x):.12g}")
 
 
-def _fmt12(x) -> str:
+def fmt12(x) -> str:
+    """12 significant digits; a missing value (None) prints as nan."""
     if x is None:
         return "nan"
     return f"{float(x):.12g}"
-
-
-def _family_for(label: str, p: float) -> ProbeFamily:
-    """Probe family instance for a label, attaching p only where it applies."""
-    if label in ("sep", "bell"):
-        return ProbeFamily(label)
-    return ProbeFamily(label, (p,))
 
 
 def sweep_rows(runs: list[EstimationRun]) -> list[dict]:
@@ -427,34 +431,52 @@ def sweep_rows(runs: list[EstimationRun]) -> list[dict]:
     return rows
 
 
-def _csv_cell(row: dict, column: str) -> str:
-    value = row[column]
-    if column == "s":
-        return str(value)
-    if column == "k":
-        return str(int(value))
-    if column == "failed":
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
         return "true" if value else "false"
-    return _fmt12(value)
+    if isinstance(value, (str, int)):
+        return str(value)
+    return fmt12(value)
 
 
-def rows_csv_text(rows: list[dict], columns: tuple[str, ...]) -> str:
-    """Render :func:`sweep_rows` output as CSV restricted to ``columns``.
+def rows_text(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
+    """Render :func:`sweep_rows` output restricted to ``columns``, as CSV or JSON.
 
-    Numbers carry 12 significant digits; the decimal separator is always '.'
-    and the field separator ','.
+    Each cell's form follows its Python type: strings and integers as they
+    are, booleans as true / false, and floats with 12 significant digits; a
+    missing value (None) or NaN is ``nan`` in CSV and ``null`` in JSON.  The
+    CSV decimal separator is always '.' and the field separator ','.
     """
+    if fmt == "json":
+        payload = [
+            {c: row[c] if isinstance(row[c], (str, int)) else round12(row[c]) for c in columns}
+            for row in rows
+        ]
+        return json.dumps(payload, indent=1) + "\n"
     lines = [",".join(columns)]
-    lines += [",".join(_csv_cell(row, c) for c in columns) for row in rows]
+    lines += [",".join(_csv_cell(row[c]) for c in columns) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def sweep_csv_text(runs: list[EstimationRun]) -> str:
     """Render a sweep as CSV with the fixed column schema."""
-    return rows_csv_text(sweep_rows(runs), SWEEP_COLUMNS)
+    return rows_text(sweep_rows(runs), SWEEP_COLUMNS, "csv")
 
 
 def sweep_json_text(runs: list[EstimationRun]) -> str:
     """Render a sweep as a JSON array of run records (sorted by s, k, p)."""
     ordered = sorted(runs, key=lambda r: (r.probe_label, r.setting_k, r.p))
     return json.dumps([run.to_json_dict() for run in ordered], indent=1) + "\n"
+
+
+def figure3_texts(runs: list[EstimationRun], fmt: str) -> dict[str, str]:
+    """The four figure-3 files of a sweep as ``{name: text}``, in ``FIGURE3_COLUMNS`` order."""
+    rows = sweep_rows(runs)
+    return {
+        name: (
+            sweep_json_text(runs)
+            if fmt == "json" and name == "sweep"
+            else rows_text(rows, columns, fmt)
+        )
+        for name, columns in FIGURE3_COLUMNS.items()
+    }

@@ -21,8 +21,6 @@ from .errors import (
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS, tensor
 from .states import DensityMatrix, LocalHamiltonian
 
-PROBE_LABELS = ("Q", "C", "werner", "belldiag", "sep", "bell")
-
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 #: |Phi+> = (|00> + |11>)/sqrt(2)
@@ -125,30 +123,36 @@ def bell_probe() -> DensityMatrix:
     )
 
 
+# The probe families: label -> (builder, number of parameters).
+_FAMILIES = {
+    "Q": (discordant_probe, 1),
+    "C": (classical_probe, 1),
+    "werner": (werner_state, 1),
+    "belldiag": (bell_diagonal_state, 3),
+    "sep": (separable_discordant_state, 0),
+    "bell": (bell_probe, 0),
+}
+
+PROBE_LABELS = tuple(_FAMILIES)
+
+#: The families with one parameter p, which the flip-angle grid sweeps.
+SWEPT_LABELS = tuple(label for label, (_, count) in _FAMILIES.items() if count == 1)
+
+
 def make_probe(family: ProbeFamily) -> DensityMatrix:
     """Construct the density matrix of a probe family instance."""
-    label, params = family.label, family.params
-    if label == "Q":
-        _expect_params(label, params, 1)
-        return discordant_probe(params[0])
-    if label == "C":
-        _expect_params(label, params, 1)
-        return classical_probe(params[0])
-    if label == "werner":
-        _expect_params(label, params, 1)
-        return werner_state(params[0])
-    if label == "belldiag":
-        _expect_params(label, params, 3)
-        return bell_diagonal_state(*params)
-    if label == "sep":
-        _expect_params(label, params, 0)
-        return separable_discordant_state()
-    _expect_params(label, params, 0)
-    return bell_probe()
+    build, count = _FAMILIES[family.label]
+    if len(family.params) != count:
+        raise ParameterOutOfRangeError(
+            f"family {family.label!r} takes {count} parameter(s), got {len(family.params)}"
+        )
+    return build(*family.params)
 
 
-# The three benchmark generators, built once; their arrays are frozen.
-_SETTINGS = tuple(
+# The setting indices and their benchmark generators, built once; the
+# generators' arrays are frozen.
+SETTINGS = (1, 2, 3)
+_GENERATORS = tuple(
     LocalHamiltonian.from_matrix(m)
     for m in (SIGMA_Z, (SIGMA_X + SIGMA_Y) * _INV_SQRT2, SIGMA_X)
 )
@@ -156,9 +160,9 @@ _SETTINGS = tuple(
 
 def setting_hamiltonian(k: int) -> LocalHamiltonian:
     """Benchmark generator for setting k: sigma_z, (sigma_x + sigma_y)/sqrt(2), sigma_x."""
-    if k not in (1, 2, 3):
+    if k not in SETTINGS:
         raise BadSettingError(f"setting must be 1, 2 or 3, got {k!r}")
-    return _SETTINGS[int(k) - 1]
+    return _GENERATORS[int(k) - 1]
 
 
 def predicted_qfi(label: str, p: float, k: int) -> float:
@@ -172,7 +176,7 @@ def predicted_qfi(label: str, p: float, k: int) -> float:
             f"analytic curves exist for labels 'Q' and 'C', got {label!r}"
         )
     _check_unit_interval("p", p)
-    if k not in (1, 2, 3):
+    if k not in SETTINGS:
         raise BadSettingError(f"setting must be 1, 2 or 3, got {k!r}")
     p2 = p * p
     if k == 1:
@@ -198,9 +202,7 @@ def flip_angle_grid(
         raise ParameterOutOfRangeError("stop must not precede start")
     count = int(round((stop_deg - start_deg) / step_deg))
     degrees = start_deg + step_deg * np.arange(count + 1)
-    degrees = degrees[degrees <= stop_deg + 1e-12]
-    if degrees.size == 0:
-        raise ParameterOutOfRangeError("empty flip-angle grid")
+    degrees = degrees[degrees <= stop_deg + 1e-12]  # keeps start: never empty
     return np.cos(np.deg2rad(degrees))
 
 
@@ -208,9 +210,3 @@ def _check_unit_interval(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise ParameterOutOfRangeError(f"{name} must lie in [0, 1], got {value!r}")
 
-
-def _expect_params(label: str, params: tuple, count: int) -> None:
-    if len(params) != count:
-        raise ParameterOutOfRangeError(
-            f"family {label!r} takes {count} parameter(s), got {len(params)}"
-        )

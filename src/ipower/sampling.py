@@ -95,12 +95,14 @@ def remix_degenerate_eigenspaces(rho: DensityMatrix, rng: np.random.Generator) -
 
     The state is unchanged; only the stored spectral decomposition picks a
     different orthonormal basis for degenerate eigenspaces.  Downstream
-    spectral formulas must be invariant under this remixing.
+    spectral formulas must be invariant under this remixing.  Like
+    :func:`ipower.states.evolve`, it reuses the validated matrix and spectrum.
     """
     vecs = rho.eigenvectors.copy()
     for start, stop in degenerate_clusters(rho.eigenvalues):
         vecs[:, start:stop] = vecs[:, start:stop] @ haar_unitary(stop - start, rng)
-    return DensityMatrix.from_spectrum(rho.eigenvalues, vecs, rho.dims)
+    vecs.setflags(write=False)
+    return DensityMatrix(rho.matrix, rho.dims, rho.eigenvalues, vecs)
 
 
 def apply_channel_b(rho: DensityMatrix, kraus: list[np.ndarray]) -> DensityMatrix:

@@ -80,36 +80,6 @@ class DensityMatrix:
         vals = vals / vals.sum()
         return cls(_freeze(arr), (d_a, d_b), _freeze(vals), _freeze(vecs))
 
-    @classmethod
-    def from_spectrum(
-        cls, eigenvalues, eigenvectors, dims: tuple[int, int]
-    ) -> "DensityMatrix":
-        """Build a state from an explicit spectral decomposition.
-
-        The decomposition must reconstruct a valid state: orthonormal vectors,
-        nonnegative weights summing to one.
-        """
-        vals = np.asarray(eigenvalues, dtype=float)
-        vecs = np.asarray(eigenvectors, dtype=complex)
-        d = vecs.shape[0]
-        if vecs.shape != (d, len(vals)) or len(vals) != d:
-            raise DimensionMismatchError("spectrum shape does not match dimension")
-        if np.max(np.abs(dagger(vecs) @ vecs - np.eye(d))) > 1e-8:
-            raise ValueError("eigenvectors are not orthonormal")
-        if vals.min() < -TOL_PSD:
-            raise NotPositiveSemidefiniteError(f"negative weight {vals.min():.3e}")
-        if abs(vals.sum() - 1.0) > TOL_TRACE:
-            raise ValueError(f"weights must sum to 1, got {vals.sum()!r}")
-        order = np.argsort(vals, kind="stable")
-        vals = np.clip(vals[order], 0.0, None)
-        vals = vals / vals.sum()
-        vecs = vecs[:, order]
-        matrix = (vecs * vals) @ dagger(vecs)
-        d_a, d_b = int(dims[0]), int(dims[1])
-        if d_a * d_b != d:
-            raise DimensionMismatchError(f"dims {dims} incompatible with size {d}")
-        return cls(_freeze(matrix), (d_a, d_b), _freeze(vals), _freeze(vecs))
-
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
@@ -134,9 +104,6 @@ class DensityMatrix:
             "im": self.matrix.imag.tolist(),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DensityMatrix":
         try:
@@ -150,10 +117,6 @@ class DensityMatrix:
         if re.shape != im.shape:
             raise ValueError("re and im parts have different shapes")
         return cls.from_matrix(re + 1j * im, dims)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DensityMatrix":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

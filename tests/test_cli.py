@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -63,6 +64,47 @@ class TestFigure3:
             run_cli(["figure3", "--probe", "X", "--out", str(tmp_path / "x")])
         assert info.value.code == 2
         assert "--probe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--setting", "4"], "--setting"),
+            (["--setting", "1,x"], "--setting"),
+            (["--probe", "belldiag"], "--probe"),
+            (["--p-stop", "95"], "--p-stop"),
+        ],
+    )
+    def test_bad_list_or_grid_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["figure3", *argv, "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_csv_and_json_datasets_carry_the_same_cells(self, tmp_path, capsys):
+        for fmt in ("csv", "json"):
+            argv = ["figure3", "--p-stop", "10", "--format", fmt, "--out", str(tmp_path / "f")]
+            assert run_cli(argv) == 0
+        capsys.readouterr()
+        nulls = 0
+        for name in ("precision", "variance", "mean"):
+            with open(tmp_path / f"f_{name}.csv", newline="", encoding="utf-8") as fh:
+                csv_rows = list(csv.DictReader(fh))
+            json_rows = json.loads((tmp_path / f"f_{name}.json").read_text())
+            assert len(csv_rows) == len(json_rows) == 2 * 3 * 5
+            for csv_row, json_row in zip(csv_rows, json_rows):
+                assert list(csv_row) == list(json_row)
+                for column, value in json_row.items():
+                    if value is None:
+                        nulls += 1
+                        assert csv_row[column] == "nan"
+                    elif isinstance(value, bool):
+                        assert csv_row[column] == str(value).lower()
+                    elif isinstance(value, str):
+                        assert csv_row[column] == value
+                    else:
+                        assert float(csv_row[column]) == value
+        assert nulls > 0
 
     def test_json_format(self, tmp_path, capsys):
         out = tmp_path / "fig"
@@ -219,6 +261,13 @@ class TestEstimateCommand:
         assert run_cli(["estimate", "--noise", "0.05"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["seed"] == 123
+
+    @pytest.mark.parametrize("bad", ["abc", "nan"])
+    def test_bad_params_entry_exits_2_naming_params(self, bad, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["estimate", "--probe", "belldiag", "--params", f"0.5,0.5,{bad}"])
+        assert info.value.code == 2
+        assert f"argument --params: expected a finite number, got '{bad}'" in capsys.readouterr().err
 
 
 class TestAdaptiveCommand:

@@ -97,8 +97,8 @@ class TestQfi:
         rng = np.random.default_rng(8)
         rho = random_density_matrix((2, 2), rng)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, rho.dim))
-        rephased = DensityMatrix.from_spectrum(
-            rho.eigenvalues, rho.eigenvectors * phases, rho.dims
+        rephased = DensityMatrix(
+            rho.matrix, rho.dims, rho.eigenvalues, rho.eigenvectors * phases
         )
         ham = setting_hamiltonian(2)
         assert qfi(rephased, ham) == pytest.approx(qfi(rho, ham), abs=1e-12)

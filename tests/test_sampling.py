@@ -76,5 +76,6 @@ def test_remix_keeps_the_state():
 
     rho = werner_state(0.4)
     remixed = remix_degenerate_eigenspaces(rho, rng)
-    assert_allclose(remixed.matrix, rho.matrix, atol=1e-12)
+    vecs = remixed.eigenvectors
+    assert_allclose((vecs * remixed.eigenvalues) @ dagger(vecs), rho.matrix, atol=1e-12)
     assert np.max(np.abs(remixed.eigenvectors - rho.eigenvectors)) > 1e-3

@@ -191,7 +191,7 @@ class TestJsonInterchange:
 
     def test_schema_shape(self):
         rho = bell_probe()
-        payload = json.loads(rho.to_json())
+        payload = json.loads(json.dumps(rho.to_json_dict()))
         assert set(payload) == {"dims", "re", "im"}
         assert payload["dims"] == [2, 2]
         assert payload["re"][0][3] == pytest.approx(0.5)
