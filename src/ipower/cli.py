@@ -238,7 +238,7 @@ def _ip(args, parser) -> int:
 
 
 def _estimate(args, parser) -> int:
-    noise = NoiseSpec(args.noise, args.seed) if args.noise > 0 else NoiseSpec()
+    noise = NoiseSpec(args.noise, args.seed)
     params = args.params
     if params is None:
         params = (args.p,) if args.probe in SWEPT_LABELS else ()

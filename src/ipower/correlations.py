@@ -38,14 +38,18 @@ SEARCH_GRID = (128, 256)
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 
 
+def _pair_ratio(q: np.ndarray, numerator: np.ndarray) -> np.ndarray:
+    """numerator_il / (q_i + q_l), zero on pairs whose sum falls below ``RANK_CUTOFF``."""
+    s = q[:, None] + q[None, :]
+    ratio = np.zeros_like(s)
+    mask = s > RANK_CUTOFF
+    ratio[mask] = numerator[mask] / s[mask]
+    return ratio
+
+
 def _qfi_weights(q: np.ndarray) -> np.ndarray:
     """(q_i - q_l)^2 / (q_i + q_l) with vanishing-sum pairs dropped."""
-    s = q[:, None] + q[None, :]
-    d = q[:, None] - q[None, :]
-    w = np.zeros_like(s)
-    mask = s > RANK_CUTOFF
-    w[mask] = d[mask] ** 2 / s[mask]
-    return w
+    return _pair_ratio(q, (q[:, None] - q[None, :]) ** 2)
 
 
 def _skew_weights(q: np.ndarray) -> np.ndarray:
@@ -130,11 +134,7 @@ def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposit
     q = encoded.eigenvalues
     v = encoded.eigenvectors
     h_el = _elements(encoded, [ham.matrix])[0]
-    s = q[:, None] + q[None, :]
-    d = q[None, :] - q[:, None]  # q_j - q_i
-    coeff = np.zeros_like(s)
-    mask = s > RANK_CUTOFF
-    coeff[mask] = 2.0 * d[mask] / s[mask]
+    coeff = _pair_ratio(q, 2.0 * (q[None, :] - q[:, None]))  # 2 (q_l - q_i) / (q_i + q_l)
     l_el = -1j * coeff * h_el
     l_matrix = v @ l_el @ dagger(v)
     l_vals, l_vecs = eigh_sorted((l_matrix + dagger(l_matrix)) / 2.0)
@@ -169,18 +169,6 @@ def _bloch(theta, phi) -> np.ndarray:
     )
 
 
-def bloch_directions(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uniform (theta, phi) grid on the sphere, theta in [0, pi], phi in [0, 2 pi).
-
-    Returns (thetas, phis, directions) with directions of shape
-    (n_theta * n_phi, 3), ordered row-major in (theta, phi).
-    """
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return thetas, phis, _bloch(tt, pp).reshape(-1, 3)
-
-
 def _pauli_landscape(rho: DensityMatrix, weights):
     """Closure ns -> _spectral_sum(w, n . sigma x I) evaluated at every row n of ns."""
     _require_qubit(rho)
@@ -189,17 +177,25 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     return lambda ns: _spectral_sum(w, np.einsum("gm,mil->gil", ns, s_el))
 
 
-def _sphere_minimum(landscape) -> tuple[float, np.ndarray]:
+def _grid_values(landscape, n_theta: int, n_phi: int):
+    """(thetas, phis, values) of ``landscape``, a map from an (N, 3) stack of unit
+    vectors to N values, on the grid theta in [0, pi], phi in [0, 2 pi)."""
+    thetas = np.linspace(0.0, np.pi, n_theta)
+    phis = np.arange(n_phi) * (2.0 * np.pi / n_phi)
+    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
+    return thetas, phis, landscape(_bloch(tt, pp).reshape(-1, 3)).reshape(n_theta, n_phi)
+
+
+def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray]:
     """Minimum of ``landscape`` over unit vectors: grid argmin, then compass search.
 
-    ``landscape`` maps an (N, 3) stack of unit vectors to N values.  It is
-    scored on :func:`bloch_directions` over ``SEARCH_GRID``; from the best grid
-    point a 3x3 stencil in (theta, phi), one grid spacing wide, moves to its
-    lowest point and halves its steps whenever the centre is lowest, until
-    both steps fall below 1e-10.  Returns (value, direction).
+    ``landscape`` is scored by :func:`_grid_values` on ``grid`` = (n_theta,
+    n_phi); from the best grid point a 3x3 stencil in (theta, phi), one grid
+    spacing wide, moves to its lowest point and halves its steps whenever the
+    centre is lowest, until both steps fall below 1e-10.  Returns (value, direction).
     """
-    thetas, phis, ns = bloch_directions(*SEARCH_GRID)
-    i, j = divmod(int(np.argmin(landscape(ns))), len(phis))
+    thetas, phis, values = _grid_values(landscape, *grid)
+    i, j = np.unravel_index(np.argmin(values), values.shape)
     x = np.array([thetas[i], phis[j]])
     step = np.array([thetas[1] - thetas[0], phis[1] - phis[0]])
     while step.max() >= 1e-10:
@@ -221,28 +217,23 @@ def qfi_sphere_grid(
     Evaluates the spectral QFI sum independently at every grid direction and
     returns (thetas, phis, F) with F of shape (n_theta, n_phi).
     """
-    thetas, phis, ns = bloch_directions(n_theta, n_phi)
-    f = 4.0 * _pauli_landscape(rho, _qfi_weights)(ns)
-    return thetas, phis, f.reshape(n_theta, n_phi)
+    thetas, phis, values = _grid_values(_pauli_landscape(rho, _qfi_weights), n_theta, n_phi)
+    return thetas, phis, 4.0 * values
 
 
 def ip_grid_search(
     rho: DensityMatrix, n_theta: int = 180, n_phi: int = 360
 ) -> tuple[float, np.ndarray]:
-    """Brute-force minimization of qfi/4 over a Bloch-sphere grid.
+    """Minimum of qfi/4 over the Bloch sphere, by direct search.
 
-    Returns ``(value, direction)`` where ``value`` is qfi(rho, n . sigma)/4 at
-    the minimizing grid direction (ties broken by lowest grid index).  The
-    grid value can exceed the true minimum by at most ~||Q||_2 * h^2 for grid
-    spacing h, since the landscape is a quadratic form on the sphere; with the
-    default 180 x 360 grid this bound is below 1e-3.
+    Sums the QFI separately for every direction, never through
+    :func:`qfi_quadratic_form`, so it cross-checks :func:`interferometric_power`:
+    an (n_theta, n_phi) grid, at least 64 points per angle, then the compass
+    search of the other sphere oracles.  Returns (value, direction).
     """
     if n_theta < 64 or n_phi < 64:
         raise ValueError("grid must have at least 64 points per angle")
-    _, _, ns = bloch_directions(n_theta, n_phi)
-    values = _pauli_landscape(rho, _qfi_weights)(ns)
-    best = int(np.argmin(values))
-    return float(values[best]), ns[best]
+    return _sphere_minimum(_pauli_landscape(rho, _qfi_weights), (n_theta, n_phi))
 
 
 def ip_bell_diagonal(c1: float, c2: float, c3: float) -> float:
@@ -305,7 +296,7 @@ def skew_grid_search(rho: DensityMatrix) -> tuple[float, np.ndarray]:
     first on the ``SEARCH_GRID`` and then along a compass search on the
     angles that polishes the grid argmin.  Returns (value, direction).
     """
-    return _sphere_minimum(_pauli_landscape(rho, _skew_weights))
+    return _sphere_minimum(_pauli_landscape(rho, _skew_weights), SEARCH_GRID)
 
 
 def min_local_variance(rho: DensityMatrix) -> tuple[float, np.ndarray]:
@@ -325,5 +316,5 @@ def min_local_variance(rho: DensityMatrix) -> tuple[float, np.ndarray]:
         second = np.einsum("gij,gjk,ki->g", h_all, h_all, rho.matrix).real
         return second - first**2
 
-    return _sphere_minimum(variance)
+    return _sphere_minimum(variance, SEARCH_GRID)
 

@@ -81,8 +81,10 @@ class NoiseSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if self.sigma == 0:  # exact mode draws nothing, so it has no seed
+            object.__setattr__(self, "seed", None)
 
 
 @dataclass(frozen=True)
@@ -231,7 +233,9 @@ def least_squares_estimate(
     [0, pi/omega] and at both of its ends; these include its minimum and
     maximum on the window.  When the range of f there, or omega itself, is
     below ``FLAT_CUTOFF`` the landscape is flat and the result is flagged
-    failed.  Otherwise ``phi_hat`` is the smallest phase whose value lies
+    failed; so is a fit whose b and c bound the range of f on the whole
+    circle below the cutoff, before any root is sought, with f(0) as its
+    residual.  Otherwise ``phi_hat`` is the smallest phase whose value lies
     within 1e-12 of the range above the minimum, since exactly symmetric
     populations can zero the objective at two phases.
     """
@@ -252,6 +256,9 @@ def least_squares_estimate(
     alpha = (d0 + d1 + d2) / 3.0 - d_meas
     b = (2.0 * d0 - d1 - d2) / 3.0
     c = (d1 - d2) / math.sqrt(3.0)
+    amp = math.sqrt(b @ b + c @ c)  # |b cos + c sin| <= amp bounds the range of f
+    if 2.0 * (2.0 * math.sqrt(alpha @ alpha) * amp + amp * amp) < FLAT_CUTOFF:
+        return LeastSquaresResult(math.nan, float((alpha + b) @ (alpha + b)), True)
     A, B = 2.0 * (alpha @ c), -2.0 * (alpha @ b)
     C, D = 2.0 * (b @ c), c @ c - b @ b
     roots = np.roots([C - 1j * D, A - 1j * B, 0.0, A + 1j * B, C + 1j * D])
@@ -359,7 +366,7 @@ def run_experiment(
         phi_hat_var=var,
         f_exp=f_exp,
         failed=failed,
-        seed=noise.seed if noise.sigma > 0 else None,
+        seed=noise.seed,
         ip=interferometric_power(rho),
     )
 
@@ -389,9 +396,8 @@ def run_sweep(
     run_seeds = root.integers(0, 2**63 - 1, size=len(combos))
     runs = []
     for (label, k, p), run_seed in zip(combos, run_seeds):
-        noise = NoiseSpec(sigma, int(run_seed)) if sigma > 0 else NoiseSpec()
         family = ProbeFamily(label, (p,) if label in SWEPT_LABELS else ())
-        runs.append(run_experiment(family, k, phi_true, nu, noise))
+        runs.append(run_experiment(family, k, phi_true, nu, NoiseSpec(sigma, int(run_seed))))
     return runs
 
 

@@ -53,7 +53,7 @@ def discordant_probe(p: float) -> DensityMatrix:
     Mixes the Bell state |Phi+> coherences into a diagonal background; its
     interferometric power is p^2 and its purity (1 + p^2)^2 / 4.
     """
-    _check_unit_interval("p", p)
+    require_within("p", p)
     m = np.array(
         [
             [1 + p * p, 0, 0, 2 * p],
@@ -72,7 +72,7 @@ def classical_probe(p: float) -> DensityMatrix:
     Diagonal in the product basis |±>|±>; its interferometric power vanishes
     for every p.
     """
-    _check_unit_interval("p", p)
+    require_within("p", p)
     m = np.array(
         [
             [1, p * p, p, p],
@@ -87,7 +87,7 @@ def classical_probe(p: float) -> DensityMatrix:
 
 def werner_state(f: float) -> DensityMatrix:
     """Mixture f |Phi+><Phi+| + (1 - f) I/4, f in [0, 1]."""
-    _check_unit_interval("f", f)
+    require_within("f", f)
     m = f * np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj()) + (1 - f) * np.eye(4) / 4.0
     return DensityMatrix.from_matrix(m, (2, 2))
 
@@ -175,9 +175,8 @@ def predicted_qfi(label: str, p: float, k: int) -> float:
         raise ParameterOutOfRangeError(
             f"analytic curves exist for labels 'Q' and 'C', got {label!r}"
         )
-    _check_unit_interval("p", p)
-    if k not in SETTINGS:
-        raise BadSettingError(f"setting must be 1, 2 or 3, got {k!r}")
+    require_within("p", p)
+    setting_hamiltonian(k)  # rejects a k outside SETTINGS
     p2 = p * p
     if k == 1:
         return 8.0 * p2 / (1.0 + p2)
@@ -206,7 +205,8 @@ def flip_angle_grid(
     return np.cos(np.deg2rad(degrees))
 
 
-def _check_unit_interval(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ParameterOutOfRangeError(f"{name} must lie in [0, 1], got {value!r}")
+def require_within(name: str, value: float, high: float = 1.0) -> None:
+    """Reject ``value`` outside [0, high], nan included."""
+    if not 0.0 <= value <= high:
+        raise ParameterOutOfRangeError(f"{name} must lie in [0, {high:.6g}], got {value!r}")
 

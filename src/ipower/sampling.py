@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterOutOfRangeError
 from .linalg import PAULIS, apply_local, dagger, degenerate_clusters, tensor
+from .probes import require_within
 from .states import DensityMatrix
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -113,14 +113,9 @@ def apply_channel_b(rho: DensityMatrix, kraus: list[np.ndarray]) -> DensityMatri
     return DensityMatrix.from_matrix(out, rho.dims)
 
 
-def _require_within(name: str, value: float, high: float) -> None:
-    if not 0.0 <= value <= high:  # also rejects nan
-        raise ParameterOutOfRangeError(f"{name} must lie in [0, {high:.6g}], got {value!r}")
-
-
 def depolarizing_kraus(strength: float) -> list[np.ndarray]:
     """Kraus operators of the qubit depolarizing channel of strength in [0, 4/3]."""
-    _require_within("depolarizing strength", strength, 4.0 / 3.0)
+    require_within("depolarizing strength", strength, 4.0 / 3.0)
     ops = [np.sqrt(1.0 - 3.0 * strength / 4.0) * np.eye(2, dtype=complex)]
     ops += [np.sqrt(strength / 4.0) * s for s in PAULIS]
     return ops
@@ -128,7 +123,7 @@ def depolarizing_kraus(strength: float) -> list[np.ndarray]:
 
 def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
     """Kraus operators of the qubit amplitude-damping channel, gamma in [0, 1]."""
-    _require_within("damping gamma", gamma, 1.0)
+    require_within("damping gamma", gamma, 1.0)
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return [k0, k1]

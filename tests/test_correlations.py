@@ -240,7 +240,7 @@ class TestGridSearch:
             )
             value, direction = ip_grid_search(rho, 64, 128)
             closed = interferometric_power(rho)
-            assert value >= closed - 1e-12
+            assert closed - 1e-12 <= value <= closed + 1e-12
             assert qfi(rho, LocalHamiltonian.from_bloch(direction)) / 4 == (
                 pytest.approx(value, abs=1e-12)
             )

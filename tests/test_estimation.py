@@ -115,6 +115,20 @@ class TestMeasurePopulations:
         assert np.max(np.abs(noisy1 - exact)) > 0.0
 
 
+class TestNoiseSpec:
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -0.1])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            NoiseSpec(sigma, 3)
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            run_sweep(("Q",), (1,), [0.5], PI4, sigma=sigma, seed=3)
+
+    def test_exact_mode_drops_the_seed(self):
+        assert NoiseSpec(0.0, 3) == NoiseSpec()
+        run = run_experiment(ProbeFamily("Q", (0.5,)), 1, PI4, noise=NoiseSpec(0.0, 3))
+        assert run.seed is None and run.to_json_dict()["seed"] is None
+
+
 class TestLeastSquares:
     def test_recovers_true_phase(self):
         rho = discordant_probe(0.5)
@@ -126,14 +140,19 @@ class TestLeastSquares:
         assert fit.phi_hat == pytest.approx(PI4, abs=1e-6)
         assert fit.residual <= 1e-15
 
-    def test_flat_objective_flags_failure(self):
+    def test_flat_objective_flags_failure(self, monkeypatch):
+        # b and c vanish, so the fit fails as flat without Newton steps.
+        monkeypatch.setattr(
+            estimation_mod, "_polish", lambda *args: pytest.fail("polished a flat fit")
+        )
         rho = classical_probe(0.8)
         ham = setting_hamiltonian(3)
         reference = sld(rho, ham, PI4)
-        d = measure_populations(rho, ham, PI4, reference)
-        fit = least_squares_estimate(d, rho, ham, reference)
-        assert fit.failed
-        assert math.isnan(fit.phi_hat)
+        for noise in (NoiseSpec(), NoiseSpec(0.05, 1)):
+            d = measure_populations(rho, ham, PI4, reference, noise)
+            fit = least_squares_estimate(d, rho, ham, reference)
+            assert fit.failed
+            assert math.isnan(fit.phi_hat)
 
     def test_zero_phase_identified(self):
         rho = discordant_probe(0.7)

@@ -9,8 +9,9 @@ import pytest
 
 from ipower import estimation, verify
 
-ip, lqu, qfi, sld = (
-    verify.interferometric_power, verify.local_quantum_uncertainty, verify.qfi, verify.sld
+ip, lqu, qfi, sld, evolve = (
+    verify.interferometric_power, verify.local_quantum_uncertainty, verify.qfi, verify.sld,
+    verify.evolve,
 )
 run, eig, landscape = verify.run_experiment, verify.eig_hermitian, verify.qfi_sphere_grid
 
@@ -65,9 +66,10 @@ def swap_lowest_pair(herm):
 CHECKS = {
     "eig": lambda: verify.check_eig_roundtrip(rng(), 3, 1e-9),
     "eig-near-degenerate": lambda: verify.check_eig_roundtrip(NEAR_DEGENERATE, 1, 1e-9),
+    "evolve": lambda: verify.check_evolve_spectrum(rng(), 3, 1e-9),
     "regression": lambda: verify.check_probe_regression(1e-9),
     "landscape": lambda: verify.check_setting_landscape(0.02),
-    "oracle": lambda: verify.check_oracle_equivalence(rng(), 3, 5e-4),
+    "oracle": lambda: verify.check_oracle_equivalence(rng(), 3, 1e-10),
     "hierarchy": lambda: verify.check_hierarchy(rng(), 5, 1e-10),
     "hierarchy-qutrit": lambda: verify.check_hierarchy(rng(), 5, 1e-10, d_b=3),
     "faithfulness": lambda: verify.check_faithfulness(rng(), 3, 1e-9),
@@ -88,11 +90,13 @@ CHECKS = {
 FAULTS = {
     "eig-unsorted": ("eig", "eig_hermitian", lambda h: tuple(a[..., ::-1] for a in eig(h))),
     "eig-near-degenerate-swap": ("eig-near-degenerate", "eig_hermitian", swap_lowest_pair),
+    "evolve-phase-negated": ("evolve", "evolve", lambda rho, ham, phi: evolve(rho, ham, -phi)),
     "regression-Q-power": ("regression", "interferometric_power", shifted(2e-9)),
     "regression-C-power": ("regression", "interferometric_power", shifted(5e-10)),
     "landscape-pole-below-maximum": ("landscape", "qfi_sphere_grid", pole_lowered(1e-10)),
     "oracle-grid-below-closed-form": ("oracle", "ip_grid_search", minimum_at(-1e-9)),
     "oracle-grid-far-above": ("oracle", "ip_grid_search", minimum_at(1e-3)),
+    "oracle-grid-slightly-above": ("oracle", "ip_grid_search", minimum_at(1e-8)),
     "hierarchy-LQU-above-IP": ("hierarchy", "local_quantum_uncertainty", shifted(1e-8)),
     "hierarchy-qutrit-B": ("hierarchy-qutrit", "local_quantum_uncertainty", shifted(1e-8)),
     "faithfulness-classical-shifted": ("faithfulness", "interferometric_power", shifted(1e-8)),
