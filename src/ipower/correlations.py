@@ -9,10 +9,11 @@ The central quantities for a bipartite state rho with spectral decomposition
   spectrum (-1, +1), computed as the smallest eigenvalue of a 3x3 quadratic form
 * ``local_quantum_uncertainty``  the worst-case skew information over the same class
 
-QFI and skew information are one spectral sum 1/2 sum_{i,l} w_il |<psi_i|O x I|psi_l>|^2
+QFI and skew information are one spectral sum sum_{i<l} w_il |<psi_i|O x I|psi_l>|^2
 with the QFI pair weight (q_i - q_l)^2 / (q_i + q_l), zero on pairs whose sum falls
-below ``RANK_CUTOFF``, or the skew pair weight (sqrt(q_i) - sqrt(q_l))^2; both 3x3
-forms are its bilinear version over the Pauli operators.
+below ``RANK_CUTOFF``, or the skew pair weight (sqrt(q_i) - sqrt(q_l))^2.  Over the real
+pair matrix E of :func:`_pair_matrix` it is ``E[0]**2 @ w``, both 3x3 forms are
+``(E * w) @ E.T`` and both Pauli landscapes ``(ns @ E)**2 @ w``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCorrelationTripleError, SubsystemANotQubitError
-from .linalg import PAULIS, RANK_CUTOFF, TOL_PSD, apply_local, dagger, eigh_sorted, tensor
+from .linalg import PAULIS, RANK_CUTOFF, TOL_PSD, apply_local, dagger, eigh_sorted
 from .probes import bell_diagonal_state
 from .states import DensityMatrix, LocalHamiltonian, evolve
 
@@ -38,24 +39,19 @@ SEARCH_GRID = (128, 256)
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 
 
-def _pair_ratio(q: np.ndarray, numerator: np.ndarray) -> np.ndarray:
-    """numerator_il / (q_i + q_l), zero on pairs whose sum falls below ``RANK_CUTOFF``."""
-    s = q[:, None] + q[None, :]
-    ratio = np.zeros_like(s)
-    mask = s > RANK_CUTOFF
-    ratio[mask] = numerator[mask] / s[mask]
-    return ratio
+def _pair_ratio(s: np.ndarray, numerator: np.ndarray) -> np.ndarray:
+    """numerator / s for pair sums s = q_i + q_l, zero where s falls below ``RANK_CUTOFF``."""
+    return np.divide(numerator, s, out=np.zeros_like(s), where=s > RANK_CUTOFF)
 
 
-def _qfi_weights(q: np.ndarray) -> np.ndarray:
+def _qfi_weights(qi: np.ndarray, ql: np.ndarray) -> np.ndarray:
     """(q_i - q_l)^2 / (q_i + q_l) with vanishing-sum pairs dropped."""
-    return _pair_ratio(q, (q[:, None] - q[None, :]) ** 2)
+    return _pair_ratio(qi + ql, (qi - ql) ** 2)
 
 
-def _skew_weights(q: np.ndarray) -> np.ndarray:
+def _skew_weights(qi: np.ndarray, ql: np.ndarray) -> np.ndarray:
     """(sqrt(q_i) - sqrt(q_l))^2."""
-    root = np.sqrt(q)
-    return (root[:, None] - root[None, :]) ** 2
+    return (np.sqrt(qi) - np.sqrt(ql)) ** 2
 
 
 def _elements(rho: DensityMatrix, ops) -> np.ndarray:
@@ -64,9 +60,15 @@ def _elements(rho: DensityMatrix, ops) -> np.ndarray:
     return dagger(apply_local(np.asarray(ops), v, rho.dims)) @ v
 
 
-def _spectral_sum(w: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """1/2 sum_{i,l} w_il |E_il|^2 for every matrix E of a stack."""
-    return 0.5 * np.einsum("il,gil->g", w, np.abs(elements) ** 2)
+def _pair_matrix(rho: DensityMatrix, ops, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(E, w): row k of the real (k, 2P) E holds Re, then Im, of <psi_i|O_k x I|psi_l>
+    over the P pairs i < l, and w their pair weights, twice.  No other pair carries
+    information: w is symmetric with a zero diagonal, and O_k is Hermitian."""
+    upper = np.arange(rho.dim)[:, None] < np.arange(rho.dim)  # the pairs i < l
+    el = _elements(rho, ops)[:, upper]
+    q = rho.eigenvalues
+    w = weights(q[:, None], q[None, :])[upper]
+    return np.concatenate((el.real, el.imag), axis=1), np.concatenate((w, w))
 
 
 def _require_qubit(rho: DensityMatrix) -> None:
@@ -75,15 +77,13 @@ def _require_qubit(rho: DensityMatrix) -> None:
 
 
 def _quadratic_form(rho: DensityMatrix, weights) -> np.ndarray:
-    """Real symmetric 3x3 form K with n^T K n = _spectral_sum(w, n . sigma x I).
+    """Real symmetric 3x3 form K with n^T K n = sum_{i<l} w_il |<psi_i|n . sigma x I|psi_l>|^2.
 
-    Entry (m, n) is half the double spectral sum of
-    w_il <psi_i|sigma_m x I|psi_l><psi_l|sigma_n x I|psi_i>.
+    Entry (m, n) is sum_{i<l} w_il Re(<psi_i|sigma_m x I|psi_l><psi_l|sigma_n x I|psi_i>).
     """
     _require_qubit(rho)
-    s_el = _elements(rho, PAULIS)
-    w = weights(rho.eigenvalues)
-    form = 0.5 * np.einsum("il,mil,nil->mn", w, s_el, s_el.conj()).real
+    e, w = _pair_matrix(rho, PAULIS, weights)
+    form = (e * w) @ e.T
     return (form + form.T) / 2.0
 
 
@@ -94,9 +94,8 @@ def qfi(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
     The value is invariant under a global phase of the eigenvectors and under
     adding multiples of the identity to H.
     """
-    w = _qfi_weights(rho.eigenvalues)
-    # 4 * sum_{i<l} == 4 * half the full double sum (the diagonal vanishes).
-    return float(4.0 * _spectral_sum(w, _elements(rho, [ham.matrix]))[0])
+    e, w = _pair_matrix(rho, [ham.matrix], _qfi_weights)
+    return float(4.0 * (e[0] ** 2 @ w))
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposit
     q = encoded.eigenvalues
     v = encoded.eigenvectors
     h_el = _elements(encoded, [ham.matrix])[0]
-    coeff = _pair_ratio(q, 2.0 * (q[None, :] - q[:, None]))  # 2 (q_l - q_i) / (q_i + q_l)
+    coeff = _pair_ratio(q[:, None] + q[None, :], 2.0 * (q[None, :] - q[:, None]))
     l_el = -1j * coeff * h_el
     l_matrix = v @ l_el @ dagger(v)
     l_vals, l_vecs = eigh_sorted((l_matrix + dagger(l_matrix)) / 2.0)
@@ -170,11 +169,10 @@ def _bloch(theta, phi) -> np.ndarray:
 
 
 def _pauli_landscape(rho: DensityMatrix, weights):
-    """Closure ns -> _spectral_sum(w, n . sigma x I) evaluated at every row n of ns."""
+    """Closure ns -> the literal pair sum ``(ns @ E)**2 @ w`` at every row n of ns."""
     _require_qubit(rho)
-    s_el = _elements(rho, PAULIS)
-    w = weights(rho.eigenvalues)
-    return lambda ns: _spectral_sum(w, np.einsum("gm,mil->gil", ns, s_el))
+    e, w = _pair_matrix(rho, PAULIS, weights)
+    return lambda ns: (ns @ e) ** 2 @ w
 
 
 def _grid_values(landscape, n_theta: int, n_phi: int):
@@ -191,22 +189,24 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
 
     ``landscape`` is scored by :func:`_grid_values` on ``grid`` = (n_theta,
     n_phi); from the best grid point a 3x3 stencil in (theta, phi), one grid
-    spacing wide, moves to its lowest point and halves its steps whenever the
-    centre is lowest, until both steps fall below 1e-10.  Returns (value, direction).
+    spacing wide, moves to its lowest point if that undercuts ``best``, the value
+    last accepted, and otherwise halves its steps, until both fall below 1e-10.
+    As ``best`` only falls, the search stops; a fresh centre value can read a few
+    ulps high in another batch row and keep it moving.  Returns (value, direction).
     """
     thetas, phis, values = _grid_values(landscape, *grid)
     i, j = np.unravel_index(np.argmin(values), values.shape)
-    x = np.array([thetas[i], phis[j]])
+    best, x = values[i, j], np.array([thetas[i], phis[j]])
     step = np.array([thetas[1] - thetas[0], phis[1] - phis[0]])
     while step.max() >= 1e-10:
         points = x + _STENCIL * step
         values = landscape(_bloch(points[:, 0], points[:, 1]))
         k = int(np.argmin(values))
-        if values[k] < values[4]:
-            x = points[k]
+        if values[k] < best:
+            best, x = values[k], points[k]
         else:
             step = step / 2.0
-    return float(values[4]), _bloch(*x)
+    return float(best), _bloch(*x)
 
 
 def qfi_sphere_grid(
@@ -269,11 +269,11 @@ def skew_information(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
     """Wigner-Yanase skew information -1/2 Tr[[sqrt(rho), H x I]^2].
 
     Evaluated in the eigenbasis of rho as
-    1/2 sum_{i,l} (sqrt(q_i) - sqrt(q_l))^2 |<psi_i|H x I|psi_l>|^2.
+    sum_{i<l} (sqrt(q_i) - sqrt(q_l))^2 |<psi_i|H x I|psi_l>|^2.
     Bounded above by qfi/4, with equality on pure states.
     """
-    w = _skew_weights(rho.eigenvalues)
-    return max(float(_spectral_sum(w, _elements(rho, [ham.matrix]))[0]), 0.0)
+    e, w = _pair_matrix(rho, [ham.matrix], _skew_weights)
+    return float(e[0] ** 2 @ w)
 
 
 def local_quantum_uncertainty(rho: DensityMatrix) -> float:
@@ -302,19 +302,18 @@ def skew_grid_search(rho: DensityMatrix) -> tuple[float, np.ndarray]:
 def min_local_variance(rho: DensityMatrix) -> tuple[float, np.ndarray]:
     """Minimum of Var(n . sigma x I) over unit Bloch vectors n, by direct search.
 
-    The variance is evaluated literally as Tr[rho H^2] - Tr[rho H]^2 at every
-    grid direction (no spectral shortcut), then polished by a compass search
-    on the angles.  For pure states this equals the interferometric power.
+    The literal Tr[rho H^2] - Tr[rho H]^2 (no spectral shortcut), expanded by
+    linearity of the trace into n^T S n - (n . f)^2, f_m = Tr[(sigma_m x I) rho] and
+    S_mn = Re Tr[(sigma_m sigma_n x I) rho], is scored on the grid and polished by
+    a compass search.  For pure states this equals the interferometric power.
     """
     _require_qubit(rho)
-    eye_b = np.eye(rho.d_b)
-    stack = np.stack([tensor(s, eye_b) for s in PAULIS])
+    paulis = np.array(PAULIS)
+    ops = np.concatenate((paulis, (paulis[:, None] @ paulis).reshape(9, 2, 2)))
+    moments = np.trace(apply_local(ops, rho.matrix, rho.dims), axis1=1, axis2=2).real
+    f, s = moments[:3], moments[3:].reshape(3, 3)
 
     def variance(ns):
-        h_all = np.einsum("gm,mij->gij", ns, stack)
-        first = np.einsum("gij,ji->g", h_all, rho.matrix).real
-        second = np.einsum("gij,gjk,ki->g", h_all, h_all, rho.matrix).real
-        return second - first**2
+        return np.einsum("gm,mn,gn->g", ns, s, ns) - (ns @ f) ** 2
 
     return _sphere_minimum(variance, SEARCH_GRID)
-

@@ -34,7 +34,7 @@ class InvalidCorrelationTripleError(ValueError):
 
 
 class ParameterOutOfRangeError(ValueError):
-    """A probe-family parameter lies outside its documented range."""
+    """A parameter lies outside its documented range, or is not finite."""
 
 
 class BadSettingError(ValueError):

@@ -31,6 +31,7 @@ from .correlations import SldDecomposition, interferometric_power, qfi, sld
 from .errors import (
     BasisMismatchError,
     NotIdentifiableError,
+    ParameterOutOfRangeError,
     PhaseOutOfWindowError,
     SubsystemANotQubitError,
     ZeroInformationError,
@@ -244,6 +245,8 @@ def least_squares_estimate(
         raise BasisMismatchError(
             f"got {d_meas.size} populations for dimension {rho.dim}"
         )
+    if not np.all(np.isfinite(d_meas)):
+        raise ParameterOutOfRangeError(f"populations must be finite, got {d_meas}")
     omega = _frequency(ham)
     if omega <= FLAT_CUTOFF:
         delta = theory_populations(rho, ham, sldref, 0.0) - d_meas
@@ -275,6 +278,11 @@ def least_squares_estimate(
     return LeastSquaresResult(float(theta[best] / omega), float(values[best]), False)
 
 
+def _require_ensemble_size(nu: float) -> None:
+    if not (math.isfinite(nu) and nu >= 1):
+        raise ParameterOutOfRangeError(f"nu must be finite and >= 1, got {nu!r}")
+
+
 def estimator_statistics(
     d_meas: np.ndarray, l_values: np.ndarray, f_exp: float, nu: float
 ) -> float:
@@ -282,8 +290,9 @@ def estimator_statistics(
 
     Var = [sum_j l_j^2 d_j - (sum_j l_j d_j)^2] / (nu f_exp^2); with exact
     populations at the reference phase the linear term vanishes and the
-    variance reduces to 1 / (nu f_exp).
+    variance reduces to 1 / (nu f_exp).  ``nu`` must be finite and >= 1.
     """
+    _require_ensemble_size(nu)
     if f_exp <= FLAT_CUTOFF:
         raise ZeroInformationError(
             f"reconstructed Fisher information {f_exp:.3e} is below {FLAT_CUTOFF:g}"
@@ -337,8 +346,10 @@ def run_experiment(
     The measurement basis is the SLD eigenbasis at the true phase (the
     adaptive pre-localization is assumed to have converged there).  Raises
     :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside the window
-    [0, pi/omega) of the setting's generator, [0, pi/2) for settings 1-3.
+    [0, pi/omega) of the setting's generator, [0, pi/2) for settings 1-3, and
+    :class:`ParameterOutOfRangeError` when ``nu`` is not finite and >= 1.
     """
+    _require_ensemble_size(nu)
     noise = noise or NoiseSpec()
     rho = make_probe(probe)
     ham = setting_hamiltonian(k)

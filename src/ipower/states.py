@@ -16,6 +16,7 @@ from .errors import (
     BadSubsystemError,
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
+    ParameterOutOfRangeError,
     ZeroPurityError,
 )
 from .linalg import (
@@ -166,7 +167,9 @@ class LocalHamiltonian:
         return self.matrix.shape[0]
 
     def phase_unitary(self, phi: float) -> np.ndarray:
-        """exp(-i phi H) on subsystem A, via the cached eigendecomposition."""
+        """exp(-i phi H) on subsystem A, via the cached eigendecomposition; phi must be finite."""
+        if not np.isfinite(phi):
+            raise ParameterOutOfRangeError(f"phase must be finite, got {phi!r}")
         return (self.eigenvectors * np.exp(-1j * phi * self.spectrum)) @ dagger(
             self.eigenvectors
         )

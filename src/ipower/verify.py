@@ -211,12 +211,14 @@ def check_channel_monotonicity(rng, n, bound, d_b=2) -> PropertyResult:
 
 
 def check_pure_state_reduction(rng, n, bound, d_b=2) -> PropertyResult:
+    """IP = minimal local variance within 1e-12, a deviation scaled onto ``bound``,
+    and IP = LQU within ``bound``: the LQU carries sqrt(eigenvalue dust)."""
     devs = []
     for _ in range(n):
         pure = random_pure_density_matrix((2, d_b), rng)
         ip = interferometric_power(pure)
         variance, _ = min_local_variance(pure)
-        devs.append(abs(ip - variance))
+        devs.append(abs(ip - variance) * (bound / 1e-12))
         devs.append(abs(local_quantum_uncertainty(pure) - ip))
     return _result(f"pure-state reduction to minimal local variance{_qudit(d_b)}", devs, bound)
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ipower import correlations
 from ipower.correlations import (
     interferometric_power,
     ip_bell_diagonal,
@@ -20,9 +22,10 @@ from ipower.correlations import (
 from ipower.errors import (
     DimensionMismatchError,
     InvalidCorrelationTripleError,
+    ParameterOutOfRangeError,
     SubsystemANotQubitError,
 )
-from ipower.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, tensor
+from ipower.linalg import RANK_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, tensor
 from ipower.probes import (
     classical_probe,
     discordant_probe,
@@ -57,6 +60,45 @@ def variance_oracle(rho, ham):
     first = np.trace(rho.matrix @ h).real
     second = np.trace(rho.matrix @ h @ h).real
     return 4.0 * (second - first * first)
+
+
+def full_pair_sum(rho, ham, weight):
+    """1/2 sum_{i,l} w(q_i, q_l) |<psi_i|H x I|psi_l>|^2 over the full matrices."""
+    q, v = rho.eigenvalues, rho.eigenvectors
+    elements = dagger(v) @ tensor(ham.matrix, np.eye(rho.d_b)) @ v
+    w = np.array([[weight(a, b) for b in q] for a in q])
+    return 0.5 * np.sum(w * np.abs(elements) ** 2)
+
+
+def qfi_weight(a, b):
+    return (a - b) ** 2 / (a + b) if a + b > RANK_CUTOFF else 0.0
+
+
+def skew_weight(a, b):
+    return (np.sqrt(a) - np.sqrt(b)) ** 2
+
+
+def random_generator(d_a, rng):
+    if d_a == 2:
+        n = rng.standard_normal(3)
+        return LocalHamiltonian.from_bloch(n / np.linalg.norm(n))
+    z = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
+    return LocalHamiltonian.from_matrix((z + dagger(z)) / 2.0)
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])
+def test_pair_sums_equal_the_full_double_sums(dims):
+    # Every rank from 1 to 2 d_B; d_A = 3 takes a generator that is no Bloch vector.
+    rng = np.random.default_rng(150 + 10 * dims[0] + dims[1])
+    for rank in range(1, 2 * dims[1] + 1):
+        rho = random_density_matrix(dims, rng, env_dim=rank)
+        ham = random_generator(dims[0], rng)
+        assert qfi(rho, ham) == pytest.approx(
+            4.0 * full_pair_sum(rho, ham, qfi_weight), rel=1e-12, abs=1e-14
+        )
+        assert skew_information(rho, ham) == pytest.approx(
+            full_pair_sum(rho, ham, skew_weight), rel=1e-12, abs=1e-14
+        )
 
 
 class TestQfi:
@@ -134,6 +176,12 @@ class TestSld:
     def test_defining_equation_and_moments(self):
         result = check_sld_equation(np.random.default_rng(9), 15, 1e-9)
         assert result.passed, result.line()
+
+    @pytest.mark.parametrize("phi0", [math.inf, -math.inf, math.nan])
+    def test_non_finite_reference_phase_rejected(self, phi0):
+        # inf used to reach LAPACK and raise "Eigenvalues did not converge".
+        with pytest.raises(ParameterOutOfRangeError, match="phase must be finite"):
+            sld(discordant_probe(0.5), setting_hamiltonian(1), phi0)
 
 
 class TestQuadraticForm:
@@ -252,6 +300,41 @@ class TestGridSearch:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="64"):
             ip_grid_search(MIXED, 32, 128)
+
+    def test_compass_search_stops_when_the_centre_reads_high(self):
+        # The stencil's centre (row 4) reads 1e-12 high, as a batched product
+        # can round it; a search that compares with a fresh centre value
+        # keeps moving forever, and the planted landscape raises instead.
+        rho = random_density_matrix((2, 2), np.random.default_rng(1))
+        exact = correlations._pauli_landscape(rho, correlations._qfi_weights)
+        calls = 0
+
+        def planted(ns):
+            nonlocal calls
+            calls += 1
+            if calls > 10_000:
+                raise RuntimeError("the compass search did not stop")
+            values = exact(ns)
+            values[4] += 1e-12
+            return values
+
+        value, _ = correlations._sphere_minimum(planted, (64, 128))
+        assert value == pytest.approx(interferometric_power(rho), abs=1e-12)
+
+    def test_peak_traced_memory(self):
+        # Traced allocation is deterministic, unlike the resident set size.
+        rho = random_density_matrix((2, 4), np.random.default_rng(3))
+        searches = (
+            (lambda: ip_grid_search(rho, 256, 512), 100), (lambda: min_local_variance(rho), 8)
+        )
+        for search, mib in searches:
+            tracemalloc.start()
+            try:
+                search()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestBellDiagonal:
@@ -416,3 +499,14 @@ class TestLocalVarianceSearch:
         rho = DensityMatrix.from_matrix(np.eye(6) / 6.0, (3, 2))
         with pytest.raises(SubsystemANotQubitError):
             min_local_variance(rho)
+
+    @pytest.mark.parametrize("d_b", [1, 2, 3, 4])
+    def test_moment_landscape_is_the_literal_variance(self, d_b, monkeypatch):
+        rng = np.random.default_rng(140 + d_b)
+        rho = random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
+        monkeypatch.setattr(correlations, "_sphere_minimum", lambda landscape, grid: landscape)
+        landscape = min_local_variance(rho)
+        ns = rng.standard_normal((50, 3))
+        ns /= np.linalg.norm(ns, axis=1, keepdims=True)
+        literal = [variance_oracle(rho, LocalHamiltonian.from_bloch(n)) / 4.0 for n in ns]
+        assert_allclose(landscape(ns), literal, rtol=0.0, atol=1e-14)

@@ -12,6 +12,7 @@ from ipower.correlations import interferometric_power, sld
 from ipower.errors import (
     BasisMismatchError,
     NotIdentifiableError,
+    ParameterOutOfRangeError,
     SubsystemANotQubitError,
     ZeroInformationError,
 )
@@ -162,6 +163,16 @@ class TestLeastSquares:
         fit = least_squares_estimate(d, rho, ham, reference)
         assert not fit.failed
         assert fit.phi_hat == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_population_rejected(self, bad):
+        rho = discordant_probe(0.5)
+        ham = setting_hamiltonian(1)
+        reference = sld(rho, ham, PI4)
+        d = measure_populations(rho, ham, PI4, reference)
+        d[1] = bad
+        with pytest.raises(ParameterOutOfRangeError, match="populations must be finite"):
+            least_squares_estimate(d, rho, ham, reference)
 
 
 class TestClosedFormFit:
@@ -315,6 +326,17 @@ class TestEstimatorStatistics:
         assert estimator_statistics(d, l, f, 2 * 10**6) == pytest.approx(
             estimator_statistics(d, l, f, 10**6) / 2.0
         )
+
+    @pytest.mark.parametrize("nu", [-1, 0, 0.5, math.nan, math.inf])
+    def test_ensemble_size_must_be_finite_and_at_least_one(self, nu):
+        # nu = -1 used to return a negative variance unflagged, nu = 0 to
+        # divide by zero and nu = nan to fail converting the record's int.
+        with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
+            estimator_statistics([0.4, 0.3, 0.2, 0.1], [-2.0, -1.0, 1.0, 2.0], 2.0, nu)
+        with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
+            run_experiment(ProbeFamily("Q", (0.5,)), 1, PI4, nu=nu)
+        with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
+            run_sweep(("C",), (3,), [0.5], PI4, nu=nu)  # every run fails, nu is still checked
 
 
 class TestAdaptive:

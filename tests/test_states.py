@@ -9,6 +9,7 @@ from ipower.errors import (
     DimensionMismatchError,
     NonHermitianError,
     NotPositiveSemidefiniteError,
+    ParameterOutOfRangeError,
     ZeroPurityError,
 )
 from ipower.linalg import SIGMA_Z, dagger, tensor
@@ -140,6 +141,13 @@ class TestEvolve:
         rho = DensityMatrix.from_matrix(np.eye(4) / 4.0, (4, 1))
         with pytest.raises(DimensionMismatchError):
             evolve(rho, LocalHamiltonian.from_matrix(SIGMA_Z), 0.1)
+
+    @pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        # nan used to return an all-nan state with only a RuntimeWarning.
+        rho = random_density_matrix((2, 2), np.random.default_rng(4))
+        with pytest.raises(ParameterOutOfRangeError, match="phase must be finite"):
+            evolve(rho, LocalHamiltonian.from_matrix(SIGMA_Z), phi)
 
 
 class TestHsFidelity:

@@ -120,6 +120,8 @@ FAULTS = {
         "basis", "interferometric_power", lambda rho: ip(rho) + 1e-6 * abs(rho.eigenvectors[0, 0])
     ),
     "pure-reduction-variance": ("pure-reduction", "min_local_variance", minimum_at(1e-5)),
+    "pure-reduction-variance-slightly-off": (
+        "pure-reduction", "min_local_variance", minimum_at(1e-9)),
     "pure-reduction-LQU": ("pure-reduction", "local_quantum_uncertainty", shifted(1e-5, lqu)),
     "exact-sweep-bias": ("exact-sweep", "run_experiment", biased(2e-6)),
     "noise-every-estimate-off": ("noise", "run_experiment", biased(0.1)),
