@@ -23,7 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCorrelationTripleError, SubsystemANotQubitError
-from .linalg import PAULIS, RANK_CUTOFF, TOL_PSD, apply_local, dagger, eigh_sorted
+from .linalg import (
+    PAULIS,
+    RANK_CUTOFF,
+    TOL_PSD,
+    apply_local,
+    dagger,
+    degenerate_clusters,
+    eigh_sorted,
+)
 from .probes import bell_diagonal_state
 from .states import DensityMatrix, LocalHamiltonian, evolve
 
@@ -104,7 +112,8 @@ class SldDecomposition:
 
     The SLD solves d rho^phi / d phi = (rho^phi L + L rho^phi) / 2 at the
     reference phase.  Its eigenvalues do not depend on the reference phase;
-    the eigenbasis rotates covariantly with the encoded state.
+    its eigenspaces rotate covariantly with the encoded state, and the basis
+    inside a degenerate one is fixed by the tie-break T of :func:`sld`.
     """
 
     eigenvalues: np.ndarray
@@ -117,7 +126,8 @@ class SldDecomposition:
         return self.eigenbasis.shape[0]
 
     def operator(self) -> np.ndarray:
-        """Reassemble the SLD matrix from its eigendecomposition."""
+        """Reassemble the SLD matrix from its eigendecomposition, to within the
+        eigenvalue spread of each degenerate cluster (below ``DEGENERACY_GAP``)."""
         return (self.eigenbasis * self.eigenvalues) @ dagger(self.eigenbasis)
 
 
@@ -128,6 +138,10 @@ def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposit
     matrix elements of L between eigenvector pairs whose eigenvalue sum falls
     below the rank cutoff are set to zero (they are unconstrained by the
     defining equation).
+
+    Inside each cluster of :func:`degenerate_clusters`, with columns C, the
+    basis is C W for W the eigenvectors of C^dagger T C, T = diag(1, 2, 4, ...):
+    it depends only on the eigenspace, up to phases that populations do not see.
     """
     encoded = evolve(rho, ham, phi0)
     q = encoded.eigenvalues
@@ -137,6 +151,10 @@ def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposit
     l_el = -1j * coeff * h_el
     l_matrix = v @ l_el @ dagger(v)
     l_vals, l_vecs = eigh_sorted((l_matrix + dagger(l_matrix)) / 2.0)
+    tie = 2.0 ** np.arange(len(l_vals))
+    for start, stop in degenerate_clusters(l_vals):
+        c = l_vecs[:, start:stop]
+        l_vecs[:, start:stop] = c @ eigh_sorted((dagger(c) * tie) @ c)[1]
     return SldDecomposition(l_vals, l_vecs, float(phi0), ham)
 
 

@@ -6,7 +6,7 @@ entries; matrices are row-major and square.
 Row ``a * d_B + b`` of a bipartite matrix belongs to |a>|b>, the layout of
 :func:`tensor`; :func:`apply_local` applies an operator on one factor by reshaping.
 Data entering the program passes :func:`hermitian_part` once; :func:`eigh_sorted`
-trusts its input.
+trusts its input and returns LAPACK's eigenpairs, eigenvalues ascending, as they are.
 """
 
 from __future__ import annotations
@@ -49,19 +49,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    """True when ``m`` equals its conjugate transpose within ``TOL_HERM`` (max norm)."""
-    return bool(np.max(np.abs(m - dagger(m))) <= TOL_HERM)
-
-
 def hermitian_part(m, what: str = "matrix") -> np.ndarray:
-    """Check ``m`` is a finite square matrix, Hermitian within ``TOL_HERM``, and
-    return (m + m^dagger) / 2, which is exactly Hermitian."""
+    """Check ``m`` is a finite square matrix, Hermitian within ``TOL_HERM`` (max
+    norm), and return (m + m^dagger) / 2, which is exactly Hermitian."""
     arr = as_square_complex(m)
-    if not is_hermitian(arr):
+    deviation = np.max(np.abs(arr - dagger(arr)))
+    if deviation > TOL_HERM:
         raise NonHermitianError(
-            f"{what} is not Hermitian within {TOL_HERM:g} "
-            f"(deviation {np.max(np.abs(arr - dagger(arr))):.3e})"
+            f"{what} is not Hermitian within {TOL_HERM:g} (deviation {deviation:.3e})"
         )
     return (arr + dagger(arr)) / 2.0
 
@@ -98,13 +93,10 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, validated by :func:`hermitian_part`.
 
     Returns ``(eigenvalues, eigenvectors)`` with real eigenvalues in ascending
-    order and orthonormal eigenvectors as the columns of the second array.
-    Within clusters of eigenvalues closer than ``DEGENERACY_GAP`` the columns
-    are reordered lexicographically by their rounded components, yet the basis
-    LAPACK picks inside a cluster rotates under rounding-level changes of the
-    input: it is reproducible only for bit-identical inputs, and so is anything
-    read off in it, such as seeded noisy populations in a degenerate SLD
-    eigenspace.  Raises :class:`NonHermitianError` beyond ``TOL_HERM`` and
+    order and orthonormal eigenvectors as the columns of the second array, as
+    LAPACK returns them.  Inside a degenerate eigenspace that basis is
+    reproducible only for bit-identical inputs.  Raises
+    :class:`NonHermitianError` beyond ``TOL_HERM`` and
     :class:`NoConvergenceError` if LAPACK fails.
     """
     return eigh_sorted(hermitian_part(m))
@@ -113,10 +105,9 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
 def eigh_sorted(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`eig_hermitian` without the checks, for an exactly Hermitian ``herm``."""
     try:
-        vals, vecs = np.linalg.eigh(herm)
+        return np.linalg.eigh(herm)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(str(exc)) from exc
-    return vals, _sort_degenerate_clusters(vals, vecs)
 
 
 def degenerate_clusters(vals: np.ndarray):
@@ -130,17 +121,4 @@ def degenerate_clusters(vals: np.ndarray):
         if stop - start > 1:
             yield start, stop
         start = stop
-
-
-def _sort_degenerate_clusters(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Reorder eigenvector columns inside degenerate clusters deterministically."""
-    out = vecs.copy()
-    for start, stop in degenerate_clusters(vals):
-        cols = range(start, stop)
-        keys = {
-            j: tuple(np.round(np.concatenate([vecs[:, j].real, vecs[:, j].imag]), 12))
-            for j in cols
-        }
-        out[:, start:stop] = vecs[:, sorted(cols, key=keys.get)]
-    return out
 

@@ -193,8 +193,11 @@ def flip_angle_grid(
     """Purity parameters p = cos(theta) for flip angles theta on a degree grid.
 
     The default sweep runs from 0 to 90 degrees in 2.5-degree steps
-    (37 points), giving p from 1 down to 0.
+    (37 points), giving p from 1 down to 0.  Every argument must be finite.
     """
+    for name, value in zip(("start_deg", "stop_deg", "step_deg"), (start_deg, stop_deg, step_deg)):
+        if not np.isfinite(value):
+            raise ParameterOutOfRangeError(f"{name} must be finite, got {value!r}")
     if step_deg <= 0:
         raise ParameterOutOfRangeError("step must be positive")
     if stop_deg < start_deg:

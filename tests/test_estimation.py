@@ -40,7 +40,7 @@ from ipower.probes import (
     make_probe,
     setting_hamiltonian,
 )
-from ipower.sampling import haar_unitary
+from ipower.sampling import haar_unitary, random_density_matrix
 from ipower.states import DensityMatrix, LocalHamiltonian
 from ipower.verify import check_adaptive_convergence, check_guaranteed_precision
 
@@ -248,9 +248,9 @@ class TestClosedFormFit:
         assert fit.phi_hat == pytest.approx(phi, abs=1e-9)
 
     def test_exact_fit_independent_of_degenerate_basis(self):
-        # LAPACK's basis inside a degenerate SLD eigenspace is arbitrary, so an
-        # exact-mode fit must not depend on it: rotate each cluster by Haar
-        # unitaries and recover the phase from every fit that does not fail.
+        # sld fixes the basis inside a degenerate eigenspace by a tie-break, yet
+        # an exact-mode fit must not depend on that choice: rotate each cluster
+        # by Haar unitaries and recover the phase from every fit that does not fail.
         rng = np.random.default_rng(26)
         worst, fits = 0.0, 0
         for label, k, p, phi in product(
@@ -271,6 +271,33 @@ class TestClosedFormFit:
         # Only the runs without information fail: C under setting 3, and p = 0.
         assert fits == 1620
         assert worst <= 1e-9
+
+    def test_populations_stable_under_ulp_moves_of_the_reference_phase(self):
+        # The populations read in a degenerate SLD eigenspace must not follow the
+        # basis LAPACK happens to return: moving the reference phase by 1-4 ulps
+        # moved them by up to 0.55 with that basis.
+        def worst_move(rho, ham, phi):
+            d = theory_populations(rho, ham, sld(rho, ham, phi), phi)
+            worst, shifted = 0.0, phi
+            for _ in range(4):
+                shifted = np.nextafter(shifted, np.inf)
+                moved = theory_populations(rho, ham, sld(rho, ham, shifted), phi)
+                worst = max(worst, np.max(np.abs(moved - d)))
+            return worst
+
+        worst = 0.0
+        for label, k, p, phi in product(
+            ("Q", "C", "werner"), (1, 2, 3), flip_angle_grid(), (PI4 / 2, PI4)
+        ):
+            rho = make_probe(ProbeFamily(label, (p,)))
+            worst = max(worst, worst_move(rho, setting_hamiltonian(k), phi))
+        rng = np.random.default_rng(27)
+        for d_b, rank in product((2, 3, 4), (1, 2)):
+            rho = random_density_matrix((2, d_b), rng, env_dim=rank)
+            n = rng.standard_normal(3)
+            ham = LocalHamiltonian.from_bloch(n / np.linalg.norm(n))
+            worst = max(worst, worst_move(rho, ham, rng.uniform(0.0, math.pi)))
+        assert worst <= 1e-12
 
     def test_degenerate_generator_is_flat(self):
         rho = discordant_probe(0.5)

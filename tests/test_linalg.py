@@ -10,7 +10,7 @@ from ipower.linalg import (
     dagger,
     apply_local,
     eig_hermitian,
-    is_hermitian,
+    hermitian_part,
     tensor,
 )
 from ipower.verify import check_eig_roundtrip
@@ -86,9 +86,10 @@ class TestTensor:
                         )
 
 
-def test_is_hermitian():
-    assert is_hermitian(SIGMA_Y)
-    assert not is_hermitian(SIGMA_Y + 1e-8 * np.array([[0, 1], [0, 0]]))
+def test_hermitian_part():
+    assert_allclose(hermitian_part(SIGMA_Y), SIGMA_Y, rtol=0, atol=0)
+    with pytest.raises(NonHermitianError, match="deviation 1.000e-08"):
+        hermitian_part(SIGMA_Y + 1e-8 * np.array([[0, 1], [0, 0]]))
 
 
 @pytest.mark.parametrize("side", ["A", "B"])

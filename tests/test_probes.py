@@ -136,6 +136,14 @@ class TestFlipAngleGrid:
         with pytest.raises(ParameterOutOfRangeError):
             flip_angle_grid(start_deg=10, stop_deg=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["start_deg", "stop_deg", "step_deg"])
+    def test_rejects_non_finite_arguments(self, name, value):
+        # (0, 90, inf) returned an empty grid; an inf stop overflowed, a nan
+        # failed converting to int.
+        with pytest.raises(ParameterOutOfRangeError, match=f"{name} must be finite"):
+            flip_angle_grid(**{name: value})
+
 
 class TestSettingLandscape:
     def test_best_and_worst_directions_at_p08(self):

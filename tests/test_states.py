@@ -14,7 +14,7 @@ from ipower.errors import (
 )
 from ipower.linalg import SIGMA_Z, dagger, tensor
 from ipower.probes import BELL_PHI_PLUS, bell_diagonal_state, bell_probe
-from ipower.sampling import random_density_matrix, random_pure_density_matrix
+from ipower.sampling import haar_unitary, random_density_matrix, random_pure_density_matrix
 from ipower.states import (
     DensityMatrix,
     LocalHamiltonian,
@@ -118,6 +118,18 @@ class TestEvolve:
         rho = random_density_matrix((2, 2), rng)
         ham = LocalHamiltonian.from_matrix(SIGMA_Z)
         assert_allclose(evolve(rho, ham, 0.0).matrix, rho.matrix, atol=1e-14)
+
+    def test_near_degenerate_eigenpairs_rebuild_the_state(self):
+        # Eigenvalues 2e-9 apart lie in one degenerate cluster; the stored
+        # eigenpairs must still rebuild the matrix, as evolve at phase 0 does.
+        ham = LocalHamiltonian.from_matrix(SIGMA_Z)
+        worst = 0.0
+        for seed in range(20):
+            u = haar_unitary(4, np.random.default_rng(seed))
+            m = (u * [0.3 + 1e-9, 0.3 - 1e-9, 0.25, 0.15]) @ dagger(u)
+            rho = DensityMatrix.from_matrix(m, (2, 2))
+            worst = max(worst, np.max(np.abs(evolve(rho, ham, 0.0).matrix - rho.matrix)))
+        assert worst <= 1e-14
 
     def test_commuting_state_unchanged(self):
         rho = DensityMatrix.from_matrix(np.diag([0.4, 0.3, 0.2, 0.1]), (2, 2))
