@@ -33,7 +33,7 @@ from .linalg import (
     eigh_sorted,
 )
 from .probes import bell_diagonal_state
-from .states import DensityMatrix, LocalHamiltonian, evolve
+from .states import DensityMatrix, LocalHamiltonian
 
 # Below this value of 1 - ||C||_inf^2 the Bell-diagonal closed formula is
 # singular and the spectral route is used instead.
@@ -111,9 +111,9 @@ class SldDecomposition:
     """Eigenvalues and eigenbasis of the symmetric logarithmic derivative.
 
     The SLD solves d rho^phi / d phi = (rho^phi L + L rho^phi) / 2 at the
-    reference phase.  Its eigenvalues do not depend on the reference phase;
-    its eigenspaces rotate covariantly with the encoded state, and the basis
-    inside a degenerate one is fixed by the tie-break T of :func:`sld`.
+    reference phase.  It is covariant, L(phi0) = (U x I) L(0) (U x I)†,
+    U = exp(-i phi0 H): the eigenvalues do not depend on phi0, and the whole
+    basis is (U x I) W(0), W(0) fixed by the tie-break T of :func:`sld`.
     """
 
     eigenvalues: np.ndarray
@@ -134,19 +134,17 @@ class SldDecomposition:
 def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposition:
     """Symmetric logarithmic derivative of the encoded state at phase ``phi0``.
 
-    The derivative of the encoded state is the commutator -i[H x I, rho^phi0];
-    matrix elements of L between eigenvector pairs whose eigenvalue sum falls
-    below the rank cutoff are set to zero (they are unconstrained by the
-    defining equation).
-
-    Inside each cluster of :func:`degenerate_clusters`, with columns C, the
-    basis is C W for W the eigenvectors of C^dagger T C, T = diag(1, 2, 4, ...):
-    it depends only on the eigenspace, up to phases that populations do not see.
+    L(0) is built in rho's own eigenbasis from the commutator -i[H x I, rho];
+    matrix elements between eigenvector pairs whose eigenvalue sum falls below
+    the rank cutoff are set to zero (the defining equation leaves them free).
+    Inside each cluster of :func:`degenerate_clusters` of L(0), with columns C,
+    the basis W(0) is C W for W the eigenvectors of C^dagger T C,
+    T = diag(1, 2, 4, ...): it depends only on the eigenspace, up to phases
+    that populations do not see.  The basis returned is (U x I) W(0).
     """
-    encoded = evolve(rho, ham, phi0)
-    q = encoded.eigenvalues
-    v = encoded.eigenvectors
-    h_el = _elements(encoded, [ham.matrix])[0]
+    u = ham.phase_unitary(phi0)
+    q, v = rho.eigenvalues, rho.eigenvectors
+    h_el = _elements(rho, [ham.matrix])[0]
     coeff = _pair_ratio(q[:, None] + q[None, :], 2.0 * (q[None, :] - q[:, None]))
     l_el = -1j * coeff * h_el
     l_matrix = v @ l_el @ dagger(v)
@@ -155,7 +153,7 @@ def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposit
     for start, stop in degenerate_clusters(l_vals):
         c = l_vecs[:, start:stop]
         l_vecs[:, start:stop] = c @ eigh_sorted((dagger(c) * tie) @ c)[1]
-    return SldDecomposition(l_vals, l_vecs, float(phi0), ham)
+    return SldDecomposition(l_vals, apply_local(u, l_vecs, rho.dims), float(phi0), ham)
 
 
 def qfi_quadratic_form(rho: DensityMatrix) -> np.ndarray:

@@ -8,12 +8,13 @@ In exact mode the populations are the ideal ensemble expectation values; in
 noisy mode each population receives an independent relative Gaussian
 perturbation before renormalization.
 
-The least-squares fit is closed form.  A qubit generator with spectrum
-(h_1, h_2) imprints the phase through theta = omega phi, omega = h_2 - h_1, so
-every population is a first-order Fourier series
-d(theta) = a + b cos(theta) + c sin(theta), fixed by three model evaluations.
-The stationary points of the objective are the angles of the roots of one
-quartic in z = exp(i theta), polished by Newton steps.  Phases are searched and
+The population model and the least-squares fit are closed form.  A qubit
+generator with spectral projectors (P_1, P_2) and spectrum (h_1, h_2) imprints
+the phase through theta = omega phi, omega = h_2 - h_1, so every population is
+a first-order Fourier series d(theta) = a + b cos(theta) + c sin(theta) whose
+coefficients are read once from the projectors.  The stationary points of the
+objective are the angles of the roots of one quartic in z = exp(i theta), each
+replaced by the mean of its root cluster.  Phases are searched and
 reported in the window [0, pi/omega]; a true phase outside [0, pi/omega) could
 alias onto it (for some probes the data at phi and phi - pi/omega coincide), so
 the protocol rejects it with :class:`PhaseOutOfWindowError`.
@@ -36,7 +37,7 @@ from .errors import (
     SubsystemANotQubitError,
     ZeroInformationError,
 )
-from .linalg import apply_local, dagger
+from .linalg import apply_local
 from .probes import SWEPT_LABELS, ProbeFamily, make_probe, setting_hamiltonian
 from .states import DensityMatrix, LocalHamiltonian
 
@@ -47,10 +48,12 @@ FLAT_CUTOFF = 1e-10
 # The adaptive loop has converged once a trial is this close to the true phase.
 LOCALIZED_WITHIN = 1e-6
 
-# Newton polish of the quartic's roots: at most this many steps, stopping once
-# every step is below the tolerance (radians of theta).
-_NEWTON_STEPS = 64
-_NEWTON_TOL = 1e-13
+# np.roots is backward stable (exact roots of coefficients off by ~eps), so a
+# root z0 of multiplicity m splits by (eps ||p||_1 / |p^(m)(z0)/m!|)^(1/m).  Here
+# m <= 3: the z^2 coefficient is 0, so a triple root z0 forces the fourth to -z0,
+# and on the unit circle that ratio is 3, a split of (3 eps)^(1/3) = 8.7e-6.
+# Roots closer than the split at a backward error of 1000 eps form one cluster.
+_ROOT_CLUSTER = (3000.0 * np.finfo(float).eps) ** (1.0 / 3.0)
 
 SWEEP_COLUMNS = (
     "s",
@@ -141,9 +144,13 @@ def theory_populations(
     basis: SldDecomposition,
     phi: float,
 ) -> np.ndarray:
-    """Populations <lambda_j|U rho U†|lambda_j> = w_j† rho w_j, w_j = (U† x I)|lambda_j>."""
-    w = apply_local(dagger(ham.phase_unitary(phi)), basis.eigenbasis, rho.dims)
-    return np.einsum("ji,jk,ki->i", w.conj(), rho.matrix, w).real
+    """Populations <lambda_j|U rho U†|lambda_j>, U = exp(-i phi H), from the series
+    a + b cos(omega phi) + c sin(omega phi); phi must be finite."""
+    if not math.isfinite(phi):
+        raise ParameterOutOfRangeError(f"phase must be finite, got {phi!r}")
+    theta = _frequency(ham) * phi
+    a, b, c = _population_model(rho, ham, basis)
+    return a + b * math.cos(theta) + c * math.sin(theta)
 
 
 def measure_populations(
@@ -179,7 +186,7 @@ def _frequency(ham: LocalHamiltonian) -> float:
     """omega = h_2 - h_1 of a qubit generator: the populations depend on omega phi."""
     if ham.d_a != 2:
         raise SubsystemANotQubitError(
-            f"the phase fit needs a qubit generator, got dimension {ham.d_a}"
+            f"the population model needs a qubit generator, got dimension {ham.d_a}"
         )
     return float(ham.spectrum[1] - ham.spectrum[0])
 
@@ -194,21 +201,19 @@ def _check_in_window(ham: LocalHamiltonian, phi_true: float) -> None:
         )
 
 
-def _polish(theta: np.ndarray, alpha, b, c) -> np.ndarray:
-    """Newton steps on f'(theta) = 2 r.r' from every start, r = alpha + b cos + c sin."""
-    for _ in range(_NEWTON_STEPS):
-        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
-        r = alpha + b * cos + c * sin
-        dr = c * cos - b * sin
-        slope = np.sum(r * dr, axis=1)
-        curvature = np.sum(dr * dr + r * (alpha - r), axis=1)  # r'' = alpha - r
-        step = np.divide(
-            slope, curvature, out=np.zeros_like(slope), where=curvature != 0.0
-        )
-        theta = theta - step
-        if np.max(np.abs(step), initial=0.0) <= _NEWTON_TOL:
-            break
-    return theta
+def _population_model(
+    rho: DensityMatrix, ham: LocalHamiltonian, basis: SldDecomposition
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, c) of the populations a + b cos(omega phi) + c sin(omega phi) in the
+    basis W: with P_k the projectors of the qubit generator (the caller checks
+    it), U = sum_k exp(-i phi h_k) P_k, so a = diag W†(P_1 rho P_1 + P_2 rho P_2)W
+    and b - i c = 2 diag W† P_1 rho P_2 W, P_k acting as P_k x I."""
+    e = ham.eigenvectors.T
+    y = apply_local(e[:, :, None] * e.conj()[:, None, :], basis.eigenbasis, rho.dims)
+    ry = rho.matrix @ y  # y[k] = (P_k x I) W, P_k = e_k e_k†
+    a = np.sum(y[0].conj() * ry[0] + y[1].conj() * ry[1], axis=0).real
+    x = 2.0 * np.sum(y[0].conj() * ry[1], axis=0)
+    return a, x.real, -x.imag
 
 
 def least_squares_estimate(
@@ -220,25 +225,24 @@ def least_squares_estimate(
     """Phase inference by least squares against the population model, in closed form.
 
     With theta = omega phi, omega = h_2 - h_1 the gap of the qubit generator,
-    the model is d(theta) = a + b cos(theta) + c sin(theta), read off from
-    :func:`theory_populations` at theta = 0, 2 pi/3 and 4 pi/3.  With
+    the model is d(theta) = a + b cos(theta) + c sin(theta), its coefficients
+    read once from the generator's spectral projectors.  With
     alpha = a - d_meas the objective f(theta) = |d(theta) - d_meas|^2 has the
     derivative A cos(theta) + B sin(theta) + C cos(2 theta) + D sin(2 theta),
     A = 2 alpha.c, B = -2 alpha.b, C = 2 b.c and D = c.c - b.b.  Times 2 z^2
-    it is a quartic in z = exp(i theta).  The angle of every root, on the unit
-    circle or not, starts Newton steps on f' = 2 r.r' computed from the
-    residual r itself; they restore full precision where roots cluster (a
-    root-only answer is off by a few 1e-6 at a triple root).
+    it is a quartic in z = exp(i theta).  Every root, on the unit circle or
+    not, is replaced by the mean of the roots within ``_ROOT_CLUSTER`` of it:
+    a triple root splits by about eps^(1/3), its cluster's mean is exact to eps.
 
-    f is evaluated exactly at the polished roots inside the window
+    f is evaluated exactly at the angles of these means inside the window
     [0, pi/omega] and at both of its ends; these include its minimum and
-    maximum on the window.  When the range of f there, or omega itself, is
-    below ``FLAT_CUTOFF`` the landscape is flat and the result is flagged
-    failed; so is a fit whose b and c bound the range of f on the whole
-    circle below the cutoff, before any root is sought, with f(0) as its
-    residual.  Otherwise ``phi_hat`` is the smallest phase whose value lies
-    within 1e-12 of the range above the minimum, since exactly symmetric
-    populations can zero the objective at two phases.
+    maximum on the window.  When the range of f there is below
+    ``FLAT_CUTOFF`` the landscape is flat and the result is flagged failed.
+    So is a fit whose omega, or the bound b and c set on the range of f over
+    the whole circle, is below the cutoff, before any root is sought, with
+    f(0) as its residual.  Otherwise ``phi_hat`` is the smallest phase whose
+    value lies within 1e-12 of the range above the minimum, since exactly
+    symmetric populations can zero the objective at two phases.
     """
     d_meas = np.asarray(d_meas, dtype=float)
     if d_meas.size != rho.dim:
@@ -248,24 +252,17 @@ def least_squares_estimate(
     if not np.all(np.isfinite(d_meas)):
         raise ParameterOutOfRangeError(f"populations must be finite, got {d_meas}")
     omega = _frequency(ham)
-    if omega <= FLAT_CUTOFF:
-        delta = theory_populations(rho, ham, sldref, 0.0) - d_meas
-        return LeastSquaresResult(math.nan, float(delta @ delta), True)
-
-    d0, d1, d2 = (
-        theory_populations(rho, ham, sldref, theta / omega)
-        for theta in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-    )
-    alpha = (d0 + d1 + d2) / 3.0 - d_meas
-    b = (2.0 * d0 - d1 - d2) / 3.0
-    c = (d1 - d2) / math.sqrt(3.0)
+    a, b, c = _population_model(rho, ham, sldref)
+    alpha = a - d_meas
     amp = math.sqrt(b @ b + c @ c)  # |b cos + c sin| <= amp bounds the range of f
-    if 2.0 * (2.0 * math.sqrt(alpha @ alpha) * amp + amp * amp) < FLAT_CUTOFF:
+    bound = 2.0 * (2.0 * math.sqrt(alpha @ alpha) * amp + amp * amp)
+    if min(omega, bound) <= FLAT_CUTOFF:
         return LeastSquaresResult(math.nan, float((alpha + b) @ (alpha + b)), True)
     A, B = 2.0 * (alpha @ c), -2.0 * (alpha @ b)
     C, D = 2.0 * (b @ c), c @ c - b @ b
     roots = np.roots([C - 1j * D, A - 1j * B, 0.0, A + 1j * B, C + 1j * D])
-    theta = _polish(np.angle(roots), alpha, b, c) % (2.0 * math.pi)
+    near = np.abs(roots[:, None] - roots[None, :]) <= _ROOT_CLUSTER
+    theta = np.angle(near @ roots / near.sum(axis=1)) % (2.0 * math.pi)
     theta = np.concatenate(([0.0, math.pi], theta[theta <= math.pi]))
 
     residuals = alpha + np.outer(np.cos(theta), b) + np.outer(np.sin(theta), c)

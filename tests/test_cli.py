@@ -280,6 +280,13 @@ class TestAdaptiveCommand:
         assert lines[0] == "trial 1 0"
         assert lines[-1] == "converged true"
 
+    def test_second_trial_exact_away_from_reference_phase(self, capsys):
+        # Measured in the SLD basis at 0, the data at pi/4 fix the fit to rounding.
+        assert run_cli(["adaptive", "--probe", "C", "--p", "0.6", "--setting", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("trial 2 ")
+        assert abs(float(lines[1].split()[2]) - math.pi / 4) <= 1e-12
+
     def test_pathological_setting_exits_2(self, capsys):
         assert run_cli(["adaptive", "--probe", "C", "--setting", "3"]) == 2
         assert "QFI" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -27,8 +28,11 @@ from ipower.errors import (
 )
 from ipower.linalg import RANK_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, tensor
 from ipower.probes import (
+    ProbeFamily,
     classical_probe,
     discordant_probe,
+    flip_angle_grid,
+    make_probe,
     separable_discordant_state,
     setting_hamiltonian,
     werner_state,
@@ -172,6 +176,19 @@ class TestSld:
         operator = decomposition.operator()
         trace = np.trace(encoded.matrix @ operator @ operator).real
         assert trace == pytest.approx(4 * p**2, abs=1e-10)
+
+    def test_covariant_under_the_phase(self):
+        # L(phi0) = (U x I) L(0) (U x I)†, U = exp(-i phi0 H): H commutes with U.
+        worst = 0.0
+        for label, k, p in product(("Q", "C", "werner"), (1, 2, 3), flip_angle_grid()):
+            rho = make_probe(ProbeFamily(label, (p,)))
+            ham = setting_hamiltonian(k)
+            at_zero = sld(rho, ham, 0.0).operator()
+            for phi0 in (math.pi / 8, math.pi / 4, 1.2):
+                u = tensor(ham.phase_unitary(phi0), np.eye(rho.d_b))
+                moved = sld(rho, ham, phi0).operator()
+                worst = max(worst, np.max(np.abs(moved - u @ at_zero @ dagger(u))))
+        assert worst <= 1e-14
 
     def test_defining_equation_and_moments(self):
         result = check_sld_equation(np.random.default_rng(9), 15, 1e-9)

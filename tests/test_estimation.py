@@ -78,15 +78,69 @@ class TestMeasurePopulations:
                 measure_populations(rho, ham, phi, reference), base, atol=1e-12
             )
 
-    def test_matches_dense_oracle(self):
-        rho = discordant_probe(0.5)
-        ham = setting_hamiltonian(1)
-        reference = sld(rho, ham, PI4)
-        assert_allclose(
-            measure_populations(rho, ham, PI4, reference),
-            dense_populations(rho, ham, reference, PI4),
-            atol=1e-12,
-        )
+    @pytest.mark.parametrize(
+        "generator, d_b",
+        [("setting", 2), ("bloch", 2), ("bloch", 3), ("bloch", 4), ("shifted", 2)],
+    )
+    def test_matches_dense_oracle(self, generator, d_b):
+        # The closed-form series against the literal U rho U† read in the basis:
+        # the discordant probe in its SLD basis under setting 1, then states of
+        # every rank in Haar-rotated bases at random phases.
+        if generator == "setting":
+            rho, ham = discordant_probe(0.5), setting_hamiltonian(1)
+            cases = [(rho, ham, sld(rho, ham, PI4), PI4)]
+        else:
+            rng = np.random.default_rng([d_b, generator == "shifted"])
+            cases = []
+            for rank in range(1, 2 * d_b + 1):
+                rho = random_density_matrix((2, d_b), rng, env_dim=rank)
+                if generator == "shifted":
+                    ham = LocalHamiltonian.from_matrix(
+                        0.5 * SIGMA_Z + 0.3 * SIGMA_X + 0.2 * np.eye(2)
+                    )
+                else:
+                    n = rng.standard_normal(3)
+                    ham = LocalHamiltonian.from_bloch(n / np.linalg.norm(n))
+                basis = dataclasses.replace(
+                    sld(rho, ham, 0.0), eigenbasis=haar_unitary(rho.dim, rng)
+                )
+                cases.append((rho, ham, basis, rng.uniform(-4.0, 4.0)))
+        for rho, ham, basis, phi in cases:
+            dense = dense_populations(rho, ham, basis, phi)
+            assert_allclose(measure_populations(rho, ham, phi, basis), dense, atol=1e-14)
+            assert_allclose(theory_populations(rho, ham, basis, phi), dense, atol=1e-14)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phi):
+        rho, ham = discordant_probe(0.5), setting_hamiltonian(1)
+        basis = sld(rho, ham, 0.0)
+        with pytest.raises(ParameterOutOfRangeError, match="phase must be finite"):
+            theory_populations(rho, ham, basis, phi)
+        with pytest.raises(ParameterOutOfRangeError, match="phase must be finite"):
+            measure_populations(rho, ham, phi, basis)
+
+    def test_qutrit_generator_rejected(self):
+        # The model reads the two spectral projectors of a qubit generator.
+        rho = DensityMatrix.from_matrix(np.eye(6) / 6.0, (3, 2))
+        ham = LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 2.0]))
+        basis = sld(rho, ham, 0.0)
+        with pytest.raises(SubsystemANotQubitError):
+            theory_populations(rho, ham, basis, 0.3)
+        with pytest.raises(SubsystemANotQubitError):
+            measure_populations(rho, ham, 0.3, basis)
+
+    def test_reference_populations_independent_of_reference_phase(self):
+        # The basis is (U x I) W(0), so exact populations read at the reference
+        # phase are those of rho in W(0) for every reference phase.
+        worst = 0.0
+        for label, k, p in product(("Q", "C", "werner"), (1, 2, 3), flip_angle_grid()):
+            rho = make_probe(ProbeFamily(label, (p,)))
+            ham = setting_hamiltonian(k)
+            base = measure_populations(rho, ham, 0.0, sld(rho, ham, 0.0))
+            for phi0 in (PI4 / 2, PI4):
+                moved = measure_populations(rho, ham, phi0, sld(rho, ham, phi0))
+                worst = max(worst, np.max(np.abs(moved - base)))
+        assert worst <= 1e-15
 
     def test_basis_mismatch_rejected(self):
         rho = discordant_probe(0.5)
@@ -142,9 +196,9 @@ class TestLeastSquares:
         assert fit.residual <= 1e-15
 
     def test_flat_objective_flags_failure(self, monkeypatch):
-        # b and c vanish, so the fit fails as flat without Newton steps.
+        # b and c vanish, so the fit fails as flat before any root is sought.
         monkeypatch.setattr(
-            estimation_mod, "_polish", lambda *args: pytest.fail("polished a flat fit")
+            estimation_mod.np, "roots", lambda *args: pytest.fail("rooted a flat fit")
         )
         rho = classical_probe(0.8)
         ham = setting_hamiltonian(3)
@@ -205,21 +259,27 @@ class TestClosedFormFit:
                         objective(fit.phi_hat), abs=1e-12
                     )
 
-    def test_three_model_evaluations_per_fit(self, monkeypatch):
-        calls = []
+    def test_one_model_read_per_fit(self, monkeypatch):
+        # The fit reads (a, b, c) once and evaluates no populations per phase.
+        calls = {"theory_populations": 0, "_population_model": 0}
 
-        def counted(*args):
-            calls.append(args[-1])
-            return theory_populations(*args)
+        def counted(name):
+            original = getattr(estimation_mod, name)
 
-        monkeypatch.setattr(estimation_mod, "theory_populations", counted)
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
         rho = discordant_probe(0.7)
         ham = setting_hamiltonian(2)
         basis = sld(rho, ham, 0.4)
         d = measure_populations(rho, ham, 0.4, basis)
-        calls.clear()
+        for name in calls:
+            monkeypatch.setattr(estimation_mod, name, counted(name))
         least_squares_estimate(d, rho, ham, basis)
-        assert len(calls) == 3
+        assert calls == {"theory_populations": 0, "_population_model": 1}
 
     def test_segment_landscape_from_zero_basis(self):
         # Measured in the SLD basis at 0, the populations trace a segment and
