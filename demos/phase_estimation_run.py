@@ -19,6 +19,7 @@ from ipower import (
     estimator_statistics,
     least_squares_estimate,
     measure_populations,
+    population_model,
     qfi,
     run_experiment,
     setting_hamiltonian,
@@ -43,7 +44,8 @@ reference = sld(rho, ham, PHI_TRUE)
 print(f"  SLD eigenvalues: {np.round(reference.eigenvalues, 6)}")
 
 print("Step 4: ensemble populations after encoding the true phase pi/4")
-d = measure_populations(rho, ham, PHI_TRUE, reference)
+model = population_model(rho, ham, reference)
+d = measure_populations(model, PHI_TRUE)
 print(f"  d = {np.round(d, 6)}   (sum = {d.sum():.12f})")
 
 f_exp = float(np.sum(reference.eigenvalues**2 * d))
@@ -51,7 +53,7 @@ print("Step 5: Fisher information reconstructed from the data")
 print(f"  F = sum_j l_j^2 d_j = {f_exp:.9f}")
 
 print("Step 6: least-squares phase inference")
-fit = least_squares_estimate(d, rho, ham, reference)
+fit = least_squares_estimate(d, model)
 print(f"  phi_hat = {fit.phi_hat:.12f}  (true value {PHI_TRUE:.12f})")
 print(f"  residual = {fit.residual:.3e}")
 
@@ -70,9 +72,9 @@ print()
 print("The pathological pair: classical probe, worst-case generator")
 worst = run_experiment(ProbeFamily("C", (0.8,)), 3, PHI_TRUE, NU)
 print(f"  failed = {worst.failed}, F_exp = {worst.f_exp:.3e}")
+classical, worst_ham = classical_probe(0.8), setting_hamiltonian(3)
 base = measure_populations(
-    classical_probe(0.8), setting_hamiltonian(3), 0.0,
-    sld(classical_probe(0.8), setting_hamiltonian(3), PHI_TRUE),
+    population_model(classical, worst_ham, sld(classical, worst_ham, PHI_TRUE)), 0.0
 )
 print(f"  populations at phi = 0      : {np.round(base, 6)}")
 print("  ... identical at every phase: no information is ever imprinted,")

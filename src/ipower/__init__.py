@@ -29,12 +29,12 @@ from .estimation import (
     estimator_statistics,
     least_squares_estimate,
     measure_populations,
+    population_model,
     run_experiment,
     run_sweep,
     sweep_csv_text,
     sweep_json_text,
     sweep_rows,
-    theory_populations,
 )
 from .linalg import (
     PAULIS,
@@ -101,6 +101,7 @@ __all__ = [
     "measure_populations",
     "min_local_variance",
     "partial_trace",
+    "population_model",
     "predicted_qfi",
     "qfi",
     "qfi_quadratic_form",
@@ -117,6 +118,5 @@ __all__ = [
     "sweep_json_text",
     "sweep_rows",
     "tensor",
-    "theory_populations",
     "werner_state",
 ]

@@ -113,13 +113,12 @@ class SldDecomposition:
     The SLD solves d rho^phi / d phi = (rho^phi L + L rho^phi) / 2 at the
     reference phase.  It is covariant, L(phi0) = (U x I) L(0) (U x I)†,
     U = exp(-i phi0 H): the eigenvalues do not depend on phi0, and the whole
-    basis is (U x I) W(0), W(0) fixed by the tie-break T of :func:`sld`.
+    basis is (U x I) W(0), W(0) fixed by the tie-break T of :func:`sld`.  The
+    state, generator and phase it was built from stay with the caller.
     """
 
     eigenvalues: np.ndarray
     eigenbasis: np.ndarray
-    reference_phase: float
-    setting: LocalHamiltonian
 
     @property
     def dim(self) -> int:
@@ -153,7 +152,7 @@ def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposit
     for start, stop in degenerate_clusters(l_vals):
         c = l_vecs[:, start:stop]
         l_vecs[:, start:stop] = c @ eigh_sorted((dagger(c) * tie) @ c)[1]
-    return SldDecomposition(l_vals, apply_local(u, l_vecs, rho.dims), float(phi0), ham)
+    return SldDecomposition(l_vals, apply_local(u, l_vecs, rho.dims))
 
 
 def qfi_quadratic_form(rho: DensityMatrix) -> np.ndarray:

@@ -11,8 +11,9 @@ perturbation before renormalization.
 The population model and the least-squares fit are closed form.  A qubit
 generator with spectral projectors (P_1, P_2) and spectrum (h_1, h_2) imprints
 the phase through theta = omega phi, omega = h_2 - h_1, so every population is
-a first-order Fourier series d(theta) = a + b cos(theta) + c sin(theta) whose
-coefficients are read once from the projectors.  The stationary points of the
+a first-order Fourier series d(theta) = a + b cos(theta) + c sin(theta), built
+once per measurement by :func:`population_model` and shared by the measurement
+and the fit.  The stationary points of the
 objective are the angles of the roots of one quartic in z = exp(i theta), each
 replaced by the mean of its root cluster.  Phases are searched and
 reported in the window [0, pi/omega]; a true phase outside [0, pi/omega) could
@@ -138,39 +139,54 @@ class EstimationRun:
         }
 
 
-def theory_populations(
-    rho: DensityMatrix,
-    ham: LocalHamiltonian,
-    basis: SldDecomposition,
-    phi: float,
-) -> np.ndarray:
-    """Populations <lambda_j|U rho U†|lambda_j>, U = exp(-i phi H), from the series
-    a + b cos(omega phi) + c sin(omega phi); phi must be finite."""
-    if not math.isfinite(phi):
-        raise ParameterOutOfRangeError(f"phase must be finite, got {phi!r}")
-    theta = _frequency(ham) * phi
-    a, b, c = _population_model(rho, ham, basis)
-    return a + b * math.cos(theta) + c * math.sin(theta)
+@dataclass(frozen=True)
+class PopulationModel:
+    """Populations d(phi) = a + b cos(omega phi) + c sin(omega phi) of one
+    measurement, built by :func:`population_model`."""
+
+    omega: float
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def at(self, phi: float) -> np.ndarray:
+        """Populations <lambda_j|U rho U†|lambda_j>, U = exp(-i phi H); phi must be finite."""
+        if not math.isfinite(phi):
+            raise ParameterOutOfRangeError(f"phase must be finite, got {phi!r}")
+        theta = self.omega * phi
+        return self.a + self.b * math.cos(theta) + self.c * math.sin(theta)
+
+
+def population_model(
+    rho: DensityMatrix, ham: LocalHamiltonian, basis: SldDecomposition
+) -> PopulationModel:
+    """The population model of ``rho`` under the qubit generator ``ham`` read in
+    ``basis`` W.  With P_k the generator's spectral projectors,
+    U = sum_k exp(-i phi h_k) P_k, so a = diag W†(P_1 rho P_1 + P_2 rho P_2)W
+    and b - i c = 2 diag W† P_1 rho P_2 W, P_k acting as P_k x I."""
+    omega = _frequency(ham)
+    if basis.dim != rho.dim:
+        raise BasisMismatchError(
+            f"measurement basis dimension {basis.dim} != state dimension {rho.dim}"
+        )
+    e = ham.eigenvectors.T
+    y = apply_local(e[:, :, None] * e.conj()[:, None, :], basis.eigenbasis, rho.dims)
+    ry = rho.matrix @ y  # y[k] = (P_k x I) W, P_k = e_k e_k†
+    a = np.sum(y[0].conj() * ry[0] + y[1].conj() * ry[1], axis=0).real
+    x = 2.0 * np.sum(y[0].conj() * ry[1], axis=0)
+    return PopulationModel(omega, a, x.real, -x.imag)
 
 
 def measure_populations(
-    rho: DensityMatrix,
-    ham: LocalHamiltonian,
-    phi_true: float,
-    sldref: SldDecomposition,
-    noise: NoiseSpec | None = None,
+    model: PopulationModel, phi_true: float, noise: NoiseSpec | None = None
 ) -> np.ndarray:
-    """Ensemble populations of the encoded state in the reference SLD eigenbasis.
+    """Ensemble populations of the state encoded at ``phi_true``, read off ``model``.
 
     Exact mode (no noise, or sigma == 0) returns the ideal expectation values;
     noisy mode perturbs each population by an independent zero-mean Gaussian of
     relative width sigma, clamps to [0, 1] and renormalizes.
     """
-    if sldref.dim != rho.dim:
-        raise BasisMismatchError(
-            f"measurement basis dimension {sldref.dim} != state dimension {rho.dim}"
-        )
-    d = theory_populations(rho, ham, sldref, phi_true)
+    d = model.at(phi_true)
     if noise is None or noise.sigma == 0.0:
         return d
     rng = np.random.default_rng(noise.seed)
@@ -201,32 +217,11 @@ def _check_in_window(ham: LocalHamiltonian, phi_true: float) -> None:
         )
 
 
-def _population_model(
-    rho: DensityMatrix, ham: LocalHamiltonian, basis: SldDecomposition
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, c) of the populations a + b cos(omega phi) + c sin(omega phi) in the
-    basis W: with P_k the projectors of the qubit generator (the caller checks
-    it), U = sum_k exp(-i phi h_k) P_k, so a = diag W†(P_1 rho P_1 + P_2 rho P_2)W
-    and b - i c = 2 diag W† P_1 rho P_2 W, P_k acting as P_k x I."""
-    e = ham.eigenvectors.T
-    y = apply_local(e[:, :, None] * e.conj()[:, None, :], basis.eigenbasis, rho.dims)
-    ry = rho.matrix @ y  # y[k] = (P_k x I) W, P_k = e_k e_k†
-    a = np.sum(y[0].conj() * ry[0] + y[1].conj() * ry[1], axis=0).real
-    x = 2.0 * np.sum(y[0].conj() * ry[1], axis=0)
-    return a, x.real, -x.imag
+def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastSquaresResult:
+    """Phase inference by least squares against ``model``, in closed form.
 
-
-def least_squares_estimate(
-    d_meas: np.ndarray,
-    rho: DensityMatrix,
-    ham: LocalHamiltonian,
-    sldref: SldDecomposition,
-) -> LeastSquaresResult:
-    """Phase inference by least squares against the population model, in closed form.
-
-    With theta = omega phi, omega = h_2 - h_1 the gap of the qubit generator,
-    the model is d(theta) = a + b cos(theta) + c sin(theta), its coefficients
-    read once from the generator's spectral projectors.  With
+    With theta = omega phi, the model is d(theta) = a + b cos(theta) +
+    c sin(theta), the one the populations were measured from.  With
     alpha = a - d_meas the objective f(theta) = |d(theta) - d_meas|^2 has the
     derivative A cos(theta) + B sin(theta) + C cos(2 theta) + D sin(2 theta),
     A = 2 alpha.c, B = -2 alpha.b, C = 2 b.c and D = c.c - b.b.  Times 2 z^2
@@ -245,15 +240,14 @@ def least_squares_estimate(
     symmetric populations can zero the objective at two phases.
     """
     d_meas = np.asarray(d_meas, dtype=float)
-    if d_meas.size != rho.dim:
+    if d_meas.size != model.a.size:
         raise BasisMismatchError(
-            f"got {d_meas.size} populations for dimension {rho.dim}"
+            f"got {d_meas.size} populations for dimension {model.a.size}"
         )
     if not np.all(np.isfinite(d_meas)):
         raise ParameterOutOfRangeError(f"populations must be finite, got {d_meas}")
-    omega = _frequency(ham)
-    a, b, c = _population_model(rho, ham, sldref)
-    alpha = a - d_meas
+    omega, b, c = model.omega, model.b, model.c
+    alpha = model.a - d_meas
     amp = math.sqrt(b @ b + c @ c)  # |b cos + c sin| <= amp bounds the range of f
     bound = 2.0 * (2.0 * math.sqrt(alpha @ alpha) * amp + amp * amp)
     if min(omega, bound) <= FLAT_CUTOFF:
@@ -276,8 +270,8 @@ def least_squares_estimate(
 
 
 def _require_ensemble_size(nu: float) -> None:
-    if not (math.isfinite(nu) and nu >= 1):
-        raise ParameterOutOfRangeError(f"nu must be finite and >= 1, got {nu!r}")
+    if not (math.isfinite(nu) and nu >= 1 and nu == math.floor(nu)):
+        raise ParameterOutOfRangeError(f"nu must be finite and >= 1 and whole, got {nu!r}")
 
 
 def estimator_statistics(
@@ -287,9 +281,12 @@ def estimator_statistics(
 
     Var = [sum_j l_j^2 d_j - (sum_j l_j d_j)^2] / (nu f_exp^2); with exact
     populations at the reference phase the linear term vanishes and the
-    variance reduces to 1 / (nu f_exp).  ``nu`` must be finite and >= 1.
+    variance reduces to 1 / (nu f_exp).  ``nu`` must be a whole number >= 1
+    and ``f_exp`` finite.
     """
     _require_ensemble_size(nu)
+    if not math.isfinite(f_exp):
+        raise ParameterOutOfRangeError(f"f_exp must be finite, got {f_exp!r}")
     if f_exp <= FLAT_CUTOFF:
         raise ZeroInformationError(
             f"reconstructed Fisher information {f_exp:.3e} is below {FLAT_CUTOFF:g}"
@@ -321,9 +318,8 @@ def adaptive_localize(
     trials = [0.0]
     converged = abs(trials[0] - phi_true) < LOCALIZED_WITHIN
     while not converged and len(trials) < max_iters:
-        basis = sld(rho, ham, trials[-1])
-        populations = measure_populations(rho, ham, phi_true, basis)
-        result = least_squares_estimate(populations, rho, ham, basis)
+        model = population_model(rho, ham, sld(rho, ham, trials[-1]))
+        result = least_squares_estimate(measure_populations(model, phi_true), model)
         if result.failed:
             break
         trials.append(result.phi_hat)
@@ -344,7 +340,7 @@ def run_experiment(
     adaptive pre-localization is assumed to have converged there).  Raises
     :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside the window
     [0, pi/omega) of the setting's generator, [0, pi/2) for settings 1-3, and
-    :class:`ParameterOutOfRangeError` when ``nu`` is not finite and >= 1.
+    :class:`ParameterOutOfRangeError` when ``nu`` is not a whole number >= 1.
     """
     _require_ensemble_size(nu)
     noise = noise or NoiseSpec()
@@ -352,10 +348,11 @@ def run_experiment(
     ham = setting_hamiltonian(k)
     _check_in_window(ham, phi_true)
     reference = sld(rho, ham, phi_true)
-    populations = measure_populations(rho, ham, phi_true, reference, noise)
+    model = population_model(rho, ham, reference)
+    populations = measure_populations(model, phi_true, noise)
     l_values = reference.eigenvalues
     f_exp = float(np.sum(l_values**2 * populations))
-    fit = least_squares_estimate(populations, rho, ham, reference)
+    fit = least_squares_estimate(populations, model)
     failed = fit.failed or f_exp <= FLAT_CUTOFF
     if failed:
         mean, var = None, None

@@ -24,12 +24,12 @@ from ipower.estimation import (
     estimator_statistics,
     least_squares_estimate,
     measure_populations,
+    population_model,
     run_experiment,
     run_sweep,
     sweep_csv_text,
     sweep_json_text,
     sweep_rows,
-    theory_populations,
 )
 from ipower.linalg import SIGMA_X, SIGMA_Z, dagger, degenerate_clusters, tensor
 from ipower.probes import (
@@ -64,19 +64,17 @@ class TestMeasurePopulations:
         rho = discordant_probe(0.6)
         ham = setting_hamiltonian(1)
         reference = sld(rho, ham, PI4)
-        d = measure_populations(rho, ham, 0.0, reference)
+        d = measure_populations(population_model(rho, ham, reference), 0.0)
         assert d.sum() == pytest.approx(1.0, abs=1e-12)
         assert_allclose(d, dense_populations(rho, ham, reference, 0.0), atol=1e-12)
 
     def test_classical_worst_setting_is_phase_blind(self):
         rho = classical_probe(0.8)
         ham = setting_hamiltonian(3)
-        reference = sld(rho, ham, PI4)
-        base = measure_populations(rho, ham, 0.0, reference)
+        model = population_model(rho, ham, sld(rho, ham, PI4))
+        base = measure_populations(model, 0.0)
         for phi in (0.3, 1.0, 1.5):
-            assert_allclose(
-                measure_populations(rho, ham, phi, reference), base, atol=1e-12
-            )
+            assert_allclose(measure_populations(model, phi), base, atol=1e-12)
 
     @pytest.mark.parametrize(
         "generator, d_b",
@@ -107,27 +105,25 @@ class TestMeasurePopulations:
                 cases.append((rho, ham, basis, rng.uniform(-4.0, 4.0)))
         for rho, ham, basis, phi in cases:
             dense = dense_populations(rho, ham, basis, phi)
-            assert_allclose(measure_populations(rho, ham, phi, basis), dense, atol=1e-14)
-            assert_allclose(theory_populations(rho, ham, basis, phi), dense, atol=1e-14)
+            model = population_model(rho, ham, basis)
+            assert_allclose(measure_populations(model, phi), dense, atol=1e-14)
+            assert_allclose(model.at(phi), dense, atol=1e-14)
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, phi):
         rho, ham = discordant_probe(0.5), setting_hamiltonian(1)
-        basis = sld(rho, ham, 0.0)
+        model = population_model(rho, ham, sld(rho, ham, 0.0))
         with pytest.raises(ParameterOutOfRangeError, match="phase must be finite"):
-            theory_populations(rho, ham, basis, phi)
+            model.at(phi)
         with pytest.raises(ParameterOutOfRangeError, match="phase must be finite"):
-            measure_populations(rho, ham, phi, basis)
+            measure_populations(model, phi)
 
     def test_qutrit_generator_rejected(self):
         # The model reads the two spectral projectors of a qubit generator.
         rho = DensityMatrix.from_matrix(np.eye(6) / 6.0, (3, 2))
         ham = LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 2.0]))
-        basis = sld(rho, ham, 0.0)
         with pytest.raises(SubsystemANotQubitError):
-            theory_populations(rho, ham, basis, 0.3)
-        with pytest.raises(SubsystemANotQubitError):
-            measure_populations(rho, ham, 0.3, basis)
+            population_model(rho, ham, sld(rho, ham, 0.0))
 
     def test_reference_populations_independent_of_reference_phase(self):
         # The basis is (U x I) W(0), so exact populations read at the reference
@@ -136,37 +132,35 @@ class TestMeasurePopulations:
         for label, k, p in product(("Q", "C", "werner"), (1, 2, 3), flip_angle_grid()):
             rho = make_probe(ProbeFamily(label, (p,)))
             ham = setting_hamiltonian(k)
-            base = measure_populations(rho, ham, 0.0, sld(rho, ham, 0.0))
+            base = measure_populations(population_model(rho, ham, sld(rho, ham, 0.0)), 0.0)
             for phi0 in (PI4 / 2, PI4):
-                moved = measure_populations(rho, ham, phi0, sld(rho, ham, phi0))
+                model = population_model(rho, ham, sld(rho, ham, phi0))
+                moved = measure_populations(model, phi0)
                 worst = max(worst, np.max(np.abs(moved - base)))
         assert worst <= 1e-15
 
     def test_basis_mismatch_rejected(self):
         rho = discordant_probe(0.5)
         ham = setting_hamiltonian(1)
-        small = sld(
-            discordant_probe(0.5), ham, 0.0
-        )
-        wrong = type(small)(
-            eigenvalues=small.eigenvalues[:2],
-            eigenbasis=small.eigenbasis[:2, :2],
-            reference_phase=0.0,
-            setting=ham,
+        full = sld(rho, ham, 0.0)
+        wrong = type(full)(
+            eigenvalues=full.eigenvalues[:2], eigenbasis=full.eigenbasis[:2, :2]
         )
         with pytest.raises(BasisMismatchError):
-            measure_populations(rho, ham, 0.0, wrong)
+            population_model(rho, ham, wrong)
+        with pytest.raises(BasisMismatchError):
+            least_squares_estimate(np.full(2, 0.5), population_model(rho, ham, full))
 
     def test_noise_is_seeded_and_normalized(self):
         rho = discordant_probe(0.5)
         ham = setting_hamiltonian(1)
-        reference = sld(rho, ham, PI4)
-        noisy1 = measure_populations(rho, ham, PI4, reference, NoiseSpec(0.05, 42))
-        noisy2 = measure_populations(rho, ham, PI4, reference, NoiseSpec(0.05, 42))
+        model = population_model(rho, ham, sld(rho, ham, PI4))
+        noisy1 = measure_populations(model, PI4, NoiseSpec(0.05, 42))
+        noisy2 = measure_populations(model, PI4, NoiseSpec(0.05, 42))
         assert_allclose(noisy1, noisy2)
         assert noisy1.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(noisy1 >= 0.0) and np.all(noisy1 <= 1.0)
-        exact = measure_populations(rho, ham, PI4, reference)
+        exact = measure_populations(model, PI4)
         assert np.max(np.abs(noisy1 - exact)) > 0.0
 
 
@@ -188,9 +182,8 @@ class TestLeastSquares:
     def test_recovers_true_phase(self):
         rho = discordant_probe(0.5)
         ham = setting_hamiltonian(1)
-        reference = sld(rho, ham, PI4)
-        d = measure_populations(rho, ham, PI4, reference)
-        fit = least_squares_estimate(d, rho, ham, reference)
+        model = population_model(rho, ham, sld(rho, ham, PI4))
+        fit = least_squares_estimate(measure_populations(model, PI4), model)
         assert not fit.failed
         assert fit.phi_hat == pytest.approx(PI4, abs=1e-6)
         assert fit.residual <= 1e-15
@@ -202,19 +195,17 @@ class TestLeastSquares:
         )
         rho = classical_probe(0.8)
         ham = setting_hamiltonian(3)
-        reference = sld(rho, ham, PI4)
+        model = population_model(rho, ham, sld(rho, ham, PI4))
         for noise in (NoiseSpec(), NoiseSpec(0.05, 1)):
-            d = measure_populations(rho, ham, PI4, reference, noise)
-            fit = least_squares_estimate(d, rho, ham, reference)
+            fit = least_squares_estimate(measure_populations(model, PI4, noise), model)
             assert fit.failed
             assert math.isnan(fit.phi_hat)
 
     def test_zero_phase_identified(self):
         rho = discordant_probe(0.7)
         ham = setting_hamiltonian(2)
-        reference = sld(rho, ham, 0.0)
-        d = measure_populations(rho, ham, 0.0, reference)
-        fit = least_squares_estimate(d, rho, ham, reference)
+        model = population_model(rho, ham, sld(rho, ham, 0.0))
+        fit = least_squares_estimate(measure_populations(model, 0.0), model)
         assert not fit.failed
         assert fit.phi_hat == pytest.approx(0.0, abs=1e-6)
 
@@ -222,11 +213,11 @@ class TestLeastSquares:
     def test_non_finite_population_rejected(self, bad):
         rho = discordant_probe(0.5)
         ham = setting_hamiltonian(1)
-        reference = sld(rho, ham, PI4)
-        d = measure_populations(rho, ham, PI4, reference)
+        model = population_model(rho, ham, sld(rho, ham, PI4))
+        d = measure_populations(model, PI4)
         d[1] = bad
         with pytest.raises(ParameterOutOfRangeError, match="populations must be finite"):
-            least_squares_estimate(d, rho, ham, reference)
+            least_squares_estimate(d, model)
 
 
 class TestClosedFormFit:
@@ -241,16 +232,14 @@ class TestClosedFormFit:
             rho = discordant_probe(p) if label == "Q" else classical_probe(p)
             for sigma, seed in ((0.0, None), (0.05, 3), (0.2, 4)):
                 for phi0 in (0.0, PI4):
-                    basis = sld(rho, ham, phi0)
-                    d = measure_populations(
-                        rho, ham, 1.0, basis, NoiseSpec(sigma, seed)
-                    )
+                    model = population_model(rho, ham, sld(rho, ham, phi0))
+                    d = measure_populations(model, 1.0, NoiseSpec(sigma, seed))
 
                     def objective(phi):
-                        delta = theory_populations(rho, ham, basis, phi) - d
+                        delta = model.at(phi) - d
                         return float(delta @ delta)
 
-                    fit = least_squares_estimate(d, rho, ham, basis)
+                    fit = least_squares_estimate(d, model)
                     if fit.failed:
                         continue
                     assert 0.0 <= fit.phi_hat <= math.pi / 2.0
@@ -260,35 +249,32 @@ class TestClosedFormFit:
                     )
 
     def test_one_model_read_per_fit(self, monkeypatch):
-        # The fit reads (a, b, c) once and evaluates no populations per phase.
-        calls = {"theory_populations": 0, "_population_model": 0}
+        # The measurement and the fit share one model: a run builds it once,
+        # and the adaptive loop once per round.
+        calls = []
+        original = estimation_mod.population_model
 
-        def counted(name):
-            original = getattr(estimation_mod, name)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
 
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            return wrapper
-
-        rho = discordant_probe(0.7)
-        ham = setting_hamiltonian(2)
-        basis = sld(rho, ham, 0.4)
-        d = measure_populations(rho, ham, 0.4, basis)
-        for name in calls:
-            monkeypatch.setattr(estimation_mod, name, counted(name))
-        least_squares_estimate(d, rho, ham, basis)
-        assert calls == {"theory_populations": 0, "_population_model": 1}
+        monkeypatch.setattr(estimation_mod, "population_model", counted)
+        run_experiment(ProbeFamily("Q", (0.7,)), 2, 0.4, noise=NoiseSpec(0.05, 5))
+        assert len(calls) == 1
+        calls.clear()
+        trials, converged = adaptive_localize(
+            discordant_probe(0.13), setting_hamiltonian(1), 3 * PI4 / 2
+        )
+        assert converged and len(trials) >= 3
+        assert len(calls) == len(trials) - 1
 
     def test_segment_landscape_from_zero_basis(self):
         # Measured in the SLD basis at 0, the populations trace a segment and
         # pi/4 sits at its end: the quartic has a triple root there.
         rho = discordant_probe(0.13)
         ham = setting_hamiltonian(1)
-        basis = sld(rho, ham, 0.0)
-        d = measure_populations(rho, ham, PI4, basis)
-        fit = least_squares_estimate(d, rho, ham, basis)
+        model = population_model(rho, ham, sld(rho, ham, 0.0))
+        fit = least_squares_estimate(measure_populations(model, PI4), model)
         assert not fit.failed
         assert fit.phi_hat == pytest.approx(PI4, abs=1e-9)
 
@@ -301,9 +287,8 @@ class TestClosedFormFit:
         assert omega == pytest.approx(2.0 * math.sqrt(0.34), abs=1e-12)
         assert phi < math.pi / omega
         rho = discordant_probe(0.8)
-        basis = sld(rho, ham, phi)
-        d = measure_populations(rho, ham, phi, basis)
-        fit = least_squares_estimate(d, rho, ham, basis)
+        model = population_model(rho, ham, sld(rho, ham, phi))
+        fit = least_squares_estimate(measure_populations(model, phi), model)
         assert not fit.failed
         assert fit.phi_hat == pytest.approx(phi, abs=1e-9)
 
@@ -324,8 +309,8 @@ class TestClosedFormFit:
                 for start, stop in degenerate_clusters(reference.eigenvalues):
                     vecs[:, start:stop] = vecs[:, start:stop] @ haar_unitary(stop - start, rng)
                 basis = dataclasses.replace(reference, eigenbasis=vecs)
-                d = measure_populations(rho, ham, phi, basis)
-                fit = least_squares_estimate(d, rho, ham, basis)
+                model = population_model(rho, ham, basis)
+                fit = least_squares_estimate(measure_populations(model, phi), model)
                 if not fit.failed:
                     worst, fits = max(worst, abs(fit.phi_hat - phi)), fits + 1
         # Only the runs without information fail: C under setting 3, and p = 0.
@@ -337,11 +322,11 @@ class TestClosedFormFit:
         # basis LAPACK happens to return: moving the reference phase by 1-4 ulps
         # moved them by up to 0.55 with that basis.
         def worst_move(rho, ham, phi):
-            d = theory_populations(rho, ham, sld(rho, ham, phi), phi)
+            d = population_model(rho, ham, sld(rho, ham, phi)).at(phi)
             worst, shifted = 0.0, phi
             for _ in range(4):
                 shifted = np.nextafter(shifted, np.inf)
-                moved = theory_populations(rho, ham, sld(rho, ham, shifted), phi)
+                moved = population_model(rho, ham, sld(rho, ham, shifted)).at(phi)
                 worst = max(worst, np.max(np.abs(moved - d)))
             return worst
 
@@ -362,18 +347,18 @@ class TestClosedFormFit:
     def test_degenerate_generator_is_flat(self):
         rho = discordant_probe(0.5)
         ham = LocalHamiltonian.from_matrix(np.eye(2))
-        basis = sld(rho, setting_hamiltonian(1), 0.0)
-        d = measure_populations(rho, ham, 0.0, basis)
-        fit = least_squares_estimate(d, rho, ham, basis)
+        model = population_model(rho, ham, sld(rho, setting_hamiltonian(1), 0.0))
+        fit = least_squares_estimate(measure_populations(model, 0.0), model)
         assert fit.failed
         assert math.isnan(fit.phi_hat)
 
     def test_qutrit_generator_rejected(self):
-        rho = DensityMatrix.from_matrix(np.eye(6) / 6.0, (3, 2))
+        # The fit reads the gap of a qubit generator; the adaptive loop rejects
+        # a qutrit one at its boundary, before any round is fitted.
+        rho = random_density_matrix((3, 2), np.random.default_rng(12))
         ham = LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 2.0]))
-        basis = sld(rho, ham, 0.0)
         with pytest.raises(SubsystemANotQubitError):
-            least_squares_estimate(np.full(6, 1.0 / 6.0), rho, ham, basis)
+            adaptive_localize(rho, ham, 0.3)
 
 
 class TestPhaseWindow:
@@ -414,16 +399,23 @@ class TestEstimatorStatistics:
             estimator_statistics(d, l, f, 10**6) / 2.0
         )
 
-    @pytest.mark.parametrize("nu", [-1, 0, 0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("nu", [-1, 0, 0.5, 2.5, math.nan, math.inf])
     def test_ensemble_size_must_be_finite_and_at_least_one(self, nu):
         # nu = -1 used to return a negative variance unflagged, nu = 0 to
-        # divide by zero and nu = nan to fail converting the record's int.
+        # divide by zero, nu = nan to fail converting the record's int, and
+        # nu = 2.5 to record nu = 2 beside a variance computed with 2.5.
         with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
             estimator_statistics([0.4, 0.3, 0.2, 0.1], [-2.0, -1.0, 1.0, 2.0], 2.0, nu)
         with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
             run_experiment(ProbeFamily("Q", (0.5,)), 1, PI4, nu=nu)
         with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
             run_sweep(("C",), (3,), [0.5], PI4, nu=nu)  # every run fails, nu is still checked
+
+    @pytest.mark.parametrize("f_exp", [math.nan, math.inf])
+    def test_fisher_information_must_be_finite(self, f_exp):
+        # f_exp = nan used to return nan and f_exp = inf 0.0, both unflagged.
+        with pytest.raises(ParameterOutOfRangeError, match="f_exp must be finite"):
+            estimator_statistics([0.4, 0.3, 0.2, 0.1], [-2.0, -1.0, 1.0, 2.0], f_exp, 10)
 
 
 class TestAdaptive:
@@ -560,12 +552,3 @@ def test_power_lower_bounds_every_direction():
 def test_adaptive_converges_for_random_informative_pairs():
     result = check_adaptive_convergence(np.random.default_rng(21), 5, 0.5)
     assert result.passed, result.line()
-
-
-def test_theory_populations_match_reference_at_reference_phase():
-    rho = discordant_probe(0.5)
-    ham = setting_hamiltonian(1)
-    reference = sld(rho, ham, PI4)
-    model = theory_populations(rho, ham, reference, PI4)
-    measured = measure_populations(rho, ham, PI4, reference)
-    assert_allclose(model, measured, atol=1e-15)
