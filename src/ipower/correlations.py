@@ -18,6 +18,7 @@ pair matrix E of :func:`_pair_matrix` it is ``E[0]**2 @ w``, both 3x3 forms are
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ BELL_DIAGONAL_DENOMINATOR_CUTOFF = 1e-9
 # (theta, phi) grid that skew_grid_search and min_local_variance score before
 # their compass search.
 SEARCH_GRID = (128, 256)
+
+# Rows of a grid's direction stack scored by one landscape call.
+_GRID_BLOCK = 4096
 
 # (theta, phi) offsets of the compass-search stencil; row 4 is the centre.
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
@@ -190,24 +194,51 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     return lambda ns: (ns @ e) ** 2 @ w
 
 
+def _grid_angles(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh (thetas, phis): theta in [0, pi] with both poles, phi in [0, 2 pi)."""
+    return np.linspace(0.0, np.pi, n_theta), np.arange(n_phi) * (2.0 * np.pi / n_phi)
+
+
+@functools.lru_cache(maxsize=4)
+def _grid_directions(n_theta: int, n_phi: int) -> np.ndarray:
+    """(n_theta * n_phi, 3) stack of the grid's unit vectors, theta-major: built
+    once per grid size (four cover the grids of ``verify``) and read-only, as
+    every caller shares it."""
+    tt, pp = np.meshgrid(*_grid_angles(n_theta, n_phi), indexing="ij")
+    ns = _bloch(tt, pp).reshape(-1, 3)
+    ns.flags.writeable = False
+    return ns
+
+
 def _grid_values(landscape, n_theta: int, n_phi: int):
     """(thetas, phis, values) of ``landscape``, a map from an (N, 3) stack of unit
-    vectors to N values, on the grid theta in [0, pi], phi in [0, 2 pi)."""
-    thetas = np.linspace(0.0, np.pi, n_theta)
-    phis = np.arange(n_phi) * (2.0 * np.pi / n_phi)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    return thetas, phis, landscape(_bloch(tt, pp).reshape(-1, 3)).reshape(n_theta, n_phi)
+    vectors to N values, on the grid theta in [0, pi], phi in [0, 2 pi).
+
+    The directions of :func:`_grid_directions` are scored in blocks of
+    ``_GRID_BLOCK`` rows, so no (N, 2P) intermediate is built.  Each value reads
+    only its own row, so the blocks give the bits of one whole-stack call.
+    ``thetas`` and ``phis`` are fresh arrays, never views of the cache.
+    """
+    ns = _grid_directions(n_theta, n_phi)
+    values = np.empty(len(ns))
+    for start in range(0, len(ns), _GRID_BLOCK):
+        values[start : start + _GRID_BLOCK] = landscape(ns[start : start + _GRID_BLOCK])
+    thetas, phis = _grid_angles(n_theta, n_phi)
+    return thetas, phis, values.reshape(n_theta, n_phi)
 
 
 def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray]:
     """Minimum of ``landscape`` over unit vectors: grid argmin, then compass search.
 
     ``landscape`` is scored by :func:`_grid_values` on ``grid`` = (n_theta,
-    n_phi); from the best grid point a 3x3 stencil in (theta, phi), one grid
-    spacing wide, moves to its lowest point if that undercuts ``best``, the value
-    last accepted, and otherwise halves its steps, until both fall below 1e-10.
-    As ``best`` only falls, the search stops; a fresh centre value can read a few
-    ulps high in another batch row and keep it moving.  Returns (value, direction).
+    n_phi): the directions are built once per grid size and scored in row
+    blocks, which give the bits of one whole-stack call, as each value reads
+    only its own row.  From the best grid point a 3x3 stencil in (theta, phi),
+    one grid spacing wide, moves to its lowest point if that undercuts ``best``,
+    the value last accepted, and otherwise halves its steps, until both fall
+    below 1e-10.  As ``best`` only falls, the search stops; a fresh centre value
+    can read a few ulps high in another batch row and keep it moving.  Returns
+    (value, direction).
     """
     thetas, phis, values = _grid_values(landscape, *grid)
     i, j = np.unravel_index(np.argmin(values), values.shape)

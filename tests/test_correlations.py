@@ -332,7 +332,8 @@ class TestGridSearch:
             if calls > 10_000:
                 raise RuntimeError("the compass search did not stop")
             values = exact(ns)
-            values[4] += 1e-12
+            if len(ns) == 9:  # a stencil call, not a block of the grid
+                values[4] += 1e-12
             return values
 
         value, _ = correlations._sphere_minimum(planted, (64, 128))
@@ -340,11 +341,15 @@ class TestGridSearch:
 
     def test_peak_traced_memory(self):
         # Traced allocation is deterministic, unlike the resident set size.
+        # Each search starts on an empty direction cache, so its fill is counted.
         rho = random_density_matrix((2, 4), np.random.default_rng(3))
         searches = (
-            (lambda: ip_grid_search(rho, 256, 512), 100), (lambda: min_local_variance(rho), 8)
+            (lambda: ip_grid_search(rho, 256, 512), 16),
+            (lambda: skew_grid_search(rho), 4),
+            (lambda: min_local_variance(rho), 8),
         )
         for search, mib in searches:
+            correlations._grid_directions.cache_clear()
             tracemalloc.start()
             try:
                 search()
@@ -352,6 +357,36 @@ class TestGridSearch:
             finally:
                 tracemalloc.stop()
             assert peak < mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    @pytest.mark.parametrize("grid", [(256, 512), (181, 360)])
+    def test_blocked_grid_matches_one_shot(self, d_b, grid):
+        # 181x360 has 65160 points, not a whole number of blocks.
+        rho = random_density_matrix((2, d_b), np.random.default_rng(20 + d_b))
+        tt, pp = np.meshgrid(
+            np.linspace(0.0, np.pi, grid[0]),
+            np.arange(grid[1]) * (2.0 * np.pi / grid[1]),
+            indexing="ij",
+        )
+        ns = correlations._bloch(tt, pp).reshape(-1, 3)
+        for weights in (correlations._qfi_weights, correlations._skew_weights):
+            landscape = correlations._pauli_landscape(rho, weights)
+            one_shot = landscape(ns).reshape(grid)
+            thetas, phis, values = correlations._grid_values(landscape, *grid)
+            assert np.array_equal(values, one_shot)
+            assert np.array_equal(thetas, tt[:, 0]) and np.array_equal(phis, pp[0])
+            if weights is correlations._qfi_weights:
+                assert np.array_equal(qfi_sphere_grid(rho, *grid)[2], 4.0 * one_shot)
+
+    def test_returned_angles_do_not_alias_the_direction_cache(self):
+        rho = random_density_matrix((2, 2), np.random.default_rng(4))
+        thetas, phis, grid = qfi_sphere_grid(rho, 64, 64)
+        thetas[:] = 0.0
+        phis[:] = 0.0
+        again_thetas, again_phis, again = qfi_sphere_grid(rho, 64, 64)
+        assert np.array_equal(again, grid)
+        assert again_thetas[-1] == math.pi and again_phis[1] == 2.0 * math.pi / 64
+        assert not correlations._grid_directions(64, 64).flags.writeable
 
 
 class TestBellDiagonal:
