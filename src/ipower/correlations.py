@@ -40,8 +40,8 @@ from .states import DensityMatrix, LocalHamiltonian
 # singular and the spectral route is used instead.
 BELL_DIAGONAL_DENOMINATOR_CUTOFF = 1e-9
 
-# (theta, phi) grid that skew_grid_search and min_local_variance score before
-# their compass search.
+# (theta, phi) grid whose half phi < pi skew_grid_search and min_local_variance
+# score before their compass search.
 SEARCH_GRID = (128, 256)
 
 # Rows of a grid's direction stack scored by one landscape call.
@@ -194,53 +194,63 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     return lambda ns: (ns @ e) ** 2 @ w
 
 
-def _grid_angles(n_theta: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh (thetas, phis): theta in [0, pi] with both poles, phi in [0, 2 pi)."""
-    return np.linspace(0.0, np.pi, n_theta), np.arange(n_phi) * (2.0 * np.pi / n_phi)
+def _grid_angles(n_theta: int, n_phi: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh (thetas, phis): theta in [0, pi] with both poles, and the first
+    ``n_cols`` of the n_phi columns phi_j = j 2 pi / n_phi."""
+    return np.linspace(0.0, np.pi, n_theta), np.arange(n_cols) * (2.0 * np.pi / n_phi)
 
 
 @functools.lru_cache(maxsize=4)
-def _grid_directions(n_theta: int, n_phi: int) -> np.ndarray:
-    """(n_theta * n_phi, 3) stack of the grid's unit vectors, theta-major: built
-    once per grid size (four cover the grids of ``verify``) and read-only, as
-    every caller shares it."""
-    tt, pp = np.meshgrid(*_grid_angles(n_theta, n_phi), indexing="ij")
+def _grid_directions(n_theta: int, n_phi: int, n_cols: int) -> np.ndarray:
+    """(n_theta * n_cols, 3) stack of the grid's unit vectors, theta-major, keyed
+    by the columns it builds: built once per key on first use (four cover the
+    grids of ``verify``: the half-grids of 256x512 and 128x256 that the oracles
+    search, and the whole 181x360 and 64x64 landscapes) and read-only, as every
+    caller shares it."""
+    tt, pp = np.meshgrid(*_grid_angles(n_theta, n_phi, n_cols), indexing="ij")
     ns = _bloch(tt, pp).reshape(-1, 3)
     ns.flags.writeable = False
     return ns
 
 
-def _grid_values(landscape, n_theta: int, n_phi: int):
+def _grid_values(landscape, n_theta: int, n_phi: int, n_cols: int | None = None):
     """(thetas, phis, values) of ``landscape``, a map from an (N, 3) stack of unit
-    vectors to N values, on the grid theta in [0, pi], phi in [0, 2 pi).
+    vectors to N values, on theta in [0, pi] and the first ``n_cols`` (all by
+    default) of the n_phi columns spaced over [0, 2 pi); values has shape
+    (n_theta, n_cols).
 
     The directions of :func:`_grid_directions` are scored in blocks of
     ``_GRID_BLOCK`` rows, so no (N, 2P) intermediate is built.  Each value reads
     only its own row, so the blocks give the bits of one whole-stack call.
     ``thetas`` and ``phis`` are fresh arrays, never views of the cache.
     """
-    ns = _grid_directions(n_theta, n_phi)
+    n_cols = n_phi if n_cols is None else n_cols
+    ns = _grid_directions(n_theta, n_phi, n_cols)
     values = np.empty(len(ns))
     for start in range(0, len(ns), _GRID_BLOCK):
         values[start : start + _GRID_BLOCK] = landscape(ns[start : start + _GRID_BLOCK])
-    thetas, phis = _grid_angles(n_theta, n_phi)
-    return thetas, phis, values.reshape(n_theta, n_phi)
+    thetas, phis = _grid_angles(n_theta, n_phi, n_cols)
+    return thetas, phis, values.reshape(n_theta, n_cols)
 
 
 def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray]:
     """Minimum of ``landscape`` over unit vectors: grid argmin, then compass search.
 
-    ``landscape`` is scored by :func:`_grid_values` on ``grid`` = (n_theta,
-    n_phi): the directions are built once per grid size and scored in row
-    blocks, which give the bits of one whole-stack call, as each value reads
-    only its own row.  From the best grid point a 3x3 stencil in (theta, phi),
-    one grid spacing wide, moves to its lowest point if that undercuts ``best``,
+    ``landscape`` must be even in n, f(-n) = f(n), as the QFI, the skew
+    information and the variance of n . sigma are: H and -H are one generator.
+    So only the half-grid phi < pi of ``grid`` = (n_theta, n_phi), its first
+    ceil(n_phi / 2) columns, is scored by :func:`_grid_values`.  For even n_phi
+    every other grid point is the antipode of a scored one; for odd n_phi the
+    half-grid still comes within one spacing of every axis.  From the best
+    scored point a 3x3 stencil in (theta, phi), one grid spacing wide and free
+    to cross phi = pi, moves to its lowest point if that undercuts ``best``,
     the value last accepted, and otherwise halves its steps, until both fall
     below 1e-10.  As ``best`` only falls, the search stops; a fresh centre value
     can read a few ulps high in another batch row and keep it moving.  Returns
-    (value, direction).
+    (value, direction); the direction is defined up to sign.
     """
-    thetas, phis, values = _grid_values(landscape, *grid)
+    n_theta, n_phi = grid
+    thetas, phis, values = _grid_values(landscape, n_theta, n_phi, (n_phi + 1) // 2)
     i, j = np.unravel_index(np.argmin(values), values.shape)
     best, x = values[i, j], np.array([thetas[i], phis[j]])
     step = np.array([thetas[1] - thetas[0], phis[1] - phis[0]])
@@ -274,8 +284,9 @@ def ip_grid_search(
 
     Sums the QFI separately for every direction, never through
     :func:`qfi_quadratic_form`, so it cross-checks :func:`interferometric_power`:
-    an (n_theta, n_phi) grid, at least 64 points per angle, then the compass
-    search of the other sphere oracles.  Returns (value, direction).
+    the half phi < pi of an (n_theta, n_phi) grid, at least 64 points per angle
+    (the QFI of -n is that of n), then the compass search of the other sphere
+    oracles.  Returns (value, direction), the direction defined up to sign.
     """
     if n_theta < 64 or n_phi < 64:
         raise ValueError("grid must have at least 64 points per angle")
@@ -339,8 +350,9 @@ def skew_grid_search(rho: DensityMatrix) -> tuple[float, np.ndarray]:
 
     Cross-checks :func:`local_quantum_uncertainty` without going through the
     3x3 form: the skew information is summed separately for every direction,
-    first on the ``SEARCH_GRID`` and then along a compass search on the
-    angles that polishes the grid argmin.  Returns (value, direction).
+    first on the half phi < pi of the ``SEARCH_GRID`` (it is even in n) and then
+    along a compass search on the angles that polishes the grid argmin.
+    Returns (value, direction), the direction defined up to sign.
     """
     return _sphere_minimum(_pauli_landscape(rho, _skew_weights), SEARCH_GRID)
 
@@ -350,8 +362,10 @@ def min_local_variance(rho: DensityMatrix) -> tuple[float, np.ndarray]:
 
     The literal Tr[rho H^2] - Tr[rho H]^2 (no spectral shortcut), expanded by
     linearity of the trace into n^T S n - (n . f)^2, f_m = Tr[(sigma_m x I) rho] and
-    S_mn = Re Tr[(sigma_m sigma_n x I) rho], is scored on the grid and polished by
-    a compass search.  For pure states this equals the interferometric power.
+    S_mn = Re Tr[(sigma_m sigma_n x I) rho], is even in n; it is scored on the
+    half phi < pi of the ``SEARCH_GRID`` and polished by a compass search.
+    Returns (value, direction), the direction defined up to sign.  For pure
+    states this equals the interferometric power.
     """
     _require_qubit(rho)
     paulis = np.array(PAULIS)

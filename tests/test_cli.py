@@ -12,6 +12,7 @@ import pytest
 from ipower.cli import main
 from ipower.estimation import SWEEP_COLUMNS
 from ipower.probes import classical_probe, werner_state
+from ipower.sampling import random_density_matrix
 from ipower.states import DensityMatrix, save_state
 
 
@@ -209,6 +210,14 @@ class TestIpCommand:
         direction = [l for l in out.splitlines() if l.startswith("oracle_minimum")][0]
         nx = abs(float(direction.split("(")[1].split(",")[0]))
         assert nx == pytest.approx(1.0, abs=0.02)
+
+    def test_odd_grid_reaches_the_closed_form(self, tmp_path, capsys):
+        path = tmp_path / "random.json"
+        save_state(random_density_matrix((2, 3), np.random.default_rng(7), env_dim=2), path)
+        assert run_cli(["ip", str(path), "--grid", "181x361"]) == 0
+        lines = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines())
+        power = float(lines["interferometric_power"])
+        assert float(lines["oracle_minimum"].split()[0]) == pytest.approx(power, abs=1e-12)
 
     def test_maximally_mixed_all_zero(self, tmp_path, capsys):
         path = tmp_path / "mixed.json"

@@ -298,17 +298,20 @@ class TestGridSearch:
         assert np.max(np.abs(grid)) <= 1e-14
 
     def test_never_below_closed_form(self, d_b=2, seed=15):
+        # 64x129 has an odd phi count: its half-grid holds no antipode of the
+        # points it leaves out, only points within one spacing of them.
         rng = np.random.default_rng(seed)
         for _ in range(10):
             rho = random_density_matrix(
                 (2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1))
             )
-            value, direction = ip_grid_search(rho, 64, 128)
             closed = interferometric_power(rho)
-            assert closed - 1e-12 <= value <= closed + 1e-12
-            assert qfi(rho, LocalHamiltonian.from_bloch(direction)) / 4 == (
-                pytest.approx(value, abs=1e-12)
-            )
+            for grid in ((64, 128), (64, 129)):
+                value, direction = ip_grid_search(rho, *grid)
+                assert closed - 1e-12 <= value <= closed + 1e-12
+                assert qfi(rho, LocalHamiltonian.from_bloch(direction)) / 4 == (
+                    pytest.approx(value, abs=1e-12)
+                )
 
     @pytest.mark.parametrize("d_b", [3, 4])
     def test_never_below_closed_form_qudit(self, d_b):
@@ -339,14 +342,71 @@ class TestGridSearch:
         value, _ = correlations._sphere_minimum(planted, (64, 128))
         assert value == pytest.approx(interferometric_power(rho), abs=1e-12)
 
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    def test_pauli_landscapes_are_bitwise_even(self, d_b):
+        rng = np.random.default_rng(150 + d_b)
+        rho = random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
+        ns = rng.standard_normal((200, 3))
+        ns /= np.linalg.norm(ns, axis=1, keepdims=True)
+        for weights in (correlations._qfi_weights, correlations._skew_weights):
+            landscape = correlations._pauli_landscape(rho, weights)
+            assert np.array_equal(landscape(ns), landscape(-ns))
+
+    @pytest.mark.parametrize("grid", [(64, 128), (64, 129)])
+    def test_grid_stage_scores_the_half_grid(self, grid):
+        rho = random_density_matrix((2, 3), np.random.default_rng(5))
+        exact = correlations._pauli_landscape(rho, correlations._qfi_weights)
+        scored = []
+
+        def recording(ns):
+            if len(ns) != 9:  # a block of the grid, not a stencil call
+                scored.append(np.array(ns))
+            return exact(ns)
+
+        correlations._sphere_minimum(recording, grid)
+        tt, pp = np.meshgrid(
+            np.linspace(0.0, np.pi, grid[0]),
+            np.arange(grid[1]) * (2.0 * np.pi / grid[1]),
+            indexing="ij",
+        )
+        half = pp < np.pi
+        assert half.sum() == grid[0] * math.ceil(grid[1] / 2)
+        assert np.array_equal(np.concatenate(scored), correlations._bloch(tt[half], pp[half]))
+
+    def test_planted_minimum_beyond_phi_pi_is_found(self):
+        # An even quadratic landscape n^T A n whose minimum 0.3 sits at +-n*,
+        # with n* at phi = 4.0: the half-grid holds only its antipode.
+        n_star = correlations._bloch(1.1, 4.0)
+        basis = np.linalg.qr(np.column_stack([n_star, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))[0]
+        form = (basis * [0.3, 1.0, 2.0]) @ basis.T
+
+        def planted(ns):
+            return np.einsum("gm,mn,gn->g", ns, form, ns)
+
+        value, direction = correlations._sphere_minimum(planted, (64, 128))
+        assert abs(value - 0.3) <= 1e-12
+        assert min(np.linalg.norm(direction - n_star), np.linalg.norm(direction + n_star)) < 1e-6
+
+    def test_direction_cache_holds_the_verify_grids(self):
+        # The four grids of verify: two half-grids searched, two landscapes.
+        rho = random_density_matrix((2, 2), np.random.default_rng(6))
+        correlations._grid_directions.cache_clear()
+        for _ in range(2):
+            ip_grid_search(rho, 256, 512)
+            skew_grid_search(rho)
+            qfi_sphere_grid(rho, 181, 360)
+            qfi_sphere_grid(rho, 64, 64)
+            info = correlations._grid_directions.cache_info()
+            assert info.currsize == 4 and info.misses == 4
+
     def test_peak_traced_memory(self):
         # Traced allocation is deterministic, unlike the resident set size.
         # Each search starts on an empty direction cache, so its fill is counted.
         rho = random_density_matrix((2, 4), np.random.default_rng(3))
         searches = (
-            (lambda: ip_grid_search(rho, 256, 512), 16),
-            (lambda: skew_grid_search(rho), 4),
-            (lambda: min_local_variance(rho), 8),
+            (lambda: ip_grid_search(rho, 256, 512), 6),
+            (lambda: skew_grid_search(rho), 3),
+            (lambda: min_local_variance(rho), 2),
         )
         for search, mib in searches:
             correlations._grid_directions.cache_clear()
@@ -386,7 +446,7 @@ class TestGridSearch:
         again_thetas, again_phis, again = qfi_sphere_grid(rho, 64, 64)
         assert np.array_equal(again, grid)
         assert again_thetas[-1] == math.pi and again_phis[1] == 2.0 * math.pi / 64
-        assert not correlations._grid_directions(64, 64).flags.writeable
+        assert not correlations._grid_directions(64, 64, 64).flags.writeable
 
 
 class TestBellDiagonal:
@@ -562,3 +622,4 @@ class TestLocalVarianceSearch:
         ns /= np.linalg.norm(ns, axis=1, keepdims=True)
         literal = [variance_oracle(rho, LocalHamiltonian.from_bloch(n)) / 4.0 for n in ns]
         assert_allclose(landscape(ns), literal, rtol=0.0, atol=1e-14)
+        assert np.array_equal(landscape(ns), landscape(-ns))
