@@ -69,8 +69,9 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _number(kind=float, low=-math.inf):
-    """argparse type of a finite ``kind`` not below ``low``; argparse exits 2 otherwise."""
+def _number(kind=float, low=-math.inf, whole=False):
+    """argparse type of a finite ``kind`` not below ``low``, and with ``whole`` a
+    whole number (1e15 passes, 2.5 does not); argparse exits 2 otherwise."""
     expected = "an integer" if kind is int else "a finite number"
     if low > -math.inf:
         expected += f" >= {low:g}"
@@ -82,6 +83,8 @@ def _number(kind=float, low=-math.inf):
             value = math.nan
         if not (math.isfinite(value) and value >= low):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        if whole and value != math.floor(value):
+            raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
         return value
 
     return parse
@@ -123,11 +126,10 @@ def _listed(item):
     return parse
 
 
-def _add_common_flags(parser, with_noise=True):
+def _add_common_flags(parser):
     parser.add_argument("--phi-true", type=_number(), default=math.pi / 4)
-    parser.add_argument("--nu", type=_number(float, 1), default=1e15)
-    if with_noise:
-        parser.add_argument("--noise", type=_number(float, 0), default=0.0)
+    parser.add_argument("--nu", type=_number(float, 1, whole=True), default=1e15)
+    parser.add_argument("--noise", type=_number(float, 0), default=0.0)
     parser.add_argument("--seed", type=_seed, default=None)
 
 
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     ada.add_argument("--p", type=_number(), default=0.13)
     ada.add_argument("--setting", type=int, choices=SETTINGS, default=1)
     ada.add_argument("--max-iters", type=_number(int, 1), default=10)
-    _add_common_flags(ada, with_noise=False)
+    ada.add_argument("--phi-true", type=_number(), default=math.pi / 4)
     ada.add_argument("--out", default=None)
     ada.set_defaults(run=_adaptive)
 
@@ -197,7 +199,7 @@ def _figure3(args, parser) -> int:
             set(args.setting or SETTINGS),
             flip_angle_grid(args.p_start, args.p_stop, args.p_steps),
             args.phi_true,
-            int(args.nu),
+            args.nu,
             args.noise,
             args.seed,
         )
@@ -245,7 +247,7 @@ def _estimate(args, parser) -> int:
     try:
         family = ProbeFamily(args.probe, params)
         run = run_experiment(
-            family, args.setting, args.phi_true, int(args.nu), noise
+            family, args.setting, args.phi_true, args.nu, noise
         )
     except PhaseOutOfWindowError as exc:
         parser.error(f"--phi-true: {exc}")
@@ -306,7 +308,7 @@ def _verify(args, parser) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", 0) is None:  # every subcommand but ip has --seed
+    if getattr(args, "seed", 0) is None:  # ip and adaptive have no --seed
         args.seed = _env_seed(parser)
     try:
         return args.run(args, parser)

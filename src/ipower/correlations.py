@@ -40,8 +40,8 @@ from .states import DensityMatrix, LocalHamiltonian
 # singular and the spectral route is used instead.
 BELL_DIAGONAL_DENOMINATOR_CUTOFF = 1e-9
 
-# (theta, phi) grid whose half phi < pi skew_grid_search and min_local_variance
-# score before their compass search.
+# (theta, phi) grid whose half phi < pi skew_grid_search scores before its
+# compass search.
 SEARCH_GRID = (128, 256)
 
 # Rows of a grid's direction stack scored by one landscape call.
@@ -236,8 +236,8 @@ def _grid_values(landscape, n_theta: int, n_phi: int, n_cols: int | None = None)
 def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray]:
     """Minimum of ``landscape`` over unit vectors: grid argmin, then compass search.
 
-    ``landscape`` must be even in n, f(-n) = f(n), as the QFI, the skew
-    information and the variance of n . sigma are: H and -H are one generator.
+    ``landscape`` must be even in n, f(-n) = f(n), as the two it serves, the QFI
+    and the skew information of n . sigma, are: H and -H are one generator.
     So only the half-grid phi < pi of ``grid`` = (n_theta, n_phi), its first
     ceil(n_phi / 2) columns, is scored by :func:`_grid_values`.  For even n_phi
     every other grid point is the antipode of a scored one; for odd n_phi the
@@ -358,22 +358,17 @@ def skew_grid_search(rho: DensityMatrix) -> tuple[float, np.ndarray]:
 
 
 def min_local_variance(rho: DensityMatrix) -> tuple[float, np.ndarray]:
-    """Minimum of Var(n . sigma x I) over unit Bloch vectors n, by direct search.
+    """Minimum of Var(n . sigma x I) over unit Bloch vectors n, in closed form.
 
-    The literal Tr[rho H^2] - Tr[rho H]^2 (no spectral shortcut), expanded by
-    linearity of the trace into n^T S n - (n . f)^2, f_m = Tr[(sigma_m x I) rho] and
-    S_mn = Re Tr[(sigma_m sigma_n x I) rho], is even in n; it is scored on the
-    half phi < pi of the ``SEARCH_GRID`` and polished by a compass search.
-    Returns (value, direction), the direction defined up to sign.  For pure
-    states this equals the interferometric power.
+    As (n . sigma)^2 = I, the literal Tr[rho H^2] - Tr[rho H]^2 is Tr rho - (n . f)^2,
+    f_m = Tr[(sigma_m x I) rho], read from rho's matrix and never from its
+    eigenpairs or the 3x3 forms.  Its minimum Tr rho - |f|^2 lies at n = f / |f|,
+    or at e_z when f = 0 and every direction is one.  Returns (value, direction),
+    the direction defined up to sign.  For pure states this equals the
+    interferometric power.
     """
     _require_qubit(rho)
-    paulis = np.array(PAULIS)
-    ops = np.concatenate((paulis, (paulis[:, None] @ paulis).reshape(9, 2, 2)))
-    moments = np.trace(apply_local(ops, rho.matrix, rho.dims), axis1=1, axis2=2).real
-    f, s = moments[:3], moments[3:].reshape(3, 3)
-
-    def variance(ns):
-        return np.einsum("gm,mn,gn->g", ns, s, ns) - (ns @ f) ** 2
-
-    return _sphere_minimum(variance, SEARCH_GRID)
+    f = np.trace(apply_local(np.array(PAULIS), rho.matrix, rho.dims), axis1=1, axis2=2).real
+    norm = float(np.linalg.norm(f))
+    direction = f / norm if norm > 0.0 else np.array([0.0, 0.0, 1.0])
+    return float(np.trace(rho.matrix).real - f @ f), direction

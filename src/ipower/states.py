@@ -62,12 +62,13 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, matrix, dims: tuple[int, int]) -> "DensityMatrix":
-        """Validate a raw matrix (Hermitian, unit trace, PSD) and diagonalize it."""
+        """Validate a raw matrix (Hermitian, unit trace, PSD) and its ``dims``, two
+        positive Python or numpy integers (2.7 or "2" is refused), and diagonalize it."""
         arr = hermitian_part(matrix, "density matrix")
-        d_a, d_b = int(dims[0]), int(dims[1])
-        if d_a < 1 or d_b < 1 or d_a * d_b != arr.shape[0]:
+        whole = len(dims) == 2 and all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims)
+        if not whole or dims[0] * dims[1] != arr.shape[0]:
             raise DimensionMismatchError(
-                f"dims {dims} incompatible with matrix of size {arr.shape[0]}"
+                f"dims {dims} must be two positive integers with product {arr.shape[0]}"
             )
         tr = np.trace(arr).real
         if abs(tr - 1.0) > TOL_TRACE:
@@ -79,7 +80,7 @@ class DensityMatrix:
             )
         vals = np.clip(vals, 0.0, None)
         vals = vals / vals.sum()
-        return cls(_freeze(arr), (d_a, d_b), _freeze(vals), _freeze(vecs))
+        return cls(_freeze(arr), (int(dims[0]), int(dims[1])), _freeze(vals), _freeze(vecs))
 
     @property
     def dim(self) -> int:
@@ -108,13 +109,11 @@ class DensityMatrix:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "DensityMatrix":
         try:
-            dims = tuple(int(x) for x in payload["dims"])
+            dims = tuple(payload["dims"])
             re = np.asarray(payload["re"], dtype=float)
             im = np.asarray(payload["im"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed state payload: {exc}") from exc
-        if len(dims) != 2:
-            raise ValueError("dims must hold exactly two integers")
         if re.shape != im.shape:
             raise ValueError("re and im parts have different shapes")
         return cls.from_matrix(re + 1j * im, dims)

@@ -134,7 +134,7 @@ class TestFloatFlags:
             ["estimate", "--p", "nan"],
             ["adaptive", "--phi-true", "nan"],
             ["adaptive", "--p", "inf"],
-            ["adaptive", "--nu", "abc"],
+            ["estimate", "--nu", "abc"],
         ],
     )
     def test_non_finite_value_exits_2_naming_the_flag(self, argv, capsys):
@@ -151,7 +151,7 @@ class TestBoundedFlags:
         [
             (["figure3", "--seed", "-1"], "an integer >= 0"),
             (["estimate", "--seed", "-1"], "an integer >= 0"),
-            (["adaptive", "--seed", "1.5"], "an integer >= 0"),
+            (["estimate", "--seed", "1.5"], "an integer >= 0"),
             (["verify", "--seed", "-1"], "an integer >= 0"),
             (["verify", "--seed", "abc"], "an integer >= 0"),
             (["verify", "--trials", "0"], "an integer >= 1"),
@@ -167,6 +167,19 @@ class TestBoundedFlags:
         assert info.value.code == 2
         assert f"argument {argv[1]}: expected {expected}, got " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["figure3", "estimate"])
+    def test_fractional_nu_exits_2_and_writes_nothing(self, command, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli([command, "--nu", "2.5", "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+        assert "argument --nu: expected a whole number, got '2.5'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("text, nu", [("10", 10), ("1e15", 10**15)])
+    def test_whole_nu_is_recorded_as_given(self, text, nu, capsys):
+        assert run_cli(["estimate", "--nu", text]) == 0
+        assert json.loads(capsys.readouterr().out)["nu"] == nu
 
     @pytest.mark.parametrize(
         "argv", [["estimate", "--setting", "4"], ["adaptive", "--setting", "0"]]
@@ -234,6 +247,13 @@ class TestIpCommand:
     def test_unreadable_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("not json")
+        assert run_cli(["ip", str(path)]) == 2
+        assert "state_file" in capsys.readouterr().err
+
+    def test_fractional_dims_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "fractional.json"
+        eye = (np.eye(6) / 6.0).tolist()
+        path.write_text(json.dumps({"dims": [2.5, 3], "re": eye, "im": np.zeros((6, 6)).tolist()}))
         assert run_cli(["ip", str(path)]) == 2
         assert "state_file" in capsys.readouterr().err
 
@@ -305,6 +325,14 @@ class TestAdaptiveCommand:
             run_cli(["adaptive", "--p", "1.5"])
         assert info.value.code == 2
         assert "--p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--seed", "--nu", "--noise"])
+    def test_estimation_flags_exit_2(self, flag, capsys):
+        # The adaptive loop is exact: no seed, ensemble size or noise enters it.
+        with pytest.raises(SystemExit) as info:
+            run_cli(["adaptive", flag, "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
 
 
 class TestPhaseWindowFlag:

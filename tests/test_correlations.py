@@ -29,6 +29,7 @@ from ipower.errors import (
 from ipower.linalg import RANK_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, tensor
 from ipower.probes import (
     ProbeFamily,
+    bell_probe,
     classical_probe,
     discordant_probe,
     flip_angle_grid,
@@ -404,11 +405,11 @@ class TestGridSearch:
         # Each search starts on an empty direction cache, so its fill is counted.
         rho = random_density_matrix((2, 4), np.random.default_rng(3))
         searches = (
-            (lambda: ip_grid_search(rho, 256, 512), 6),
-            (lambda: skew_grid_search(rho), 3),
-            (lambda: min_local_variance(rho), 2),
+            (lambda: ip_grid_search(rho, 256, 512), 6 * 1024),
+            (lambda: skew_grid_search(rho), 3 * 1024),
+            (lambda: min_local_variance(rho), 64),
         )
-        for search, mib in searches:
+        for search, kib in searches:
             correlations._grid_directions.cache_clear()
             tracemalloc.start()
             try:
@@ -416,7 +417,7 @@ class TestGridSearch:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
+            assert peak < kib * 2**10, f"peak {peak / 2**10:.1f} KiB"
 
     @pytest.mark.parametrize("d_b", [2, 3, 4])
     @pytest.mark.parametrize("grid", [(256, 512), (181, 360)])
@@ -519,8 +520,6 @@ class TestLocalQuantumUncertainty:
             assert local_quantum_uncertainty(classical_probe(p)) <= 1e-10
 
     def test_bell_state_reaches_one(self):
-        from ipower.probes import bell_probe
-
         rho = bell_probe()
         assert local_quantum_uncertainty(rho) == pytest.approx(1.0, abs=1e-10)
         grid_value, _ = skew_grid_search(rho)
@@ -612,14 +611,44 @@ class TestLocalVarianceSearch:
         with pytest.raises(SubsystemANotQubitError):
             min_local_variance(rho)
 
-    @pytest.mark.parametrize("d_b", [1, 2, 3, 4])
-    def test_moment_landscape_is_the_literal_variance(self, d_b, monkeypatch):
-        rng = np.random.default_rng(140 + d_b)
-        rho = random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
-        monkeypatch.setattr(correlations, "_sphere_minimum", lambda landscape, grid: landscape)
-        landscape = min_local_variance(rho)
-        ns = rng.standard_normal((50, 3))
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, "bell", "mixed"])
+    def test_closed_form_is_the_minimum_of_the_literal_variance(self, case):
+        # Random states at d_B = 1-4 of random rank; the Bell probe and the
+        # maximally mixed state have f = 0, so every direction is a minimiser.
+        rng = np.random.default_rng(140)
+        if case == "bell":
+            rho = bell_probe()
+        elif case == "mixed":
+            rho = DensityMatrix.from_matrix(np.eye(6) / 6.0, (2, 3))
+        else:
+            rho = random_density_matrix((2, case), rng, env_dim=int(rng.integers(1, 2 * case + 1)))
+        value, direction = min_local_variance(rho)
+        assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-15)
+        literal = variance_oracle(rho, LocalHamiltonian.from_bloch(direction)) / 4.0
+        assert value == pytest.approx(literal, abs=1e-14)
+
+        ns = rng.standard_normal((500, 3))
         ns /= np.linalg.norm(ns, axis=1, keepdims=True)
-        literal = [variance_oracle(rho, LocalHamiltonian.from_bloch(n)) / 4.0 for n in ns]
-        assert_allclose(landscape(ns), literal, rtol=0.0, atol=1e-14)
-        assert np.array_equal(landscape(ns), landscape(-ns))
+        tt, pp = np.meshgrid(
+            np.linspace(0.0, np.pi, 64), np.arange(128) * (np.pi / 64), indexing="ij"
+        )
+        ns = np.concatenate((ns, correlations._bloch(tt, pp).reshape(-1, 3)))
+        # variance_oracle on the whole stack at once, explicit matrices as there.
+        paulis = np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])
+        h = np.kron(np.einsum("gm,mab->gab", ns, paulis), np.eye(rho.d_b)[None])
+        first = np.trace(rho.matrix @ h, axis1=1, axis2=2).real
+        brute = np.trace(rho.matrix @ h @ h, axis1=1, axis2=2).real - first**2
+        explicit = [variance_oracle(rho, LocalHamiltonian.from_bloch(n)) / 4.0 for n in ns[:500]]
+        assert_allclose(brute[:500], explicit, rtol=0.0, atol=1e-14)
+        assert value <= brute.min() + 1e-14
+
+    def test_reaches_no_sphere_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the closed form reached a sphere search")
+
+        monkeypatch.setattr(correlations, "_sphere_minimum", refuse)
+        monkeypatch.setattr(correlations, "_grid_values", refuse)
+        rho = random_density_matrix((2, 3), np.random.default_rng(7))
+        value, direction = min_local_variance(rho)
+        literal = variance_oracle(rho, LocalHamiltonian.from_bloch(direction)) / 4.0
+        assert value == pytest.approx(literal, abs=1e-14)

@@ -62,6 +62,15 @@ class TestDensityMatrixValidation:
         with pytest.raises(DimensionMismatchError):
             DensityMatrix.from_matrix(np.eye(4) / 4.0, (3, 2))
 
+    @pytest.mark.parametrize("dims", [(2, 2.7), (2.9, 2), (2, "2")])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(DimensionMismatchError, match="positive integers"):
+            DensityMatrix.from_matrix(np.eye(4) / 4.0, dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        rho = DensityMatrix.from_matrix(np.eye(6) / 6.0, (np.int64(2), np.int32(3)))
+        assert rho.dims == (2, 3) and type(rho.d_b) is int
+
     def test_spectrum_reconstructs_matrix(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
