@@ -611,6 +611,25 @@ class TestLocalVarianceSearch:
         with pytest.raises(SubsystemANotQubitError):
             min_local_variance(rho)
 
+    @pytest.mark.parametrize("d_b", [1, 2, 3, 4])
+    def test_moment_landscape_is_the_literal_variance(self, d_b):
+        # The closed form's first moments f = |f| n* rebuild the whole landscape
+        # Tr rho - (n . f)^2, which must be the literal variance in every direction.
+        rng = np.random.default_rng(140 + d_b)
+        rho = random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
+        value, direction = min_local_variance(rho)
+        trace = float(np.trace(rho.matrix).real)
+        f = np.sqrt(trace - value) * direction
+
+        def landscape(ns):
+            return trace - (ns @ f) ** 2
+
+        ns = rng.standard_normal((50, 3))
+        ns /= np.linalg.norm(ns, axis=1, keepdims=True)
+        literal = [variance_oracle(rho, LocalHamiltonian.from_bloch(n)) / 4.0 for n in ns]
+        assert_allclose(landscape(ns), literal, rtol=0.0, atol=1e-14)
+        assert np.array_equal(landscape(ns), landscape(-ns))
+
     @pytest.mark.parametrize("case", [1, 2, 3, 4, "bell", "mixed"])
     def test_closed_form_is_the_minimum_of_the_literal_variance(self, case):
         # Random states at d_B = 1-4 of random rank; the Bell probe and the
