@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import SldDecomposition, interferometric_power, qfi, sld
+from .correlations import SldDecomposition, qfi, sld
 from .errors import (
     BasisMismatchError,
     NotIdentifiableError,
@@ -39,7 +39,7 @@ from .errors import (
     ZeroInformationError,
 )
 from .linalg import apply_local
-from .probes import SWEPT_LABELS, ProbeFamily, make_probe, setting_hamiltonian
+from .probes import SWEPT_LABELS, ProbeFamily, setting_hamiltonian
 from .states import DensityMatrix, LocalHamiltonian
 
 # Fisher information (or least-squares range) below this cutoff counts as the
@@ -337,14 +337,17 @@ def run_experiment(
     """One full protocol instance for a probe family and generator setting.
 
     The measurement basis is the SLD eigenbasis at the true phase (the
-    adaptive pre-localization is assumed to have converged there).  Raises
-    :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside the window
-    [0, pi/omega) of the setting's generator, [0, pi/2) for settings 1-3, and
-    :class:`ParameterOutOfRangeError` when ``nu`` is not a whole number >= 1.
+    adaptive pre-localization is assumed to have converged there).  The
+    probe's state and interferometric power are read from ``probe.state`` and
+    ``probe.power``, so runs that share one family object build them once.
+    Raises :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside the
+    window [0, pi/omega) of the setting's generator, [0, pi/2) for settings
+    1-3, and :class:`ParameterOutOfRangeError` when ``nu`` is not a whole
+    number >= 1.
     """
     _require_ensemble_size(nu)
     noise = noise or NoiseSpec()
-    rho = make_probe(probe)
+    rho = probe.state
     ham = setting_hamiltonian(k)
     _check_in_window(ham, phi_true)
     reference = sld(rho, ham, phi_true)
@@ -372,7 +375,7 @@ def run_experiment(
         f_exp=f_exp,
         failed=failed,
         seed=noise.seed,
-        ip=interferometric_power(rho),
+        ip=probe.power,
     )
 
 
@@ -389,8 +392,13 @@ def run_sweep(
 
     Rows are ordered by (label, setting, p); per-run noise seeds are derived
     from the root seed in that fixed order, so the output never depends on
-    evaluation order.
+    evaluation order.  Each distinct probe family is built once and shared by
+    all its settings; families without parameters (``sep``, ``bell``) are
+    built once per sweep.  ``sigma`` and ``nu`` are checked before any run,
+    so an empty sweep rejects them too.
     """
+    NoiseSpec(sigma)
+    _require_ensemble_size(nu)
     combos = [
         (label, int(k), float(p))
         for label in sorted(labels)
@@ -399,9 +407,11 @@ def run_sweep(
     ]
     root = np.random.default_rng(seed)
     run_seeds = root.integers(0, 2**63 - 1, size=len(combos))
+    families: dict[ProbeFamily, ProbeFamily] = {}
     runs = []
     for (label, k, p), run_seed in zip(combos, run_seeds):
         family = ProbeFamily(label, (p,) if label in SWEPT_LABELS else ())
+        family = families.setdefault(family, family)
         runs.append(run_experiment(family, k, phi_true, nu, NoiseSpec(sigma, int(run_seed))))
     return runs
 

@@ -10,6 +10,7 @@ discordant separable state complete the set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,14 @@ BELL_PHI_PLUS = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
 
 @dataclass(frozen=True)
 class ProbeFamily:
-    """A probe family label together with its parameters."""
+    """A probe family label together with its parameters.
+
+    Equality and hashing come from ``label`` and ``params`` alone.  The
+    family keeps what is built from it: :attr:`state` and :attr:`power` are
+    computed on first access and reused, so a caller that passes one family
+    object to several runs builds its probe once.  A build that raises caches
+    nothing and raises again on the next access.
+    """
 
     label: str
     params: tuple[float, ...] = field(default_factory=tuple)
@@ -45,6 +53,18 @@ class ProbeFamily:
     def p(self) -> float:
         """First family parameter (purity parameter, Werner weight, ...)."""
         return self.params[0] if self.params else float("nan")
+
+    @cached_property
+    def state(self) -> DensityMatrix:
+        """The probe's density matrix, ``make_probe(self)``, built once."""
+        return make_probe(self)
+
+    @cached_property
+    def power(self) -> float:
+        """Interferometric power of :attr:`state`, computed once."""
+        from .correlations import interferometric_power  # correlations imports probes
+
+        return interferometric_power(self.state)
 
 
 def discordant_probe(p: float) -> DensityMatrix:

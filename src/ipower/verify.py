@@ -360,10 +360,12 @@ def check_exact_sweep(bound) -> PropertyResult:
 
 def check_unbiasedness_exact(bound) -> PropertyResult:
     devs = []
+    labels, purities = ("Q", "C"), (0.13, 0.5, 0.9)
+    families = {(label, p): ProbeFamily(label, (p,)) for label, p in product(labels, purities)}
     for phi_true, label, k, p in product(
-        (math.pi / 8, math.pi / 4, 3 * math.pi / 8), ("Q", "C"), (1, 2, 3), (0.13, 0.5, 0.9)
+        (math.pi / 8, math.pi / 4, 3 * math.pi / 8), labels, (1, 2, 3), purities
     ):
-        run = run_experiment(ProbeFamily(label, (p,)), k, phi_true)
+        run = run_experiment(families[label, p], k, phi_true)
         if run.failed or _misflagged(run):
             devs.append(math.inf if _misflagged(run) else 0.0)
         else:
@@ -374,13 +376,12 @@ def check_unbiasedness_exact(bound) -> PropertyResult:
 def check_noise_robustness(rng, n, bound) -> PropertyResult:
     """Probe Q, setting 1, 5 % noise: at most a ``bound`` share of the runs may
     miss pi/4 by more than 0.05 rad."""
-    grid = [p for p in flip_angle_grid() if p >= 0.3]
+    families = [ProbeFamily("Q", (p,)) for p in flip_angle_grid() if p >= 0.3]
     run_seeds = rng.integers(0, 2**63 - 1, size=n)
     hits = 0
     for i in range(n):
-        p = grid[i % len(grid)]
         run = run_experiment(
-            ProbeFamily("Q", (p,)),
+            families[i % len(families)],
             1,
             math.pi / 4,
             noise=NoiseSpec(0.05, int(run_seeds[i])),

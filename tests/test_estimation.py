@@ -7,12 +7,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ipower.correlations as correlations_mod
 import ipower.estimation as estimation_mod
+import ipower.probes as probes_mod
 from ipower.correlations import interferometric_power, sld
 from ipower.errors import (
+    BadSettingError,
     BasisMismatchError,
     NotIdentifiableError,
     ParameterOutOfRangeError,
+    PhaseOutOfWindowError,
     SubsystemANotQubitError,
     ZeroInformationError,
 )
@@ -171,6 +175,18 @@ class TestNoiseSpec:
             NoiseSpec(sigma, 3)
         with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
             run_sweep(("Q",), (1,), [0.5], PI4, sigma=sigma, seed=3)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -0.1])
+    @pytest.mark.parametrize("grid", [((), (1,), [0.5]), (("Q",), (), [0.5]), (("Q",), (1,), [])])
+    def test_empty_sweep_rejects_bad_sigma(self, sigma, grid):
+        # An empty sweep used to return [] without looking at sigma.
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            run_sweep(*grid, PI4, sigma=sigma)
+
+    def test_sigma_is_checked_before_nu(self):
+        for grid in (("Q",), (1,), [0.5]), ((), (1,), [0.5]):
+            with pytest.raises(ValueError, match="sigma must be finite"):
+                run_sweep(*grid, PI4, nu=-1, sigma=math.nan)
 
     def test_exact_mode_drops_the_seed(self):
         assert NoiseSpec(0.0, 3) == NoiseSpec()
@@ -411,6 +427,13 @@ class TestEstimatorStatistics:
         with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
             run_sweep(("C",), (3,), [0.5], PI4, nu=nu)  # every run fails, nu is still checked
 
+    @pytest.mark.parametrize("nu", [-1, 0, 0.5, 2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("grid", [((), (1,), [0.5]), (("Q",), (), [0.5]), (("Q",), (1,), [])])
+    def test_empty_sweep_rejects_bad_nu(self, nu, grid):
+        # An empty sweep used to return [] without looking at nu.
+        with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
+            run_sweep(*grid, PI4, nu=nu)
+
     @pytest.mark.parametrize("f_exp", [math.nan, math.inf])
     def test_fisher_information_must_be_finite(self, f_exp):
         # f_exp = nan used to return nan and f_exp = inf 0.0, both unflagged.
@@ -470,6 +493,17 @@ class TestRunExperiment:
         assert run.f_exp <= 1e-12
         assert run.phi_hat_mean is None
         assert run.phi_hat_var is None
+
+    def test_checks_run_in_order_nu_probe_setting_window(self):
+        bad_probe, good_probe = ProbeFamily("Q", (1.5,)), ProbeFamily("Q", (0.5,))
+        with pytest.raises(ParameterOutOfRangeError, match="nu must be"):
+            run_experiment(bad_probe, 4, 10.0, nu=-1)
+        with pytest.raises(ParameterOutOfRangeError, match="p must lie in"):
+            run_experiment(bad_probe, 4, 10.0)
+        with pytest.raises(BadSettingError):
+            run_experiment(good_probe, 4, 10.0)
+        with pytest.raises(PhaseOutOfWindowError):
+            run_experiment(good_probe, 1, 10.0)
 
     def test_noisy_mode_stays_in_band(self):
         run = run_experiment(
@@ -541,6 +575,79 @@ class TestSweepSerialization:
         )
         assert clone.setting_k == run.setting_k
         assert clone.phi_hat_mean == pytest.approx(run.phi_hat_mean, abs=1e-11)
+
+
+def _comparable(run):
+    # Families without parameters record p = nan, which never equals itself.
+    return dataclasses.replace(run, p=repr(run.p))
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+DEFAULT_GRID = (("Q", "C"), (1, 2, 3), flip_angle_grid())
+
+
+class TestSweepSharesProbes:
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_runs_equal_runs_on_fresh_families(self, sigma):
+        labels, settings, p_values = ("werner", "sep", "Q", "C"), (3, 1, 2), [0.9, 0.13, 0.5]
+        runs = run_sweep(labels, settings, p_values, PI4, nu=10**6, sigma=sigma, seed=5)
+        combos = list(product(sorted(labels), sorted(settings), sorted(p_values)))
+        seeds = np.random.default_rng(5).integers(0, 2**63 - 1, size=len(combos))
+        expected = [
+            run_experiment(
+                ProbeFamily(label, (p,) if label != "sep" else ()),
+                k,
+                PI4,
+                10**6,
+                NoiseSpec(sigma, int(seed)),
+            )
+            for (label, k, p), seed in zip(combos, seeds)
+        ]
+        assert [_comparable(r) for r in runs] == [_comparable(r) for r in expected]
+
+    def test_default_grid_builds_each_probe_once(self, monkeypatch):
+        builds = _count_calls(monkeypatch, probes_mod, "make_probe")
+        powers = _count_calls(monkeypatch, correlations_mod, "interferometric_power")
+        runs = run_sweep(*DEFAULT_GRID, PI4)
+        assert len(runs) == 222
+        assert len(builds) == len(powers) == 74
+
+    def test_family_without_parameters_builds_once(self, monkeypatch):
+        builds = _count_calls(monkeypatch, probes_mod, "make_probe")
+        powers = _count_calls(monkeypatch, correlations_mod, "interferometric_power")
+        runs = run_sweep(("sep",), (1, 2, 3), [0.2, 0.5], PI4)
+        assert len(runs) == 6
+        assert len(builds) == len(powers) == 1
+
+    def test_no_memo_outlives_a_sweep(self, monkeypatch):
+        builds = _count_calls(monkeypatch, probes_mod, "make_probe")
+        powers = _count_calls(monkeypatch, correlations_mod, "interferometric_power")
+        first = run_sweep(*DEFAULT_GRID, PI4)
+        second = run_sweep(*DEFAULT_GRID, PI4)
+        assert first == second
+        assert len(builds) == len(powers) == 2 * 74
+
+    def test_out_of_range_probe_still_raises(self):
+        with pytest.raises(ParameterOutOfRangeError, match="p must lie in"):
+            run_sweep(("Q",), (1,), [1.5], PI4)
+
+    def test_one_run_experiment_call_per_run(self, monkeypatch):
+        # The benchmark tracer's layer metrics and the planted faults of the
+        # verify tests hook estimation.run_experiment, once per run.
+        calls = _count_calls(monkeypatch, estimation_mod, "run_experiment")
+        runs = run_sweep(("Q", "sep"), (1, 3), [0.2, 0.7], PI4, sigma=0.05, seed=1)
+        assert len(calls) == len(runs) == 8
 
 
 def test_power_lower_bounds_every_direction():

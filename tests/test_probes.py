@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ipower.correlations import interferometric_power
 from ipower.errors import (
     BadSettingError,
     NotPositiveSemidefiniteError,
@@ -69,6 +70,45 @@ class TestFamilyConstructors:
             ProbeFamily("nope", ())
         with pytest.raises(ParameterOutOfRangeError):
             make_probe(ProbeFamily("werner", ()))
+
+
+
+class TestFamilyKeepsItsBuild:
+    def test_state_and_power_are_built_once(self):
+        family = ProbeFamily("Q", (0.5,))
+        assert family.state is family.state
+        assert family.power == interferometric_power(discordant_probe(0.5))
+        assert family.power == pytest.approx(0.25, abs=1e-12)  # p^2
+
+    def test_identity_ignores_the_build(self):
+        family = ProbeFamily("C", (0.3,))
+        fresh = ProbeFamily("C", (0.3,))
+        before = hash(family)
+        assert family.power == pytest.approx(0.0, abs=1e-12)  # C carries no discord
+        assert family == fresh and hash(family) == before == hash(fresh)
+        assert family == ProbeFamily(family.label, family.params)
+        assert {family: 1}[fresh] == 1
+
+    def test_make_probe_still_returns_a_fresh_state(self):
+        family = ProbeFamily("werner", (0.7,))
+        built = make_probe(family)
+        assert built is not family.state
+        assert_allclose(built.matrix, family.state.matrix, atol=0)
+
+    @pytest.mark.parametrize(
+        "family, error",
+        [
+            (ProbeFamily("Q", (1.5,)), ParameterOutOfRangeError),
+            (ProbeFamily("werner", ()), ParameterOutOfRangeError),
+            (ProbeFamily("belldiag", (0.9, 0.9, 0.9)), NotPositiveSemidefiniteError),
+        ],
+    )
+    def test_failed_build_raises_on_every_access(self, family, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                family.state
+            with pytest.raises(error):
+                family.power
 
 
 class TestSettings:
