@@ -66,10 +66,10 @@ def _skew_weights(qi: np.ndarray, ql: np.ndarray) -> np.ndarray:
     return (np.sqrt(qi) - np.sqrt(ql)) ** 2
 
 
-def _elements(rho: DensityMatrix, ops) -> np.ndarray:
-    """<psi_i|O x I|psi_l> = ((O x I)|psi_i>)† |psi_l> for a stack of Hermitian A-side O."""
-    v = rho.eigenvectors
-    return dagger(apply_local(np.asarray(ops), v, rho.dims)) @ v
+def _elements(v: np.ndarray, dims, ops) -> np.ndarray:
+    """<psi_i|O x I|psi_l> = ((O x I)|psi_i>)† |psi_l> for eigenvector columns v and
+    Hermitian A-side O; either may be a stack, and leading stack axes broadcast."""
+    return dagger(apply_local(np.asarray(ops), v, dims)) @ v
 
 
 def _pair_matrix(rho: DensityMatrix, ops, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +77,7 @@ def _pair_matrix(rho: DensityMatrix, ops, weights) -> tuple[np.ndarray, np.ndarr
     over the P pairs i < l, and w their pair weights, twice.  No other pair carries
     information: w is symmetric with a zero diagonal, and O_k is Hermitian."""
     upper = np.arange(rho.dim)[:, None] < np.arange(rho.dim)  # the pairs i < l
-    el = _elements(rho, ops)[:, upper]
+    el = _elements(rho.eigenvectors, rho.dims, ops)[:, upper]
     q = rho.eigenvalues
     w = weights(q[:, None], q[None, :])[upper]
     return np.concatenate((el.real, el.imag), axis=1), np.concatenate((w, w))
@@ -144,19 +144,44 @@ def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposit
     the basis W(0) is C W for W the eigenvectors of C^dagger T C,
     T = diag(1, 2, 4, ...): it depends only on the eigenspace, up to phases
     that populations do not see.  The basis returned is (U x I) W(0).
+
+    This is :func:`_sld_stack` without a stack axis; ``estimation.run_batch``
+    calls it with one, and so solves the L(0) of a whole sweep in one ``eigh``.
     """
-    u = ham.phase_unitary(phi0)
-    q, v = rho.eigenvalues, rho.eigenvectors
-    h_el = _elements(rho, [ham.matrix])[0]
-    coeff = _pair_ratio(q[:, None] + q[None, :], 2.0 * (q[None, :] - q[:, None]))
-    l_el = -1j * coeff * h_el
+    return SldDecomposition(
+        *_sld_stack(
+            rho.eigenvalues, rho.eigenvectors, rho.dims, ham.matrix, ham.phase_unitary(phi0)
+        )
+    )
+
+
+def _sld_stack(q, v, dims, h, u) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, basis (U x I) W(0)) of the SLD of :func:`sld`, for rho's eigenpairs
+    (q, v), generator matrices h and phase unitaries u = exp(-i phi0 h).
+
+    Each may carry one leading stack axis of N runs, which broadcasts: q (N, d),
+    v (N, d, d), h and u (N, d_A, d_A).  Every L(0) of the stack is one ``eigh``,
+    and the tie-break eigenproblems of every cluster of one size are one more.
+    Each step reads only its own run, so a run's bits do not depend on the rest
+    of the stack.
+    """
+    qi, ql = q[..., :, None], q[..., None, :]
+    coeff = _pair_ratio(qi + ql, 2.0 * (ql - qi))
+    l_el = -1j * coeff * _elements(v, dims, h)
     l_matrix = v @ l_el @ dagger(v)
     l_vals, l_vecs = eigh_sorted((l_matrix + dagger(l_matrix)) / 2.0)
-    tie = 2.0 ** np.arange(len(l_vals))
-    for start, stop in degenerate_clusters(l_vals):
-        c = l_vecs[:, start:stop]
-        l_vecs[:, start:stop] = c @ eigh_sorted((dagger(c) * tie) @ c)[1]
-    return SldDecomposition(l_vals, apply_local(u, l_vecs, rho.dims))
+    d = l_vals.shape[-1]
+    vals, vecs = l_vals.reshape(-1, d), l_vecs.reshape(-1, d, d)
+    clusters: dict[int, list[tuple[int, int]]] = {}  # size -> (run, first column)
+    for run, row in enumerate(vals.tolist()):
+        for start, stop in degenerate_clusters(row):
+            clusters.setdefault(stop - start, []).append((run, start))
+    tie = 2.0 ** np.arange(d)
+    for size, found in clusters.items():
+        c = np.array([vecs[run, :, start : start + size] for run, start in found])
+        for (run, start), block in zip(found, c @ eigh_sorted((dagger(c) * tie) @ c)[1]):
+            vecs[run, :, start : start + size] = block
+    return l_vals, apply_local(u, vecs.reshape(l_vecs.shape), dims)
 
 
 def qfi_quadratic_form(rho: DensityMatrix) -> np.ndarray:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import SldDecomposition, qfi, sld
+from .correlations import SldDecomposition, _sld_stack, qfi, sld
 from .errors import (
     BasisMismatchError,
     NotIdentifiableError,
@@ -104,12 +104,14 @@ class EstimationRun:
     """Record of one protocol instance.
 
     ``phi_hat_mean`` and ``phi_hat_var`` are ``None`` when the run failed
-    (flat least-squares landscape or vanishing Fisher information).  ``ip`` is
-    the interferometric power of the probe; the JSON record leaves it out.
+    (flat least-squares landscape or vanishing Fisher information), and ``p``
+    is ``None`` for a family without parameters (``sep``, ``bell``); output
+    files print each None as nan (CSV) or null (JSON).  ``ip`` is the
+    interferometric power of the probe; the JSON record leaves it out.
     """
 
     probe_label: str
-    p: float
+    p: float | None
     setting_k: int
     phi0: float
     nu: int
@@ -153,8 +155,12 @@ class PopulationModel:
         """Populations <lambda_j|U rho U†|lambda_j>, U = exp(-i phi H); phi must be finite."""
         if not math.isfinite(phi):
             raise ParameterOutOfRangeError(f"phase must be finite, got {phi!r}")
-        theta = self.omega * phi
-        return self.a + self.b * math.cos(theta) + self.c * math.sin(theta)
+        return _fourier(self.omega * phi, self.a, self.b, self.c)
+
+
+def _fourier(theta, a, b, c) -> np.ndarray:
+    """a + b cos(theta) + c sin(theta), theta broadcasting against a, b and c."""
+    return a + b * np.cos(theta) + c * np.sin(theta)
 
 
 def population_model(
@@ -163,18 +169,33 @@ def population_model(
     """The population model of ``rho`` under the qubit generator ``ham`` read in
     ``basis`` W.  With P_k the generator's spectral projectors,
     U = sum_k exp(-i phi h_k) P_k, so a = diag W†(P_1 rho P_1 + P_2 rho P_2)W
-    and b - i c = 2 diag W† P_1 rho P_2 W, P_k acting as P_k x I."""
+    and b - i c = 2 diag W† P_1 rho P_2 W, P_k acting as P_k x I.
+
+    This is :func:`_population_stack` without a stack axis; :func:`run_batch`
+    builds the models of a whole sweep in one pass of it.
+    """
     omega = _frequency(ham)
     if basis.dim != rho.dim:
         raise BasisMismatchError(
             f"measurement basis dimension {basis.dim} != state dimension {rho.dim}"
         )
-    e = ham.eigenvectors.T
-    y = apply_local(e[:, :, None] * e.conj()[:, None, :], basis.eigenbasis, rho.dims)
-    ry = rho.matrix @ y  # y[k] = (P_k x I) W, P_k = e_k e_k†
-    a = np.sum(y[0].conj() * ry[0] + y[1].conj() * ry[1], axis=0).real
-    x = 2.0 * np.sum(y[0].conj() * ry[1], axis=0)
-    return PopulationModel(omega, a, x.real, -x.imag)
+    return PopulationModel(
+        omega, *_population_stack(rho.matrix, rho.dims, ham.eigenvectors, basis.eigenbasis)
+    )
+
+
+def _population_stack(matrix, dims, generator_vecs, basis):
+    """(a, b, c) of :func:`population_model` for state matrices, the generator's
+    eigenvector columns and measurement bases that may carry one leading stack
+    axis of runs; a, b and c then have one row per run."""
+    e = generator_vecs.swapaxes(-1, -2)
+    projectors = e[..., :, :, None] * e.conj()[..., :, None, :]
+    y = apply_local(projectors, basis[..., None, :, :], dims)
+    ry = matrix[..., None, :, :] @ y  # y[k] = (P_k x I) W, P_k = e_k e_k†
+    y0, y1, ry0, ry1 = y[..., 0, :, :], y[..., 1, :, :], ry[..., 0, :, :], ry[..., 1, :, :]
+    a = (y0.conj() * ry0 + y1.conj() * ry1).sum(axis=-2).real
+    x = 2.0 * (y0.conj() * ry1).sum(axis=-2)
+    return a, x.real, -x.imag
 
 
 def measure_populations(
@@ -189,13 +210,17 @@ def measure_populations(
     d = model.at(phi_true)
     if noise is None or noise.sigma == 0.0:
         return d
-    rng = np.random.default_rng(noise.seed)
-    d = d * (1.0 + noise.sigma * rng.standard_normal(d.size))
-    d = np.clip(d, 0.0, 1.0)
-    total = d.sum()
-    if total <= 0.0:
-        return np.full(d.size, 1.0 / d.size)
-    return d / total
+    draws = np.random.default_rng(noise.seed).standard_normal(d.size)
+    return _perturb(d, noise.sigma, draws)
+
+
+def _perturb(d, sigma, draws) -> np.ndarray:
+    """d (1 + sigma draws) clamped to [0, 1] and renormalized, row by row; a row
+    that clamps to all zeros becomes uniform."""
+    d = np.clip(d * (1.0 + sigma * draws), 0.0, 1.0)
+    total = d.sum(axis=-1, keepdims=True)
+    uniform = np.full_like(d, 1.0 / d.shape[-1])
+    return np.divide(d, total, out=uniform, where=total > 0.0)
 
 
 def _frequency(ham: LocalHamiltonian) -> float:
@@ -225,7 +250,8 @@ def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastS
     alpha = a - d_meas the objective f(theta) = |d(theta) - d_meas|^2 has the
     derivative A cos(theta) + B sin(theta) + C cos(2 theta) + D sin(2 theta),
     A = 2 alpha.c, B = -2 alpha.b, C = 2 b.c and D = c.c - b.b.  Times 2 z^2
-    it is a quartic in z = exp(i theta).  Every root, on the unit circle or
+    it is a quartic in z = exp(i theta), whose roots are those ``np.roots``
+    finds.  Every root, on the unit circle or
     not, is replaced by the mean of the roots within ``_ROOT_CLUSTER`` of it:
     a triple root splits by about eps^(1/3), its cluster's mean is exact to eps.
 
@@ -238,35 +264,108 @@ def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastS
     f(0) as its residual.  Otherwise ``phi_hat`` is the smallest phase whose
     value lies within 1e-12 of the range above the minimum, since exactly
     symmetric populations can zero the objective at two phases.
+
+    This is :func:`_fit_stack` on a stack of one; :func:`run_batch` fits a
+    whole sweep in one call of it.
     """
     d_meas = np.asarray(d_meas, dtype=float)
     if d_meas.size != model.a.size:
         raise BasisMismatchError(
             f"got {d_meas.size} populations for dimension {model.a.size}"
         )
-    if not np.all(np.isfinite(d_meas)):
+    if not np.isfinite(d_meas).all():
         raise ParameterOutOfRangeError(f"populations must be finite, got {d_meas}")
-    omega, b, c = model.omega, model.b, model.c
-    alpha = model.a - d_meas
-    amp = math.sqrt(b @ b + c @ c)  # |b cos + c sin| <= amp bounds the range of f
-    bound = 2.0 * (2.0 * math.sqrt(alpha @ alpha) * amp + amp * amp)
-    if min(omega, bound) <= FLAT_CUTOFF:
-        return LeastSquaresResult(math.nan, float((alpha + b) @ (alpha + b)), True)
-    A, B = 2.0 * (alpha @ c), -2.0 * (alpha @ b)
-    C, D = 2.0 * (b @ c), c @ c - b @ b
-    roots = np.roots([C - 1j * D, A - 1j * B, 0.0, A + 1j * B, C + 1j * D])
-    near = np.abs(roots[:, None] - roots[None, :]) <= _ROOT_CLUSTER
-    theta = np.angle(near @ roots / near.sum(axis=1)) % (2.0 * math.pi)
-    theta = np.concatenate(([0.0, math.pi], theta[theta <= math.pi]))
+    phi_hat, residual, failed = _fit_stack(
+        d_meas[None], np.array([model.omega]), model.a[None], model.b[None], model.c[None]
+    )
+    return LeastSquaresResult(float(phi_hat[0]), float(residual[0]), bool(failed[0]))
 
-    residuals = alpha + np.outer(np.cos(theta), b) + np.outer(np.sin(theta), c)
-    values = np.sum(residuals * residuals, axis=1)
-    spread = values.max() - values.min()
-    if spread < FLAT_CUTOFF:
-        return LeastSquaresResult(math.nan, float(values.min()), True)
-    tied = values <= values.min() + 1e-12 * spread
-    best = int(np.argmin(np.where(tied, theta, np.inf)))
-    return LeastSquaresResult(float(theta[best] / omega), float(values[best]), False)
+
+# np.roots strips a zero leading coefficient C - iD, and with it the last,
+# C + iD, its conjugate, which leaves the root 0; when A - iB is 0 as well,
+# every coefficient is and there are no roots.  Leading zeros -> (the
+# coefficients kept, the number of roots at 0).
+_REDUCED = {0: (slice(0, 5), 0), 1: (slice(1, 4), 1), 2: (slice(2, 3), 0)}
+
+_WINDOW_ENDS = np.array([0.0, math.pi])
+
+# The ones below the diagonal of a companion matrix, by degree.
+_SUBDIAGONAL = {degree: np.eye(degree, k=-1, dtype=complex) for degree in (2, 4)}
+
+
+def _fit_stack(d_meas, omega, a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi_hat, residual, failed) of :func:`least_squares_estimate` for N fits:
+    d_meas, a, b and c are (N, d), omega is (N,).
+
+    Each dot product is one BLAS dot per row, as ``x @ y`` of two vectors is,
+    and the quartics of the rows that ``np.roots`` reduces alike, see
+    ``_REDUCED``, share one stacked ``eigvals`` on the companion matrices it
+    builds.  Each step reads only its own row.
+    """
+    alpha = a - d_meas
+    bb, cc = np.vecdot(b, b), np.vecdot(c, c)
+    amp = np.sqrt(bb + cc)  # |b cos + c sin| <= amp bounds the range of f
+    bound = 2.0 * (2.0 * np.sqrt(np.vecdot(alpha, alpha)) * amp + amp * amp)
+    failed = np.minimum(omega, bound) <= FLAT_CUTOFF
+    at_0 = alpha + b
+    phi_hat, residual = np.empty(len(omega)), np.vecdot(at_0, at_0)
+    A, B = 2.0 * np.vecdot(alpha, c), -2.0 * np.vecdot(alpha, b)
+    C, D = 2.0 * np.vecdot(b, c), cc - bb
+    iB, iD = 1j * B, 1j * D
+    coeffs = np.array([C - iD, A - iB, np.zeros(len(A)), A + iB, C + iD]).T
+    groups = [
+        -1 if flat else 0 if lead else 1 if second else 2
+        for flat, (lead, second) in zip(failed.tolist(), (coeffs[:, :2] != 0.0).tolist())
+    ]
+    for zeros in set(groups) - {-1}:
+        kept, at_zero = _REDUCED[zeros]
+        rows = [i for i, group in enumerate(groups) if group == zeros]
+        if len(rows) == len(groups):
+            rows = slice(None)  # one group: views, not copies
+        roots = _companion_roots(coeffs[rows, kept])
+        if at_zero:
+            roots = np.concatenate((roots, np.zeros((len(roots), at_zero), complex)), axis=1)
+        phi_hat[rows], residual[rows], failed[rows] = _scan_roots(
+            roots, alpha[rows], b[rows], c[rows], omega[rows]
+        )
+    phi_hat[failed] = math.nan
+    return phi_hat, residual, failed
+
+
+def _companion_roots(poly: np.ndarray) -> np.ndarray:
+    """Roots of each row of ``poly`` (highest degree first, leading coefficient
+    nonzero unless the row is constant) as ``np.roots`` finds them: the
+    eigenvalues of its companion matrix, every row in one ``eigvals``."""
+    n, degree = poly.shape[0], poly.shape[1] - 1
+    if degree == 0:
+        return np.zeros((n, 0), complex)
+    companion = np.empty((n, degree, degree), complex)
+    companion[:] = _SUBDIAGONAL[degree]
+    companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+    return np.linalg.eigvals(companion)
+
+
+def _scan_roots(roots, alpha, b, c, omega):
+    """(phi_hat, residual, flat) of the fits of :func:`_fit_stack` whose rows
+    have the same number of roots: f is evaluated at the window's ends and at
+    the angles of the cluster means inside it (an angle outside is replaced by
+    the end 0, a candidate already).  A flat row's residual is the minimum of
+    f; its phi_hat is left for the caller to discard."""
+    near = np.abs(roots[:, :, None] - roots[:, None, :]) <= _ROOT_CLUSTER
+    means = (near @ roots[:, :, None])[:, :, 0] / near.sum(axis=2)
+    angles = np.arctan2(means.imag, means.real) % (2.0 * math.pi)
+    theta = np.empty((len(roots), 2 + roots.shape[1]))
+    theta[:, :2] = _WINDOW_ENDS
+    theta[:, 2:] = np.where(angles <= math.pi, angles, 0.0)
+    residuals = _fourier(theta[:, :, None], alpha[:, None], b[:, None], c[:, None])
+    values = (residuals * residuals).sum(axis=-1)
+    low = values.min(axis=1)
+    spread = values.max(axis=1) - low
+    tied = values <= (low + 1e-12 * spread)[:, None]
+    best = np.where(tied, theta, np.inf).argmin(axis=1)
+    rows = np.arange(len(roots))
+    flat = spread < FLAT_CUTOFF
+    return theta[rows, best] / omega, np.where(flat, low, values[rows, best]), flat
 
 
 def _require_ensemble_size(nu: float) -> None:
@@ -291,11 +390,16 @@ def estimator_statistics(
         raise ZeroInformationError(
             f"reconstructed Fisher information {f_exp:.3e} is below {FLAT_CUTOFF:g}"
         )
-    d = np.asarray(d_meas, dtype=float)
-    l = np.asarray(l_values, dtype=float)
-    second = float(np.sum(l * l * d))
-    first = float(np.sum(l * d))
-    return (second - first * first) / (nu * f_exp * f_exp)
+    return float(
+        _variance(np.asarray(d_meas, dtype=float), np.asarray(l_values, dtype=float), f_exp, nu)
+    )
+
+
+def _variance(d, l, f_exp, nu):
+    """The variance of :func:`estimator_statistics`, row by row, unchecked."""
+    second = (l * l * d).sum(axis=-1)
+    first = (l * d).sum(axis=-1)
+    return (second - first * first) / (float(nu) * f_exp * f_exp)
 
 
 def adaptive_localize(
@@ -343,40 +447,92 @@ def run_experiment(
     Raises :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside the
     window [0, pi/omega) of the setting's generator, [0, pi/2) for settings
     1-3, and :class:`ParameterOutOfRangeError` when ``nu`` is not a whole
-    number >= 1.
+    number >= 1.  This is :func:`run_batch` of one run.
+    """
+    return run_batch([(probe, k, noise)], phi_true, nu)[0]
+
+
+def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
+    """The protocol instances ``runs``, each a (probe, k, noise) triple, at one
+    true phase, computed as one stack.
+
+    Every run is checked first, in order and as :func:`run_experiment` checks
+    it: ``nu``, then the probe's build, the setting and the window.  So the
+    first bad run raises before anything is computed, and ``runs`` may be a
+    generator that builds its probes as it goes.  Then the SLD eigenproblems
+    of all runs are one ``eigh`` (one more per tie-break cluster size, see
+    :func:`correlations._sld_stack`), the population models one pass, and the
+    fits one stacked ``eigvals``.  Each run draws its noise from its own
+    ``default_rng(noise.seed)``.  Every step reads only its own run, so a run's
+    record is bit-identical whatever else the batch holds.
     """
     _require_ensemble_size(nu)
-    noise = noise or NoiseSpec()
-    rho = probe.state
-    ham = setting_hamiltonian(k)
-    _check_in_window(ham, phi_true)
-    reference = sld(rho, ham, phi_true)
-    model = population_model(rho, ham, reference)
-    populations = measure_populations(model, phi_true, noise)
-    l_values = reference.eigenvalues
-    f_exp = float(np.sum(l_values**2 * populations))
-    fit = least_squares_estimate(populations, model)
-    failed = fit.failed or f_exp <= FLAT_CUTOFF
-    if failed:
-        mean, var = None, None
-    else:
-        mean = fit.phi_hat
-        var = estimator_statistics(populations, l_values, f_exp, nu)
-    return EstimationRun(
-        probe_label=probe.label,
-        p=probe.p,
-        setting_k=int(k),
-        phi0=float(phi_true),
-        nu=int(nu),
-        d_meas=tuple(float(x) for x in populations),
-        l_values=tuple(float(x) for x in l_values),
-        phi_hat_mean=mean,
-        phi_hat_var=var,
-        f_exp=f_exp,
-        failed=failed,
-        seed=noise.seed,
-        ip=probe.power,
+    checked, rhos, hams = [], [], []
+    for probe, k, noise in runs:
+        rhos.append(probe.state)  # builds the probe, or raises
+        hams.append(setting_hamiltonian(k))
+        _check_in_window(hams[-1], phi_true)
+        checked.append((probe, int(k), noise or NoiseSpec()))
+    if not checked:
+        return []
+    dims = rhos[0].dims  # every probe family is two-qubit
+    unitaries: dict[int, np.ndarray] = {}
+    for (_, k, _), ham in zip(checked, hams):
+        if k not in unitaries:
+            unitaries[k] = ham.phase_unitary(phi_true)
+    l_values, basis = _sld_stack(
+        np.stack([rho.eigenvalues for rho in rhos]),
+        np.stack([rho.eigenvectors for rho in rhos]),
+        dims,
+        np.stack([ham.matrix for ham in hams]),
+        np.stack([unitaries[k] for _, k, _ in checked]),
     )
+    a, b, c = _population_stack(
+        np.stack([rho.matrix for rho in rhos]),
+        dims,
+        np.stack([ham.eigenvectors for ham in hams]),
+        basis,
+    )
+    omega = np.array([_frequency(ham) for ham in hams])
+    populations = _fourier((omega * phi_true)[:, None], a, b, c)
+    noisy = [i for i, (_, _, noise) in enumerate(checked) if noise.sigma != 0.0]
+    if noisy:
+        draws = np.stack(
+            [np.random.default_rng(checked[i][2].seed).standard_normal(a.shape[1]) for i in noisy]
+        )
+        sigma = np.array([checked[i][2].sigma for i in noisy])[:, None]
+        populations[noisy] = _perturb(populations[noisy], sigma, draws)
+    f_exp = (l_values**2 * populations).sum(axis=-1)
+    phi_hat, _, failed = _fit_stack(populations, omega, a, b, c)
+    failed |= f_exp <= FLAT_CUTOFF
+    var = np.full(len(checked), math.nan)
+    var[~failed] = _variance(populations[~failed], l_values[~failed], f_exp[~failed], nu)
+    return [
+        EstimationRun(
+            probe_label=probe.label,
+            p=probe.p,
+            setting_k=k,
+            phi0=float(phi_true),
+            nu=int(nu),
+            d_meas=tuple(d),
+            l_values=tuple(l),
+            phi_hat_mean=None if fail else mean,
+            phi_hat_var=None if fail else v,
+            f_exp=f,
+            failed=fail,
+            seed=noise.seed,
+            ip=probe.power,
+        )
+        for (probe, k, noise), d, l, mean, v, f, fail in zip(
+            checked,
+            populations.tolist(),
+            l_values.tolist(),
+            phi_hat.tolist(),
+            var.tolist(),
+            f_exp.tolist(),
+            failed.tolist(),
+        )
+    ]
 
 
 def run_sweep(
@@ -388,14 +544,16 @@ def run_sweep(
     sigma: float = 0.0,
     seed: int | None = None,
 ) -> list[EstimationRun]:
-    """Protocol runs over every (probe label, setting, p) combination.
+    """Protocol runs over every (probe label, setting, p) combination, as one
+    :func:`run_batch`.
 
     Rows are ordered by (label, setting, p); per-run noise seeds are derived
     from the root seed in that fixed order, so the output never depends on
     evaluation order.  Each distinct probe family is built once and shared by
     all its settings; families without parameters (``sep``, ``bell``) are
     built once per sweep.  ``sigma`` and ``nu`` are checked before any run,
-    so an empty sweep rejects them too.
+    so an empty sweep rejects them too; the runs are then checked in order,
+    and the first bad one raises before anything is computed.
     """
     NoiseSpec(sigma)
     _require_ensemble_size(nu)
@@ -408,12 +566,19 @@ def run_sweep(
     root = np.random.default_rng(seed)
     run_seeds = root.integers(0, 2**63 - 1, size=len(combos))
     families: dict[ProbeFamily, ProbeFamily] = {}
-    runs = []
-    for (label, k, p), run_seed in zip(combos, run_seeds):
-        family = ProbeFamily(label, (p,) if label in SWEPT_LABELS else ())
-        family = families.setdefault(family, family)
-        runs.append(run_experiment(family, k, phi_true, nu, NoiseSpec(sigma, int(run_seed))))
-    return runs
+
+    def shared(family: ProbeFamily) -> ProbeFamily:
+        return families.setdefault(family, family)
+
+    runs = (
+        (
+            shared(ProbeFamily(label, (p,) if label in SWEPT_LABELS else ())),
+            k,
+            NoiseSpec(sigma, int(run_seed)),
+        )
+        for (label, k, p), run_seed in zip(combos, run_seeds)
+    )
+    return run_batch(runs, phi_true, nu)
 
 
 def round12(x) -> float | None:

@@ -11,6 +11,8 @@ trusts its input and returns LAPACK's eigenpairs, eigenvalues ascending, as they
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from .errors import DimensionMismatchError, NoConvergenceError, NonHermitianError
@@ -110,7 +112,7 @@ def eigh_sorted(herm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergenceError(str(exc)) from exc
 
 
-def degenerate_clusters(vals: np.ndarray):
+def degenerate_clusters(vals: Sequence[float]):
     """Yield ``(start, stop)`` for every run of two or more ascending eigenvalues
     in which each neighbouring pair differs by less than ``DEGENERACY_GAP``."""
     start = 0

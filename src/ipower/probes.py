@@ -50,9 +50,10 @@ class ProbeFamily:
         object.__setattr__(self, "params", tuple(float(x) for x in self.params))
 
     @property
-    def p(self) -> float:
-        """First family parameter (purity parameter, Werner weight, ...)."""
-        return self.params[0] if self.params else float("nan")
+    def p(self) -> float | None:
+        """First family parameter (purity parameter, Werner weight, ...), or
+        None for a family without parameters, so that equal runs compare equal."""
+        return self.params[0] if self.params else None
 
     @cached_property
     def state(self) -> DensityMatrix:

@@ -9,7 +9,9 @@ from numpy.testing import assert_allclose
 
 import ipower.correlations as correlations_mod
 import ipower.estimation as estimation_mod
+import ipower.linalg as linalg_mod
 import ipower.probes as probes_mod
+import ipower.states as states_mod
 from ipower.correlations import interferometric_power, sld
 from ipower.errors import (
     BadSettingError,
@@ -37,6 +39,7 @@ from ipower.estimation import (
 )
 from ipower.linalg import SIGMA_X, SIGMA_Z, dagger, degenerate_clusters, tensor
 from ipower.probes import (
+    SWEPT_LABELS,
     ProbeFamily,
     classical_probe,
     discordant_probe,
@@ -266,15 +269,16 @@ class TestClosedFormFit:
 
     def test_one_model_read_per_fit(self, monkeypatch):
         # The measurement and the fit share one model: a run builds it once,
-        # and the adaptive loop once per round.
+        # and the adaptive loop once per round.  Both build it through the
+        # stack kernel, a run as a batch of one.
         calls = []
-        original = estimation_mod.population_model
+        original = estimation_mod._population_stack
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(estimation_mod, "population_model", counted)
+        monkeypatch.setattr(estimation_mod, "_population_stack", counted)
         run_experiment(ProbeFamily("Q", (0.7,)), 2, 0.4, noise=NoiseSpec(0.05, 5))
         assert len(calls) == 1
         calls.clear()
@@ -642,12 +646,197 @@ class TestSweepSharesProbes:
         with pytest.raises(ParameterOutOfRangeError, match="p must lie in"):
             run_sweep(("Q",), (1,), [1.5], PI4)
 
-    def test_one_run_experiment_call_per_run(self, monkeypatch):
-        # The benchmark tracer's layer metrics and the planted faults of the
-        # verify tests hook estimation.run_experiment, once per run.
-        calls = _count_calls(monkeypatch, estimation_mod, "run_experiment")
+    def test_one_batch_call_sees_every_run(self, monkeypatch):
+        # The planted faults of the verify tests hook estimation.run_batch,
+        # which a sweep calls once with all of its runs, in row order.
+        seen = []
+        original = estimation_mod.run_batch
+
+        def recorded(runs, *args, **kwargs):
+            seen.append(list(runs))
+            return original(seen[-1], *args, **kwargs)
+
+        monkeypatch.setattr(estimation_mod, "run_batch", recorded)
         runs = run_sweep(("Q", "sep"), (1, 3), [0.2, 0.7], PI4, sigma=0.05, seed=1)
-        assert len(calls) == len(runs) == 8
+        assert len(seen) == 1 and len(seen[0]) == len(runs) == 8
+        assert [(probe.label, probe.p, k, noise.seed) for probe, k, noise in seen[0]] == [
+            (run.probe_label, run.p, run.setting_k, run.seed) for run in runs
+        ]
+
+
+def reference_fit(d_meas, model):
+    """The closed-form fit one model at a time, roots by np.roots: the loop
+    the stacked fit replaces, kept as its reference."""
+    omega, b, c = model.omega, model.b, model.c
+    alpha = model.a - d_meas
+    amp = math.sqrt(b @ b + c @ c)
+    bound = 2.0 * (2.0 * math.sqrt(alpha @ alpha) * amp + amp * amp)
+    if min(omega, bound) <= estimation_mod.FLAT_CUTOFF:
+        return math.nan, float((alpha + b) @ (alpha + b)), True
+    A, B = 2.0 * (alpha @ c), -2.0 * (alpha @ b)
+    C, D = 2.0 * (b @ c), c @ c - b @ b
+    roots = np.roots([C - 1j * D, A - 1j * B, 0.0, A + 1j * B, C + 1j * D])
+    near = np.abs(roots[:, None] - roots[None, :]) <= estimation_mod._ROOT_CLUSTER
+    theta = np.angle(near @ roots / near.sum(axis=1)) % (2.0 * math.pi)
+    theta = np.concatenate(([0.0, math.pi], theta[theta <= math.pi]))
+    residuals = alpha + np.outer(np.cos(theta), b) + np.outer(np.sin(theta), c)
+    values = np.sum(residuals * residuals, axis=1)
+    spread = values.max() - values.min()
+    if spread < estimation_mod.FLAT_CUTOFF:
+        return math.nan, float(values.min()), True
+    tied = values <= values.min() + 1e-12 * spread
+    best = int(np.argmin(np.where(tied, theta, np.inf)))
+    return float(theta[best] / omega), float(values[best]), False
+
+
+def _contiguous(model):
+    # BLAS rounds a dot over a strided view (b is the real part of a complex
+    # array) unlike one over contiguous data; stacking copies, so the
+    # references below read contiguous copies too.
+    return dataclasses.replace(model, **{name: getattr(model, name).copy() for name in "abc"})
+
+
+def _fit_rows(rows):
+    """The stacked fit of (model, d_meas) rows in one call."""
+    return estimation_mod._fit_stack(
+        np.array([d for _, d in rows]),
+        np.array([m.omega for m, _ in rows]),
+        *(np.array([getattr(m, name) for m, _ in rows]) for name in "abc"),
+    )
+
+
+def _eigh_calls(monkeypatch):
+    """Shapes of the linalg.eigh_sorted calls, hooked in every module that holds it."""
+    shapes = []
+    original = linalg_mod.eigh_sorted
+
+    def counted(herm):
+        shapes.append(herm.shape)
+        return original(herm)
+
+    for module in (linalg_mod, states_mod, correlations_mod):
+        if getattr(module, "eigh_sorted", None) is original:
+            monkeypatch.setattr(module, "eigh_sorted", counted)
+    return shapes
+
+
+BATCH_LABELS = ("Q", "C", "werner", "sep", "bell")
+
+
+class TestBatch:
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_batch_runs_equal_single_runs(self, sigma):
+        grid = product(BATCH_LABELS, (1, 2, 3), (0.0, 0.35, 0.8, 1.0))
+        batch = [
+            (ProbeFamily(label, (p,) if label in SWEPT_LABELS else ()), k, NoiseSpec(sigma, seed))
+            for seed, (label, k, p) in enumerate(grid)
+        ]
+        runs = estimation_mod.run_batch(batch, PI4, nu=10**6)
+        assert runs == [run_experiment(probe, k, PI4, 10**6, noise) for probe, k, noise in batch]
+        assert any(run.failed for run in runs) and not all(run.failed for run in runs)
+
+    def test_run_bits_do_not_depend_on_the_batch(self):
+        grid = (BATCH_LABELS[:2], (1, 2, 3), flip_angle_grid())
+        for sigma in (0.0, 0.05):
+            whole = run_sweep(*grid, 0.3, sigma=sigma, seed=11)
+            assert len(whole) == 222
+            seeds = np.random.default_rng(11).integers(0, 2**63 - 1, size=222)
+            batch = [
+                (ProbeFamily(run.probe_label, (run.p,)), run.setting_k, NoiseSpec(sigma, int(seed)))
+                for run, seed in zip(whole, seeds)
+            ]
+            for start, size in [(s, 7) for s in range(0, 222, 7)] + [(0, 1), (100, 1), (221, 1)]:
+                part = slice(start, start + size)
+                assert estimation_mod.run_batch(batch[part], 0.3) == whole[part]
+
+    def test_zero_leading_coefficient_inside_a_batch(self):
+        # b . c = 0 and |b| = |c| make C = D = 0 exactly: np.roots drops the
+        # leading and the last coefficient and keeps the root 0.  With
+        # d_meas = a, A = B = 0 too and np.roots finds no root at all.
+        degenerate = estimation_mod.PopulationModel(
+            2.0,
+            np.full(4, 0.25),
+            np.array([0.1, -0.1, 0.0, 0.0]),
+            np.array([0.0, 0.0, 0.1, -0.1]),
+        )
+        ordinary = []
+        for label, k, phi in (("Q", 1, 0.3), ("C", 2, 1.1), ("werner", 3, 0.7)):
+            rho, ham = make_probe(ProbeFamily(label, (0.6,))), setting_hamiltonian(k)
+            model = _contiguous(population_model(rho, ham, sld(rho, ham, 0.2)))
+            ordinary.append((model, measure_populations(model, phi)))
+        rows = [
+            ordinary[0],
+            (degenerate, degenerate.at(0.4)),
+            ordinary[1],
+            (degenerate, degenerate.a.copy()),
+            ordinary[2],
+        ]
+        assert np.vecdot(degenerate.b, degenerate.c) == 0.0
+        assert np.vecdot(degenerate.b, degenerate.b) == np.vecdot(degenerate.c, degenerate.c)
+        phi_hat, residual, failed = _fit_rows(rows)
+        for i, (model, d_meas) in enumerate(rows):
+            expected = pytest.approx(reference_fit(d_meas, model), nan_ok=True, abs=0)
+            assert (phi_hat[i], residual[i], failed[i]) == expected
+            single = least_squares_estimate(d_meas, model)
+            assert (single.phi_hat, single.residual, single.failed) == expected
+        assert not failed[1] and phi_hat[1] == pytest.approx(0.4, abs=1e-12)
+
+    def test_batch_fits_equal_reference_fits(self):
+        # Noisy data and bases away from the true phase exercise every branch
+        # of the closed form; each stacked row matches the np.roots loop.
+        rng = np.random.default_rng(8)
+        rows = []
+        for label, k, p in product(("Q", "C", "werner"), (1, 2, 3), (0.13, 0.5, 0.9)):
+            rho, ham = make_probe(ProbeFamily(label, (p,))), setting_hamiltonian(k)
+            for reference in (0.0, 0.5):
+                model = _contiguous(population_model(rho, ham, sld(rho, ham, reference)))
+                noise = NoiseSpec(0.05, int(rng.integers(2**31)))
+                rows.append((model, measure_populations(model, PI4, noise)))
+        result = _fit_rows(rows)
+        for i, (model, d_meas) in enumerate(rows):
+            expected = reference_fit(d_meas, model)
+            assert tuple(r[i] for r in result) == pytest.approx(expected, nan_ok=True, abs=0)
+
+    def test_bad_probe_mid_sweep_raises_before_any_run(self, monkeypatch):
+        shapes = _eigh_calls(monkeypatch)
+        with pytest.raises(ParameterOutOfRangeError) as raised:
+            run_sweep(("C", "Q"), (1, 2), [0.3, 1.2], PI4)
+        with pytest.raises(ParameterOutOfRangeError) as single:
+            run_experiment(ProbeFamily("C", (1.2,)), 1, PI4)
+        assert str(raised.value) == str(single.value) == "p must lie in [0, 1], got 1.2"
+        assert [len(shape) for shape in shapes] == [2]  # the C probe at p = 0.3 only
+
+    @pytest.mark.parametrize(
+        "grid, phi, error",
+        [
+            ((("Q", "nope"), (1, 4), [0.5]), PI4, BadSettingError),
+            ((("Q", "werner"), (1,), [0.5, 1.5]), 2.0, PhaseOutOfWindowError),
+            ((("nope", "werner"), (1,), [0.5]), PI4, ParameterOutOfRangeError),
+        ],
+    )
+    def test_first_bad_run_raises_in_row_order(self, grid, phi, error):
+        with pytest.raises(error):
+            run_sweep(*grid, phi)
+
+    def test_default_grid_solves_every_sld_in_one_stack(self, monkeypatch):
+        # 74 probe builds, one eigh for all 222 L(0), at most one per
+        # tie-break cluster size; a per-run path would show 222 stacks of one.
+        shapes = _eigh_calls(monkeypatch)
+        runs = run_sweep(*DEFAULT_GRID, PI4)
+        builds = [shape for shape in shapes if len(shape) == 2]
+        stacked = [shape for shape in shapes if len(shape) == 3]
+        assert len(runs) == 222 and len(builds) == 74
+        assert stacked[0] == (222, 4, 4)
+        sizes = [shape[-1] for shape in stacked[1:]]
+        assert len(sizes) == len(set(sizes)) <= 3
+        assert len(shapes) <= 74 + 1 + 3
+
+    def test_families_without_parameters_record_no_p(self):
+        first = run_sweep(("sep", "bell"), (1, 2), [0.5], PI4)
+        assert all(run.p is None for run in first)
+        assert first == run_sweep(("sep", "bell"), (1, 2), [0.5], PI4)
+        assert ",nan," in sweep_csv_text(first).splitlines()[1]
+        assert json.loads(sweep_json_text(first))[0]["p"] is None
 
 
 def test_power_lower_bounds_every_direction():

@@ -14,6 +14,7 @@ ip, lqu, qfi, sld, evolve = (
     verify.evolve,
 )
 run, eig, landscape = verify.run_experiment, verify.eig_hermitian, verify.qfi_sphere_grid
+batch = estimation.run_batch
 
 
 def rng():
@@ -34,12 +35,16 @@ def minimum_at(offset):  # stands in for a (value, direction) minimizer
     return lambda rho, *grid: (ip(rho) + offset, None)
 
 
-def biased(offset):
-    def planted(*args, **kwargs):
-        r = run(*args, **kwargs)
-        return r if r.failed else dataclasses.replace(r, phi_hat_mean=r.phi_hat_mean + offset)
+def shifted_run(r, offset):
+    return r if r.failed else dataclasses.replace(r, phi_hat_mean=r.phi_hat_mean + offset)
 
-    return planted
+
+def biased(offset):
+    return lambda *args, **kwargs: shifted_run(run(*args, **kwargs), offset)
+
+
+def biased_batch(offset):
+    return lambda *args, **kwargs: [shifted_run(r, offset) for r in batch(*args, **kwargs)]
 
 
 def pole_lowered(offset):
@@ -86,7 +91,8 @@ CHECKS = {
     "noise": lambda: verify.check_noise_robustness(rng(), 5, 0.05),
 }
 
-# id: (check in CHECKS, name patched in ipower.verify, planted fault)
+# id: (check in CHECKS, name patched in ipower.verify, planted fault); run_batch is
+# patched in ipower.estimation, where run_sweep and run_experiment call it.
 FAULTS = {
     "eig-unsorted": ("eig", "eig_hermitian", lambda h: tuple(a[..., ::-1] for a in eig(h))),
     "eig-near-degenerate-swap": ("eig-near-degenerate", "eig_hermitian", swap_lowest_pair),
@@ -123,7 +129,7 @@ FAULTS = {
     "pure-reduction-variance-slightly-off": (
         "pure-reduction", "min_local_variance", minimum_at(1e-9)),
     "pure-reduction-LQU": ("pure-reduction", "local_quantum_uncertainty", shifted(1e-5, lqu)),
-    "exact-sweep-bias": ("exact-sweep", "run_experiment", biased(2e-6)),
+    "exact-sweep-bias": ("exact-sweep", "run_batch", biased_batch(2e-6)),
     "noise-every-estimate-off": ("noise", "run_experiment", biased(0.1)),
 }
 
@@ -133,8 +139,7 @@ def test_planted_fault_fails_the_family(name, monkeypatch):
     family, target, fault = FAULTS[name]
     clean = CHECKS[family]()
     assert clean.passed, clean.line()
-    monkeypatch.setattr(verify, target, fault)
-    monkeypatch.setattr(estimation, "run_experiment", verify.run_experiment)  # for run_sweep
+    monkeypatch.setattr(estimation if target == "run_batch" else verify, target, fault)
     result = CHECKS[family]()
     assert not result.passed and result.trials == clean.trials, result.line()
 
@@ -142,12 +147,12 @@ def test_planted_fault_fails_the_family(name, monkeypatch):
 @pytest.mark.parametrize("failed", [True, False])
 def test_exact_mode_families_fail_when_runs_break_the_failure_rule(failed, monkeypatch):
     # True: every run fails, so nothing is checked. False: runs without
-    # information (probe C under setting 3) come back unflagged.
+    # information (probe C under setting 3) come back unflagged.  Both
+    # families' runs pass through run_batch: run_experiment is a batch of one.
     def planted(*args, **kwargs):
-        return dataclasses.replace(run(*args, **kwargs), failed=failed)
+        return [dataclasses.replace(r, failed=failed) for r in batch(*args, **kwargs)]
 
-    monkeypatch.setattr(verify, "run_experiment", planted)
-    monkeypatch.setattr(estimation, "run_experiment", planted)
+    monkeypatch.setattr(estimation, "run_batch", planted)
     for result in (verify.check_unbiasedness_exact(1e-6), verify.check_exact_sweep(1e-9)):
         assert result.line().startswith("FAIL"), result.line()
 
