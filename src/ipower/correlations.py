@@ -50,6 +50,10 @@ _GRID_BLOCK = 4096
 # (theta, phi) offsets of the compass-search stencil; row 4 is the centre.
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 
+# sigma_x, sigma_y, sigma_z as one read-only stack, shared by every call.
+_PAULI_STACK = np.array(PAULIS)
+_PAULI_STACK.flags.writeable = False
+
 
 def _pair_ratio(s: np.ndarray, numerator: np.ndarray) -> np.ndarray:
     """numerator / s for pair sums s = q_i + q_l, zero where s falls below ``RANK_CUTOFF``."""
@@ -72,14 +76,24 @@ def _elements(v: np.ndarray, dims, ops) -> np.ndarray:
     return dagger(apply_local(np.asarray(ops), v, dims)) @ v
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, l) of the pairs i < l of d indices, row-major; read-only, as every caller
+    of a dimension shares them."""
+    pairs = np.triu_indices(d, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _pair_matrix(rho: DensityMatrix, ops, weights) -> tuple[np.ndarray, np.ndarray]:
     """(E, w): row k of the real (k, 2P) E holds Re, then Im, of <psi_i|O_k x I|psi_l>
     over the P pairs i < l, and w their pair weights, twice.  No other pair carries
     information: w is symmetric with a zero diagonal, and O_k is Hermitian."""
-    upper = np.arange(rho.dim)[:, None] < np.arange(rho.dim)  # the pairs i < l
-    el = _elements(rho.eigenvectors, rho.dims, ops)[:, upper]
+    i, l = _upper_pairs(rho.dim)
+    el = _elements(rho.eigenvectors, rho.dims, ops)[:, i, l]
     q = rho.eigenvalues
-    w = weights(q[:, None], q[None, :])[upper]
+    w = weights(q[i], q[l])
     return np.concatenate((el.real, el.imag), axis=1), np.concatenate((w, w))
 
 
@@ -94,7 +108,7 @@ def _quadratic_form(rho: DensityMatrix, weights) -> np.ndarray:
     Entry (m, n) is sum_{i<l} w_il Re(<psi_i|sigma_m x I|psi_l><psi_l|sigma_n x I|psi_i>).
     """
     _require_qubit(rho)
-    e, w = _pair_matrix(rho, PAULIS, weights)
+    e, w = _pair_matrix(rho, _PAULI_STACK, weights)
     form = (e * w) @ e.T
     return (form + form.T) / 2.0
 
@@ -213,10 +227,20 @@ def _bloch(theta, phi) -> np.ndarray:
 
 
 def _pauli_landscape(rho: DensityMatrix, weights):
-    """Closure ns -> the literal pair sum ``(ns @ E)**2 @ w`` at every row n of ns."""
+    """Closure ns -> the literal pair sum ``(ns @ E)**2 @ w`` at every row n of ns.
+
+    E is taken as a row-major copy: :func:`_pair_matrix` returns it column-major,
+    and the product with a row-major copy costs less and gives the same bits.  The
+    product is squared in place."""
     _require_qubit(rho)
-    e, w = _pair_matrix(rho, PAULIS, weights)
-    return lambda ns: (ns @ e) ** 2 @ w
+    e, w = _pair_matrix(rho, _PAULI_STACK, weights)
+    e = np.ascontiguousarray(e)
+
+    def landscape(ns):
+        amplitudes = ns @ e
+        return np.square(amplitudes, out=amplitudes) @ w
+
+    return landscape
 
 
 def _grid_angles(n_theta: int, n_phi: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,21 +297,43 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     below 1e-10.  As ``best`` only falls, the search stops; a fresh centre value
     can read a few ulps high in another batch row and keep it moving.  Returns
     (value, direction); the direction is defined up to sign.
+
+    The stencil's nine points hold three thetas and three phis, so each step
+    takes one sine and one cosine of those six angles and fills the nine
+    directions, as outer products, into one reused (9, 3) buffer in ``_STENCIL``
+    order: row k is bitwise ``_bloch(*(x + _STENCIL[k] * step))``, since
+    x + (-1.0) s is x - s and x + 0.0 s is x (no angle is ever -0.0).  Every
+    stencil call passes that same buffer, so ``landscape`` must not keep its
+    argument.
     """
     n_theta, n_phi = grid
     thetas, phis, values = _grid_values(landscape, n_theta, n_phi, (n_phi + 1) // 2)
     i, j = np.unravel_index(np.argmin(values), values.shape)
-    best, x = values[i, j], np.array([thetas[i], phis[j]])
-    step = np.array([thetas[1] - thetas[0], phis[1] - phis[0]])
-    while step.max() >= 1e-10:
-        points = x + _STENCIL * step
-        values = landscape(_bloch(points[:, 0], points[:, 1]))
-        k = int(np.argmin(values))
+    best, theta, phi = values[i, j], float(thetas[i]), float(phis[j])
+    d_theta, d_phi = float(thetas[1] - thetas[0]), float(phis[1] - phis[0])
+    angles, trig, stencil = np.empty(6), np.empty((2, 6)), np.empty((3, 3, 3))
+    # Views into the buffers: sin and cos of the thetas, (cos, sin) of the phis.
+    sin_t, cos_t, cos_sin_p = trig[0, :3, None, None], trig[1, :3, None], trig[::-1, 3:].T
+    while max(d_theta, d_phi) >= 1e-10:
+        ts, ps = (theta - d_theta, theta, theta + d_theta), (phi - d_phi, phi, phi + d_phi)
+        angles[:] = ts + ps
+        np.sin(angles, trig[0])
+        np.cos(angles, trig[1])
+        np.multiply(sin_t, cos_sin_p, stencil[..., :2])
+        np.copyto(stencil[..., 2], cos_t)
+        values = landscape(stencil.reshape(9, 3))
+        k = int(values.argmin())
         if values[k] < best:
-            best, x = values[k], points[k]
+            best, theta, phi = values[k], ts[k // 3], ps[k % 3]
         else:
-            step = step / 2.0
-    return float(best), _bloch(*x)
+            d_theta, d_phi = d_theta / 2.0, d_phi / 2.0
+    return float(best), _bloch(theta, phi)
+
+
+def _check_grid(n_theta, n_phi) -> None:
+    """Reject grid counts that are not positive whole numbers."""
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (n_theta, n_phi)):
+        raise ValueError(f"grid counts ({n_theta!r}, {n_phi!r}) must be positive integers")
 
 
 def qfi_sphere_grid(
@@ -296,8 +342,10 @@ def qfi_sphere_grid(
     """QFI landscape over generator directions n(theta, phi) on the Bloch sphere.
 
     Evaluates the spectral QFI sum independently at every grid direction and
-    returns (thetas, phis, F) with F of shape (n_theta, n_phi).
+    returns (thetas, phis, F) with F of shape (n_theta, n_phi).  Both counts
+    must be positive integers.
     """
+    _check_grid(n_theta, n_phi)
     thetas, phis, values = _grid_values(_pauli_landscape(rho, _qfi_weights), n_theta, n_phi)
     return thetas, phis, 4.0 * values
 
@@ -313,6 +361,7 @@ def ip_grid_search(
     (the QFI of -n is that of n), then the compass search of the other sphere
     oracles.  Returns (value, direction), the direction defined up to sign.
     """
+    _check_grid(n_theta, n_phi)
     if n_theta < 64 or n_phi < 64:
         raise ValueError("grid must have at least 64 points per angle")
     return _sphere_minimum(_pauli_landscape(rho, _qfi_weights), (n_theta, n_phi))
@@ -393,7 +442,7 @@ def min_local_variance(rho: DensityMatrix) -> tuple[float, np.ndarray]:
     interferometric power.
     """
     _require_qubit(rho)
-    f = np.trace(apply_local(np.array(PAULIS), rho.matrix, rho.dims), axis1=1, axis2=2).real
+    f = np.trace(apply_local(_PAULI_STACK, rho.matrix, rho.dims), axis1=1, axis2=2).real
     norm = float(np.linalg.norm(f))
     direction = f / norm if norm > 0.0 else np.array([0.0, 0.0, 1.0])
     return float(np.trace(rho.matrix).real - f @ f), direction

@@ -280,6 +280,57 @@ class TestInterferometricPower:
         assert result.passed, result.line()
 
 
+def reference_pair_matrix(rho, ops, weights):
+    """The pair matrix read through a boolean mask of the full d x d grid, weights
+    and all: the construction the cached pair indices replace, kept as its reference."""
+    upper = np.arange(rho.dim)[:, None] < np.arange(rho.dim)
+    el = correlations._elements(rho.eigenvectors, rho.dims, ops)[:, upper]
+    q = rho.eigenvalues
+    w = weights(q[:, None], q[None, :])[upper]
+    return np.concatenate((el.real, el.imag), axis=1), np.concatenate((w, w))
+
+
+def reference_sphere_minimum(landscape, grid):
+    """The compass search that builds its nine stencil directions with ``_bloch``
+    at every step: the loop the six-angle stencil replaces, kept as its reference."""
+    n_theta, n_phi = grid
+    thetas, phis, values = correlations._grid_values(landscape, n_theta, n_phi, (n_phi + 1) // 2)
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    best, x = values[i, j], np.array([thetas[i], phis[j]])
+    step = np.array([thetas[1] - thetas[0], phis[1] - phis[0]])
+    while step.max() >= 1e-10:
+        points = x + correlations._STENCIL * step
+        values = landscape(correlations._bloch(points[:, 0], points[:, 1]))
+        k = int(np.argmin(values))
+        if values[k] < best:
+            best, x = values[k], points[k]
+        else:
+            step = step / 2.0
+    return float(best), correlations._bloch(*x)
+
+
+def planted_quadratic():
+    """An even landscape n^T A n whose minimum 0.3 sits at +-n*, n* at phi = 4.0."""
+    n_star = correlations._bloch(1.1, 4.0)
+    basis = np.linalg.qr(np.column_stack([n_star, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))[0]
+    form = (basis * [0.3, 1.0, 2.0]) @ basis.T
+    return lambda ns: np.einsum("gm,mn,gn->g", ns, form, ns)
+
+
+@pytest.mark.parametrize("d_b", [1, 2, 3, 4])
+def test_pair_matrix_equals_the_masked_reference(d_b):
+    rng = np.random.default_rng(170 + d_b)
+    rho = random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
+    ops = [np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), [random_generator(2, rng).matrix]]
+    for stack, weights in product(ops, (correlations._qfi_weights, correlations._skew_weights)):
+        e, w = correlations._pair_matrix(rho, stack, weights)
+        ref_e, ref_w = reference_pair_matrix(rho, stack, weights)
+        assert e.tobytes() == ref_e.tobytes() and w.tobytes() == ref_w.tobytes()
+        # The layout of E sets how BLAS rounds the 3x3 forms built from it.
+        assert e.flags.f_contiguous == ref_e.flags.f_contiguous
+    assert not any(index.flags.writeable for index in correlations._upper_pairs(rho.dim))
+
+
 class TestGridSearch:
     def test_discordant_probe_equator(self):
         value, direction = ip_grid_search(discordant_probe(0.8), 180, 360)
@@ -321,6 +372,66 @@ class TestGridSearch:
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="64"):
             ip_grid_search(MIXED, 32, 128)
+
+    @pytest.mark.parametrize(
+        "search, grid",
+        [
+            (qfi_sphere_grid, (3, 0)),
+            (qfi_sphere_grid, (0, 4)),
+            (qfi_sphere_grid, (2.0, 4)),
+            (ip_grid_search, (256.0, 512)),
+        ],
+    )
+    def test_rejects_grid_counts_that_are_not_positive_integers(self, search, grid):
+        with pytest.raises(ValueError, match="positive integers"):
+            search(MIXED, *grid)
+
+    def test_accepts_numpy_integer_counts(self):
+        thetas, phis, grid = qfi_sphere_grid(MIXED, np.int64(2), np.int32(3))
+        assert grid.shape == (2, 3) and len(thetas) == 2 and len(phis) == 3
+
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    def test_compass_search_equals_the_reference_loop(self, d_b):
+        rng = np.random.default_rng(160 + d_b)
+        grids = ((64, 128), (64, 129), (256, 512), correlations.SEARCH_GRID)
+        for _ in range(2):
+            rho = random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
+            for weights, grid in product(
+                (correlations._qfi_weights, correlations._skew_weights), grids
+            ):
+                landscape = correlations._pauli_landscape(rho, weights)
+                value, direction = correlations._sphere_minimum(landscape, grid)
+                ref_value, ref_direction = reference_sphere_minimum(landscape, grid)
+                assert value == ref_value and direction.tobytes() == ref_direction.tobytes()
+
+    def test_compass_search_equals_the_reference_loop_on_the_planted_landscape(self):
+        landscape = planted_quadratic()
+        value, direction = correlations._sphere_minimum(landscape, (64, 128))
+        ref_value, ref_direction = reference_sphere_minimum(landscape, (64, 128))
+        assert value == ref_value and direction.tobytes() == ref_direction.tobytes()
+
+    @pytest.mark.parametrize("grid", [(64, 128), (64, 129), (256, 512)])
+    def test_stencil_calls_pass_the_reference_rows(self, grid):
+        # Every call after the grid's blocks is a stencil call of exactly nine
+        # rows, row k bitwise _bloch(x + _STENCIL[k] * step) as the reference
+        # loop builds it.  The stencil buffer is reused, so each call is copied.
+        rho = random_density_matrix((2, 3), np.random.default_rng(7))
+        exact = correlations._pauli_landscape(rho, correlations._qfi_weights)
+        blocks = -(-grid[0] * ((grid[1] + 1) // 2) // correlations._GRID_BLOCK)
+        calls = []
+        for search in (correlations._sphere_minimum, reference_sphere_minimum):
+            seen = []
+
+            def recording(ns, seen=seen):
+                seen.append(np.array(ns))
+                return exact(ns)
+
+            search(recording, grid)
+            calls.append(seen)
+        new, old = calls
+        assert len(new) == len(old) > blocks
+        assert all(rows.shape == (9, 3) for rows in new[blocks:])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(new, old))
 
     def test_compass_search_stops_when_the_centre_reads_high(self):
         # The stencil's centre (row 4) reads 1e-12 high, as a batched product
