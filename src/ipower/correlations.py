@@ -33,7 +33,7 @@ from .linalg import (
     degenerate_clusters,
     eigh_sorted,
 )
-from .probes import bell_diagonal_state
+from .probes import _bell_diagonal_eigenvalues, bell_diagonal_state
 from .states import DensityMatrix, LocalHamiltonian
 
 # Below this value of 1 - ||C||_inf^2 the Bell-diagonal closed formula is
@@ -44,8 +44,13 @@ BELL_DIAGONAL_DENOMINATOR_CUTOFF = 1e-9
 # compass search.
 SEARCH_GRID = (128, 256)
 
-# Rows of a grid's direction stack scored by one landscape call.
+# Rows of a grid's direction stack scored by one call of a landscape that does
+# not give its own ``block_rows``.
 _GRID_BLOCK = 4096
+
+# A Pauli landscape's (rows, 2P) float64 product is kept near this size, which
+# stays in a 2 MiB L2 cache: 4096 rows at d_B = 4 (2P = 56) fall out of it.
+_BLOCK_BYTES = 2**20
 
 # (theta, phi) offsets of the compass-search stencil; row 4 is the centre.
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
@@ -86,31 +91,67 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _pair_matrix(rho: DensityMatrix, ops, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(E, w): row k of the real (k, 2P) E holds Re, then Im, of <psi_i|O_k x I|psi_l>
-    over the P pairs i < l, and w their pair weights, twice.  No other pair carries
-    information: w is symmetric with a zero diagonal, and O_k is Hermitian."""
-    i, l = _upper_pairs(rho.dim)
-    el = _elements(rho.eigenvectors, rho.dims, ops)[:, i, l]
-    q = rho.eigenvalues
-    w = weights(q[i], q[l])
-    return np.concatenate((el.real, el.imag), axis=1), np.concatenate((w, w))
+def _pair_matrix(q, v, dims, ops, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(E, w) of the eigenpairs (q, v) of a state: row k of the real (k, 2P) E holds
+    Re, then Im, of <psi_i|O_k x I|psi_l> over the P pairs i < l, and w their pair
+    weights, twice.  No other pair carries information: w is symmetric with a zero
+    diagonal, and O_k is Hermitian.  q (..., d) and v (..., d, d) may carry a leading
+    stack axis of states, and E and w then one as well."""
+    i, l = _upper_pairs(q.shape[-1])
+    # A stack of states takes an axis for the operators, which broadcast over it.
+    el = _elements(v[:, None] if v.ndim > 2 else v, dims, ops)[..., i, l]
+    qt = q.T  # the pairs index its first axis, with or without a stack axis
+    w = weights(qt[i], qt[l])
+    return np.concatenate((el.real, el.imag), axis=-1), np.concatenate((w, w)).T
 
 
-def _require_qubit(rho: DensityMatrix) -> None:
-    if rho.d_a != 2:
-        raise SubsystemANotQubitError(f"subsystem A has dimension {rho.d_a}, need a qubit")
+def _require_qubit(dims) -> None:
+    if dims[0] != 2:
+        raise SubsystemANotQubitError(f"subsystem A has dimension {dims[0]}, need a qubit")
 
 
-def _quadratic_form(rho: DensityMatrix, weights) -> np.ndarray:
-    """Real symmetric 3x3 form K with n^T K n = sum_{i<l} w_il |<psi_i|n . sigma x I|psi_l>|^2.
+def _quadratic_form(q, v, dims, weights) -> np.ndarray:
+    """Real symmetric 3x3 form K with n^T K n = sum_{i<l} w_il |<psi_i|n . sigma x I|psi_l>|^2
+    of the state with eigenpairs (q, v), or a (N, 3, 3) stack of them for a stack of states.
 
     Entry (m, n) is sum_{i<l} w_il Re(<psi_i|sigma_m x I|psi_l><psi_l|sigma_n x I|psi_i>).
     """
-    _require_qubit(rho)
-    e, w = _pair_matrix(rho, _PAULI_STACK, weights)
-    form = (e * w) @ e.T
-    return (form + form.T) / 2.0
+    _require_qubit(dims)
+    e, w = _pair_matrix(q, v, dims, _PAULI_STACK, weights)
+    form = (e * w[..., None, :]) @ e.mT
+    return (form + form.mT) / 2.0
+
+
+def _form_minimum(q, v, dims, weights):
+    """The smallest eigenvalue of :func:`_quadratic_form`, clamped at 0 as ``max(x, 0.0)``
+    clamps it: the worst case over qubit generators of spectrum (-1, +1).  For one
+    state, q (d,) and v (d, d), a float; for a stack of states, q (N, d) and v (N, d, d),
+    a list of N floats, every form solved in one ``eigvalsh``.  Each step reads only its
+    own state, so a state of a stack gets the bits of its own call."""
+    lowest = np.linalg.eigvalsh(_quadratic_form(q, v, dims, weights))[..., 0]
+    if lowest.ndim:
+        return [max(x, 0.0) for x in lowest.tolist()]
+    return max(float(lowest), 0.0)
+
+
+def _eigenpair_stack(states) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """(q, v, dims) of a non-empty sequence of states with equal dims: their
+    eigenvalues (N, d) and eigenvectors (N, d, d) stacked, and those dims."""
+    return (
+        np.stack([rho.eigenvalues for rho in states]),
+        np.stack([rho.eigenvectors for rho in states]),
+        states[0].dims,
+    )
+
+
+def _powers(states) -> list[float]:
+    """:func:`interferometric_power` of each of ``states`` (equal dims), as one stack."""
+    return _form_minimum(*_eigenpair_stack(states), _qfi_weights)
+
+
+def _uncertainties(states) -> list[float]:
+    """:func:`local_quantum_uncertainty` of each of ``states`` (equal dims), as one stack."""
+    return _form_minimum(*_eigenpair_stack(states), _skew_weights)
 
 
 def qfi(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
@@ -120,7 +161,7 @@ def qfi(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
     The value is invariant under a global phase of the eigenvectors and under
     adding multiples of the identity to H.
     """
-    e, w = _pair_matrix(rho, [ham.matrix], _qfi_weights)
+    e, w = _pair_matrix(rho.eigenvalues, rho.eigenvectors, rho.dims, [ham.matrix], _qfi_weights)
     return float(4.0 * (e[0] ** 2 @ w))
 
 
@@ -205,17 +246,18 @@ def qfi_quadratic_form(rho: DensityMatrix) -> np.ndarray:
     (q_i - q_l)^2/(q_i + q_l) <psi_i|sigma_m x I|psi_l><psi_l|sigma_n x I|psi_i>.
     Requires subsystem A to be a qubit; B may have any finite dimension.
     """
-    return _quadratic_form(rho, _qfi_weights)
+    return _quadratic_form(rho.eigenvalues, rho.eigenvectors, rho.dims, _qfi_weights)
 
 
 def interferometric_power(rho: DensityMatrix) -> float:
     """Worst-case qfi/4 over all qubit generators on A with spectrum (-1, +1).
 
     Equals the smallest eigenvalue of :func:`qfi_quadratic_form`; vanishes
-    exactly on states that are classically correlated with respect to A.
+    exactly on states that are classically correlated with respect to A.  This is
+    :func:`_form_minimum` without a stack axis; ``probes.build_probes`` finds the
+    powers of a sweep's probes in one call of it.
     """
-    smallest = float(np.linalg.eigvalsh(qfi_quadratic_form(rho))[0])
-    return max(smallest, 0.0)
+    return _form_minimum(rho.eigenvalues, rho.eigenvectors, rho.dims, _qfi_weights)
 
 
 def _bloch(theta, phi) -> np.ndarray:
@@ -231,15 +273,19 @@ def _pauli_landscape(rho: DensityMatrix, weights):
 
     E is taken as a row-major copy: :func:`_pair_matrix` returns it column-major,
     and the product with a row-major copy costs less and gives the same bits.  The
-    product is squared in place."""
-    _require_qubit(rho)
-    e, w = _pair_matrix(rho, _PAULI_STACK, weights)
+    product is squared in place.  The closure's ``block_rows``, the power of two
+    of rows whose (rows, 2P) product stays within ``_BLOCK_BYTES``, is how many
+    grid directions :func:`_grid_values` passes it at once."""
+    _require_qubit(rho.dims)
+    e, w = _pair_matrix(rho.eigenvalues, rho.eigenvectors, rho.dims, _PAULI_STACK, weights)
     e = np.ascontiguousarray(e)
 
     def landscape(ns):
         amplitudes = ns @ e
         return np.square(amplitudes, out=amplitudes) @ w
 
+    rows = max(_BLOCK_BYTES // (8 * e.shape[1]), 1)
+    landscape.block_rows = 1 << (rows.bit_length() - 1)
     return landscape
 
 
@@ -268,16 +314,18 @@ def _grid_values(landscape, n_theta: int, n_phi: int, n_cols: int | None = None)
     default) of the n_phi columns spaced over [0, 2 pi); values has shape
     (n_theta, n_cols).
 
-    The directions of :func:`_grid_directions` are scored in blocks of
-    ``_GRID_BLOCK`` rows, so no (N, 2P) intermediate is built.  Each value reads
-    only its own row, so the blocks give the bits of one whole-stack call.
-    ``thetas`` and ``phis`` are fresh arrays, never views of the cache.
+    The directions of :func:`_grid_directions` are scored in blocks of the
+    landscape's ``block_rows`` (``_GRID_BLOCK`` if it has none), so no (N, 2P)
+    intermediate is built.  Each value reads only its own row, so the blocks give
+    the bits of one whole-stack call.  ``thetas`` and ``phis`` are fresh arrays,
+    never views of the cache.
     """
     n_cols = n_phi if n_cols is None else n_cols
     ns = _grid_directions(n_theta, n_phi, n_cols)
     values = np.empty(len(ns))
-    for start in range(0, len(ns), _GRID_BLOCK):
-        values[start : start + _GRID_BLOCK] = landscape(ns[start : start + _GRID_BLOCK])
+    block = getattr(landscape, "block_rows", _GRID_BLOCK)
+    for start in range(0, len(ns), block):
+        values[start : start + block] = landscape(ns[start : start + block])
     thetas, phis = _grid_angles(n_theta, n_phi, n_cols)
     return thetas, phis, values.reshape(n_theta, n_cols)
 
@@ -331,8 +379,11 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
 
 
 def _check_grid(n_theta, n_phi) -> None:
-    """Reject grid counts that are not positive whole numbers."""
-    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (n_theta, n_phi)):
+    """Reject grid counts that are not positive whole numbers; a bool is not a count."""
+    if not all(
+        isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+        for n in (n_theta, n_phi)
+    ):
         raise ValueError(f"grid counts ({n_theta!r}, {n_phi!r}) must be positive integers")
 
 
@@ -376,15 +427,8 @@ def ip_bell_diagonal(c1: float, c2: float, c3: float) -> float:
     explicit 4x4 matrix is used instead.
     """
     c = np.array([c1, c2, c3], dtype=float)
-    eigs = np.array(
-        [
-            1 + c1 - c2 + c3,
-            1 - c1 + c2 + c3,
-            1 + c1 + c2 - c3,
-            1 - c1 - c2 - c3,
-        ]
-    ) / 4.0
-    if not np.all(np.isfinite(c)) or eigs.min() < -TOL_PSD:
+    eigs = _bell_diagonal_eigenvalues(c1, c2, c3)
+    if not eigs.min() >= -TOL_PSD:  # also rejects a non-finite triple
         raise InvalidCorrelationTripleError(
             f"triple {tuple(c)} gives eigenvalues {np.sort(eigs)}"
         )
@@ -403,7 +447,7 @@ def skew_information(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
     sum_{i<l} (sqrt(q_i) - sqrt(q_l))^2 |<psi_i|H x I|psi_l>|^2.
     Bounded above by qfi/4, with equality on pure states.
     """
-    e, w = _pair_matrix(rho, [ham.matrix], _skew_weights)
+    e, w = _pair_matrix(rho.eigenvalues, rho.eigenvectors, rho.dims, [ham.matrix], _skew_weights)
     return float(e[0] ** 2 @ w)
 
 
@@ -413,10 +457,9 @@ def local_quantum_uncertainty(rho: DensityMatrix) -> float:
     Equals the smallest eigenvalue of the 3x3 skew form K = I - W with
     W_mn = Tr[sqrt(rho) sigma_m x I sqrt(rho) sigma_n x I], built directly in
     the eigenbasis of rho.  Lower-bounds the interferometric power for every
-    state.
+    state.  This is :func:`_form_minimum` without a stack axis.
     """
-    smallest = float(np.linalg.eigvalsh(_quadratic_form(rho, _skew_weights))[0])
-    return max(smallest, 0.0)
+    return _form_minimum(rho.eigenvalues, rho.eigenvectors, rho.dims, _skew_weights)
 
 
 def skew_grid_search(rho: DensityMatrix) -> tuple[float, np.ndarray]:
@@ -441,7 +484,7 @@ def min_local_variance(rho: DensityMatrix) -> tuple[float, np.ndarray]:
     the direction defined up to sign.  For pure states this equals the
     interferometric power.
     """
-    _require_qubit(rho)
+    _require_qubit(rho.dims)
     f = np.trace(apply_local(_PAULI_STACK, rho.matrix, rho.dims), axis1=1, axis2=2).real
     norm = float(np.linalg.norm(f))
     direction = f / norm if norm > 0.0 else np.array([0.0, 0.0, 1.0])

@@ -39,7 +39,7 @@ from .errors import (
     ZeroInformationError,
 )
 from .linalg import apply_local
-from .probes import SWEPT_LABELS, ProbeFamily, setting_hamiltonian
+from .probes import SWEPT_LABELS, TWO_QUBITS, ProbeFamily, build_probes, setting_hamiltonian
 from .states import DensityMatrix, LocalHamiltonian
 
 # Fisher information (or least-squares range) below this cutoff counts as the
@@ -442,8 +442,8 @@ def run_experiment(
 
     The measurement basis is the SLD eigenbasis at the true phase (the
     adaptive pre-localization is assumed to have converged there).  The
-    probe's state and interferometric power are read from ``probe.state`` and
-    ``probe.power``, so runs that share one family object build them once.
+    probe's state and interferometric power come from :func:`probes.build_probes`,
+    which the family keeps, so runs that share one family object build them once.
     Raises :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside the
     window [0, pi/omega) of the setting's generator, [0, pi/2) for settings
     1-3, and :class:`ParameterOutOfRangeError` when ``nu`` is not a whole
@@ -457,43 +457,50 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     true phase, computed as one stack.
 
     Every run is checked first, in order and as :func:`run_experiment` checks
-    it: ``nu``, then the probe's build, the setting and the window.  So the
-    first bad run raises before anything is computed, and ``runs`` may be a
-    generator that builds its probes as it goes.  Then the SLD eigenproblems
-    of all runs are one ``eigh`` (one more per tie-break cluster size, see
-    :func:`correlations._sld_stack`), the population models one pass, and the
-    fits one stacked ``eigvals``.  Each run draws its noise from its own
-    ``default_rng(noise.seed)``.  Every step reads only its own run, so a run's
-    record is bit-identical whatever else the batch holds.
+    it: ``nu``, then the probe's parameters (:attr:`ProbeFamily.matrix`), the
+    setting and the window.  So the first bad run raises before anything is
+    computed, and ``runs`` may be a generator that makes its families as it goes.
+    Then the distinct family objects are built by one
+    :func:`probes.build_probes` (one ``eigh`` for their states, one ``eigvalsh``
+    for their powers, skipping families built before), which each family keeps;
+    every run reads its probe's row of those stacks, and its generator's row of
+    the stacked settings.  The SLD eigenproblems of all runs are one ``eigh`` (one
+    more per tie-break cluster size, see :func:`correlations._sld_stack`), the
+    population models one pass, and the fits one stacked ``eigvals``.  Each run
+    draws its noise from its own ``default_rng(noise.seed)``.  Every step reads
+    only its own run, so a run's record is bit-identical whatever else the batch
+    holds.
     """
     _require_ensemble_size(nu)
-    checked, rhos, hams = [], [], []
+    checked, families, settings = [], {}, {}
     for probe, k, noise in runs:
-        rhos.append(probe.state)  # builds the probe, or raises
-        hams.append(setting_hamiltonian(k))
-        _check_in_window(hams[-1], phi_true)
+        if id(probe) not in families:
+            probe.matrix  # checks the family's parameters, or raises
+            families[id(probe)] = (len(families), probe)
+        ham = setting_hamiltonian(k)
+        _check_in_window(ham, phi_true)
+        settings.setdefault(int(k), (len(settings), ham))
         checked.append((probe, int(k), noise or NoiseSpec()))
     if not checked:
         return []
-    dims = rhos[0].dims  # every probe family is two-qubit
-    unitaries: dict[int, np.ndarray] = {}
-    for (_, k, _), ham in zip(checked, hams):
-        if k not in unitaries:
-            unitaries[k] = ham.phase_unitary(phi_true)
+    matrices, q, v, powers = build_probes([probe for _, probe in families.values()])
+    rows = np.array([families[id(probe)][0] for probe, _, _ in checked])
+    hams = [ham for _, ham in settings.values()]
+    by_setting = np.array([settings[k][0] for _, k, _ in checked])
     l_values, basis = _sld_stack(
-        np.stack([rho.eigenvalues for rho in rhos]),
-        np.stack([rho.eigenvectors for rho in rhos]),
-        dims,
-        np.stack([ham.matrix for ham in hams]),
-        np.stack([unitaries[k] for _, k, _ in checked]),
+        q[rows],
+        v[rows],
+        TWO_QUBITS,
+        np.stack([ham.matrix for ham in hams])[by_setting],
+        np.stack([ham.phase_unitary(phi_true) for ham in hams])[by_setting],
     )
     a, b, c = _population_stack(
-        np.stack([rho.matrix for rho in rhos]),
-        dims,
-        np.stack([ham.eigenvectors for ham in hams]),
+        matrices[rows],
+        TWO_QUBITS,
+        np.stack([ham.eigenvectors for ham in hams])[by_setting],
         basis,
     )
-    omega = np.array([_frequency(ham) for ham in hams])
+    omega = np.array([_frequency(ham) for ham in hams])[by_setting]
     populations = _fourier((omega * phi_true)[:, None], a, b, c)
     noisy = [i for i, (_, _, noise) in enumerate(checked) if noise.sigma != 0.0]
     if noisy:
@@ -521,10 +528,11 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
             f_exp=f,
             failed=fail,
             seed=noise.seed,
-            ip=probe.power,
+            ip=powers[row],
         )
-        for (probe, k, noise), d, l, mean, v, f, fail in zip(
+        for (probe, k, noise), row, d, l, mean, v, f, fail in zip(
             checked,
+            rows.tolist(),
             populations.tolist(),
             l_values.tolist(),
             phi_hat.tolist(),

@@ -36,31 +36,58 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
+def _square_complex(m, ndim: int = 2) -> np.ndarray:
+    """Coerce input to a complex array of ``ndim`` axes whose last two are equal:
+    a square matrix, or for ``ndim`` 3 a stack of them.  Entries are not checked."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    return arr
+
+
+def _finite_rows(arr: np.ndarray):
+    """Whether every entry of a matrix, or of each matrix of a stack, is finite."""
+    return np.isfinite(arr).all(axis=(-2, -1))
+
+
+_NOT_FINITE = "matrix entries must be finite"
+
+
 def as_square_complex(m) -> np.ndarray:
     """Coerce input to a finite square complex matrix."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError("matrix entries must be finite")
+    arr = _square_complex(m)
+    if not _finite_rows(arr):
+        raise ValueError(_NOT_FINITE)
     return arr
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of every matrix of a stack."""
-    return m.conj().swapaxes(-1, -2)
+    return m.conj().mT
+
+
+def _split_hermitian(arr: np.ndarray):
+    """((arr + arr^dagger) / 2, max |arr - arr^dagger|) of a finite square matrix, or of
+    each matrix of a stack: the exactly Hermitian part, and the deviation (max norm)
+    that :func:`hermitian_part` holds to ``TOL_HERM``."""
+    adj = dagger(arr)
+    return (arr + adj) / 2.0, np.abs(arr - adj).max(axis=(-2, -1))
+
+
+def _non_hermitian(what: str, deviation: float) -> NonHermitianError:
+    """The error for a ``what`` whose deviation from Hermitian exceeds ``TOL_HERM``."""
+    return NonHermitianError(
+        f"{what} is not Hermitian within {TOL_HERM:g} (deviation {deviation:.3e})"
+    )
 
 
 def hermitian_part(m, what: str = "matrix") -> np.ndarray:
     """Check ``m`` is a finite square matrix, Hermitian within ``TOL_HERM`` (max
     norm), and return (m + m^dagger) / 2, which is exactly Hermitian."""
-    arr = as_square_complex(m)
-    deviation = np.max(np.abs(arr - dagger(arr)))
+    herm, deviation = _split_hermitian(as_square_complex(m))
     if deviation > TOL_HERM:
-        raise NonHermitianError(
-            f"{what} is not Hermitian within {TOL_HERM:g} (deviation {deviation:.3e})"
-        )
-    return (arr + dagger(arr)) / 2.0
+        raise _non_hermitian(what, deviation)
+    return herm
 
 
 def tensor(a, b) -> np.ndarray:

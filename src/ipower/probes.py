@@ -19,10 +19,13 @@ from .errors import (
     NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,
 )
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS, tensor
-from .states import DensityMatrix, LocalHamiltonian
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS, TOL_PSD, tensor
+from .states import DensityMatrix, LocalHamiltonian, _spectra
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+#: Subsystem dimensions of every probe family.
+TWO_QUBITS = (2, 2)
 
 #: |Phi+> = (|00> + |11>)/sqrt(2)
 BELL_PHI_PLUS = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
@@ -32,11 +35,13 @@ BELL_PHI_PLUS = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
 class ProbeFamily:
     """A probe family label together with its parameters.
 
-    Equality and hashing come from ``label`` and ``params`` alone.  The
-    family keeps what is built from it: :attr:`state` and :attr:`power` are
-    computed on first access and reused, so a caller that passes one family
-    object to several runs builds its probe once.  A build that raises caches
-    nothing and raises again on the next access.
+    Equality and hashing come from ``label`` and ``params`` alone.  The family
+    keeps what is built from it: :attr:`matrix` on first access, and :attr:`state`
+    and :attr:`power` from the first :func:`build_probes` that holds it, which the
+    first access to either runs as a batch of one.  So a caller that passes one
+    family object to several runs, or builds many families in one batch, builds
+    each probe once.  A build that raises caches nothing and raises again on the
+    next access.
     """
 
     label: str
@@ -56,24 +61,74 @@ class ProbeFamily:
         return self.params[0] if self.params else None
 
     @cached_property
+    def matrix(self) -> np.ndarray:
+        """The raw (4, 4) probe matrix, read-only, its parameters checked (their
+        count, their range) but not yet validated as a state: :func:`build_probes`
+        does that.  Built once."""
+        build, count = _FAMILIES[self.label]
+        if len(self.params) != count:
+            raise ParameterOutOfRangeError(
+                f"family {self.label!r} takes {count} parameter(s), got {len(self.params)}"
+            )
+        matrix = build(*self.params)
+        matrix.flags.writeable = False
+        return matrix
+
+    @property
     def state(self) -> DensityMatrix:
-        """The probe's density matrix, ``make_probe(self)``, built once."""
-        return make_probe(self)
+        """The probe's density matrix, built once by :func:`build_probes`."""
+        if "_state" not in vars(self):
+            build_probes([self])
+        return vars(self)["_state"]
 
-    @cached_property
+    @property
     def power(self) -> float:
-        """Interferometric power of :attr:`state`, computed once."""
-        from .correlations import interferometric_power  # correlations imports probes
+        """Interferometric power of :attr:`state`, computed once by :func:`build_probes`."""
+        if "_power" not in vars(self):
+            build_probes([self])
+        return vars(self)["_power"]
 
-        return interferometric_power(self.state)
 
+def build_probes(families) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """(matrices, eigenvalues, eigenvectors, powers) of the probes of ``families``, a
+    sequence of :class:`ProbeFamily`, stacked in its order.
 
-def discordant_probe(p: float) -> DensityMatrix:
-    """Discordant two-qubit probe with purity parameter p in [0, 1].
-
-    Mixes the Bell state |Phi+> coherences into a diagonal background; its
-    interferometric power is p^2 and its purity (1 + p^2)^2 / 4.
+    The families not built yet are built as one stack: their raw matrices
+    (:attr:`ProbeFamily.matrix`, so each family's parameters are checked in order)
+    are validated and diagonalized as ``DensityMatrix.from_matrix`` does it, in one
+    ``eigh``, and their interferometric powers are the smallest eigenvalues of their
+    3x3 QFI forms, all in one ``eigvalsh``.  Each family keeps its state and power.
+    Every step reads only its own probe, so a probe's bits do not depend on the
+    rest of the stack; families built before are read back from what they keep.
     """
+    fresh = [family for family in families if "_state" not in vars(family)]
+    if fresh:
+        built = _build_stack(fresh)
+        if len(fresh) == len(families):
+            return built
+    states = [family.state for family in families]
+    return (
+        np.stack([rho.matrix for rho in states]),
+        np.stack([rho.eigenvalues for rho in states]),
+        np.stack([rho.eigenvectors for rho in states]),
+        [family.power for family in families],
+    )
+
+
+def _build_stack(families):
+    """:func:`build_probes` of families none of which is built yet."""
+    from .correlations import _form_minimum, _qfi_weights  # correlations imports probes
+
+    matrices, vals, vecs = _spectra(np.stack([f.matrix for f in families]), TWO_QUBITS, True)
+    for arr in (matrices, vals, vecs):
+        arr.flags.writeable = False
+    powers = _form_minimum(vals, vecs, TWO_QUBITS, _qfi_weights)
+    for family, matrix, q, v, power in zip(families, matrices, vals, vecs, powers):
+        vars(family).update(_state=DensityMatrix(matrix, TWO_QUBITS, q, v), _power=power)
+    return matrices, vals, vecs, powers
+
+
+def _discordant_matrix(p: float) -> np.ndarray:
     require_within("p", p)
     m = np.array(
         [
@@ -84,15 +139,19 @@ def discordant_probe(p: float) -> DensityMatrix:
         ],
         dtype=complex,
     )
-    return DensityMatrix.from_matrix(m / 4.0, (2, 2))
+    return m / 4.0
 
 
-def classical_probe(p: float) -> DensityMatrix:
-    """Classically correlated two-qubit probe with the same purity as ``discordant_probe``.
+def discordant_probe(p: float) -> DensityMatrix:
+    """Discordant two-qubit probe with purity parameter p in [0, 1].
 
-    Diagonal in the product basis |±>|±>; its interferometric power vanishes
-    for every p.
+    Mixes the Bell state |Phi+> coherences into a diagonal background; its
+    interferometric power is p^2 and its purity (1 + p^2)^2 / 4.
     """
+    return DensityMatrix.from_matrix(_discordant_matrix(p), TWO_QUBITS)
+
+
+def _classical_matrix(p: float) -> np.ndarray:
     require_within("p", p)
     m = np.array(
         [
@@ -103,55 +162,90 @@ def classical_probe(p: float) -> DensityMatrix:
         ],
         dtype=complex,
     )
-    return DensityMatrix.from_matrix(m / 4.0, (2, 2))
+    return m / 4.0
+
+
+def classical_probe(p: float) -> DensityMatrix:
+    """Classically correlated two-qubit probe with the same purity as ``discordant_probe``.
+
+    Diagonal in the product basis |±>|±>; its interferometric power vanishes
+    for every p.
+    """
+    return DensityMatrix.from_matrix(_classical_matrix(p), TWO_QUBITS)
+
+
+def _werner_matrix(f: float) -> np.ndarray:
+    require_within("f", f)
+    return f * np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj()) + (1 - f) * np.eye(4) / 4.0
 
 
 def werner_state(f: float) -> DensityMatrix:
     """Mixture f |Phi+><Phi+| + (1 - f) I/4, f in [0, 1]."""
-    require_within("f", f)
-    m = f * np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj()) + (1 - f) * np.eye(4) / 4.0
-    return DensityMatrix.from_matrix(m, (2, 2))
+    return DensityMatrix.from_matrix(_werner_matrix(f), TWO_QUBITS)
 
 
-def bell_diagonal_state(c1: float, c2: float, c3: float) -> DensityMatrix:
-    """Two-qubit state with maximally mixed marginals and correlations (c1, c2, c3)."""
+def _bell_diagonal_eigenvalues(c1: float, c2: float, c3: float) -> np.ndarray:
+    """Eigenvalues of the Bell-diagonal state (c1, c2, c3) in closed form.  The triple
+    lies in the state tetrahedron when none falls below -``TOL_PSD``; those of a
+    non-finite triple include a nan or -inf, so ``min() >= -TOL_PSD`` rejects it."""
+    return np.array(
+        [
+            1 + c1 - c2 + c3,
+            1 - c1 + c2 + c3,
+            1 + c1 + c2 - c3,
+            1 - c1 - c2 - c3,
+        ]
+    ) / 4.0
+
+
+def _bell_diagonal_matrix(c1: float, c2: float, c3: float) -> np.ndarray:
+    if not _bell_diagonal_eigenvalues(c1, c2, c3).min() >= -TOL_PSD:
+        raise NotPositiveSemidefiniteError(
+            f"correlation triple ({c1}, {c2}, {c3}) lies outside the state tetrahedron"
+        )
     m = np.eye(4, dtype=complex)
     for c, s in zip((c1, c2, c3), PAULIS):
         m += c * tensor(s, s)
-    try:
-        return DensityMatrix.from_matrix(m / 4.0, (2, 2))
-    except NotPositiveSemidefiniteError as exc:
-        raise NotPositiveSemidefiniteError(
-            f"correlation triple ({c1}, {c2}, {c3}) lies outside the state tetrahedron"
-        ) from exc
+    return m / 4.0
+
+
+def bell_diagonal_state(c1: float, c2: float, c3: float) -> DensityMatrix:
+    """Two-qubit state with maximally mixed marginals and correlations (c1, c2, c3),
+    which must lie in the state tetrahedron."""
+    return DensityMatrix.from_matrix(_bell_diagonal_matrix(c1, c2, c3), TWO_QUBITS)
+
+
+def _separable_discordant_matrix() -> np.ndarray:
+    zero_zero = np.zeros(4, dtype=complex)
+    zero_zero[0] = 1.0
+    plus_one = np.array([0.0, _INV_SQRT2, 0.0, _INV_SQRT2], dtype=complex)
+    return (
+        np.outer(zero_zero, zero_zero.conj()) + np.outer(plus_one, plus_one.conj())
+    ) / 2.0
 
 
 def separable_discordant_state() -> DensityMatrix:
     """(|00><00| + |+1><+1|)/2, a separable state with interferometric power 1/2."""
-    zero_zero = np.zeros(4, dtype=complex)
-    zero_zero[0] = 1.0
-    plus_one = np.array([0.0, _INV_SQRT2, 0.0, _INV_SQRT2], dtype=complex)
-    m = (
-        np.outer(zero_zero, zero_zero.conj()) + np.outer(plus_one, plus_one.conj())
-    ) / 2.0
-    return DensityMatrix.from_matrix(m, (2, 2))
+    return DensityMatrix.from_matrix(_separable_discordant_matrix(), TWO_QUBITS)
+
+
+def _bell_matrix() -> np.ndarray:
+    return np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
 
 
 def bell_probe() -> DensityMatrix:
     """The pure Bell state |Phi+><Phi+|."""
-    return DensityMatrix.from_matrix(
-        np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj()), (2, 2)
-    )
+    return DensityMatrix.from_matrix(_bell_matrix(), TWO_QUBITS)
 
 
-# The probe families: label -> (builder, number of parameters).
+# The probe families: label -> (function making the raw matrix, number of parameters).
 _FAMILIES = {
-    "Q": (discordant_probe, 1),
-    "C": (classical_probe, 1),
-    "werner": (werner_state, 1),
-    "belldiag": (bell_diagonal_state, 3),
-    "sep": (separable_discordant_state, 0),
-    "bell": (bell_probe, 0),
+    "Q": (_discordant_matrix, 1),
+    "C": (_classical_matrix, 1),
+    "werner": (_werner_matrix, 1),
+    "belldiag": (_bell_diagonal_matrix, 3),
+    "sep": (_separable_discordant_matrix, 0),
+    "bell": (_bell_matrix, 0),
 }
 
 PROBE_LABELS = tuple(_FAMILIES)
@@ -161,13 +255,9 @@ SWEPT_LABELS = tuple(label for label, (_, count) in _FAMILIES.items() if count =
 
 
 def make_probe(family: ProbeFamily) -> DensityMatrix:
-    """Construct the density matrix of a probe family instance."""
-    build, count = _FAMILIES[family.label]
-    if len(family.params) != count:
-        raise ParameterOutOfRangeError(
-            f"family {family.label!r} takes {count} parameter(s), got {len(family.params)}"
-        )
-    return build(*family.params)
+    """A fresh density matrix of a probe family instance, built from
+    :attr:`ProbeFamily.matrix` by ``DensityMatrix.from_matrix``."""
+    return DensityMatrix.from_matrix(family.matrix, TWO_QUBITS)
 
 
 # The setting indices and their benchmark generators, built once; the

@@ -20,11 +20,16 @@ from .errors import (
     ZeroPurityError,
 )
 from .linalg import (
+    _NOT_FINITE,
     PAULIS,
     TOL_HERM,
     TOL_NORM,
     TOL_PSD,
     TOL_TRACE,
+    _finite_rows,
+    _non_hermitian,
+    _split_hermitian,
+    _square_complex,
     apply_local,
     dagger,
     eigh_sorted,
@@ -36,6 +41,55 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _spectra(matrix, dims, stack: bool = False):
+    """(Hermitian part, eigenvalues, eigenvectors) of a density matrix, or with ``stack``
+    of every matrix of an (N, d, d) stack, each of shape (d, d) split into d_A x d_B by
+    ``dims``.
+
+    Each matrix is checked in this order: finite entries, Hermitian within ``TOL_HERM``
+    (max norm), ``dims``, unit trace within ``TOL_TRACE``; then the Hermitian parts are
+    diagonalized in one ``eigh``, each must be PSD within ``TOL_PSD``, and its ascending
+    eigenvalues are clamped at 0 and renormalized to unit sum.  A stack that fails a
+    check is checked again one matrix at a time, so it raises what a loop over its
+    matrices would raise first.  Each step reads only its own matrix, so every matrix
+    of a stack gets the bits of its own call.
+    """
+    arr = _square_complex(matrix, 2 + stack)
+    finite = _finite_rows(arr)
+    if finite.all():
+        herm, deviation = _split_hermitian(arr)
+        trace = np.trace(herm, axis1=-2, axis2=-1).real
+        dims_error = _dims_error(dims, arr.shape[-1])
+        failed = (deviation > TOL_HERM) | (abs(trace - 1.0) > TOL_TRACE)
+        if dims_error is None and not failed.any():
+            vals, vecs = eigh_sorted(herm)
+            if not (vals[..., 0] < -TOL_PSD).any():
+                vals = np.maximum(vals, 0.0)
+                return herm, vals / vals.sum(axis=-1, keepdims=True), vecs
+    if stack:
+        for one in arr:
+            _spectra(one, dims)  # the lowest-index bad matrix raises its own error
+    if not finite:
+        raise ValueError(_NOT_FINITE)
+    if deviation > TOL_HERM:
+        raise _non_hermitian("density matrix", deviation)
+    if dims_error is not None:
+        raise dims_error
+    if abs(trace - 1.0) > TOL_TRACE:
+        raise ValueError(f"trace must be 1, got {trace!r}")
+    raise NotPositiveSemidefiniteError(f"minimum eigenvalue {vals[0]:.3e} below -{TOL_PSD:g}")
+
+
+def _dims_error(dims, d: int) -> DimensionMismatchError | None:
+    """The error for ``dims`` unless they are two positive integers, not bools, with product d."""
+    whole = len(dims) == 2 and all(
+        isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in dims
+    )
+    if whole and dims[0] * dims[1] == d:
+        return None
+    return DimensionMismatchError(f"dims {dims} must be two positive integers with product {d}")
 
 
 @dataclass(frozen=True)
@@ -62,24 +116,14 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, matrix, dims: tuple[int, int]) -> "DensityMatrix":
-        """Validate a raw matrix (Hermitian, unit trace, PSD) and its ``dims``, two
-        positive Python or numpy integers (2.7 or "2" is refused), and diagonalize it."""
-        arr = hermitian_part(matrix, "density matrix")
-        whole = len(dims) == 2 and all(isinstance(d, (int, np.integer)) and d >= 1 for d in dims)
-        if not whole or dims[0] * dims[1] != arr.shape[0]:
-            raise DimensionMismatchError(
-                f"dims {dims} must be two positive integers with product {arr.shape[0]}"
-            )
-        tr = np.trace(arr).real
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise ValueError(f"trace must be 1, got {tr!r}")
-        vals, vecs = eigh_sorted(arr)
-        if vals[0] < -TOL_PSD:
-            raise NotPositiveSemidefiniteError(
-                f"minimum eigenvalue {vals[0]:.3e} below -{TOL_PSD:g}"
-            )
-        vals = np.clip(vals, 0.0, None)
-        vals = vals / vals.sum()
+        """Validate a raw matrix (finite, square, Hermitian, unit trace, PSD) and its
+        ``dims``, two positive Python or numpy integers (True, 2.7 or "2" is refused),
+        and diagonalize it once; the state keeps its eigenpairs for every later formula.
+
+        This is :func:`_spectra` without a stack axis; ``probes.build_probes`` calls
+        it with one, and so checks and diagonalizes a sweep's probes in one ``eigh``.
+        """
+        arr, vals, vecs = _spectra(matrix, dims)
         return cls(_freeze(arr), (int(dims[0]), int(dims[1])), _freeze(vals), _freeze(vecs))
 
     @property

@@ -280,6 +280,58 @@ class TestInterferometricPower:
         assert result.passed, result.line()
 
 
+def reference_form_minimum(rho, weights):
+    """The smallest eigenvalue of one state's 3x3 form, clamped at 0, as the
+    per-state path computed it before the stacked kernel: the reference the stack
+    must equal bitwise."""
+    i, l = np.triu_indices(rho.dim, 1)
+    el = correlations._elements(rho.eigenvectors, rho.dims, correlations._PAULI_STACK)[:, i, l]
+    w = weights(rho.eigenvalues[i], rho.eigenvalues[l])
+    e, w = np.concatenate((el.real, el.imag), axis=1), np.concatenate((w, w))
+    form = (e * w) @ e.T
+    return max(float(np.linalg.eigvalsh((form + form.T) / 2.0)[0]), 0.0)
+
+
+def _float_bits(values):
+    return [np.float64(x).tobytes() for x in values]
+
+
+class TestStackedForms:
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    def test_stack_equals_the_per_state_path_at_every_rank(self, d_b):
+        # Two states of each rank 1 .. 2 d_B, so pure states and eigenvalue dust
+        # are in the stack.
+        rng = np.random.default_rng(200 + d_b)
+        states = [
+            random_density_matrix((2, d_b), rng, env_dim=rank)
+            for rank in range(1, 2 * d_b + 1)
+            for _ in range(2)
+        ]
+        powers, uncertainties = correlations._powers(states), correlations._uncertainties(states)
+        assert _float_bits(powers) == _float_bits(map(interferometric_power, states))
+        assert _float_bits(uncertainties) == _float_bits(map(local_quantum_uncertainty, states))
+        for weights, values in ((correlations._qfi_weights, powers),
+                                (correlations._skew_weights, uncertainties)):
+            reference = [reference_form_minimum(rho, weights) for rho in states]
+            assert _float_bits(values) == _float_bits(reference)
+        forms = correlations._quadratic_form(
+            *correlations._eigenpair_stack(states), correlations._qfi_weights
+        )
+        for form, rho in zip(forms, states):
+            assert form.tobytes() == qfi_quadratic_form(rho).tobytes()
+
+    def test_stack_equals_the_per_state_path_on_the_probes(self):
+        states = [make_probe(ProbeFamily(label, (p,))) for label in ("Q", "C", "werner")
+                  for p in flip_angle_grid()]
+        states += [separable_discordant_state(), bell_probe()]
+        for stacked, single in ((correlations._powers, interferometric_power),
+                                (correlations._uncertainties, local_quantum_uncertainty)):
+            assert _float_bits(stacked(states)) == _float_bits(map(single, states))
+        assert _float_bits(correlations._powers(states)) == _float_bits(
+            reference_form_minimum(rho, correlations._qfi_weights) for rho in states
+        )
+
+
 def reference_pair_matrix(rho, ops, weights):
     """The pair matrix read through a boolean mask of the full d x d grid, weights
     and all: the construction the cached pair indices replace, kept as its reference."""
@@ -323,7 +375,9 @@ def test_pair_matrix_equals_the_masked_reference(d_b):
     rho = random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
     ops = [np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), [random_generator(2, rng).matrix]]
     for stack, weights in product(ops, (correlations._qfi_weights, correlations._skew_weights)):
-        e, w = correlations._pair_matrix(rho, stack, weights)
+        e, w = correlations._pair_matrix(
+            rho.eigenvalues, rho.eigenvectors, rho.dims, stack, weights
+        )
         ref_e, ref_w = reference_pair_matrix(rho, stack, weights)
         assert e.tobytes() == ref_e.tobytes() and w.tobytes() == ref_w.tobytes()
         # The layout of E sets how BLAS rounds the 3x3 forms built from it.
@@ -385,6 +439,40 @@ class TestGridSearch:
     def test_rejects_grid_counts_that_are_not_positive_integers(self, search, grid):
         with pytest.raises(ValueError, match="positive integers"):
             search(MIXED, *grid)
+
+    @pytest.mark.parametrize(
+        "search, grid",
+        [
+            (qfi_sphere_grid, (True, True)),
+            (qfi_sphere_grid, (3, True)),
+            (ip_grid_search, (True, 64)),
+        ],
+    )
+    def test_rejects_bool_grid_counts(self, search, grid):
+        # A bool is an int to isinstance; without the rule (True, True) reached
+        # reshape and raised a bare TypeError there.
+        with pytest.raises(ValueError, match="positive integers"):
+            search(MIXED, *grid)
+
+    @pytest.mark.parametrize("d_b, rows", [(1, 65536), (2, 8192), (3, 4096), (4, 2048)])
+    def test_grid_block_is_sized_from_the_pair_count(self, d_b, rows):
+        # One block's (rows, 2P) float64 product stays within 1 MiB, the largest
+        # power of two of rows that does: 2P = 2, 12, 30, 56 at d_B = 1-4.
+        rho = random_density_matrix((2, d_b), np.random.default_rng(30 + d_b))
+        exact = correlations._pauli_landscape(rho, correlations._qfi_weights)
+        width = 2 * d_b * (2 * d_b - 1)
+        assert exact.block_rows == rows
+        assert rows * width * 8 <= correlations._BLOCK_BYTES < 2 * rows * width * 8
+        sizes = []
+
+        def recording(ns):
+            sizes.append(len(ns))
+            return exact(ns)
+
+        recording.block_rows = exact.block_rows
+        _, _, values = correlations._grid_values(recording, 256, 512, 256)
+        assert sizes == [rows] * (256 * 256 // rows)
+        assert np.array_equal(values.ravel(), exact(correlations._grid_directions(256, 512, 256)))
 
     def test_accepts_numpy_integer_counts(self):
         thetas, phis, grid = qfi_sphere_grid(MIXED, np.int64(2), np.int32(3))

@@ -17,6 +17,7 @@ from ipower.errors import (
     BadSettingError,
     BasisMismatchError,
     NotIdentifiableError,
+    NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,
     PhaseOutOfWindowError,
     SubsystemANotQubitError,
@@ -598,6 +599,19 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def _eigvalsh_calls(monkeypatch):
+    """Shapes of the np.linalg.eigvalsh calls: the power stacks of a sweep."""
+    shapes = []
+    original = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
 DEFAULT_GRID = (("Q", "C"), (1, 2, 3), flip_angle_grid())
 
 
@@ -621,26 +635,31 @@ class TestSweepSharesProbes:
         assert [_comparable(r) for r in runs] == [_comparable(r) for r in expected]
 
     def test_default_grid_builds_each_probe_once(self, monkeypatch):
-        builds = _count_calls(monkeypatch, probes_mod, "make_probe")
-        powers = _count_calls(monkeypatch, correlations_mod, "interferometric_power")
+        # One batch build of the 74 distinct families, their powers in one stack.
+        builds = _count_calls(monkeypatch, probes_mod, "_build_stack")
+        powers = _eigvalsh_calls(monkeypatch)
         runs = run_sweep(*DEFAULT_GRID, PI4)
         assert len(runs) == 222
-        assert len(builds) == len(powers) == 74
+        assert [len(families) for families, in builds] == [74]
+        assert len({id(family) for family in builds[0][0]}) == 74
+        assert powers == [(74, 3, 3)]
 
     def test_family_without_parameters_builds_once(self, monkeypatch):
-        builds = _count_calls(monkeypatch, probes_mod, "make_probe")
-        powers = _count_calls(monkeypatch, correlations_mod, "interferometric_power")
+        builds = _count_calls(monkeypatch, probes_mod, "_build_stack")
+        powers = _eigvalsh_calls(monkeypatch)
         runs = run_sweep(("sep",), (1, 2, 3), [0.2, 0.5], PI4)
         assert len(runs) == 6
-        assert len(builds) == len(powers) == 1
+        assert [len(families) for families, in builds] == [1]
+        assert powers == [(1, 3, 3)]
 
     def test_no_memo_outlives_a_sweep(self, monkeypatch):
-        builds = _count_calls(monkeypatch, probes_mod, "make_probe")
-        powers = _count_calls(monkeypatch, correlations_mod, "interferometric_power")
+        builds = _count_calls(monkeypatch, probes_mod, "_build_stack")
+        powers = _eigvalsh_calls(monkeypatch)
         first = run_sweep(*DEFAULT_GRID, PI4)
         second = run_sweep(*DEFAULT_GRID, PI4)
         assert first == second
-        assert len(builds) == len(powers) == 2 * 74
+        assert [len(families) for families, in builds] == [74, 74]
+        assert powers == [(74, 3, 3)] * 2
 
     def test_out_of_range_probe_still_raises(self):
         with pytest.raises(ParameterOutOfRangeError, match="p must lie in"):
@@ -804,7 +823,26 @@ class TestBatch:
         with pytest.raises(ParameterOutOfRangeError) as single:
             run_experiment(ProbeFamily("C", (1.2,)), 1, PI4)
         assert str(raised.value) == str(single.value) == "p must lie in [0, 1], got 1.2"
-        assert [len(shape) for shape in shapes] == [2]  # the C probe at p = 0.3 only
+        assert shapes == []  # no probe is built before every run is checked
+
+    @pytest.mark.parametrize("belldiag_first", [True, False])
+    def test_bad_belldiag_and_bad_setting_raise_in_row_order(self, belldiag_first, monkeypatch):
+        # A triple outside the tetrahedron keeps the family's own message, and
+        # whichever bad run comes first raises, before any probe is built.
+        shapes = _eigh_calls(monkeypatch)
+        outside = (ProbeFamily("belldiag", (0.9, 0.9, 0.9)), 1, None)
+        bad_setting = (ProbeFamily("Q", (0.5,)), 4, None)
+        good = (ProbeFamily("C", (0.3,)), 2, None)
+        runs = [good, outside, bad_setting] if belldiag_first else [good, bad_setting, outside]
+        error = NotPositiveSemidefiniteError if belldiag_first else BadSettingError
+        with pytest.raises(error) as raised:
+            estimation_mod.run_batch(runs, PI4)
+        with pytest.raises(error) as single:
+            run_experiment(*runs[1][:2], PI4)
+        assert str(raised.value) == str(single.value)
+        if belldiag_first:
+            assert "lies outside the state tetrahedron" in str(raised.value)
+        assert shapes == []
 
     @pytest.mark.parametrize(
         "grid, phi, error",
@@ -819,17 +857,15 @@ class TestBatch:
             run_sweep(*grid, phi)
 
     def test_default_grid_solves_every_sld_in_one_stack(self, monkeypatch):
-        # 74 probe builds, one eigh for all 222 L(0), at most one per
-        # tie-break cluster size; a per-run path would show 222 stacks of one.
+        # One eigh for the 74 probe states, one for all 222 L(0), at most one
+        # per tie-break cluster size; a per-run path would show stacks of one.
         shapes = _eigh_calls(monkeypatch)
         runs = run_sweep(*DEFAULT_GRID, PI4)
-        builds = [shape for shape in shapes if len(shape) == 2]
-        stacked = [shape for shape in shapes if len(shape) == 3]
-        assert len(runs) == 222 and len(builds) == 74
-        assert stacked[0] == (222, 4, 4)
-        sizes = [shape[-1] for shape in stacked[1:]]
+        assert len(runs) == 222
+        assert shapes[:2] == [(74, 4, 4), (222, 4, 4)]
+        sizes = [shape[-1] for shape in shapes[2:]]
+        assert all(len(shape) == 3 for shape in shapes)
         assert len(sizes) == len(set(sizes)) <= 3
-        assert len(shapes) <= 74 + 1 + 3
 
     def test_families_without_parameters_record_no_p(self):
         first = run_sweep(("sep", "bell"), (1, 2), [0.5], PI4)

@@ -10,7 +10,9 @@ from ipower.errors import (
 )
 from ipower.probes import (
     ProbeFamily,
+    bell_diagonal_state,
     bell_probe,
+    build_probes,
     classical_probe,
     discordant_probe,
     flip_angle_grid,
@@ -109,6 +111,69 @@ class TestFamilyKeepsItsBuild:
                 family.state
             with pytest.raises(error):
                 family.power
+
+
+def reference_state(family):
+    """The family's state built on its own, then checked against the parent's
+    per-state from_matrix: eigh of the Hermitian part, clip, renormalize."""
+    rho = make_probe(family)
+    herm = (family.matrix + family.matrix.conj().T) / 2.0
+    vals, vecs = np.linalg.eigh(herm)
+    vals = np.clip(vals, 0.0, None)
+    assert [a.tobytes() for a in (herm, vals / vals.sum(), vecs)] == [
+        a.tobytes() for a in (rho.matrix, rho.eigenvalues, rho.eigenvectors)
+    ]
+    return rho
+
+
+BUILT_FAMILIES = (
+    [ProbeFamily(label, (p,)) for label in ("Q", "C") for p in flip_angle_grid()]
+    + [ProbeFamily("werner", (f,)) for f in (0.0, 0.4, 1.0)]
+    + [ProbeFamily("sep"), ProbeFamily("bell"), ProbeFamily("belldiag", (0.5, -0.3, 0.2))]
+)
+
+
+class TestBuildProbes:
+    def test_stack_equals_the_per_state_path(self):
+        families = [ProbeFamily(f.label, f.params) for f in BUILT_FAMILIES]
+        matrices, vals, vecs, powers = build_probes(families)
+        assert matrices.shape == (len(families), 4, 4) and len(powers) == len(families)
+        for i, family in enumerate(families):
+            rho = reference_state(family)
+            assert [a.tobytes() for a in (matrices[i], vals[i], vecs[i])] == [
+                a.tobytes() for a in (rho.matrix, rho.eigenvalues, rho.eigenvectors)
+            ]
+            assert np.float64(powers[i]).tobytes() == np.float64(
+                interferometric_power(rho)
+            ).tobytes()
+            # The family keeps its row of the stack, read-only, and its power.
+            assert family.state.matrix.tobytes() == rho.matrix.tobytes()
+            assert not family.state.eigenvectors.flags.writeable
+            assert family.power is powers[i]
+
+    def test_families_built_before_are_read_back(self):
+        built = [ProbeFamily("Q", (0.3,)), ProbeFamily("bell")]
+        states = [family.state for family in built]  # two batches of one
+        fresh = [ProbeFamily("C", (0.3,)), ProbeFamily("werner", (0.6,))]
+        families = [fresh[0], built[0], fresh[1], built[1]]
+        matrices, vals, vecs, powers = build_probes(families)
+        assert [family.state for family in built] == states
+        assert all(a is b for a, b in zip((f.state for f in built), states))
+        whole = build_probes([ProbeFamily(f.label, f.params) for f in families])
+        for mixed, fresh_stack in zip((matrices, vals, vecs), whole[:3]):
+            assert mixed.tobytes() == fresh_stack.tobytes()
+        assert powers == whole[3]
+
+    def test_outside_the_tetrahedron_keeps_its_message(self):
+        # The triple's closed-form spectrum is checked with its parameters, so
+        # the message is the family's own; a nan triple is outside as well.
+        for triple in ((0.9, 0.9, 0.9), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0)):
+            family = ProbeFamily("belldiag", triple)
+            for build in (lambda: build_probes([family]), lambda: family.state,
+                          lambda: bell_diagonal_state(*triple)):
+                with pytest.raises(NotPositiveSemidefiniteError, match="outside the state"):
+                    build()
+            assert "_state" not in vars(family)
 
 
 class TestSettings:

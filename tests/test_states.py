@@ -18,6 +18,7 @@ from ipower.sampling import haar_unitary, random_density_matrix, random_pure_den
 from ipower.states import (
     DensityMatrix,
     LocalHamiltonian,
+    _spectra,
     evolve,
     hs_fidelity,
     load_state,
@@ -66,6 +67,12 @@ class TestDensityMatrixValidation:
     def test_rejects_non_integer_dims(self, dims):
         with pytest.raises(DimensionMismatchError, match="positive integers"):
             DensityMatrix.from_matrix(np.eye(4) / 4.0, dims)
+
+    @pytest.mark.parametrize("dims", [(True, 2), (2, True), (np.True_, 2)])
+    def test_rejects_bool_dims(self, dims):
+        # A bool is an int to isinstance, and the product here is right.
+        with pytest.raises(DimensionMismatchError, match="positive integers"):
+            DensityMatrix.from_matrix(np.eye(2) / 2.0, dims)
 
     def test_accepts_numpy_integer_dims(self):
         rho = DensityMatrix.from_matrix(np.eye(6) / 6.0, (np.int64(2), np.int32(3)))
@@ -244,3 +251,84 @@ def test_local_hamiltonian_bloch_detection():
 
 def test_bell_state_vector_convention():
     assert_allclose(BELL_PHI_PLUS, [INV_SQRT2, 0, 0, INV_SQRT2])
+
+
+def reference_from_matrix(m):
+    """The Hermitian part, eigendecomposition, clamp and renormalization of a valid
+    state one matrix at a time, as from_matrix did before its stacked kernel: the
+    reference the kernel must equal bitwise."""
+    arr = np.asarray(m, dtype=complex)
+    herm = (arr + dagger(arr)) / 2.0
+    vals, vecs = np.linalg.eigh(herm)
+    vals = np.clip(vals, 0.0, None)
+    return herm, vals / vals.sum(), vecs
+
+
+def random_states_of_every_rank(rng):
+    """(d_B, states): for d_B = 2-4, two random states of each rank 1 .. 2 d_B."""
+    return [
+        (d_b, [random_density_matrix((2, d_b), rng, env_dim=r) for r in range(1, 2 * d_b + 1)
+               for _ in range(2)])
+        for d_b in (2, 3, 4)
+    ]
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+class TestStackedSpectra:
+    def test_stack_equals_the_reference_matrix_by_matrix(self):
+        for d_b, states in random_states_of_every_rank(np.random.default_rng(190)):
+            matrices = np.stack([rho.matrix for rho in states])
+            herm, vals, vecs = _spectra(matrices, (2, d_b), True)
+            for i, m in enumerate(matrices):
+                reference = reference_from_matrix(m)
+                single = DensityMatrix.from_matrix(m, (2, d_b))
+                assert _bits(herm[i], vals[i], vecs[i]) == _bits(*reference)
+                assert _bits(single.matrix, single.eigenvalues, single.eigenvectors) == _bits(
+                    *reference
+                )
+
+    def test_stack_rejects_what_a_single_matrix_rejects(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            _spectra(np.eye(4) / 4.0, (2, 2), True)  # no stack axis
+        with pytest.raises(ValueError, match="square matrix"):
+            DensityMatrix.from_matrix(np.stack([np.eye(4) / 4.0]), (2, 2))
+
+    @pytest.mark.parametrize(
+        "faults, error, message",
+        [
+            # (row, fault) pairs; the lowest-index bad row raises its first failed check.
+            ([(1, "psd"), (2, "herm")], NotPositiveSemidefiniteError, "minimum eigenvalue"),
+            ([(1, "herm"), (2, "psd")], NonHermitianError, "not Hermitian"),
+            ([(2, "nan"), (3, "psd")], ValueError, "must be finite"),
+            ([(1, "trace"), (1, "herm")], NonHermitianError, "not Hermitian"),
+            ([(0, "trace"), (1, "nan")], ValueError, "trace must be 1"),
+            ([(3, "psd"), (2, "trace")], ValueError, "trace must be 1"),
+        ],
+    )
+    def test_lowest_bad_matrix_raises_its_own_error(self, faults, error, message):
+        stack = np.stack([np.eye(4, dtype=complex) / 4.0] * 4)
+        planted = {
+            "psd": lambda m: np.diag([0.6, 0.5, -0.1, 0.0]),
+            "herm": lambda m: m + 1e-6 * np.eye(4, k=1),
+            "nan": lambda m: np.full((4, 4), np.nan),
+            "trace": lambda m: 2.0 * m,
+        }
+        for row, fault in faults:
+            stack[row] = planted[fault](stack[row])
+        first = min(row for row, _ in faults)
+        with pytest.raises(error, match=message) as stacked:
+            _spectra(stack, (2, 2), True)
+        with pytest.raises(error) as single:
+            DensityMatrix.from_matrix(stack[first], (2, 2))
+        assert str(stacked.value) == str(single.value)
+
+    def test_bad_dims_fail_the_first_matrix(self):
+        stack = np.stack([np.eye(4) / 4.0] * 2)
+        with pytest.raises(DimensionMismatchError, match="product 4"):
+            _spectra(stack, (2, 3), True)
+        stack[0, 0, 1] = 1e-6  # the first matrix fails its Hermitian check first
+        with pytest.raises(NonHermitianError):
+            _spectra(stack, (2, 3), True)
