@@ -28,6 +28,7 @@ from .linalg import (
     PAULIS,
     RANK_CUTOFF,
     TOL_PSD,
+    _is_positive_int,
     apply_local,
     dagger,
     degenerate_clusters,
@@ -255,7 +256,7 @@ def interferometric_power(rho: DensityMatrix) -> float:
     Equals the smallest eigenvalue of :func:`qfi_quadratic_form`; vanishes
     exactly on states that are classically correlated with respect to A.  This is
     :func:`_form_minimum` without a stack axis; ``probes.build_probes`` finds the
-    powers of a sweep's probes in one call of it.
+    powers of every probe of a batch in one call of it.
     """
     return _form_minimum(rho.eigenvalues, rho.eigenvectors, rho.dims, _qfi_weights)
 
@@ -380,10 +381,7 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
 
 def _check_grid(n_theta, n_phi) -> None:
     """Reject grid counts that are not positive whole numbers; a bool is not a count."""
-    if not all(
-        isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-        for n in (n_theta, n_phi)
-    ):
+    if not (_is_positive_int(n_theta) and _is_positive_int(n_phi)):
         raise ValueError(f"grid counts ({n_theta!r}, {n_phi!r}) must be positive integers")
 
 

@@ -442,8 +442,7 @@ def run_experiment(
 
     The measurement basis is the SLD eigenbasis at the true phase (the
     adaptive pre-localization is assumed to have converged there).  The
-    probe's state and interferometric power come from :func:`probes.build_probes`,
-    which the family keeps, so runs that share one family object build them once.
+    probe's state and interferometric power come from :func:`probes.build_probes`.
     Raises :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside the
     window [0, pi/omega) of the setting's generator, [0, pi/2) for settings
     1-3, and :class:`ParameterOutOfRangeError` when ``nu`` is not a whole
@@ -460,31 +459,30 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     it: ``nu``, then the probe's parameters (:attr:`ProbeFamily.matrix`), the
     setting and the window.  So the first bad run raises before anything is
     computed, and ``runs`` may be a generator that makes its families as it goes.
-    Then the distinct family objects are built by one
+    Then the distinct families, equal ones counted once, are built by one
     :func:`probes.build_probes` (one ``eigh`` for their states, one ``eigvalsh``
-    for their powers, skipping families built before), which each family keeps;
-    every run reads its probe's row of those stacks, and its generator's row of
-    the stacked settings.  The SLD eigenproblems of all runs are one ``eigh`` (one
-    more per tie-break cluster size, see :func:`correlations._sld_stack`), the
-    population models one pass, and the fits one stacked ``eigvals``.  Each run
-    draws its noise from its own ``default_rng(noise.seed)``.  Every step reads
-    only its own run, so a run's record is bit-identical whatever else the batch
-    holds.
+    for their powers); every run reads its probe's row of those stacks, and its
+    generator's row of the stacked settings.  The SLD eigenproblems of all runs
+    are one ``eigh`` (one more per tie-break cluster size, see
+    :func:`correlations._sld_stack`), the population models one pass, and the
+    fits one stacked ``eigvals``.  Each run draws its noise from its own
+    ``default_rng(noise.seed)``.  Every step reads only its own run, so a run's
+    record is bit-identical whatever else the batch holds.
     """
     _require_ensemble_size(nu)
     checked, families, settings = [], {}, {}
     for probe, k, noise in runs:
-        if id(probe) not in families:
+        if probe not in families:
             probe.matrix  # checks the family's parameters, or raises
-            families[id(probe)] = (len(families), probe)
+            families[probe] = len(families)
         ham = setting_hamiltonian(k)
         _check_in_window(ham, phi_true)
         settings.setdefault(int(k), (len(settings), ham))
         checked.append((probe, int(k), noise or NoiseSpec()))
     if not checked:
         return []
-    matrices, q, v, powers = build_probes([probe for _, probe in families.values()])
-    rows = np.array([families[id(probe)][0] for probe, _, _ in checked])
+    matrices, q, v, powers = build_probes(list(families))
+    rows = np.array([families[probe] for probe, _, _ in checked])
     hams = [ham for _, ham in settings.values()]
     by_setting = np.array([settings[k][0] for _, k, _ in checked])
     l_values, basis = _sld_stack(
@@ -558,8 +556,8 @@ def run_sweep(
     Rows are ordered by (label, setting, p); per-run noise seeds are derived
     from the root seed in that fixed order, so the output never depends on
     evaluation order.  Each distinct probe family is built once and shared by
-    all its settings; families without parameters (``sep``, ``bell``) are
-    built once per sweep.  ``sigma`` and ``nu`` are checked before any run,
+    all its settings and, for families without parameters (``sep``, ``bell``),
+    all its values of p.  ``sigma`` and ``nu`` are checked before any run,
     so an empty sweep rejects them too; the runs are then checked in order,
     and the first bad one raises before anything is computed.
     """
@@ -573,14 +571,9 @@ def run_sweep(
     ]
     root = np.random.default_rng(seed)
     run_seeds = root.integers(0, 2**63 - 1, size=len(combos))
-    families: dict[ProbeFamily, ProbeFamily] = {}
-
-    def shared(family: ProbeFamily) -> ProbeFamily:
-        return families.setdefault(family, family)
-
     runs = (
         (
-            shared(ProbeFamily(label, (p,) if label in SWEPT_LABELS else ())),
+            ProbeFamily(label, (p,) if label in SWEPT_LABELS else ()),
             k,
             NoiseSpec(sigma, int(run_seed)),
         )

@@ -45,6 +45,11 @@ def _square_complex(m, ndim: int = 2) -> np.ndarray:
     return arr
 
 
+def _is_positive_int(n) -> bool:
+    """Whether ``n`` is a positive Python or numpy integer; a bool is not one."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+
+
 def _finite_rows(arr: np.ndarray):
     """Whether every entry of a matrix, or of each matrix of a stack, is finite."""
     return np.isfinite(arr).all(axis=(-2, -1))

@@ -33,16 +33,9 @@ BELL_PHI_PLUS = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
 
 @dataclass(frozen=True)
 class ProbeFamily:
-    """A probe family label together with its parameters.
-
-    Equality and hashing come from ``label`` and ``params`` alone.  The family
-    keeps what is built from it: :attr:`matrix` on first access, and :attr:`state`
-    and :attr:`power` from the first :func:`build_probes` that holds it, which the
-    first access to either runs as a batch of one.  So a caller that passes one
-    family object to several runs, or builds many families in one batch, builds
-    each probe once.  A build that raises caches nothing and raises again on the
-    next access.
-    """
+    """A probe family label together with its parameters, compared and hashed as
+    a value: equal labels and parameters are one family.  :attr:`matrix` is built
+    from them on first access; :func:`build_probes` turns families into states."""
 
     label: str
     params: tuple[float, ...] = field(default_factory=tuple)
@@ -64,7 +57,7 @@ class ProbeFamily:
     def matrix(self) -> np.ndarray:
         """The raw (4, 4) probe matrix, read-only, its parameters checked (their
         count, their range) but not yet validated as a state: :func:`build_probes`
-        does that.  Built once."""
+        does that.  Built once; a build that raises raises again on the next access."""
         build, count = _FAMILIES[self.label]
         if len(self.params) != count:
             raise ParameterOutOfRangeError(
@@ -74,58 +67,23 @@ class ProbeFamily:
         matrix.flags.writeable = False
         return matrix
 
-    @property
-    def state(self) -> DensityMatrix:
-        """The probe's density matrix, built once by :func:`build_probes`."""
-        if "_state" not in vars(self):
-            build_probes([self])
-        return vars(self)["_state"]
-
-    @property
-    def power(self) -> float:
-        """Interferometric power of :attr:`state`, computed once by :func:`build_probes`."""
-        if "_power" not in vars(self):
-            build_probes([self])
-        return vars(self)["_power"]
-
 
 def build_probes(families) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
     """(matrices, eigenvalues, eigenvectors, powers) of the probes of ``families``, a
-    sequence of :class:`ProbeFamily`, stacked in its order.
+    sequence of :class:`ProbeFamily`, stacked in its order, the arrays read-only.
 
-    The families not built yet are built as one stack: their raw matrices
-    (:attr:`ProbeFamily.matrix`, so each family's parameters are checked in order)
-    are validated and diagonalized as ``DensityMatrix.from_matrix`` does it, in one
-    ``eigh``, and their interferometric powers are the smallest eigenvalues of their
-    3x3 QFI forms, all in one ``eigvalsh``.  Each family keeps its state and power.
-    Every step reads only its own probe, so a probe's bits do not depend on the
-    rest of the stack; families built before are read back from what they keep.
+    The raw matrices (:attr:`ProbeFamily.matrix`, so each family's parameters are
+    checked in order) are validated and diagonalized as ``DensityMatrix.from_matrix``
+    does it, in one ``eigh``, and the interferometric powers are the smallest
+    eigenvalues of their 3x3 QFI forms, all in one ``eigvalsh``.  Every step reads
+    only its own probe, so a probe's bits do not depend on the rest of the stack.
     """
-    fresh = [family for family in families if "_state" not in vars(family)]
-    if fresh:
-        built = _build_stack(fresh)
-        if len(fresh) == len(families):
-            return built
-    states = [family.state for family in families]
-    return (
-        np.stack([rho.matrix for rho in states]),
-        np.stack([rho.eigenvalues for rho in states]),
-        np.stack([rho.eigenvectors for rho in states]),
-        [family.power for family in families],
-    )
-
-
-def _build_stack(families):
-    """:func:`build_probes` of families none of which is built yet."""
     from .correlations import _form_minimum, _qfi_weights  # correlations imports probes
 
     matrices, vals, vecs = _spectra(np.stack([f.matrix for f in families]), TWO_QUBITS, True)
     for arr in (matrices, vals, vecs):
         arr.flags.writeable = False
-    powers = _form_minimum(vals, vecs, TWO_QUBITS, _qfi_weights)
-    for family, matrix, q, v, power in zip(families, matrices, vals, vecs, powers):
-        vars(family).update(_state=DensityMatrix(matrix, TWO_QUBITS, q, v), _power=power)
-    return matrices, vals, vecs, powers
+    return matrices, vals, vecs, _form_minimum(vals, vecs, TWO_QUBITS, _qfi_weights)
 
 
 def _discordant_matrix(p: float) -> np.ndarray:

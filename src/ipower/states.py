@@ -27,6 +27,7 @@ from .linalg import (
     TOL_PSD,
     TOL_TRACE,
     _finite_rows,
+    _is_positive_int,
     _non_hermitian,
     _split_hermitian,
     _square_complex,
@@ -84,10 +85,7 @@ def _spectra(matrix, dims, stack: bool = False):
 
 def _dims_error(dims, d: int) -> DimensionMismatchError | None:
     """The error for ``dims`` unless they are two positive integers, not bools, with product d."""
-    whole = len(dims) == 2 and all(
-        isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in dims
-    )
-    if whole and dims[0] * dims[1] == d:
+    if len(dims) == 2 and all(_is_positive_int(n) for n in dims) and dims[0] * dims[1] == d:
         return None
     return DimensionMismatchError(f"dims {dims} must be two positive integers with product {d}")
 
@@ -121,7 +119,7 @@ class DensityMatrix:
         and diagonalize it once; the state keeps its eigenpairs for every later formula.
 
         This is :func:`_spectra` without a stack axis; ``probes.build_probes`` calls
-        it with one, and so checks and diagonalizes a sweep's probes in one ``eigh``.
+        it with one, and so checks and diagonalizes every probe of a batch in one ``eigh``.
         """
         arr, vals, vecs = _spectra(matrix, dims)
         return cls(_freeze(arr), (int(dims[0]), int(dims[1])), _freeze(vals), _freeze(vecs))

@@ -15,6 +15,7 @@ from itertools import product
 
 import numpy as np
 
+from . import estimation
 from .correlations import (
     _powers,
     _uncertainties,
@@ -26,13 +27,7 @@ from .correlations import (
     qfi_sphere_grid,
     sld,
 )
-from .estimation import (
-    NoiseSpec,
-    ProbeFamily,
-    adaptive_localize,
-    run_experiment,
-    run_sweep,
-)
+from .estimation import NoiseSpec, ProbeFamily, adaptive_localize, run_sweep
 from .linalg import dagger, eig_hermitian, tensor
 from .probes import (
     classical_probe,
@@ -363,35 +358,32 @@ def check_exact_sweep(bound) -> PropertyResult:
 
 
 def check_unbiasedness_exact(bound) -> PropertyResult:
+    """Q and C at three purities under every setting, one batch per true phase."""
     devs = []
-    labels, purities = ("Q", "C"), (0.13, 0.5, 0.9)
-    families = {(label, p): ProbeFamily(label, (p,)) for label, p in product(labels, purities)}
-    for phi_true, label, k, p in product(
-        (math.pi / 8, math.pi / 4, 3 * math.pi / 8), labels, (1, 2, 3), purities
-    ):
-        run = run_experiment(families[label, p], k, phi_true)
-        if run.failed or _misflagged(run):
-            devs.append(math.inf if _misflagged(run) else 0.0)
-        else:
-            devs.append(abs(run.phi_hat_mean - phi_true))
+    grid = product(("Q", "C"), (1, 2, 3), (0.13, 0.5, 0.9))
+    runs = [(ProbeFamily(label, (p,)), k, None) for label, k, p in grid]
+    for phi_true in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
+        for run in estimation.run_batch(runs, phi_true):
+            if run.failed or _misflagged(run):
+                devs.append(math.inf if _misflagged(run) else 0.0)
+            else:
+                devs.append(abs(run.phi_hat_mean - phi_true))
     return _result("exact-mode unbiasedness", devs, bound)
 
 
 def check_noise_robustness(rng, n, bound) -> PropertyResult:
     """Probe Q, setting 1, 5 % noise: at most a ``bound`` share of the runs may
-    miss pi/4 by more than 0.05 rad."""
+    miss pi/4 by more than 0.05 rad.  The ``n`` runs are one batch."""
     families = [ProbeFamily("Q", (p,)) for p in flip_angle_grid() if p >= 0.3]
     run_seeds = rng.integers(0, 2**63 - 1, size=n)
-    hits = 0
-    for i in range(n):
-        run = run_experiment(
-            families[i % len(families)],
-            1,
-            math.pi / 4,
-            noise=NoiseSpec(0.05, int(run_seeds[i])),
-        )
-        if not run.failed and abs(run.phi_hat_mean - math.pi / 4) <= 0.05:
-            hits += 1
+    runs = [
+        (families[i % len(families)], 1, NoiseSpec(0.05, seed))
+        for i, seed in enumerate(run_seeds.tolist())
+    ]
+    hits = sum(
+        not run.failed and abs(run.phi_hat_mean - math.pi / 4) <= 0.05
+        for run in estimation.run_batch(runs, math.pi / 4)
+    )
     miss_rate = (n - hits) / n if n else math.inf
     return PropertyResult(
         name="5 percent noise robustness",

@@ -10,7 +10,6 @@ from numpy.testing import assert_allclose
 import ipower.correlations as correlations_mod
 import ipower.estimation as estimation_mod
 import ipower.linalg as linalg_mod
-import ipower.probes as probes_mod
 import ipower.states as states_mod
 from ipower.correlations import interferometric_power, sld
 from ipower.errors import (
@@ -636,30 +635,39 @@ class TestSweepSharesProbes:
 
     def test_default_grid_builds_each_probe_once(self, monkeypatch):
         # One batch build of the 74 distinct families, their powers in one stack.
-        builds = _count_calls(monkeypatch, probes_mod, "_build_stack")
+        builds = _count_calls(monkeypatch, estimation_mod, "build_probes")
         powers = _eigvalsh_calls(monkeypatch)
         runs = run_sweep(*DEFAULT_GRID, PI4)
         assert len(runs) == 222
         assert [len(families) for families, in builds] == [74]
-        assert len({id(family) for family in builds[0][0]}) == 74
+        assert len(set(builds[0][0])) == 74
         assert powers == [(74, 3, 3)]
 
     def test_family_without_parameters_builds_once(self, monkeypatch):
-        builds = _count_calls(monkeypatch, probes_mod, "_build_stack")
+        builds = _count_calls(monkeypatch, estimation_mod, "build_probes")
         powers = _eigvalsh_calls(monkeypatch)
         runs = run_sweep(("sep",), (1, 2, 3), [0.2, 0.5], PI4)
         assert len(runs) == 6
-        assert [len(families) for families, in builds] == [1]
+        assert builds == [([ProbeFamily("sep")],)]
         assert powers == [(1, 3, 3)]
 
     def test_no_memo_outlives_a_sweep(self, monkeypatch):
-        builds = _count_calls(monkeypatch, probes_mod, "_build_stack")
+        builds = _count_calls(monkeypatch, estimation_mod, "build_probes")
         powers = _eigvalsh_calls(monkeypatch)
         first = run_sweep(*DEFAULT_GRID, PI4)
         second = run_sweep(*DEFAULT_GRID, PI4)
         assert first == second
         assert [len(families) for families, in builds] == [74, 74]
         assert powers == [(74, 3, 3)] * 2
+
+    def test_equal_families_are_built_once(self, monkeypatch):
+        # Families are keyed by value: two equal objects are one probe.
+        builds = _count_calls(monkeypatch, estimation_mod, "build_probes")
+        first, second = ProbeFamily("Q", (0.5,)), ProbeFamily("Q", (0.5,))
+        assert first is not second
+        runs = estimation_mod.run_batch([(first, 1, None), (second, 2, None)], PI4)
+        assert builds == [([first],)]
+        assert runs == [run_experiment(ProbeFamily("Q", (0.5,)), k, PI4) for k in (1, 2)]
 
     def test_out_of_range_probe_still_raises(self):
         with pytest.raises(ParameterOutOfRangeError, match="p must lie in"):

@@ -76,26 +76,15 @@ class TestFamilyConstructors:
 
 
 class TestFamilyKeepsItsBuild:
-    def test_state_and_power_are_built_once(self):
-        family = ProbeFamily("Q", (0.5,))
-        assert family.state is family.state
-        assert family.power == interferometric_power(discordant_probe(0.5))
-        assert family.power == pytest.approx(0.25, abs=1e-12)  # p^2
-
+    # The family keeps its raw matrix, and nothing else: it is a value.
     def test_identity_ignores_the_build(self):
         family = ProbeFamily("C", (0.3,))
         fresh = ProbeFamily("C", (0.3,))
         before = hash(family)
-        assert family.power == pytest.approx(0.0, abs=1e-12)  # C carries no discord
+        assert family.matrix is family.matrix  # built once
         assert family == fresh and hash(family) == before == hash(fresh)
         assert family == ProbeFamily(family.label, family.params)
         assert {family: 1}[fresh] == 1
-
-    def test_make_probe_still_returns_a_fresh_state(self):
-        family = ProbeFamily("werner", (0.7,))
-        built = make_probe(family)
-        assert built is not family.state
-        assert_allclose(built.matrix, family.state.matrix, atol=0)
 
     @pytest.mark.parametrize(
         "family, error",
@@ -108,9 +97,7 @@ class TestFamilyKeepsItsBuild:
     def test_failed_build_raises_on_every_access(self, family, error):
         for _ in range(2):
             with pytest.raises(error):
-                family.state
-            with pytest.raises(error):
-                family.power
+                family.matrix
 
 
 def reference_state(family):
@@ -146,34 +133,16 @@ class TestBuildProbes:
             assert np.float64(powers[i]).tobytes() == np.float64(
                 interferometric_power(rho)
             ).tobytes()
-            # The family keeps its row of the stack, read-only, and its power.
-            assert family.state.matrix.tobytes() == rho.matrix.tobytes()
-            assert not family.state.eigenvectors.flags.writeable
-            assert family.power is powers[i]
-
-    def test_families_built_before_are_read_back(self):
-        built = [ProbeFamily("Q", (0.3,)), ProbeFamily("bell")]
-        states = [family.state for family in built]  # two batches of one
-        fresh = [ProbeFamily("C", (0.3,)), ProbeFamily("werner", (0.6,))]
-        families = [fresh[0], built[0], fresh[1], built[1]]
-        matrices, vals, vecs, powers = build_probes(families)
-        assert [family.state for family in built] == states
-        assert all(a is b for a, b in zip((f.state for f in built), states))
-        whole = build_probes([ProbeFamily(f.label, f.params) for f in families])
-        for mixed, fresh_stack in zip((matrices, vals, vecs), whole[:3]):
-            assert mixed.tobytes() == fresh_stack.tobytes()
-        assert powers == whole[3]
+        assert not any(arr.flags.writeable for arr in (matrices, vals, vecs))
 
     def test_outside_the_tetrahedron_keeps_its_message(self):
         # The triple's closed-form spectrum is checked with its parameters, so
         # the message is the family's own; a nan triple is outside as well.
         for triple in ((0.9, 0.9, 0.9), (np.nan, 0.0, 0.0), (np.inf, 0.0, 0.0)):
             family = ProbeFamily("belldiag", triple)
-            for build in (lambda: build_probes([family]), lambda: family.state,
-                          lambda: bell_diagonal_state(*triple)):
+            for build in (lambda: build_probes([family]), lambda: bell_diagonal_state(*triple)):
                 with pytest.raises(NotPositiveSemidefiniteError, match="outside the state"):
                     build()
-            assert "_state" not in vars(family)
 
 
 class TestSettings:

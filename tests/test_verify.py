@@ -13,7 +13,7 @@ ip, lqu, qfi, sld, evolve = (
     verify.interferometric_power, verify.local_quantum_uncertainty, verify.qfi, verify.sld,
     verify.evolve,
 )
-run, eig, landscape = verify.run_experiment, verify.eig_hermitian, verify.qfi_sphere_grid
+eig, landscape = verify.eig_hermitian, verify.qfi_sphere_grid
 batch = estimation.run_batch
 
 
@@ -41,10 +41,6 @@ def minimum_at(offset):  # stands in for a (value, direction) minimizer
 
 def shifted_run(r, offset):
     return r if r.failed else dataclasses.replace(r, phi_hat_mean=r.phi_hat_mean + offset)
-
-
-def biased(offset):
-    return lambda *args, **kwargs: shifted_run(run(*args, **kwargs), offset)
 
 
 def biased_batch(offset):
@@ -92,11 +88,12 @@ CHECKS = {
     "basis": lambda: verify.check_basis_independence(rng(), 2, 1e-10),
     "pure-reduction": lambda: verify.check_pure_state_reduction(rng(), 3, 1e-6),
     "exact-sweep": lambda: verify.check_exact_sweep(1e-9),
+    "unbiasedness": lambda: verify.check_unbiasedness_exact(1e-6),
     "noise": lambda: verify.check_noise_robustness(rng(), 5, 0.05),
 }
 
 # id: (check in CHECKS, name patched in ipower.verify, planted fault); run_batch is
-# patched in ipower.estimation, where run_sweep and run_experiment call it.
+# patched in ipower.estimation, through which run_sweep and verify call it.
 FAULTS = {
     "eig-unsorted": ("eig", "eig_hermitian", lambda h: tuple(a[..., ::-1] for a in eig(h))),
     "eig-near-degenerate-swap": ("eig-near-degenerate", "eig_hermitian", swap_lowest_pair),
@@ -134,7 +131,8 @@ FAULTS = {
         "pure-reduction", "min_local_variance", minimum_at(1e-9)),
     "pure-reduction-LQU": ("pure-reduction", "local_quantum_uncertainty", shifted(1e-5, lqu)),
     "exact-sweep-bias": ("exact-sweep", "run_batch", biased_batch(2e-6)),
-    "noise-every-estimate-off": ("noise", "run_experiment", biased(0.1)),
+    "unbiasedness-bias": ("unbiasedness", "run_batch", biased_batch(1e-5)),
+    "noise-every-estimate-off": ("noise", "run_batch", biased_batch(0.1)),
 }
 
 
@@ -152,7 +150,7 @@ def test_planted_fault_fails_the_family(name, monkeypatch):
 def test_exact_mode_families_fail_when_runs_break_the_failure_rule(failed, monkeypatch):
     # True: every run fails, so nothing is checked. False: runs without
     # information (probe C under setting 3) come back unflagged.  Both
-    # families' runs pass through run_batch: run_experiment is a batch of one.
+    # families' runs pass through estimation.run_batch.
     def planted(*args, **kwargs):
         return [dataclasses.replace(r, failed=failed) for r in batch(*args, **kwargs)]
 
