@@ -23,9 +23,10 @@ the protocol rejects it with :class:`PhaseOutOfWindowError`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -596,6 +597,93 @@ def fmt12(x) -> str:
     return f"{float(x):.12g}"
 
 
+# The JSON cell of a non-finite 12-digit text: round12 maps NaN to None.
+_JSON_CELL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _cells12(values, fmt: str) -> list[str]:
+    """The cells of ``values`` (floats or None), each formatted once: in CSV
+    the text t of :func:`fmt12`, in JSON what ``json.dumps`` writes for
+    :func:`round12`'s float, ``null`` for None and NaN.
+
+    That float is float(t), and its ``repr`` has t's digits: two decimals of
+    at most 12 digits that round to one normal double are equal.  So the JSON
+    cell is t itself when both put the point or exponent alike (a fraction
+    written out, or an exponent from e-05 to e-99), t + ".0" for a whole
+    number, and repr(float(t)) only for the rest (exponents e+12 and up or
+    e-100 and down, which keeps subnormals exact).
+    """
+    text = ["nan" if x is None else f"{x:.12g}" for x in values]
+    if fmt == "csv":
+        return text
+    return [
+        t if ("e" not in t and "." in t) or t[-4:-2] == "e-"
+        else t + ".0" if t.lstrip("-").isdigit()
+        else _JSON_CELL.get(t) or repr(float(t))
+        for t in text
+    ]
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """``json.dumps(indent=1)``'s layout of a list whose elements have the texts
+    ``items``, for a list opened on a line indented by ``pad``."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + " "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _json_template(keys, pad: str) -> str:
+    """``json.dumps(indent=1)``'s layout of an object with ``keys``, opened on a
+    line indented by ``pad``, as a %-template of its values' texts."""
+    if not keys:
+        return "{}"
+    inner = "\n" + pad + " "
+    fields = [_json_string(key).replace("%", "%%") + ": %s" for key in keys]
+    return "{" + inner + ("," + inner).join(fields) + "\n" + pad + "}"
+
+
+def _scalar_text(x) -> str:
+    """``json.dumps(x)`` of a JSON scalar: a string, None, a bool, an int or a float."""
+    if isinstance(x, str):
+        return _json_string(x)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        text = "NaN" if x != x else float.__repr__(x)
+        return _JSON_CELL.get(text, text)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def json_text(value) -> str:
+    """``json.dumps(value, indent=1) + "\\n"``, byte for byte, for the shapes the
+    package writes: an object, or a list of objects, whose values are JSON
+    scalars or flat lists (or tuples) of them.  Objects are laid out by
+    :func:`_json_template`, so no pure-Python encoder runs."""
+    if isinstance(value, dict):
+        return _object_text(value, "") + "\n"
+    return _json_list([_object_text(item, " ") for item in value], "") + "\n"
+
+
+def _object_text(obj: dict, pad: str) -> str:
+    inner = pad + " "
+    values = tuple(
+        _json_list([_scalar_text(x) for x in v], inner)
+        if isinstance(v, (list, tuple))
+        else _scalar_text(v)
+        for v in obj.values()
+    )
+    return _json_template(obj, pad) % values
+
+
+def _run_order(run: EstimationRun):
+    return (run.probe_label, run.setting_k, run.p)
+
+
 def sweep_rows(runs: list[EstimationRun]) -> list[dict]:
     """Tabular view of a sweep, one dict per run with the documented columns."""
     rows = []
@@ -618,31 +706,45 @@ def sweep_rows(runs: list[EstimationRun]) -> list[dict]:
     return rows
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (str, int)):
-        return str(value)
-    return fmt12(value)
+# Cells of the sweep columns that are not floats (or None), by column.
+_COLUMN_CELLS = {
+    "s": lambda values, fmt: values if fmt == "csv" else list(map(_json_string, values)),
+    "k": lambda values, fmt: list(map(str, values)),
+    "failed": lambda values, fmt: ["true" if v else "false" for v in values],
+}
+
+
+def _row_cells(rows: list[dict], columns, fmt: str) -> dict[str, list[str]]:
+    """``{column: cells}`` of :func:`sweep_rows` output, each value formatted
+    once: ``s`` as it is (a JSON string in JSON), ``k`` as an integer,
+    ``failed`` as true / false and every other column by :func:`_cells12`."""
+    return {
+        c: _COLUMN_CELLS.get(c, _cells12)([row[c] for row in rows], fmt) for c in columns
+    }
+
+
+def _table_text(cells: dict[str, list[str]], columns, fmt: str) -> str:
+    """The file of the rows of ``cells`` restricted to ``columns``: in CSV a
+    header line and each row's cells joined by ','; in JSON a list of row
+    objects laid out from one row template."""
+    rows = zip(*(cells[c] for c in columns))
+    if fmt == "csv":
+        return "\n".join([",".join(columns), *map(",".join, rows)]) + "\n"
+    template = _json_template(columns, " ")
+    return _json_list([template % row for row in rows], "") + "\n"
 
 
 def rows_text(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
     """Render :func:`sweep_rows` output restricted to ``columns``, as CSV or JSON.
 
-    Each cell's form follows its Python type: strings and integers as they
-    are, booleans as true / false, and floats with 12 significant digits; a
-    missing value (None) or NaN is ``nan`` in CSV and ``null`` in JSON.  The
-    CSV decimal separator is always '.' and the field separator ','.
+    Both formats carry the same cells: ``s`` and ``k`` as they are, ``failed``
+    as true / false and the other columns with 12 significant digits, a
+    missing value (None) or NaN being ``nan`` in CSV and ``null`` in JSON.
+    The CSV decimal separator is always '.' and the field separator ','.  The
+    JSON text is ``json.dumps`` of the rows rounded by :func:`round12` with
+    ``indent=1``.
     """
-    if fmt == "json":
-        payload = [
-            {c: row[c] if isinstance(row[c], (str, int)) else round12(row[c]) for c in columns}
-            for row in rows
-        ]
-        return json.dumps(payload, indent=1) + "\n"
-    lines = [",".join(columns)]
-    lines += [",".join(_csv_cell(row[c]) for c in columns) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _table_text(_row_cells(rows, columns, fmt), columns, fmt)
 
 
 def sweep_csv_text(runs: list[EstimationRun]) -> str:
@@ -650,20 +752,58 @@ def sweep_csv_text(runs: list[EstimationRun]) -> str:
     return rows_text(sweep_rows(runs), SWEEP_COLUMNS, "csv")
 
 
+# The layout of EstimationRun.to_json_dict, one %s per field in its order.
+_RECORD = _json_template(
+    (
+        "probe_label", "p", "setting_k", "phi0", "nu", "d_meas", "l_values",
+        "phi_hat_mean", "phi_hat_var", "f_exp", "failed", "seed",
+    ),
+    " ",
+)
+
+
+def _records_text(runs: list[EstimationRun], cells: dict[str, list[str]]) -> str:
+    """:func:`json_text` of the runs' :meth:`EstimationRun.to_json_dict`, laid
+    out from one record template.  ``runs`` are in :func:`sweep_rows` order and
+    ``cells`` hold the JSON cells of their rows' ``p``, ``var`` and ``phi_hat``;
+    every other float is formatted in one pass of :func:`_cells12`."""
+    floats = [x for run in runs for x in (run.phi0, run.f_exp, *run.d_meas, *run.l_values)]
+    numbers = iter(_cells12(floats, "json"))
+    records = []
+    for run, p, var, mean in zip(runs, cells["p"], cells["var"], cells["phi_hat"]):
+        phi0, f_exp = next(numbers), next(numbers)
+        d_meas = _json_list(list(islice(numbers, len(run.d_meas))), "  ")
+        l_values = _json_list(list(islice(numbers, len(run.l_values))), "  ")
+        records.append(
+            _RECORD
+            % (
+                _json_string(run.probe_label), p, run.setting_k, phi0, run.nu, d_meas, l_values,
+                mean, var, f_exp, "true" if run.failed else "false",
+                "null" if run.seed is None else run.seed,
+            )
+        )
+    return _json_list(records, "") + "\n"
+
+
 def sweep_json_text(runs: list[EstimationRun]) -> str:
     """Render a sweep as a JSON array of run records (sorted by s, k, p)."""
-    ordered = sorted(runs, key=lambda r: (r.probe_label, r.setting_k, r.p))
-    return json.dumps([run.to_json_dict() for run in ordered], indent=1) + "\n"
+    ordered = sorted(runs, key=_run_order)
+    return _records_text(ordered, _row_cells(sweep_rows(ordered), ("p", "var", "phi_hat"), "json"))
 
 
 def figure3_texts(runs: list[EstimationRun], fmt: str) -> dict[str, str]:
-    """The four figure-3 files of a sweep as ``{name: text}``, in ``FIGURE3_COLUMNS`` order."""
-    rows = sweep_rows(runs)
+    """The four figure-3 files of a sweep as ``{name: text}``, in ``FIGURE3_COLUMNS`` order.
+
+    The rows are formatted once into one cell table that every file reads,
+    the JSON sweep records included.
+    """
+    ordered = sorted(runs, key=_run_order)
+    cells = _row_cells(sweep_rows(ordered), SWEEP_COLUMNS, fmt)
     return {
         name: (
-            sweep_json_text(runs)
+            _records_text(ordered, cells)
             if fmt == "json" and name == "sweep"
-            else rows_text(rows, columns, fmt)
+            else _table_text(cells, columns, fmt)
         )
         for name, columns in FIGURE3_COLUMNS.items()
     }

@@ -119,6 +119,48 @@ class TestFigure3:
         assert set(precision[0]) == {"s", "k", "p", "f_exp_over_4", "ip"}
 
 
+def strict_json(text):
+    """json.loads that rejects the NaN and Infinity tokens strict JSON lacks."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    # Failed runs, families without p and dust all print as strict JSON.
+    def test_figure3_files(self, tmp_path, capsys):
+        assert run_cli(["figure3", "--format", "json", "--out", str(tmp_path / "f")]) == 0
+        capsys.readouterr()
+        nulls = 0
+        for name in ("sweep", "precision", "variance", "mean"):
+            records = strict_json((tmp_path / f"f_{name}.json").read_text())
+            assert len(records) == 222
+            nulls += sum(None in record.values() for record in records)
+        assert nulls > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--probe", "Q", "--p", "0.5", "--setting", "2", "--noise", "0.05", "--seed", "7"],
+            ["--probe", "C", "--p", "0", "--setting", "3"],
+            ["--probe", "sep", "--noise", "0.1", "--seed", "2"],
+        ],
+    )
+    def test_estimate_record(self, argv, capsys):
+        assert run_cli(["estimate", *argv]) == 0
+        record = strict_json(capsys.readouterr().out)
+        assert set(record) >= {"p", "phi_hat_mean", "phi_hat_var", "failed"}
+
+    def test_adaptive_record(self, tmp_path, capsys):
+        out = tmp_path / "trace.json"
+        assert run_cli(["adaptive", "--probe", "C", "--p", "0.6", "--setting", "2",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert strict_json(out.read_text())["converged"] is True
+
+
 class TestFloatFlags:
     @pytest.mark.parametrize(
         "argv",
