@@ -7,6 +7,8 @@
   and of ``figure3 --probe werner,Q,C --noise 0.3 --seed 3 --format json``;
 * the stdout of the README's ``estimate`` and ``adaptive`` examples, and the
   ``adaptive --out`` record;
+* the lines of ``verify --trials 100 --seed S`` for S = 0-3, whose worst
+  deviations are rounding-level numbers;
 * ``environment.json``: the numpy version, BLAS build and machine they were
   made with.  Rounding-level cells (e.g. a power of 5e-32) depend on the
   build, so on another environment the test fails naming the mismatch.
@@ -15,7 +17,8 @@ A change that moves an output on purpose regenerates the files with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists the moved lines in CHANGES.md.
+which first prints, per file, "unchanged" or its first differing line, and
+lists the moved lines in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ RUNS = {
         ["adaptive.json"],
         False,
     ),
+    **{
+        f"verify_seed{seed}": (["verify", "--trials", "100", "--seed", str(seed)], [], False)
+        for seed in range(4)
+    },
 }
 
 
@@ -131,6 +138,14 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         outputs = render(Path(tmp))
+    for name, content in outputs.items():
+        path = GOLDEN / name
+        if not path.exists():
+            print(f"{name}: new")
+        elif path.read_bytes() == content:
+            print(f"{name}: unchanged")
+        else:
+            print(first_difference(name, path.read_bytes(), content))
     for old in GOLDEN.iterdir():
         old.unlink()
     for name, content in outputs.items():
