@@ -35,7 +35,7 @@ from .linalg import (
     eigh_sorted,
 )
 from .probes import _bell_diagonal_eigenvalues, bell_diagonal_state
-from .states import DensityMatrix, LocalHamiltonian
+from .states import DensityMatrix, LocalHamiltonian, _require_single
 
 # Below this value of 1 - ||C||_inf^2 the Bell-diagonal closed formula is
 # singular and the spectral route is used instead.
@@ -92,15 +92,15 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _pair_matrix(q, v, dims, ops, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(E, w) of the eigenpairs (q, v) of a state: row k of the real (k, 2P) E holds
+def _pair_matrix(rho: DensityMatrix, ops, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(E, w) of the eigenpairs (q, v) of rho: row k of the real (k, 2P) E holds
     Re, then Im, of <psi_i|O_k x I|psi_l> over the P pairs i < l, and w their pair
     weights, twice.  No other pair carries information: w is symmetric with a zero
-    diagonal, and O_k is Hermitian.  q (..., d) and v (..., d, d) may carry a leading
-    stack axis of states, and E and w then one as well."""
+    diagonal, and O_k is Hermitian.  For a stack of states E and w carry its axis."""
+    q, v = rho.eigenvalues, rho.eigenvectors
     i, l = _upper_pairs(q.shape[-1])
     # A stack of states takes an axis for the operators, which broadcast over it.
-    el = _elements(v[:, None] if v.ndim > 2 else v, dims, ops)[..., i, l]
+    el = _elements(v[:, None] if v.ndim > 2 else v, rho.dims, ops)[..., i, l]
     qt = q.T  # the pairs index its first axis, with or without a stack axis
     w = weights(qt[i], qt[l])
     return np.concatenate((el.real, el.imag), axis=-1), np.concatenate((w, w)).T
@@ -111,48 +111,28 @@ def _require_qubit(dims) -> None:
         raise SubsystemANotQubitError(f"subsystem A has dimension {dims[0]}, need a qubit")
 
 
-def _quadratic_form(q, v, dims, weights) -> np.ndarray:
+def _quadratic_form(rho: DensityMatrix, weights) -> np.ndarray:
     """Real symmetric 3x3 form K with n^T K n = sum_{i<l} w_il |<psi_i|n . sigma x I|psi_l>|^2
-    of the state with eigenpairs (q, v), or a (N, 3, 3) stack of them for a stack of states.
+    of the state rho, or a (N, 3, 3) stack of them for a stack of states.
 
     Entry (m, n) is sum_{i<l} w_il Re(<psi_i|sigma_m x I|psi_l><psi_l|sigma_n x I|psi_i>).
     """
-    _require_qubit(dims)
-    e, w = _pair_matrix(q, v, dims, _PAULI_STACK, weights)
+    _require_qubit(rho.dims)
+    e, w = _pair_matrix(rho, _PAULI_STACK, weights)
     form = (e * w[..., None, :]) @ e.mT
     return (form + form.mT) / 2.0
 
 
-def _form_minimum(q, v, dims, weights):
+def _form_minimum(rho: DensityMatrix, weights):
     """The smallest eigenvalue of :func:`_quadratic_form`, clamped at 0 as ``max(x, 0.0)``
     clamps it: the worst case over qubit generators of spectrum (-1, +1).  For one
-    state, q (d,) and v (d, d), a float; for a stack of states, q (N, d) and v (N, d, d),
-    a list of N floats, every form solved in one ``eigvalsh``.  Each step reads only its
-    own state, so a state of a stack gets the bits of its own call."""
-    lowest = np.linalg.eigvalsh(_quadratic_form(q, v, dims, weights))[..., 0]
+    state a float; for a stack of N states a list of N floats, every form solved in one
+    ``eigvalsh``.  Each step reads only its own state, so a state of a stack gets the
+    bits of its own call."""
+    lowest = np.linalg.eigvalsh(_quadratic_form(rho, weights))[..., 0]
     if lowest.ndim:
         return [max(x, 0.0) for x in lowest.tolist()]
     return max(float(lowest), 0.0)
-
-
-def _eigenpair_stack(states) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """(q, v, dims) of a non-empty sequence of states with equal dims: their
-    eigenvalues (N, d) and eigenvectors (N, d, d) stacked, and those dims."""
-    return (
-        np.stack([rho.eigenvalues for rho in states]),
-        np.stack([rho.eigenvectors for rho in states]),
-        states[0].dims,
-    )
-
-
-def _powers(states) -> list[float]:
-    """:func:`interferometric_power` of each of ``states`` (equal dims), as one stack."""
-    return _form_minimum(*_eigenpair_stack(states), _qfi_weights)
-
-
-def _uncertainties(states) -> list[float]:
-    """:func:`local_quantum_uncertainty` of each of ``states`` (equal dims), as one stack."""
-    return _form_minimum(*_eigenpair_stack(states), _skew_weights)
 
 
 def qfi(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
@@ -162,7 +142,8 @@ def qfi(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
     The value is invariant under a global phase of the eigenvectors and under
     adding multiples of the identity to H.
     """
-    e, w = _pair_matrix(rho.eigenvalues, rho.eigenvectors, rho.dims, [ham.matrix], _qfi_weights)
+    _require_single(rho)
+    e, w = _pair_matrix(rho, [ham.matrix], _qfi_weights)
     return float(4.0 * (e[0] ** 2 @ w))
 
 
@@ -200,30 +181,26 @@ def sld(rho: DensityMatrix, ham: LocalHamiltonian, phi0: float) -> SldDecomposit
     the basis W(0) is C W for W the eigenvectors of C^dagger T C,
     T = diag(1, 2, 4, ...): it depends only on the eigenspace, up to phases
     that populations do not see.  The basis returned is (U x I) W(0).
-
-    This is :func:`_sld_stack` without a stack axis; ``estimation.run_batch``
-    calls it with one, and so solves the L(0) of a whole sweep in one ``eigh``.
+    ``estimation.run_batch`` solves the L(0) of a whole sweep in one :func:`_sld_stack`.
     """
-    return SldDecomposition(
-        *_sld_stack(
-            rho.eigenvalues, rho.eigenvectors, rho.dims, ham.matrix, ham.phase_unitary(phi0)
-        )
-    )
+    _require_single(rho)
+    return SldDecomposition(*_sld_stack(rho, ham.matrix, ham.phase_unitary(phi0)))
 
 
-def _sld_stack(q, v, dims, h, u) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, basis (U x I) W(0)) of the SLD of :func:`sld`, for rho's eigenpairs
-    (q, v), generator matrices h and phase unitaries u = exp(-i phi0 h).
+def _sld_stack(rho: DensityMatrix, h, u) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, basis (U x I) W(0)) of the SLD of :func:`sld`, for the state rho,
+    generator matrices h and phase unitaries u = exp(-i phi0 h).
 
-    Each may carry one leading stack axis of N runs, which broadcasts: q (N, d),
-    v (N, d, d), h and u (N, d_A, d_A).  Every L(0) of the stack is one ``eigh``,
+    Each may carry one leading stack axis of N runs, which broadcasts: a stack of N
+    states, h and u (N, d_A, d_A).  Every L(0) of the stack is one ``eigh``,
     and the tie-break eigenproblems of every cluster of one size are one more.
     Each step reads only its own run, so a run's bits do not depend on the rest
     of the stack.
     """
+    q, v = rho.eigenvalues, rho.eigenvectors
     qi, ql = q[..., :, None], q[..., None, :]
     coeff = _pair_ratio(qi + ql, 2.0 * (ql - qi))
-    l_el = -1j * coeff * _elements(v, dims, h)
+    l_el = -1j * coeff * _elements(v, rho.dims, h)
     l_matrix = v @ l_el @ dagger(v)
     l_vals, l_vecs = eigh_sorted((l_matrix + dagger(l_matrix)) / 2.0)
     d = l_vals.shape[-1]
@@ -237,28 +214,28 @@ def _sld_stack(q, v, dims, h, u) -> tuple[np.ndarray, np.ndarray]:
         c = np.array([vecs[run, :, start : start + size] for run, start in found])
         for (run, start), block in zip(found, c @ eigh_sorted((dagger(c) * tie) @ c)[1]):
             vecs[run, :, start : start + size] = block
-    return l_vals, apply_local(u, vecs.reshape(l_vecs.shape), dims)
+    return l_vals, apply_local(u, vecs.reshape(l_vecs.shape), rho.dims)
 
 
 def qfi_quadratic_form(rho: DensityMatrix) -> np.ndarray:
-    """Real symmetric 3x3 form Q with n^T Q n = qfi(rho, n . sigma) / 4.
+    """Real symmetric 3x3 form Q with n^T Q n = qfi(rho, n . sigma) / 4, or for a
+    stack of N states the (N, 3, 3) stack of their forms.
 
     Entry (m, n) is half the double spectral sum of
     (q_i - q_l)^2/(q_i + q_l) <psi_i|sigma_m x I|psi_l><psi_l|sigma_n x I|psi_i>.
     Requires subsystem A to be a qubit; B may have any finite dimension.
     """
-    return _quadratic_form(rho.eigenvalues, rho.eigenvectors, rho.dims, _qfi_weights)
+    return _quadratic_form(rho, _qfi_weights)
 
 
 def interferometric_power(rho: DensityMatrix) -> float:
-    """Worst-case qfi/4 over all qubit generators on A with spectrum (-1, +1).
+    """Worst-case qfi/4 over all qubit generators on A with spectrum (-1, +1), or
+    for a stack of states the list of them, every form solved in one ``eigvalsh``.
 
     Equals the smallest eigenvalue of :func:`qfi_quadratic_form`; vanishes
-    exactly on states that are classically correlated with respect to A.  This is
-    :func:`_form_minimum` without a stack axis; ``probes.build_probes`` finds the
-    powers of every probe of a batch in one call of it.
+    exactly on states that are classically correlated with respect to A.
     """
-    return _form_minimum(rho.eigenvalues, rho.eigenvectors, rho.dims, _qfi_weights)
+    return _form_minimum(rho, _qfi_weights)
 
 
 def _bloch(theta, phi) -> np.ndarray:
@@ -277,8 +254,9 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     product is squared in place.  The closure's ``block_rows``, the power of two
     of rows whose (rows, 2P) product stays within ``_BLOCK_BYTES``, is how many
     grid directions :func:`_grid_values` passes it at once."""
+    _require_single(rho)
     _require_qubit(rho.dims)
-    e, w = _pair_matrix(rho.eigenvalues, rho.eigenvectors, rho.dims, _PAULI_STACK, weights)
+    e, w = _pair_matrix(rho, _PAULI_STACK, weights)
     e = np.ascontiguousarray(e)
 
     def landscape(ns):
@@ -445,19 +423,21 @@ def skew_information(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
     sum_{i<l} (sqrt(q_i) - sqrt(q_l))^2 |<psi_i|H x I|psi_l>|^2.
     Bounded above by qfi/4, with equality on pure states.
     """
-    e, w = _pair_matrix(rho.eigenvalues, rho.eigenvectors, rho.dims, [ham.matrix], _skew_weights)
+    _require_single(rho)
+    e, w = _pair_matrix(rho, [ham.matrix], _skew_weights)
     return float(e[0] ** 2 @ w)
 
 
 def local_quantum_uncertainty(rho: DensityMatrix) -> float:
-    """Worst-case skew information over qubit generators on A with spectrum (-1, +1).
+    """Worst-case skew information over qubit generators on A with spectrum (-1, +1),
+    or for a stack of states the list of them.
 
     Equals the smallest eigenvalue of the 3x3 skew form K = I - W with
     W_mn = Tr[sqrt(rho) sigma_m x I sqrt(rho) sigma_n x I], built directly in
     the eigenbasis of rho.  Lower-bounds the interferometric power for every
-    state.  This is :func:`_form_minimum` without a stack axis.
+    state.
     """
-    return _form_minimum(rho.eigenvalues, rho.eigenvectors, rho.dims, _skew_weights)
+    return _form_minimum(rho, _skew_weights)
 
 
 def skew_grid_search(rho: DensityMatrix) -> tuple[float, np.ndarray]:
@@ -482,6 +462,7 @@ def min_local_variance(rho: DensityMatrix) -> tuple[float, np.ndarray]:
     the direction defined up to sign.  For pure states this equals the
     interferometric power.
     """
+    _require_single(rho)
     _require_qubit(rho.dims)
     f = np.trace(apply_local(_PAULI_STACK, rho.matrix, rho.dims), axis1=1, axis2=2).real
     norm = float(np.linalg.norm(f))

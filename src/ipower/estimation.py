@@ -40,8 +40,8 @@ from .errors import (
     ZeroInformationError,
 )
 from .linalg import apply_local
-from .probes import SWEPT_LABELS, TWO_QUBITS, ProbeFamily, build_probes, setting_hamiltonian
-from .states import DensityMatrix, LocalHamiltonian
+from .probes import SWEPT_LABELS, ProbeFamily, build_probes, setting_hamiltonian
+from .states import DensityMatrix, LocalHamiltonian, _require_single
 
 # Fisher information (or least-squares range) below this cutoff counts as the
 # analytic zero of a pathological setting rather than numerical dust.
@@ -172,27 +172,25 @@ def population_model(
     U = sum_k exp(-i phi h_k) P_k, so a = diag W†(P_1 rho P_1 + P_2 rho P_2)W
     and b - i c = 2 diag W† P_1 rho P_2 W, P_k acting as P_k x I.
 
-    This is :func:`_population_stack` without a stack axis; :func:`run_batch`
-    builds the models of a whole sweep in one pass of it.
+    :func:`run_batch` builds the models of a whole sweep in one :func:`_population_stack`.
     """
+    _require_single(rho)
     omega = _frequency(ham)
     if basis.dim != rho.dim:
         raise BasisMismatchError(
             f"measurement basis dimension {basis.dim} != state dimension {rho.dim}"
         )
-    return PopulationModel(
-        omega, *_population_stack(rho.matrix, rho.dims, ham.eigenvectors, basis.eigenbasis)
-    )
+    return PopulationModel(omega, *_population_stack(rho, ham.eigenvectors, basis.eigenbasis))
 
 
-def _population_stack(matrix, dims, generator_vecs, basis):
-    """(a, b, c) of :func:`population_model` for state matrices, the generator's
+def _population_stack(rho: DensityMatrix, generator_vecs, basis):
+    """(a, b, c) of :func:`population_model` for a state, the generator's
     eigenvector columns and measurement bases that may carry one leading stack
     axis of runs; a, b and c then have one row per run."""
     e = generator_vecs.swapaxes(-1, -2)
     projectors = e[..., :, :, None] * e.conj()[..., :, None, :]
-    y = apply_local(projectors, basis[..., None, :, :], dims)
-    ry = matrix[..., None, :, :] @ y  # y[k] = (P_k x I) W, P_k = e_k e_k†
+    y = apply_local(projectors, basis[..., None, :, :], rho.dims)
+    ry = rho.matrix[..., None, :, :] @ y  # y[k] = (P_k x I) W, P_k = e_k e_k†
     y0, y1, ry0, ry1 = y[..., 0, :, :], y[..., 1, :, :], ry[..., 0, :, :], ry[..., 1, :, :]
     a = (y0.conj() * ry0 + y1.conj() * ry1).sum(axis=-2).real
     x = 2.0 * (y0.conj() * ry1).sum(axis=-2)
@@ -462,7 +460,7 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     computed, and ``runs`` may be a generator that makes its families as it goes.
     Then the distinct families, equal ones counted once, are built by one
     :func:`probes.build_probes` (one ``eigh`` for their states, one ``eigvalsh``
-    for their powers); every run reads its probe's row of those stacks, and its
+    for their powers); every run reads its probe's state of that stack, and its
     generator's row of the stacked settings.  The SLD eigenproblems of all runs
     are one ``eigh`` (one more per tie-break cluster size, see
     :func:`correlations._sld_stack`), the population models one pass, and the
@@ -482,20 +480,18 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
         checked.append((probe, int(k), noise or NoiseSpec()))
     if not checked:
         return []
-    matrices, q, v, powers = build_probes(list(families))
+    probes, powers = build_probes(list(families))
     rows = np.array([families[probe] for probe, _, _ in checked])
+    states = probes[rows]
     hams = [ham for _, ham in settings.values()]
     by_setting = np.array([settings[k][0] for _, k, _ in checked])
     l_values, basis = _sld_stack(
-        q[rows],
-        v[rows],
-        TWO_QUBITS,
+        states,
         np.stack([ham.matrix for ham in hams])[by_setting],
         np.stack([ham.phase_unitary(phi_true) for ham in hams])[by_setting],
     )
     a, b, c = _population_stack(
-        matrices[rows],
-        TWO_QUBITS,
+        states,
         np.stack([ham.eigenvectors for ham in hams])[by_setting],
         basis,
     )

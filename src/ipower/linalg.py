@@ -36,11 +36,11 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
-def _square_complex(m, ndim: int = 2) -> np.ndarray:
-    """Coerce input to a complex array of ``ndim`` axes whose last two are equal:
-    a square matrix, or for ``ndim`` 3 a stack of them.  Entries are not checked."""
+def _square_complex(m, max_ndim: int = 2) -> np.ndarray:
+    """Coerce input to a complex square matrix, or for ``max_ndim`` 3 also to a
+    stack of them.  Entries are not checked."""
     arr = np.asarray(m, dtype=complex)
-    if arr.ndim != ndim or arr.shape[-1] != arr.shape[-2]:
+    if not 2 <= arr.ndim <= max_ndim or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return arr
 

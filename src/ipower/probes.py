@@ -20,7 +20,7 @@ from .errors import (
     ParameterOutOfRangeError,
 )
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS, TOL_PSD, tensor
-from .states import DensityMatrix, LocalHamiltonian, _spectra
+from .states import DensityMatrix, LocalHamiltonian
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -68,22 +68,19 @@ class ProbeFamily:
         return matrix
 
 
-def build_probes(families) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
-    """(matrices, eigenvalues, eigenvectors, powers) of the probes of ``families``, a
-    sequence of :class:`ProbeFamily`, stacked in its order, the arrays read-only.
+def build_probes(families) -> tuple[DensityMatrix, list[float]]:
+    """(states, powers) of the probes of ``families``, a non-empty sequence of
+    :class:`ProbeFamily`: the stack of their states in its order, and their
+    interferometric powers.
 
     The raw matrices (:attr:`ProbeFamily.matrix`, so each family's parameters are
-    checked in order) are validated and diagonalized as ``DensityMatrix.from_matrix``
-    does it, in one ``eigh``, and the interferometric powers are the smallest
-    eigenvalues of their 3x3 QFI forms, all in one ``eigvalsh``.  Every step reads
-    only its own probe, so a probe's bits do not depend on the rest of the stack.
+    checked in order) make one stacked ``DensityMatrix.from_matrix`` (one ``eigh``),
+    and the powers are one stacked ``interferometric_power`` (one ``eigvalsh``).
     """
-    from .correlations import _form_minimum, _qfi_weights  # correlations imports probes
+    from .correlations import interferometric_power  # correlations imports probes
 
-    matrices, vals, vecs = _spectra(np.stack([f.matrix for f in families]), TWO_QUBITS, True)
-    for arr in (matrices, vals, vecs):
-        arr.flags.writeable = False
-    return matrices, vals, vecs, _form_minimum(vals, vecs, TWO_QUBITS, _qfi_weights)
+    states = DensityMatrix.from_matrix(np.stack([f.matrix for f in families]), TWO_QUBITS)
+    return states, interferometric_power(states)
 
 
 def _discordant_matrix(p: float) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .linalg import PAULIS, apply_local, dagger, degenerate_clusters, tensor
 from .probes import require_within
-from .states import DensityMatrix
+from .states import DensityMatrix, _require_single
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix.
@@ -98,6 +98,7 @@ def remix_degenerate_eigenspaces(rho: DensityMatrix, rng: np.random.Generator) -
     spectral formulas must be invariant under this remixing.  Like
     :func:`ipower.states.evolve`, it reuses the validated matrix and spectrum.
     """
+    _require_single(rho)
     vecs = rho.eigenvectors.copy()
     for start, stop in degenerate_clusters(rho.eigenvalues):
         vecs[:, start:stop] = vecs[:, start:stop] @ haar_unitary(stop - start, rng)
@@ -107,6 +108,7 @@ def remix_degenerate_eigenspaces(rho: DensityMatrix, rng: np.random.Generator) -
 
 def apply_channel_b(rho: DensityMatrix, kraus: list[np.ndarray]) -> DensityMatrix:
     """Apply a channel with the caller's Kraus operators on B; the output is validated."""
+    _require_single(rho)
     ops = np.asarray(kraus, dtype=complex)
     left = apply_local(ops, rho.matrix, rho.dims, "B")  # (I x K) rho
     out = apply_local(ops, dagger(left), rho.dims, "B").sum(axis=0)  # left† = rho (I x K)†

@@ -1,8 +1,8 @@
 """Bipartite quantum states and local Hamiltonians.
 
-A :class:`DensityMatrix` carries its spectral decomposition, computed once at
-construction and reused by every spectral formula downstream.  All values are
-immutable; operations return new objects.
+A :class:`DensityMatrix`, one state or a stack of states of equal ``dims``, carries
+its spectral decomposition, computed once at construction and reused by every
+spectral formula downstream.  All values are immutable; operations return new objects.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _spectra(matrix, dims, stack: bool = False):
-    """(Hermitian part, eigenvalues, eigenvectors) of a density matrix, or with ``stack``
-    of every matrix of an (N, d, d) stack, each of shape (d, d) split into d_A x d_B by
-    ``dims``.
+def _spectra(matrix, dims):
+    """(Hermitian part, eigenvalues, eigenvectors) of a (d, d) density matrix, or of
+    every matrix of an (N, d, d) stack, d split into d_A x d_B by ``dims``.
 
     Each matrix is checked in this order: finite entries, Hermitian within ``TOL_HERM``
     (max norm), ``dims``, unit trace within ``TOL_TRACE``; then the Hermitian parts are
@@ -57,7 +56,7 @@ def _spectra(matrix, dims, stack: bool = False):
     matrices would raise first.  Each step reads only its own matrix, so every matrix
     of a stack gets the bits of its own call.
     """
-    arr = _square_complex(matrix, 2 + stack)
+    arr = _square_complex(matrix, 3)
     finite = _finite_rows(arr)
     if finite.all():
         herm, deviation = _split_hermitian(arr)
@@ -69,9 +68,10 @@ def _spectra(matrix, dims, stack: bool = False):
             if not (vals[..., 0] < -TOL_PSD).any():
                 vals = np.maximum(vals, 0.0)
                 return herm, vals / vals.sum(axis=-1, keepdims=True), vecs
-    if stack:
+    if arr.ndim == 3:
         for one in arr:
             _spectra(one, dims)  # the lowest-index bad matrix raises its own error
+        raise dims_error  # only an empty stack gets here, and it fails on its dims
     if not finite:
         raise ValueError(_NOT_FINITE)
     if deviation > TOL_HERM:
@@ -92,17 +92,17 @@ def _dims_error(dims, d: int) -> DimensionMismatchError | None:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Validated bipartite quantum state with cached spectral decomposition.
+    """Validated bipartite quantum state, or stack of N states, with cached eigenpairs.
 
     Attributes
     ----------
     matrix : ndarray
-        The (d, d) complex density matrix, d = dims[0] * dims[1].
+        The (d, d) complex density matrix, d = dims[0] * dims[1], or (N, d, d).
     dims : tuple
         Subsystem dimensions (d_A, d_B).
     eigenvalues : ndarray
         Ascending real eigenvalues, clamped to [0, 1] and renormalized to
-        unit sum.
+        unit sum: (d,), or (N, d).
     eigenvectors : ndarray
         Orthonormal eigenvectors as columns, paired with ``eigenvalues``.
     """
@@ -118,15 +118,26 @@ class DensityMatrix:
         ``dims``, two positive Python or numpy integers (True, 2.7 or "2" is refused),
         and diagonalize it once; the state keeps its eigenpairs for every later formula.
 
-        This is :func:`_spectra` without a stack axis; ``probes.build_probes`` calls
-        it with one, and so checks and diagonalizes every probe of a batch in one ``eigh``.
+        An (N, d, d) ``matrix`` makes a stack of N states in one ``eigh``, each bitwise
+        its own call, and the lowest-index bad matrix raises its own error (:func:`_spectra`).
         """
         arr, vals, vecs = _spectra(matrix, dims)
         return cls(_freeze(arr), (int(dims[0]), int(dims[1])), _freeze(vals), _freeze(vecs))
 
+    def __getitem__(self, index) -> "DensityMatrix":
+        """State ``index`` of a stack, or the stack of the states that ``index`` (a
+        slice, an index array or a boolean mask) selects; a state taken from a stack
+        is bitwise its own ``from_matrix``."""
+        if self.matrix.ndim != 3:
+            raise ValueError("a single state has no stack axis to index")
+        index = np.arange(len(self.matrix))[index]  # rejects an index into the matrix
+        arrays = self.matrix, self.eigenvalues, self.eigenvectors
+        matrix, vals, vecs = (_freeze(a[index]) for a in arrays)
+        return DensityMatrix(matrix, self.dims, vals, vecs)
+
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
     @property
     def d_a(self) -> int:
@@ -136,12 +147,14 @@ class DensityMatrix:
     def d_b(self) -> int:
         return self.dims[1]
 
-    def purity(self) -> float:
-        """Tr[rho^2]."""
-        return float(np.sum(self.eigenvalues**2))
+    def purity(self) -> float | list[float]:
+        """Tr[rho^2], or for a stack the list of them."""
+        values = np.sum(self.eigenvalues**2, axis=-1)
+        return values.tolist() if values.ndim else float(values)
 
     def to_json_dict(self) -> dict:
-        """Serialize to the interchange schema {"dims", "re", "im"}."""
+        """Serialize one state to the interchange schema {"dims", "re", "im"}."""
+        _require_single(self)
         return {
             "dims": [self.d_a, self.d_b],
             "re": self.matrix.real.tolist(),
@@ -158,7 +171,14 @@ class DensityMatrix:
             raise ValueError(f"malformed state payload: {exc}") from exc
         if re.shape != im.shape:
             raise ValueError("re and im parts have different shapes")
-        return cls.from_matrix(re + 1j * im, dims)
+        return cls.from_matrix(_square_complex(re + 1j * im), dims)  # one state, no stack
+
+
+def _require_single(*states: DensityMatrix) -> None:
+    """Reject a stack of states where one state is taken."""
+    for rho in states:
+        if rho.matrix.ndim != 2:
+            raise ValueError(f"expected one state, got a stack of {len(rho.matrix)}")
 
 
 @dataclass(frozen=True)
@@ -224,6 +244,7 @@ def partial_trace(rho: DensityMatrix, keep: str) -> DensityMatrix:
     """
     if keep not in ("A", "B"):
         raise BadSubsystemError(f"keep must be 'A' or 'B', got {keep!r}")
+    _require_single(rho)
     d_a, d_b = rho.dims
     blocks = rho.matrix.reshape(d_a, d_b, d_a, d_b)
     if keep == "A":
@@ -240,6 +261,7 @@ def evolve(rho: DensityMatrix, ham: LocalHamiltonian, phi: float) -> DensityMatr
     by :func:`apply_local`, so unitary invariance of the eigenvalues is exact
     and nothing is checked again.
     """
+    _require_single(rho)
     vecs = apply_local(ham.phase_unitary(phi), rho.eigenvectors, rho.dims)
     matrix = (vecs * rho.eigenvalues) @ dagger(vecs)
     return DensityMatrix(_freeze(matrix), rho.dims, rho.eigenvalues, _freeze(vecs))
@@ -247,6 +269,7 @@ def evolve(rho: DensityMatrix, ham: LocalHamiltonian, phi: float) -> DensityMatr
 
 def hs_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Hilbert-Schmidt fidelity Tr[rho sigma] / sqrt(Tr[rho^2] Tr[sigma^2])."""
+    _require_single(rho, sigma)
     if rho.dims != sigma.dims:
         raise DimensionMismatchError(f"dims differ: {rho.dims} vs {sigma.dims}")
     overlap = np.trace(rho.matrix @ sigma.matrix).real
@@ -259,9 +282,10 @@ def hs_fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def save_state(rho: DensityMatrix, path) -> None:
-    """Write a state to a JSON file (exact float round trip)."""
+    """Write one state to a JSON file (exact float round trip)."""
+    payload = rho.to_json_dict()  # rejects a stack before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rho.to_json_dict(), fh)
+        json.dump(payload, fh)
 
 
 def load_state(path) -> DensityMatrix:

@@ -17,8 +17,6 @@ import numpy as np
 
 from . import estimation
 from .correlations import (
-    _powers,
-    _uncertainties,
     interferometric_power,
     ip_grid_search,
     local_quantum_uncertainty,
@@ -222,13 +220,14 @@ def check_pure_state_reduction(rng, n, bound, d_b=2) -> PropertyResult:
 
 def check_hierarchy(rng, n, bound, d_b=2) -> PropertyResult:
     """LQU <= IP on ``n`` random states of random rank, all drawn first and then
-    measured as one stack each: every uncertainty in one ``eigvalsh``, every
+    measured as one stacked state: every uncertainty in one ``eigvalsh``, every
     power in another."""
-    states = [
-        random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
+    drawn = [
+        random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1))).matrix
         for _ in range(n)
     ]
-    gaps = zip(_uncertainties(states), _powers(states)) if states else ()
+    stack = DensityMatrix.from_matrix(np.reshape(drawn, (n, 2 * d_b, 2 * d_b)), (2, d_b))
+    gaps = zip(local_quantum_uncertainty(stack), interferometric_power(stack))
     devs = [max(lqu - ip, 0.0) for lqu, ip in gaps]
     return _result(f"uncertainty lower-bounds the power{_qudit(d_b)}", devs, bound)
 

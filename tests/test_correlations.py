@@ -296,6 +296,11 @@ def _float_bits(values):
     return [np.float64(x).tobytes() for x in values]
 
 
+def stacked(states):
+    """One stacked state of the matrices of ``states`` (equal dims)."""
+    return DensityMatrix.from_matrix(np.stack([rho.matrix for rho in states]), states[0].dims)
+
+
 class TestStackedForms:
     @pytest.mark.parametrize("d_b", [2, 3, 4])
     def test_stack_equals_the_per_state_path_at_every_rank(self, d_b):
@@ -307,16 +312,16 @@ class TestStackedForms:
             for rank in range(1, 2 * d_b + 1)
             for _ in range(2)
         ]
-        powers, uncertainties = correlations._powers(states), correlations._uncertainties(states)
+        stack = stacked(states)
+        powers, uncertainties = interferometric_power(stack), local_quantum_uncertainty(stack)
         assert _float_bits(powers) == _float_bits(map(interferometric_power, states))
         assert _float_bits(uncertainties) == _float_bits(map(local_quantum_uncertainty, states))
         for weights, values in ((correlations._qfi_weights, powers),
                                 (correlations._skew_weights, uncertainties)):
             reference = [reference_form_minimum(rho, weights) for rho in states]
             assert _float_bits(values) == _float_bits(reference)
-        forms = correlations._quadratic_form(
-            *correlations._eigenpair_stack(states), correlations._qfi_weights
-        )
+        forms = qfi_quadratic_form(stack)
+        assert forms.shape == (len(states), 3, 3)
         for form, rho in zip(forms, states):
             assert form.tobytes() == qfi_quadratic_form(rho).tobytes()
 
@@ -324,10 +329,10 @@ class TestStackedForms:
         states = [make_probe(ProbeFamily(label, (p,))) for label in ("Q", "C", "werner")
                   for p in flip_angle_grid()]
         states += [separable_discordant_state(), bell_probe()]
-        for stacked, single in ((correlations._powers, interferometric_power),
-                                (correlations._uncertainties, local_quantum_uncertainty)):
-            assert _float_bits(stacked(states)) == _float_bits(map(single, states))
-        assert _float_bits(correlations._powers(states)) == _float_bits(
+        stack = stacked(states)
+        for measure in (interferometric_power, local_quantum_uncertainty):
+            assert _float_bits(measure(stack)) == _float_bits(map(measure, states))
+        assert _float_bits(interferometric_power(stack)) == _float_bits(
             reference_form_minimum(rho, correlations._qfi_weights) for rho in states
         )
 
@@ -375,9 +380,7 @@ def test_pair_matrix_equals_the_masked_reference(d_b):
     rho = random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
     ops = [np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), [random_generator(2, rng).matrix]]
     for stack, weights in product(ops, (correlations._qfi_weights, correlations._skew_weights)):
-        e, w = correlations._pair_matrix(
-            rho.eigenvalues, rho.eigenvectors, rho.dims, stack, weights
-        )
+        e, w = correlations._pair_matrix(rho, stack, weights)
         ref_e, ref_w = reference_pair_matrix(rho, stack, weights)
         assert e.tobytes() == ref_e.tobytes() and w.tobytes() == ref_w.tobytes()
         # The layout of E sets how BLAS rounds the 3x3 forms built from it.

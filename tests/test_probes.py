@@ -123,17 +123,20 @@ BUILT_FAMILIES = (
 class TestBuildProbes:
     def test_stack_equals_the_per_state_path(self):
         families = [ProbeFamily(f.label, f.params) for f in BUILT_FAMILIES]
-        matrices, vals, vecs, powers = build_probes(families)
-        assert matrices.shape == (len(families), 4, 4) and len(powers) == len(families)
+        states, powers = build_probes(families)
+        assert states.matrix.shape == (len(families), 4, 4) and len(powers) == len(families)
+        assert states.dims == (2, 2)
         for i, family in enumerate(families):
             rho = reference_state(family)
-            assert [a.tobytes() for a in (matrices[i], vals[i], vecs[i])] == [
+            assert [a.tobytes() for a in (states[i].matrix, states[i].eigenvalues,
+                                          states[i].eigenvectors)] == [
                 a.tobytes() for a in (rho.matrix, rho.eigenvalues, rho.eigenvectors)
             ]
             assert np.float64(powers[i]).tobytes() == np.float64(
                 interferometric_power(rho)
             ).tobytes()
-        assert not any(arr.flags.writeable for arr in (matrices, vals, vecs))
+        arrays = (states.matrix, states.eigenvalues, states.eigenvectors)
+        assert not any(arr.flags.writeable for arr in arrays)
 
     def test_outside_the_tetrahedron_keeps_its_message(self):
         # The triple's closed-form spectrum is checked with its parameters, so

@@ -18,7 +18,6 @@ from ipower.sampling import haar_unitary, random_density_matrix, random_pure_den
 from ipower.states import (
     DensityMatrix,
     LocalHamiltonian,
-    _spectra,
     evolve,
     hs_fidelity,
     load_state,
@@ -277,24 +276,31 @@ def _bits(*arrays):
     return [np.asarray(a).tobytes() for a in arrays]
 
 
+def _state_bits(rho):
+    return _bits(rho.matrix, rho.eigenvalues, rho.eigenvectors)
+
+
 class TestStackedSpectra:
     def test_stack_equals_the_reference_matrix_by_matrix(self):
         for d_b, states in random_states_of_every_rank(np.random.default_rng(190)):
             matrices = np.stack([rho.matrix for rho in states])
-            herm, vals, vecs = _spectra(matrices, (2, d_b), True)
+            stack = DensityMatrix.from_matrix(matrices, (2, d_b))
+            assert stack.matrix.shape == matrices.shape and stack.dims == (2, d_b)
             for i, m in enumerate(matrices):
                 reference = reference_from_matrix(m)
                 single = DensityMatrix.from_matrix(m, (2, d_b))
-                assert _bits(herm[i], vals[i], vecs[i]) == _bits(*reference)
-                assert _bits(single.matrix, single.eigenvalues, single.eigenvectors) == _bits(
-                    *reference
+                assert _bits(stack.matrix[i], stack.eigenvalues[i], stack.eigenvectors[i]) == (
+                    _bits(*reference)
                 )
+                assert _state_bits(single) == _bits(*reference)
+                assert _state_bits(stack[i]) == _bits(*reference)
 
     def test_stack_rejects_what_a_single_matrix_rejects(self):
-        with pytest.raises(ValueError, match="square matrix"):
-            _spectra(np.eye(4) / 4.0, (2, 2), True)  # no stack axis
-        with pytest.raises(ValueError, match="square matrix"):
-            DensityMatrix.from_matrix(np.stack([np.eye(4) / 4.0]), (2, 2))
+        for shape in [(4,), (2, 4, 3), (1, 1, 4, 4)]:
+            with pytest.raises(ValueError, match="square matrix"):
+                DensityMatrix.from_matrix(np.ones(shape) / 4.0, (2, 2))
+        one = DensityMatrix.from_matrix(np.stack([np.eye(4) / 4.0]), (2, 2))
+        assert one.matrix.shape == (1, 4, 4) and one.eigenvalues.shape == (1, 4)
 
     @pytest.mark.parametrize(
         "faults, error, message",
@@ -320,7 +326,7 @@ class TestStackedSpectra:
             stack[row] = planted[fault](stack[row])
         first = min(row for row, _ in faults)
         with pytest.raises(error, match=message) as stacked:
-            _spectra(stack, (2, 2), True)
+            DensityMatrix.from_matrix(stack, (2, 2))
         with pytest.raises(error) as single:
             DensityMatrix.from_matrix(stack[first], (2, 2))
         assert str(stacked.value) == str(single.value)
@@ -328,7 +334,49 @@ class TestStackedSpectra:
     def test_bad_dims_fail_the_first_matrix(self):
         stack = np.stack([np.eye(4) / 4.0] * 2)
         with pytest.raises(DimensionMismatchError, match="product 4"):
-            _spectra(stack, (2, 3), True)
+            DensityMatrix.from_matrix(stack, (2, 3))
         stack[0, 0, 1] = 1e-6  # the first matrix fails its Hermitian check first
         with pytest.raises(NonHermitianError):
-            _spectra(stack, (2, 3), True)
+            DensityMatrix.from_matrix(stack, (2, 3))
+
+    def test_empty_stack_checks_its_dims(self):
+        empty = DensityMatrix.from_matrix(np.empty((0, 6, 6)), (2, 3))
+        assert empty.eigenvalues.shape == (0, 6)
+        with pytest.raises(DimensionMismatchError, match="product 6"):
+            DensityMatrix.from_matrix(np.empty((0, 6, 6)), (2, 2))
+
+
+class TestStackIndexing:
+    def stack(self):
+        _, states = random_states_of_every_rank(np.random.default_rng(191))[1]
+        return states, DensityMatrix.from_matrix(np.stack([r.matrix for r in states]), (2, 3))
+
+    def test_rows_slices_and_masks_select_states(self):
+        states, stack = self.stack()
+        rows = np.array([3, 0, 3, 7])
+        mask = np.arange(len(states)) % 3 == 0
+        for index, picked in ((rows, rows), (slice(2, 9, 3), range(2, 9, 3)),
+                              (mask, np.flatnonzero(mask)), (-1, len(states) - 1)):
+            part = stack[index]
+            assert part.dims == (2, 3)
+            if np.ndim(picked) == 0:
+                assert _state_bits(part) == _state_bits(states[picked])
+                continue
+            for i, j in enumerate(picked):
+                assert _state_bits(part[i]) == _state_bits(states[j])
+
+    def test_indexed_arrays_are_read_only(self):
+        _, stack = self.stack()
+        for part in (stack[2], stack[[1, 2]], stack[1:3]):
+            assert not any(
+                a.flags.writeable for a in (part.matrix, part.eigenvalues, part.eigenvectors)
+            )
+
+    def test_bad_indices_raise(self):
+        _, stack = self.stack()
+        with pytest.raises(IndexError):
+            stack[len(stack.matrix)]
+        with pytest.raises(IndexError):
+            stack[0, 1]  # an index into the matrix, not the stack
+        with pytest.raises(ValueError, match="no stack axis"):
+            stack[0][0]

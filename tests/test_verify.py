@@ -31,8 +31,8 @@ def shifted(offset, measure=ip):
     return lambda rho: measure(rho) + offset
 
 
-def stack_shifted(offset):  # the power of each state of a stack, plus offset
-    return lambda states: [ip(rho) + offset for rho in states]
+def stack_shifted(offset):  # the power of each state of a stacked state, plus offset
+    return lambda stack: [x + offset for x in ip(stack)]
 
 
 def minimum_at(offset):  # stands in for a (value, direction) minimizer
@@ -104,8 +104,8 @@ FAULTS = {
     "oracle-grid-below-closed-form": ("oracle", "ip_grid_search", minimum_at(-1e-9)),
     "oracle-grid-far-above": ("oracle", "ip_grid_search", minimum_at(1e-3)),
     "oracle-grid-slightly-above": ("oracle", "ip_grid_search", minimum_at(1e-8)),
-    "hierarchy-LQU-above-IP": ("hierarchy", "_uncertainties", stack_shifted(1e-8)),
-    "hierarchy-qutrit-B": ("hierarchy-qutrit", "_uncertainties", stack_shifted(1e-8)),
+    "hierarchy-LQU-above-IP": ("hierarchy", "local_quantum_uncertainty", stack_shifted(1e-8)),
+    "hierarchy-qutrit-B": ("hierarchy-qutrit", "local_quantum_uncertainty", stack_shifted(1e-8)),
     "faithfulness-classical-shifted": ("faithfulness", "interferometric_power", shifted(1e-8)),
     "faithfulness-discordant-zero": ("faithfulness", "interferometric_power", lambda rho: 0.0),
     "invariance-matrix-element": (
