@@ -11,7 +11,7 @@ verify    run the seeded property suites
 
 The library owns every decision behind a flag: the file formats
 (``estimation.FIGURE3_COLUMNS``, ``estimation.figure3_texts`` and
-``estimation.json_text``), the probe families and which of them take p
+``EstimationRun.to_json_dict``), the probe families and which of them take p
 (``probes.PROBE_LABELS``, ``probes.SWEPT_LABELS``) and the range checks.
 This module only maps their errors to exit codes.  The environment variable
 ``IPOWER_SEED`` overrides the default seed when ``--seed`` is not given; both
@@ -23,6 +23,7 @@ qubit on subsystem A, 1 when verification fails.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -44,7 +45,6 @@ from .estimation import (
     adaptive_localize,
     figure3_texts,
     fmt12,
-    json_text,
     round12,
     run_experiment,
     run_sweep,
@@ -255,7 +255,7 @@ def _estimate(args, parser) -> int:
     except ValueError as exc:
         parser.error(f"--probe: {exc}")
     if args.format == "json":
-        text = json_text(run.to_json_dict())
+        text = json.dumps(run.to_json_dict(), indent=1) + "\n"
     else:
         text = sweep_csv_text([run])
     if args.out:
@@ -293,7 +293,7 @@ def _adaptive(args, parser) -> int:
             "trials": [round12(t) for t in trials],
             "converged": converged,
         }
-        _write(args.out, json_text(payload))
+        _write(args.out, json.dumps(payload, indent=1) + "\n")
     return 0
 
 

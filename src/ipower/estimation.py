@@ -639,43 +639,6 @@ def _json_template(keys, pad: str) -> str:
     return "{" + inner + ("," + inner).join(fields) + "\n" + pad + "}"
 
 
-def _scalar_text(x) -> str:
-    """``json.dumps(x)`` of a JSON scalar: a string, None, a bool, an int or a float."""
-    if isinstance(x, str):
-        return _json_string(x)
-    if x is None:
-        return "null"
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        text = "NaN" if x != x else float.__repr__(x)
-        return _JSON_CELL.get(text, text)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def json_text(value) -> str:
-    """``json.dumps(value, indent=1) + "\\n"``, byte for byte, for the shapes the
-    package writes: an object, or a list of objects, whose values are JSON
-    scalars or flat lists (or tuples) of them.  Objects are laid out by
-    :func:`_json_template`, so no pure-Python encoder runs."""
-    if isinstance(value, dict):
-        return _object_text(value, "") + "\n"
-    return _json_list([_object_text(item, " ") for item in value], "") + "\n"
-
-
-def _object_text(obj: dict, pad: str) -> str:
-    inner = pad + " "
-    values = tuple(
-        _json_list([_scalar_text(x) for x in v], inner)
-        if isinstance(v, (list, tuple))
-        else _scalar_text(v)
-        for v in obj.values()
-    )
-    return _json_template(obj, pad) % values
-
-
 def _run_order(run: EstimationRun):
     return (run.probe_label, run.setting_k, run.p)
 
@@ -759,10 +722,11 @@ _RECORD = _json_template(
 
 
 def _records_text(runs: list[EstimationRun], cells: dict[str, list[str]]) -> str:
-    """:func:`json_text` of the runs' :meth:`EstimationRun.to_json_dict`, laid
-    out from one record template.  ``runs`` are in :func:`sweep_rows` order and
-    ``cells`` hold the JSON cells of their rows' ``p``, ``var`` and ``phi_hat``;
-    every other float is formatted in one pass of :func:`_cells12`."""
+    """``json.dumps(records, indent=1)`` plus a newline, for the runs' records
+    :meth:`EstimationRun.to_json_dict`, laid out from one record template.
+    ``runs`` are in :func:`sweep_rows` order and ``cells`` hold the JSON cells of
+    their rows' ``p``, ``var`` and ``phi_hat``; every other float is formatted in
+    one pass of :func:`_cells12`."""
     floats = [x for run in runs for x in (run.phi0, run.f_exp, *run.d_meas, *run.l_values)]
     numbers = iter(_cells12(floats, "json"))
     records = []

@@ -19,7 +19,6 @@ from ipower.estimation import (
     EstimationRun,
     figure3_texts,
     fmt12,
-    json_text,
     round12,
     rows_text,
     run_sweep,
@@ -75,6 +74,24 @@ def reference_figure3_texts(runs, fmt):
 DUST = (-0.0, 1e16, 1e-05, 123456789012.0, 5.4e-29)
 
 
+def json_text(value):
+    """The JSON text of an object, or a list of objects, with JSON scalars or flat
+    lists of them as values, laid out by the template and list helpers that the
+    sweep records use; each scalar is ``json.dumps``'s own text."""
+
+    def object_text(obj, pad):
+        values = tuple(
+            estimation_mod._json_list([json.dumps(x) for x in v], pad + " ")
+            if isinstance(v, (list, tuple)) else json.dumps(v)
+            for v in obj.values()
+        )
+        return estimation_mod._json_template(obj, pad) % values
+
+    if isinstance(value, dict):
+        return object_text(value, "") + "\n"
+    return estimation_mod._json_list([object_text(item, " ") for item in value], "") + "\n"
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -82,7 +99,8 @@ DUST = (-0.0, 1e16, 1e-05, 123456789012.0, 5.4e-29)
         {"inf": INF, "minus_inf": -INF, "rounded": [round12(INF), round12(-INF)]},
         {"dust": list(DUST), "rounded": [round12(x) for x in DUST], "first": DUST[0]},
         {"t": True, "one": 1, "f": False, "zero": 0, "mixed": [True, 1, False, 0, -7]},
-        {"text": "ψ, é, 量子", 'quote "and"\nnewline': 'say "hi"\nbye\t\\', "empty": ""},
+        {"text": "ψ, é, 量子", 'quote "and"\nnewline': 'say "hi"\nbye\t\\', "empty": "",
+         "100%": "%s"},
         {"tuple": (1.5, None), "empty_list": [], "big": 2**63 - 1, "np": np.float64(0.1)},
         [],
         {},
@@ -93,11 +111,6 @@ DUST = (-0.0, 1e16, 1e-05, 123456789012.0, 5.4e-29)
 )
 def test_json_text_matches_json_dumps(value):
     assert json_text(value) == json.dumps(value, indent=1) + "\n"
-
-
-def test_json_text_rejects_what_json_dumps_rejects():
-    with pytest.raises(TypeError):
-        json_text({"a": object()})
 
 
 def _wide_floats():
@@ -157,8 +170,6 @@ def test_synthetic_records_match_reference_one_by_one():
     runs = _synthetic_runs()
     assert sweep_json_text(runs) == reference_sweep_json_text(runs)
     assert sweep_csv_text(runs) == reference_rows_text(sweep_rows(runs), SWEEP_COLUMNS, "csv")
-    for run in runs:
-        assert json_text(run.to_json_dict()) == json.dumps(run.to_json_dict(), indent=1) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -176,12 +187,6 @@ def noisy_sweep():
 def test_default_noisy_sweep_matches_reference(noisy_sweep, fmt):
     assert len(noisy_sweep) == 222
     assert figure3_texts(noisy_sweep, fmt) == reference_figure3_texts(noisy_sweep, fmt)
-
-
-def test_every_noisy_run_record_matches_json_dumps(noisy_sweep):
-    for run in noisy_sweep:
-        record = run.to_json_dict()
-        assert json_text(record) == json.dumps(record, indent=1) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
