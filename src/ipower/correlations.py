@@ -280,9 +280,15 @@ def _grid_directions(n_theta: int, n_phi: int, n_cols: int) -> np.ndarray:
     by the columns it builds: built once per key on first use (four cover the
     grids of ``verify``: the half-grids of 256x512 and 128x256 that the oracles
     search, and the whole 181x360 and 64x64 landscapes) and read-only, as every
-    caller shares it."""
-    tt, pp = np.meshgrid(*_grid_angles(n_theta, n_phi, n_cols), indexing="ij")
-    ns = _bloch(tt, pp).reshape(-1, 3)
+    caller shares it.  Its three columns are filled in place from the sines and
+    cosines of the n_theta + n_cols angles, bitwise ``_bloch`` of their meshgrid."""
+    thetas, phis = _grid_angles(n_theta, n_phi, n_cols)
+    ns = np.empty((n_theta, n_cols, 3))
+    sin_t = np.sin(thetas)[:, None]
+    np.multiply(sin_t, np.cos(phis), out=ns[..., 0])
+    np.multiply(sin_t, np.sin(phis), out=ns[..., 1])
+    ns[..., 2] = np.cos(thetas)[:, None]
+    ns = ns.reshape(-1, 3)
     ns.flags.writeable = False
     return ns
 

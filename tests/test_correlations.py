@@ -641,6 +641,27 @@ class TestGridSearch:
             if weights is correlations._qfi_weights:
                 assert np.array_equal(qfi_sphere_grid(rho, *grid)[2], 4.0 * one_shot)
 
+    @pytest.mark.parametrize(
+        "grid", [(256, 512, 256), (128, 256, 128), (181, 360, 360), (64, 64, 64), (7, 5, 3),
+                 (1, 1, 1)]
+    )
+    def test_direction_cache_is_bloch_of_the_meshgrid(self, grid):
+        tt, pp = np.meshgrid(*correlations._grid_angles(*grid), indexing="ij")
+        reference = correlations._bloch(tt, pp).reshape(-1, 3)
+        assert correlations._grid_directions(*grid).tobytes() == reference.tobytes()
+
+    def test_direction_cache_fill_allocates_little_beyond_itself(self):
+        # The 256x256 half-grid of directions is 1.5 MiB; no full-grid
+        # temporaries (meshgrid, per-component products) are allocated.
+        correlations._grid_directions.cache_clear()
+        tracemalloc.start()
+        try:
+            correlations._grid_directions(256, 512, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
     def test_returned_angles_do_not_alias_the_direction_cache(self):
         rho = random_density_matrix((2, 2), np.random.default_rng(4))
         thetas, phis, grid = qfi_sphere_grid(rho, 64, 64)
