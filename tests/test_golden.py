@@ -17,8 +17,8 @@ A change that moves an output on purpose regenerates the files with::
 
     PYTHONPATH=src python tests/test_golden.py
 
-which first prints, per file, "unchanged" or its first differing line, and
-lists the moved lines in CHANGES.md.
+and lists the moved lines in CHANGES.md.  Before it rewrites the files, the
+command prints, per file, "unchanged" or its first differing line.
 """
 
 from __future__ import annotations
