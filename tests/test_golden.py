@@ -9,6 +9,8 @@
   ``adaptive --out`` record;
 * the lines of ``verify --trials 100 --seed S`` for S = 0-3, whose worst
   deviations are rounding-level numbers;
+* ``one_state.sha256``: the sha256 of the raw bytes of each one-state measure
+  over seeded qubit-qudit states built with plain numpy (:func:`one_state_digests`);
 * ``environment.json``: the numpy version, BLAS build and machine they were
   made with.  Rounding-level cells (e.g. a power of 5e-32) depend on the
   build, so on another environment the test fails naming the mismatch.
@@ -34,7 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
+from ipower import correlations, sampling
 from ipower.cli import main
+from ipower.states import DensityMatrix, LocalHamiltonian
 
 GOLDEN = Path(__file__).with_name("golden")
 _FILES = ("sweep", "precision", "variance", "mean")
@@ -84,6 +88,54 @@ def environment() -> dict:
     }
 
 
+def _one_state_inputs():
+    """(matrix, d_B, Bloch vector, phase, Kraus operators on B) per state: two
+    Ginibre states of each rank 1..2 d_B for d_B = 2, 3, 4, so pure states,
+    degenerate zero eigenvalues and full-rank states are all present."""
+    rng = np.random.default_rng(2013)
+    for d_b in (2, 3, 4):
+        d = 2 * d_b
+        for rank in range(1, d + 1):
+            for _ in range(2):
+                g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+                m = g @ g.conj().T
+                n = rng.standard_normal(3)
+                phase = rng.uniform(0.0, 2.0 * np.pi)
+                k = int(rng.integers(1, 4))
+                z = rng.standard_normal((d_b * k, d_b)) + 1j * rng.standard_normal((d_b * k, d_b))
+                v = np.linalg.qr(z)[0]
+                kraus = [v[j * d_b : (j + 1) * d_b] for j in range(k)]
+                yield m / np.trace(m).real, d_b, n / np.linalg.norm(n), phase, kraus
+
+
+def one_state_digests() -> bytes:
+    """One line "sha256  name" per one-state quantity, over the raw bytes of its
+    values on every state of :func:`_one_state_inputs`, in order."""
+    digests = {}
+
+    def record(name, value):
+        digests.setdefault(name, hashlib.sha256()).update(np.asarray(value).tobytes())
+
+    for matrix, d_b, bloch, phase, kraus in _one_state_inputs():
+        rho = DensityMatrix.from_matrix(matrix, (2, d_b))
+        ham = LocalHamiltonian.from_bloch(bloch)
+        derivative = correlations.sld(rho, ham, phase)
+        record("eigenvalues", rho.eigenvalues)
+        record("eigenvectors", rho.eigenvectors)
+        record("ip", correlations.interferometric_power(rho))
+        record("lqu", correlations.local_quantum_uncertainty(rho))
+        record("qfi_quadratic_form", correlations.qfi_quadratic_form(rho))
+        record("bloch_matrix", ham.matrix)
+        record("bloch_eigenvectors", ham.eigenvectors)
+        record("qfi", correlations.qfi(rho, ham))
+        record("skew_information", correlations.skew_information(rho, ham))
+        record("sld_eigenvalues", derivative.eigenvalues)
+        record("sld_basis", derivative.eigenbasis)
+        record("ip_after_channel", correlations.interferometric_power(
+            sampling.apply_channel_b(rho, kraus)))
+    return "".join(f"{h.hexdigest()}  {name}\n" for name, h in digests.items()).encode()
+
+
 def render(workdir: Path) -> dict[str, bytes]:
     """{golden file name: content} of every run, made inside ``workdir``."""
     outputs = {}
@@ -102,6 +154,7 @@ def render(workdir: Path) -> dict[str, bytes]:
                 outputs.update((f, Path(f).read_bytes()) for f in files)
     finally:
         os.chdir(cwd)
+    outputs["one_state.sha256"] = one_state_digests()
     return outputs
 
 
