@@ -12,8 +12,16 @@ The central quantities for a bipartite state rho with spectral decomposition
 QFI and skew information are one spectral sum sum_{i<l} w_il |<psi_i|O x I|psi_l>|^2
 with the QFI pair weight (q_i - q_l)^2 / (q_i + q_l), zero on pairs whose sum falls
 below ``RANK_CUTOFF``, or the skew pair weight (sqrt(q_i) - sqrt(q_l))^2.  Over the real
-pair matrix E of :func:`_pair_matrix` it is ``E[0]**2 @ w``, both 3x3 forms are
+pair matrix E of :func:`_pair_elements` it is ``E**2 @ w``, both 3x3 forms are
 ``(E * w) @ E.T`` and both Pauli landscapes ``(ns @ E)**2 @ w``.
+
+Pair data: a state's pair eigenvalues, its weights w of each kind and its Pauli
+pair matrix E are computed at most once per state, on first use, and kept with the
+state (:func:`_pair_weights`, :func:`_pauli_pairs`), so the IP, the LQU, the QFI form, ``qfi``,
+``skew_information`` and both Pauli landscapes of one state share them.  Each
+result is bitwise that of a fresh state, whichever formula came first.  A state
+made by ``rho[i]``, ``evolve``, ``remix_degenerate_eigenspaces`` or
+``apply_channel_b`` starts without pair data and computes its own.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidCorrelationTripleError, SubsystemANotQubitError
 from .linalg import (
-    PAULIS,
+    _PAULI_STACK,
     RANK_CUTOFF,
     TOL_PSD,
     _is_positive_int,
@@ -56,14 +64,10 @@ _BLOCK_BYTES = 2**20
 # (theta, phi) offsets of the compass-search stencil; row 4 is the centre.
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 
-# sigma_x, sigma_y, sigma_z as one read-only stack, shared by every call.
-_PAULI_STACK = np.array(PAULIS)
-_PAULI_STACK.flags.writeable = False
-
 
 def _pair_ratio(s: np.ndarray, numerator: np.ndarray) -> np.ndarray:
     """numerator / s for pair sums s = q_i + q_l, zero where s falls below ``RANK_CUTOFF``."""
-    return np.divide(numerator, s, out=np.zeros_like(s), where=s > RANK_CUTOFF)
+    return np.divide(numerator, s, out=np.zeros(s.shape), where=s > RANK_CUTOFF)
 
 
 def _qfi_weights(qi: np.ndarray, ql: np.ndarray) -> np.ndarray:
@@ -92,18 +96,46 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _pair_matrix(rho: DensityMatrix, ops, weights) -> tuple[np.ndarray, np.ndarray]:
-    """(E, w) of the eigenpairs (q, v) of rho: row k of the real (k, 2P) E holds
-    Re, then Im, of <psi_i|O_k x I|psi_l> over the P pairs i < l, and w their pair
-    weights, twice.  No other pair carries information: w is symmetric with a zero
-    diagonal, and O_k is Hermitian.  For a stack of states E and w carry its axis."""
-    q, v = rho.eigenvalues, rho.eigenvectors
-    i, l = _upper_pairs(q.shape[-1])
+def _pair_weights(rho: DensityMatrix, weights) -> np.ndarray:
+    """The pair weights of the pairs i < l, twice: (2P,), or (N, 2P) for a stack of
+    states.  No other pair carries information: w is symmetric with a zero diagonal.
+    Pair data: computed once per state and kind of weight, from the pair eigenvalues
+    (q_i, q_l), computed once per state."""
+    data = rho._pair_data
+    w = data.get(weights)
+    if w is None:
+        pairs = data.get("eigenvalues")
+        if pairs is None:
+            qt = rho.eigenvalues.T  # the pairs index its first axis, with or without a stack axis
+            i, l = _upper_pairs(len(qt))
+            pairs = data["eigenvalues"] = qt[i], qt[l]
+        w = weights(*pairs)
+        w = data[weights] = np.concatenate((w, w)).T
+        w.setflags(write=False)
+    return w
+
+
+def _pair_elements(rho: DensityMatrix, ops) -> np.ndarray:
+    """Real pair matrix E of the eigenvectors of rho: row k of the (k, 2P) E holds
+    Re, then Im, of <psi_i|O_k x I|psi_l> over the P pairs i < l of the (k, d_A, d_A)
+    Hermitian ops; for one (d_A, d_A) operator E is (2P,), and for a stack of states
+    it carries the stack axis first.  E is column-major."""
+    v = rho.eigenvectors
+    i, l = _upper_pairs(rho.dim)
     # A stack of states takes an axis for the operators, which broadcast over it.
     el = _elements(v[:, None] if v.ndim > 2 else v, rho.dims, ops)[..., i, l]
-    qt = q.T  # the pairs index its first axis, with or without a stack axis
-    w = weights(qt[i], qt[l])
-    return np.concatenate((el.real, el.imag), axis=-1), np.concatenate((w, w)).T
+    return np.concatenate((el.real, el.imag), axis=-1)
+
+
+def _pauli_pairs(rho: DensityMatrix) -> np.ndarray:
+    """:func:`_pair_elements` of sigma_x, sigma_y, sigma_z; pair data, computed once
+    per state."""
+    data = rho._pair_data
+    e = data.get("pauli")
+    if e is None:
+        e = data["pauli"] = _pair_elements(rho, _PAULI_STACK)
+        e.setflags(write=False)
+    return e
 
 
 def _require_qubit(dims) -> None:
@@ -118,7 +150,7 @@ def _quadratic_form(rho: DensityMatrix, weights) -> np.ndarray:
     Entry (m, n) is sum_{i<l} w_il Re(<psi_i|sigma_m x I|psi_l><psi_l|sigma_n x I|psi_i>).
     """
     _require_qubit(rho.dims)
-    e, w = _pair_matrix(rho, _PAULI_STACK, weights)
+    e, w = _pauli_pairs(rho), _pair_weights(rho, weights)
     form = (e * w[..., None, :]) @ e.mT
     return (form + form.mT) / 2.0
 
@@ -143,8 +175,8 @@ def qfi(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
     adding multiples of the identity to H.
     """
     _require_single(rho)
-    e, w = _pair_matrix(rho, [ham.matrix], _qfi_weights)
-    return float(4.0 * (e[0] ** 2 @ w))
+    e = _pair_elements(rho, ham.matrix)
+    return float(4.0 * (e**2 @ _pair_weights(rho, _qfi_weights)))
 
 
 @dataclass(frozen=True)
@@ -193,9 +225,9 @@ def _sld_stack(rho: DensityMatrix, h, u) -> tuple[np.ndarray, np.ndarray]:
 
     Each may carry one leading stack axis of N runs, which broadcasts: a stack of N
     states, h and u (N, d_A, d_A).  Every L(0) of the stack is one ``eigh``,
-    and the tie-break eigenproblems of every cluster of one size are one more.
-    Each step reads only its own run, so a run's bits do not depend on the rest
-    of the stack.
+    and the tie-break eigenproblems of every cluster of one size are one more;
+    one state solves each of its clusters in place.  Each step reads only its own
+    run, so a run's bits do not depend on the rest of the stack.
     """
     q, v = rho.eigenvalues, rho.eigenvectors
     qi, ql = q[..., :, None], q[..., None, :]
@@ -204,17 +236,21 @@ def _sld_stack(rho: DensityMatrix, h, u) -> tuple[np.ndarray, np.ndarray]:
     l_matrix = v @ l_el @ dagger(v)
     l_vals, l_vecs = eigh_sorted((l_matrix + dagger(l_matrix)) / 2.0)
     d = l_vals.shape[-1]
-    vals, vecs = l_vals.reshape(-1, d), l_vecs.reshape(-1, d, d)
+    if l_vecs.ndim == 2:
+        for start, stop in degenerate_clusters(l_vals.tolist()):
+            c = l_vecs[:, start:stop]
+            l_vecs[:, start:stop] = c @ eigh_sorted((dagger(c) * 2.0 ** np.arange(d)) @ c)[1]
+        return l_vals, apply_local(u, l_vecs, rho.dims)
     clusters: dict[int, list[tuple[int, int]]] = {}  # size -> (run, first column)
-    for run, row in enumerate(vals.tolist()):
+    for run, row in enumerate(l_vals.tolist()):
         for start, stop in degenerate_clusters(row):
             clusters.setdefault(stop - start, []).append((run, start))
     tie = 2.0 ** np.arange(d)
     for size, found in clusters.items():
-        c = np.array([vecs[run, :, start : start + size] for run, start in found])
+        c = np.array([l_vecs[run, :, start : start + size] for run, start in found])
         for (run, start), block in zip(found, c @ eigh_sorted((dagger(c) * tie) @ c)[1]):
-            vecs[run, :, start : start + size] = block
-    return l_vals, apply_local(u, vecs.reshape(l_vecs.shape), rho.dims)
+            l_vecs[run, :, start : start + size] = block
+    return l_vals, apply_local(u, l_vecs, rho.dims)
 
 
 def qfi_quadratic_form(rho: DensityMatrix) -> np.ndarray:
@@ -249,15 +285,14 @@ def _bloch(theta, phi) -> np.ndarray:
 def _pauli_landscape(rho: DensityMatrix, weights):
     """Closure ns -> the literal pair sum ``(ns @ E)**2 @ w`` at every row n of ns.
 
-    E is taken as a row-major copy: :func:`_pair_matrix` returns it column-major,
+    E is taken as a row-major copy: :func:`_pair_elements` returns it column-major,
     and the product with a row-major copy costs less and gives the same bits.  The
     product is squared in place.  The closure's ``block_rows``, the power of two
     of rows whose (rows, 2P) product stays within ``_BLOCK_BYTES``, is how many
     grid directions :func:`_grid_values` passes it at once."""
     _require_single(rho)
     _require_qubit(rho.dims)
-    e, w = _pair_matrix(rho, _PAULI_STACK, weights)
-    e = np.ascontiguousarray(e)
+    e, w = np.ascontiguousarray(_pauli_pairs(rho)), _pair_weights(rho, weights)
 
     def landscape(ns):
         amplitudes = ns @ e
@@ -430,8 +465,8 @@ def skew_information(rho: DensityMatrix, ham: LocalHamiltonian) -> float:
     Bounded above by qfi/4, with equality on pure states.
     """
     _require_single(rho)
-    e, w = _pair_matrix(rho, [ham.matrix], _skew_weights)
-    return float(e[0] ** 2 @ w)
+    e = _pair_elements(rho, ham.matrix)
+    return float(e**2 @ _pair_weights(rho, _skew_weights))
 
 
 def local_quantum_uncertainty(rho: DensityMatrix) -> float:

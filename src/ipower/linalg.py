@@ -35,6 +35,10 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
+# sigma_x, sigma_y, sigma_z as one read-only stack, shared by every call.
+_PAULI_STACK = np.array(PAULIS)
+_PAULI_STACK.flags.writeable = False
+
 
 def _square_complex(m, max_ndim: int = 2) -> np.ndarray:
     """Coerce input to a complex square matrix, or for ``max_ndim`` 3 also to a

@@ -2,13 +2,15 @@
 
 A :class:`DensityMatrix`, one state or a stack of states of equal ``dims``, carries
 its spectral decomposition, computed once at construction and reused by every
-spectral formula downstream.  All values are immutable; operations return new objects.
+spectral formula downstream, and the pair data those formulas read, computed at
+most once per state on first use.  All values are immutable; operations return new
+objects.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .errors import (
 )
 from .linalg import (
     _NOT_FINITE,
+    _PAULI_STACK,
     PAULIS,
     TOL_HERM,
     TOL_NORM,
@@ -57,15 +60,16 @@ def _spectra(matrix, dims):
     of a stack gets the bits of its own call.
     """
     arr = _square_complex(matrix, 3)
+    # A stack passes a check when all its matrices do; one matrix's checks are scalars.
+    every = np.all if arr.ndim == 3 else bool
     finite = _finite_rows(arr)
-    if finite.all():
+    if every(finite):
         herm, deviation = _split_hermitian(arr)
-        trace = np.trace(herm, axis1=-2, axis2=-1).real
+        trace = herm.trace(0, -2, -1).real
         dims_error = _dims_error(dims, arr.shape[-1])
-        failed = (deviation > TOL_HERM) | (abs(trace - 1.0) > TOL_TRACE)
-        if dims_error is None and not failed.any():
+        if dims_error is None and every((deviation <= TOL_HERM) & (abs(trace - 1.0) <= TOL_TRACE)):
             vals, vecs = eigh_sorted(herm)
-            if not (vals[..., 0] < -TOL_PSD).any():
+            if every(vals[..., 0] >= -TOL_PSD):
                 vals = np.maximum(vals, 0.0)
                 return herm, vals / vals.sum(axis=-1, keepdims=True), vecs
     if arr.ndim == 3:
@@ -105,12 +109,21 @@ class DensityMatrix:
         unit sum: (d,), or (N, d).
     eigenvectors : ndarray
         Orthonormal eigenvectors as columns, paired with ``eigenvalues``.
+
+    Pair data: the spectral formulas of :mod:`ipower.correlations` read the
+    eigenvalues of the pairs i < l, their QFI and skew weights and the Pauli pair
+    matrix E from ``_pair_data``, each computed at most once per state, on first
+    use, as read-only arrays.  A result is bitwise that of a fresh state, whichever
+    formula filled the data first.  Every constructor starts without it, so a state
+    made by ``rho[i]``, :func:`evolve`, ``remix_degenerate_eigenspaces`` or
+    ``apply_channel_b`` computes its own.
     """
 
     matrix: np.ndarray
     dims: tuple[int, int]
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    _pair_data: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, matrix, dims: tuple[int, int]) -> "DensityMatrix":
@@ -181,6 +194,11 @@ def _require_single(*states: DensityMatrix) -> None:
             raise ValueError(f"expected one state, got a stack of {len(rho.matrix)}")
 
 
+def _pauli_sum(n: np.ndarray) -> np.ndarray:
+    """0 + n_x sigma_x + n_y sigma_y + n_z sigma_z, added in that order, for a real 3-vector n."""
+    return np.add.reduce(n[:, None, None] * _PAULI_STACK, axis=0, initial=0)
+
+
 @dataclass(frozen=True)
 class LocalHamiltonian:
     """Hermitian generator acting on subsystem A.
@@ -202,7 +220,7 @@ class LocalHamiltonian:
         bloch = None
         if arr.shape[0] == 2:
             n = np.array([np.trace(s @ arr).real / 2.0 for s in PAULIS])
-            recon = sum(c * s for c, s in zip(n, PAULIS))
+            recon = _pauli_sum(n)
             if (
                 abs(np.linalg.norm(n) - 1.0) <= TOL_NORM
                 and np.max(np.abs(recon - arr)) <= TOL_HERM
@@ -219,7 +237,7 @@ class LocalHamiltonian:
         norm = np.linalg.norm(n)
         if not abs(norm - 1.0) <= TOL_NORM:  # also rejects nan and inf
             raise ValueError(f"Bloch vector must be unit length, |n| = {norm!r}")
-        matrix = sum(c * s for c, s in zip(n, PAULIS))  # exactly Hermitian
+        matrix = _pauli_sum(n)  # exactly Hermitian
         vals, vecs = eigh_sorted(matrix)
         return cls(_freeze(matrix), _freeze(vals), _freeze(vecs), _freeze(n))
 

@@ -380,7 +380,7 @@ def test_pair_matrix_equals_the_masked_reference(d_b):
     rho = random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
     ops = [np.array([SIGMA_X, SIGMA_Y, SIGMA_Z]), [random_generator(2, rng).matrix]]
     for stack, weights in product(ops, (correlations._qfi_weights, correlations._skew_weights)):
-        e, w = correlations._pair_matrix(rho, stack, weights)
+        e, w = correlations._pair_elements(rho, stack), correlations._pair_weights(rho, weights)
         ref_e, ref_w = reference_pair_matrix(rho, stack, weights)
         assert e.tobytes() == ref_e.tobytes() and w.tobytes() == ref_w.tobytes()
         # The layout of E sets how BLAS rounds the 3x3 forms built from it.
