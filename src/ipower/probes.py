@@ -253,13 +253,19 @@ def predicted_qfi(label: str, p: float, k: int) -> float:
     return 0.0
 
 
+# A float64 array holds fewer numbers than this; numpy refuses a longer one before
+# allocating it.
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
+
+
 def flip_angle_grid(
     start_deg: float = 0.0, stop_deg: float = 90.0, step_deg: float = 2.5
 ) -> np.ndarray:
     """Purity parameters p = cos(theta) for flip angles theta on a degree grid.
 
     The default sweep runs from 0 to 90 degrees in 2.5-degree steps
-    (37 points), giving p from 1 down to 0.  Every argument must be finite.
+    (37 points), giving p from 1 down to 0.  Every argument must be finite, and
+    the grid must fit in an array.
     """
     for name, value in zip(("start_deg", "stop_deg", "step_deg"), (start_deg, stop_deg, step_deg)):
         if not np.isfinite(value):
@@ -268,7 +274,12 @@ def flip_angle_grid(
         raise ParameterOutOfRangeError("step must be positive")
     if stop_deg < start_deg:
         raise ParameterOutOfRangeError("stop must not precede start")
-    count = int(round((stop_deg - start_deg) / step_deg))
+    span = (stop_deg - start_deg) / step_deg  # inf when the quotient overflows
+    if not span < _MAX_GRID_POINTS:
+        raise ParameterOutOfRangeError(
+            f"step {step_deg!r} is too small: the grid would have {span:.3g} points"
+        )
+    count = int(round(span))
     degrees = start_deg + step_deg * np.arange(count + 1)
     degrees = degrees[degrees <= stop_deg + 1e-12]  # keeps start: never empty
     return np.cos(np.deg2rad(degrees))

@@ -60,6 +60,20 @@ class TestFigure3:
             run_cli(["figure3", "--p-steps", "0", "--out", str(tmp_path / "x")])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--p-steps", "1e-300"],
+            ["--p-stop", "1e308", "--p-steps", "1e-308"],
+        ],
+    )
+    def test_grid_too_fine_for_an_array_exits_2(self, argv, tmp_path, capsys):
+        # Both grids are refused before any array is allocated.
+        with pytest.raises(SystemExit) as info:
+            run_cli(["figure3", *argv, "--out", str(tmp_path / "x")])
+        assert info.value.code == 2
+        assert "flip-angle grid" in capsys.readouterr().err
+
     def test_bad_probe_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
             run_cli(["figure3", "--probe", "X", "--out", str(tmp_path / "x")])
