@@ -39,10 +39,16 @@ def random_density_matrix(
     environment matches the system dimension, which generically yields a
     full-rank state.
     """
+    return DensityMatrix.from_matrix(_random_density_array(dims, rng, env_dim), dims)
+
+
+def _random_density_array(dims, rng: np.random.Generator, env_dim: int | None = None):
+    """The raw (d, d) matrix of :func:`random_density_matrix`, from the same draws,
+    for a caller that validates many at once."""
     d = dims[0] * dims[1]
     env = d if env_dim is None else int(env_dim)
     psi = random_pure_state(d * env, rng).reshape(d, env)
-    return DensityMatrix.from_matrix(psi @ dagger(psi), dims)
+    return psi @ dagger(psi)
 
 
 def random_pure_density_matrix(

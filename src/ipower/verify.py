@@ -37,6 +37,7 @@ from .probes import (
     werner_state,
 )
 from .sampling import (
+    _random_density_array,
     amplitude_damping_kraus,
     apply_channel_b,
     depolarizing_kraus,
@@ -223,7 +224,7 @@ def check_hierarchy(rng, n, bound, d_b=2) -> PropertyResult:
     measured as one stacked state: every uncertainty in one ``eigvalsh``, every
     power in another."""
     drawn = [
-        random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1))).matrix
+        _random_density_array((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
         for _ in range(n)
     ]
     stack = DensityMatrix.from_matrix(np.reshape(drawn, (n, 2 * d_b, 2 * d_b)), (2, d_b))
