@@ -894,3 +894,132 @@ class TestLocalVarianceSearch:
         value, direction = min_local_variance(rho)
         literal = variance_oracle(rho, LocalHamiltonian.from_bloch(direction)) / 4.0
         assert value == pytest.approx(literal, abs=1e-14)
+
+
+def _bits(value):
+    """Raw bytes of a measure's result: a float, an array, an SLD or a (value, direction)."""
+    if isinstance(value, correlations.SldDecomposition):
+        return value.eigenvalues.tobytes() + value.eigenbasis.tobytes()
+    if isinstance(value, tuple):
+        return b"".join(_bits(part) for part in value)
+    return np.asarray(value, dtype=float if np.isrealobj(value) else complex).tobytes()
+
+
+def _fresh(rho):
+    """The same eigenpairs in a new state, without pair data."""
+    return DensityMatrix(rho.matrix, rho.dims, rho.eigenvalues, rho.eigenvectors)
+
+
+class TestPairData:
+    """Each state computes its pair data once; results never depend on which
+    formula filled it, and a derived state never inherits it."""
+
+    @staticmethod
+    def formulas(rng):
+        ham = LocalHamiltonian.from_bloch(correlations._bloch(*rng.uniform(0.0, 3.0, 2)))
+        phase = float(rng.uniform(0.0, np.pi))
+        return {
+            "ip": interferometric_power,
+            "lqu": local_quantum_uncertainty,
+            "form": qfi_quadratic_form,
+            "qfi": lambda rho: qfi(rho, ham),
+            "skew": lambda rho: skew_information(rho, ham),
+            "sld": lambda rho: sld(rho, ham, phase),
+            "ip_grid": lambda rho: ip_grid_search(rho, 64, 64),
+            "skew_grid": skew_grid_search,
+        }
+
+    @pytest.mark.parametrize("d_b, rank", [(2, 4), (3, 2), (4, 1)])
+    def test_every_result_is_a_fresh_states_whichever_formula_came_first(self, d_b, rank):
+        rng = np.random.default_rng(300 + d_b)
+        rho = random_density_matrix((2, d_b), rng, env_dim=rank)
+        formulas = self.formulas(rng)
+        fresh = {name: _bits(f(_fresh(rho))) for name, f in formulas.items()}
+        for first, fill in formulas.items():
+            state = _fresh(rho)
+            fill(state)
+            for name, f in formulas.items():
+                assert _bits(f(state)) == fresh[name], (first, name)
+
+    def test_ip_lqu_and_form_compute_the_pauli_pairs_once(self, monkeypatch):
+        calls = []
+        elements = correlations._elements
+        monkeypatch.setattr(
+            correlations, "_elements", lambda *args: calls.append(1) or elements(*args)
+        )
+        rho = random_density_matrix((2, 3), np.random.default_rng(310))
+        interferometric_power(rho)
+        local_quantum_uncertainty(rho)
+        qfi_quadratic_form(rho)
+        assert len(calls) == 1
+        stack = stacked([rho, _fresh(rho)])
+        interferometric_power(stack)
+        local_quantum_uncertainty(stack)
+        assert len(calls) == 2
+        assert not correlations._pauli_pairs(rho).flags.writeable
+        assert not correlations._pair_weights(rho, correlations._qfi_weights).flags.writeable
+
+
+def _derived_states(remix=None):
+    """(name, source with its pair data filled, state made from it) for every
+    constructor that derives one state from another."""
+    from ipower.sampling import apply_channel_b, random_isometry_kraus, remix_degenerate_eigenspaces
+
+    remix = remix or remix_degenerate_eigenspaces
+    rng = np.random.default_rng(320)
+    rho = random_density_matrix((2, 4), rng, env_dim=2)  # six zero eigenvalues: one cluster
+    stack = stacked([rho, random_density_matrix((2, 4), rng)])
+    ham = LocalHamiltonian.from_bloch([0.0, 0.6, 0.8])
+    makers = {
+        "index": (stack, lambda: stack[1]),
+        "evolve": (rho, lambda: evolve(rho, ham, 0.4)),
+        "remix": (rho, lambda: remix(rho, rng)),
+        "channel": (rho, lambda: apply_channel_b(rho, random_isometry_kraus(4, rng))),
+    }
+    for name, (source, make) in makers.items():
+        interferometric_power(source)
+        local_quantum_uncertainty(source)
+        yield name, source, make()
+
+
+def _pair_arrays(rho):
+    return [a for v in rho._pair_data.values() for a in (v if isinstance(v, tuple) else (v,))]
+
+
+def assert_computes_its_own_pair_data(source, derived):
+    """``derived`` starts without pair data, the Pauli pair matrix and weights it
+    reads are bitwise those of a fresh state with its eigenpairs, and none of its
+    pair data is memory of ``source``."""
+    started_empty = not derived._pair_data
+    fresh = _fresh(derived)
+    e = correlations._pauli_pairs(derived)
+    assert e.tobytes() == correlations._pair_elements(fresh, correlations._PAULI_STACK).tobytes(), (
+        "the Pauli pair matrix is not the state's own"
+    )
+    for weights in (correlations._qfi_weights, correlations._skew_weights):
+        assert correlations._pair_weights(derived, weights).tobytes() == (
+            correlations._pair_weights(fresh, weights).tobytes()
+        )
+    for a, b in product(_pair_arrays(derived), _pair_arrays(source)):
+        assert not np.shares_memory(a, b)
+    assert started_empty
+
+
+@pytest.mark.parametrize("name", ["index", "evolve", "remix", "channel"])
+def test_a_derived_state_carries_none_of_its_sources_pair_data(name):
+    _, source, derived = next(s for s in _derived_states() if s[0] == name)
+    assert _pair_arrays(source)
+    assert_computes_its_own_pair_data(source, derived)
+
+
+def test_a_remix_that_copies_its_sources_pauli_pairs_fails_the_check():
+    from ipower.sampling import remix_degenerate_eigenspaces
+
+    def leaky_remix(rho, rng):
+        out = remix_degenerate_eigenspaces(rho, rng)
+        out._pair_data["pauli"] = rho._pair_data["pauli"]  # the planted fault
+        return out
+
+    _, source, derived = next(s for s in _derived_states(leaky_remix) if s[0] == "remix")
+    with pytest.raises(AssertionError, match="Pauli pair matrix is not the state's own"):
+        assert_computes_its_own_pair_data(source, derived)
