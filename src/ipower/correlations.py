@@ -17,10 +17,10 @@ pair matrix E of :func:`_pair_elements` it is ``E**2 @ w``, both 3x3 forms are
 
 Pair data: a state's pair eigenvalues, its weights w of each kind and its Pauli
 pair matrix E are computed at most once per state, on first use, and kept with the
-state (:func:`_pair_weights`, :func:`_pauli_pairs`), so the IP, the LQU, the QFI form, ``qfi``,
-``skew_information`` and both Pauli landscapes of one state share them.  Each
-result is bitwise that of a fresh state, whichever formula came first.  A state
-made by ``rho[i]``, ``evolve``, ``remix_degenerate_eigenspaces`` or
+state (:func:`_pair_weights`, :func:`_pauli_pairs`).  So the IP, the LQU, the QFI
+form, ``qfi``, ``skew_information`` and both Pauli landscapes of one state share
+them, and each result is bitwise that of a fresh state, whichever formula came
+first.  A state made by ``rho[i]``, ``evolve``, ``remix_degenerate_eigenspaces`` or
 ``apply_channel_b`` starts without pair data and computes its own.
 """
 

@@ -117,8 +117,9 @@ def apply_channel_b(rho: DensityMatrix, kraus: list[np.ndarray]) -> DensityMatri
     _require_single(rho)
     ops = np.asarray(kraus, dtype=complex)
     left = apply_local(ops, rho.matrix, rho.dims, "B")  # (I x K) rho
-    right = np.conjugate(left.mT, order="C")  # left† = rho (I x K)†, row-major to reshape in place
-    return DensityMatrix.from_matrix(apply_local(ops, right, rho.dims, "B").sum(axis=0), rho.dims)
+    right = np.conjugate(left.mT, order="C")  # left† = rho (I x K)†, row-major to reshape
+    out = apply_local(ops, right, rho.dims, "B").sum(axis=0)
+    return DensityMatrix.from_matrix(out, rho.dims)
 
 
 def depolarizing_kraus(strength: float) -> list[np.ndarray]:

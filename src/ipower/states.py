@@ -67,7 +67,8 @@ def _spectra(matrix, dims):
         herm, deviation = _split_hermitian(arr)
         trace = herm.trace(0, -2, -1).real
         dims_error = _dims_error(dims, arr.shape[-1])
-        if dims_error is None and every((deviation <= TOL_HERM) & (abs(trace - 1.0) <= TOL_TRACE)):
+        passed = (deviation <= TOL_HERM) & (abs(trace - 1.0) <= TOL_TRACE)
+        if dims_error is None and every(passed):
             vals, vecs = eigh_sorted(herm)
             if every(vals[..., 0] >= -TOL_PSD):
                 vals = np.maximum(vals, 0.0)
