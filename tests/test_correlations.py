@@ -38,7 +38,13 @@ from ipower.probes import (
     setting_hamiltonian,
     werner_state,
 )
-from ipower.sampling import random_density_matrix, random_pure_density_matrix
+from ipower.sampling import (
+    apply_channel_b,
+    random_density_matrix,
+    random_isometry_kraus,
+    random_pure_density_matrix,
+    remix_degenerate_eigenspaces,
+)
 from ipower.states import DensityMatrix, LocalHamiltonian, evolve
 from ipower.verify import (
     check_basis_independence,
@@ -960,26 +966,21 @@ class TestPairData:
         assert not correlations._pair_weights(rho, correlations._qfi_weights).flags.writeable
 
 
-def _derived_states(remix=None):
-    """(name, source with its pair data filled, state made from it) for every
-    constructor that derives one state from another."""
-    from ipower.sampling import apply_channel_b, random_isometry_kraus, remix_degenerate_eigenspaces
-
-    remix = remix or remix_degenerate_eigenspaces
+def _derived_state(name, remix=remix_degenerate_eigenspaces):
+    """(source with its pair data filled, the state that constructor ``name`` makes
+    from it)."""
     rng = np.random.default_rng(320)
     rho = random_density_matrix((2, 4), rng, env_dim=2)  # six zero eigenvalues: one cluster
-    stack = stacked([rho, random_density_matrix((2, 4), rng)])
-    ham = LocalHamiltonian.from_bloch([0.0, 0.6, 0.8])
-    makers = {
-        "index": (stack, lambda: stack[1]),
-        "evolve": (rho, lambda: evolve(rho, ham, 0.4)),
-        "remix": (rho, lambda: remix(rho, rng)),
-        "channel": (rho, lambda: apply_channel_b(rho, random_isometry_kraus(4, rng))),
-    }
-    for name, (source, make) in makers.items():
-        interferometric_power(source)
-        local_quantum_uncertainty(source)
-        yield name, source, make()
+    source = stacked([rho, random_density_matrix((2, 4), rng)]) if name == "index" else rho
+    interferometric_power(source)
+    local_quantum_uncertainty(source)
+    make = {
+        "index": lambda: source[1],
+        "evolve": lambda: evolve(rho, LocalHamiltonian.from_bloch([0.0, 0.6, 0.8]), 0.4),
+        "remix": lambda: remix(rho, rng),
+        "channel": lambda: apply_channel_b(rho, random_isometry_kraus(4, rng)),
+    }[name]
+    return source, make()
 
 
 def _pair_arrays(rho):
@@ -1007,19 +1008,17 @@ def assert_computes_its_own_pair_data(source, derived):
 
 @pytest.mark.parametrize("name", ["index", "evolve", "remix", "channel"])
 def test_a_derived_state_carries_none_of_its_sources_pair_data(name):
-    _, source, derived = next(s for s in _derived_states() if s[0] == name)
+    source, derived = _derived_state(name)
     assert _pair_arrays(source)
     assert_computes_its_own_pair_data(source, derived)
 
 
 def test_a_remix_that_copies_its_sources_pauli_pairs_fails_the_check():
-    from ipower.sampling import remix_degenerate_eigenspaces
-
     def leaky_remix(rho, rng):
         out = remix_degenerate_eigenspaces(rho, rng)
         out._pair_data["pauli"] = rho._pair_data["pauli"]  # the planted fault
         return out
 
-    _, source, derived = next(s for s in _derived_states(leaky_remix) if s[0] == "remix")
+    source, derived = _derived_state("remix", leaky_remix)
     with pytest.raises(AssertionError, match="Pauli pair matrix is not the state's own"):
         assert_computes_its_own_pair_data(source, derived)
