@@ -99,8 +99,8 @@ def _upper_pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
 def _pair_weights(rho: DensityMatrix, weights) -> np.ndarray:
     """The pair weights of the pairs i < l, twice: (2P,), or (N, 2P) for a stack of
     states.  No other pair carries information: w is symmetric with a zero diagonal.
-    Pair data: computed once per state and kind of weight, from the pair eigenvalues
-    (q_i, q_l), computed once per state."""
+    Pair data: computed once per state and kind of weight, read-only, from the pair
+    eigenvalues (q_i, q_l), computed once per state."""
     data = rho._pair_data
     w = data.get(weights)
     if w is None:

@@ -117,8 +117,7 @@ def apply_channel_b(rho: DensityMatrix, kraus: list[np.ndarray]) -> DensityMatri
     _require_single(rho)
     ops = np.asarray(kraus, dtype=complex)
     left = apply_local(ops, rho.matrix, rho.dims, "B")  # (I x K) rho
-    right = np.conjugate(left.mT, order="C")  # left† = rho (I x K)†, row-major to reshape
-    out = apply_local(ops, right, rho.dims, "B").sum(axis=0)
+    out = apply_local(ops, dagger(left), rho.dims, "B").sum(axis=0)  # left† = rho (I x K)†
     return DensityMatrix.from_matrix(out, rho.dims)
 
 

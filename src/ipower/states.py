@@ -114,10 +114,10 @@ class DensityMatrix:
     Pair data: the spectral formulas of :mod:`ipower.correlations` read the
     eigenvalues of the pairs i < l, their QFI and skew weights and the Pauli pair
     matrix E from ``_pair_data``, each computed at most once per state, on first
-    use, as read-only arrays.  A result is bitwise that of a fresh state, whichever
-    formula filled the data first.  Every constructor starts without it, so a state
-    made by ``rho[i]``, :func:`evolve`, ``remix_degenerate_eigenspaces`` or
-    ``apply_channel_b`` computes its own.
+    use; E and the weights are read-only.  A result is bitwise that of a fresh
+    state, whichever formula filled the data first.  Every constructor starts
+    without it, so a state made by ``rho[i]``, :func:`evolve`,
+    ``remix_degenerate_eigenspaces`` or ``apply_channel_b`` computes its own.
     """
 
     matrix: np.ndarray
