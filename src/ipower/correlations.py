@@ -61,6 +61,10 @@ _GRID_BLOCK = 4096
 # stays in a 2 MiB L2 cache: 4096 rows at d_B = 4 (2P = 56) fall out of it.
 _BLOCK_BYTES = 2**20
 
+# Most points the half-grid phi < pi of ip_grid_search may hold: its cached
+# directions take 24 bytes a point, 24 MiB at the cap.
+_MAX_HALF_GRID = 2**20
+
 # (theta, phi) offsets of the compass-search stencil; row 4 is the centre.
 _STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 
@@ -289,7 +293,39 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     and the product with a row-major copy costs less and gives the same bits.  The
     product is squared in place.  The closure's ``block_rows``, the power of two
     of rows whose (rows, 2P) product stays within ``_BLOCK_BYTES``, is how many
-    grid directions :func:`_grid_values` passes it at once."""
+    grid directions :func:`_grid_values` passes it at once.
+
+    Its ``screen`` (K, delta) tells :func:`_candidate_blocks` which grid rows can
+    hold the grid's lowest literal value; it never supplies a value.  K = (E w) E^T
+    is the same pair sum as a 3x3 form, n^T K n, built here from E and w and never
+    through :func:`_quadratic_form`, so the oracles stay independent of the closed
+    forms.  delta bounds, at every grid row, |screen value - literal sum| plus the
+    amount by which the screen's column bound can exceed a screen value of its
+    column.  Error model, first order in u = eps / 2, with S = sum_k w_k ||E_k||_1^2
+    over the 2P columns E_k of E (w >= 0), which bounds every |term| below, and every
+    grid sine and cosine at most 1 in size:
+
+    * direction: the screen takes the sines and cosines of the same angles as
+      :func:`_grid_directions` and is analysed at their exact products n; a cached
+      row rounds each product once, so each n . E_k moves by at most u ||E_k||_1:
+      2u S;
+    * the three-term products n . E_k (gamma_3, doubled by the square): 6u S, and
+      the square itself: u S;
+    * the 2P-term weighted sum of non-negative terms: 2P u S;
+    * K's assembly, one rounded E_mk w_k and a 2P-term sum per entry: (2P + 1) u S;
+    * the screen's arithmetic: each monomial of n^T K n passes at most 8 rounded
+      operations on its way to a row value: 8u S;
+    * the column bound (alpha + gamma)/2 - hypot((gamma - alpha)/2, beta), the
+      lowest eigenvalue of the meridian's 2x2 form: two rounded sums, hypot within
+      1 ulp and one subtraction, 4u S; a row value rounds 4 operations of that
+      form, 4u S; and the rounded sin^2 + cos^2 of a row's theta is 1 within 16u
+      (sin and cos taken to be within 4 ulp), times |eigenvalue| <= S: 16u S;
+    * the thresholds U + 2 delta and M + 2 delta of :func:`_candidate_blocks` round
+      once each: 2u S.
+
+    The sum, (4P + 44) u S, is doubled to cover the second-order terms and the
+    rounding of S itself: delta = (4P + 44) eps S.
+    """
     _require_single(rho)
     _require_qubit(rho.dims)
     e, w = np.ascontiguousarray(_pauli_pairs(rho)), _pair_weights(rho, weights)
@@ -300,6 +336,8 @@ def _pauli_landscape(rho: DensityMatrix, weights):
 
     rows = max(_BLOCK_BYTES // (8 * e.shape[1]), 1)
     landscape.block_rows = 1 << (rows.bit_length() - 1)
+    scale = w @ np.abs(e).sum(axis=0) ** 2
+    landscape.screen = (e * w) @ e.T, (2 * e.shape[1] + 44) * np.finfo(float).eps * scale
     return landscape
 
 
@@ -350,16 +388,62 @@ def _grid_values(landscape, n_theta: int, n_phi: int, n_cols: int | None = None)
     return thetas, phis, values.reshape(n_theta, n_cols)
 
 
+def _candidate_blocks(screen, thetas: np.ndarray, phis: np.ndarray, block: int):
+    """First rows, ascending, of the blocks of ``block`` rows of the theta-major
+    (len(thetas), len(phis)) grid that can hold its lowest literal value: every
+    block when ``screen`` is None, and otherwise each block holding a row whose
+    screen value lies within 2 delta of M, the lowest screen value of the columns
+    kept.
+
+    ``screen`` = (K, delta) is a landscape's (see :func:`_pauli_landscape`).  On the
+    column phi, n^T K n is the meridian form alpha sin^2 + 2 beta sin cos + gamma cos^2
+    of theta, bounded below by the lowest eigenvalue of [[alpha, beta], [beta, gamma]].
+    Columns whose bound exceeds U + 2 delta are dropped in O(n_phi), U >= M being
+    the lowest screen value of the column with the lowest bound, or that bound if it
+    is larger, so that this column always passes; the others are evaluated at every
+    theta.  Let a screen value differ from its row's literal value by at most a, and
+    a column bound exceed the screen values of its rows by at most b, a + b <= delta.
+    Every screen value, so U and M too, is then at least m - a, m the grid's lowest
+    literal value, so a row holding m is kept: its column's bound is at most
+    m + a + b <= U + 2 delta, and its screen value at most m + a <= M + 2 delta."""
+    if screen is None:
+        return range(0, len(thetas) * len(phis), block)
+    form, slack = screen
+    sin_t, cos_t = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+    cos_p, sin_p = np.cos(phis), np.sin(phis)
+    alpha = (form[0, 0] * cos_p + 2.0 * form[0, 1] * sin_p) * cos_p + form[1, 1] * sin_p * sin_p
+    beta = form[0, 2] * cos_p + form[1, 2] * sin_p
+    gamma = form[2, 2]
+    bound = (alpha + gamma) / 2.0 - np.hypot((gamma - alpha) / 2.0, beta)
+
+    def column_values(cols):
+        return (alpha[cols] * sin_t + 2.0 * beta[cols] * cos_t) * sin_t + gamma * cos_t * cos_t
+
+    lowest = bound.argmin()
+    upper = max(column_values([lowest]).min(), bound[lowest])
+    cols = np.flatnonzero(bound <= upper + 2.0 * slack)
+    values = column_values(cols)
+    rows, kept = np.nonzero(values <= values.min() + 2.0 * slack)
+    hit = np.zeros(-(-len(thetas) * len(phis) // block), dtype=bool)
+    hit[(rows * len(phis) + cols[kept]) // block] = True
+    return (np.flatnonzero(hit) * block).tolist()
+
+
 def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray]:
     """Minimum of ``landscape`` over unit vectors: grid argmin, then compass search.
 
     ``landscape`` must be even in n, f(-n) = f(n), as the two it serves, the QFI
     and the skew information of n . sigma, are: H and -H are one generator.
     So only the half-grid phi < pi of ``grid`` = (n_theta, n_phi), its first
-    ceil(n_phi / 2) columns, is scored by :func:`_grid_values`.  For even n_phi
-    every other grid point is the antipode of a scored one; for odd n_phi the
-    half-grid still comes within one spacing of every axis.  From the best
-    scored point a 3x3 stencil in (theta, phi), one grid spacing wide and free
+    ceil(n_phi / 2) columns, is searched.  For even n_phi every other grid point
+    is the antipode of a scored one; for odd n_phi the half-grid still comes
+    within one spacing of every axis.  Of the blocks of ``block_rows`` rows that
+    :func:`_grid_values` would score (``_GRID_BLOCK`` without ``block_rows``), the
+    landscape scores those :func:`_candidate_blocks` names from its ``screen``
+    (all of them without one), in ascending order with the same slices; the
+    first of equal values is kept, strict ``<`` across blocks, so the grid stage
+    returns the value and point of ``np.argmin`` over a full scan.  From that
+    point a 3x3 stencil in (theta, phi), one grid spacing wide and free
     to cross phi = pi, moves to its lowest point if that undercuts ``best``,
     the value last accepted, and otherwise halves its steps, until both fall
     below 1e-10.  As ``best`` only falls, the search stops; a fresh centre value
@@ -375,9 +459,18 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     argument.
     """
     n_theta, n_phi = grid
-    thetas, phis, values = _grid_values(landscape, n_theta, n_phi, (n_phi + 1) // 2)
-    i, j = np.unravel_index(np.argmin(values), values.shape)
-    best, theta, phi = values[i, j], float(thetas[i]), float(phis[j])
+    n_cols = (n_phi + 1) // 2
+    ns = _grid_directions(n_theta, n_phi, n_cols)
+    thetas, phis = _grid_angles(n_theta, n_phi, n_cols)
+    block = getattr(landscape, "block_rows", _GRID_BLOCK)
+    best, row = np.inf, 0
+    for start in _candidate_blocks(getattr(landscape, "screen", None), thetas, phis, block):
+        values = landscape(ns[start : start + block])
+        k = int(values.argmin())
+        if values[k] < best:
+            best, row = values[k], start + k
+    i, j = divmod(row, n_cols)
+    theta, phi = float(thetas[i]), float(phis[j])
     d_theta, d_phi = float(thetas[1] - thetas[0]), float(phis[1] - phis[0])
     angles, trig, stencil = np.empty(6), np.empty((2, 6)), np.empty((3, 3, 3))
     # Views into the buffers: sin and cos of the thetas, (cos, sin) of the phis.
@@ -426,12 +519,15 @@ def ip_grid_search(
     Sums the QFI separately for every direction, never through
     :func:`qfi_quadratic_form`, so it cross-checks :func:`interferometric_power`:
     the half phi < pi of an (n_theta, n_phi) grid, at least 64 points per angle
+    and at most ``_MAX_HALF_GRID`` = 2^20 points in all, n_theta * ceil(n_phi / 2)
     (the QFI of -n is that of n), then the compass search of the other sphere
     oracles.  Returns (value, direction), the direction defined up to sign.
     """
     _check_grid(n_theta, n_phi)
     if n_theta < 64 or n_phi < 64:
         raise ValueError("grid must have at least 64 points per angle")
+    if n_theta * ((n_phi + 1) // 2) > _MAX_HALF_GRID:
+        raise ValueError(f"grid half phi < pi must hold at most {_MAX_HALF_GRID} points")
     return _sphere_minimum(_pauli_landscape(rho, _qfi_weights), (n_theta, n_phi))
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ipower import correlations
 from ipower.cli import main
 from ipower.estimation import SWEEP_COLUMNS
 from ipower.probes import classical_probe, werner_state
@@ -287,6 +288,18 @@ class TestIpCommand:
         lines = dict(line.split(maxsplit=1) for line in capsys.readouterr().out.splitlines())
         power = float(lines["interferometric_power"])
         assert float(lines["oracle_minimum"].split()[0]) == pytest.approx(power, abs=1e-12)
+
+    def test_oversized_grid_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
+        # The half-grid of 100000x100000 would take 112 GiB of directions.
+        path = tmp_path / "werner.json"
+        save_state(werner_state(0.5), path)
+
+        def refuse(*args):
+            raise AssertionError("the grid's directions were built")
+
+        monkeypatch.setattr(correlations, "_grid_directions", refuse)
+        assert run_cli(["ip", str(path), "--grid", "100000x100000"]) == 2
+        assert "--grid" in capsys.readouterr().err
 
     def test_maximally_mixed_all_zero(self, tmp_path, capsys):
         path = tmp_path / "mixed.json"

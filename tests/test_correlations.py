@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ipower import correlations
+from ipower import correlations, verify
 from ipower.correlations import (
     interferometric_power,
     ip_bell_diagonal,
@@ -29,6 +29,7 @@ from ipower.errors import (
 from ipower.linalg import RANK_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, tensor
 from ipower.probes import (
     ProbeFamily,
+    bell_diagonal_state,
     bell_probe,
     classical_probe,
     discordant_probe,
@@ -40,6 +41,8 @@ from ipower.probes import (
 )
 from ipower.sampling import (
     apply_channel_b,
+    haar_unitary,
+    random_classical_quantum_state,
     random_density_matrix,
     random_isometry_kraus,
     random_pure_density_matrix,
@@ -354,8 +357,10 @@ def reference_pair_matrix(rho, ops, weights):
 
 
 def reference_sphere_minimum(landscape, grid):
-    """The compass search that builds its nine stencil directions with ``_bloch``
-    at every step: the loop the six-angle stencil replaces, kept as its reference."""
+    """The search that scores every block of the half-grid, through ``_grid_values``,
+    and builds its nine stencil directions with ``_bloch`` at every step: the full
+    scan the screen prunes and the loop the six-angle stencil replaces, kept as
+    their reference."""
     n_theta, n_phi = grid
     thetas, phis, values = correlations._grid_values(landscape, n_theta, n_phi, (n_phi + 1) // 2)
     i, j = np.unravel_index(np.argmin(values), values.shape)
@@ -370,6 +375,29 @@ def reference_sphere_minimum(landscape, grid):
         else:
             step = step / 2.0
     return float(best), correlations._bloch(*x)
+
+
+def screen_states(d_b, rng):
+    """Random states of every rank (rank 1 is pure), the maximally mixed state and a
+    classical-quantum state on a qubit and a d_B-level B."""
+    dims = (2, d_b)
+    states = [random_density_matrix(dims, rng, env_dim=rank) for rank in range(1, 2 * d_b + 1)]
+    mixed = DensityMatrix.from_matrix(np.eye(2 * d_b) / (2 * d_b), dims)
+    return [*states, mixed, random_classical_quantum_state(dims, rng)]
+
+
+def near_tie_states(n, rng):
+    """Bell-diagonal states with degenerate forms, each under n Haar unitaries on A:
+    (0.3, 0.3, -0.1), whose lowest eigenvalue is double, so a great circle of
+    directions ties, and (0.2, 0.2, 0.2), whose forms are multiples of the identity,
+    so every grid row ties to rounding."""
+    states = []
+    for triple in ((0.3, 0.3, -0.1), (0.2, 0.2, 0.2)):
+        base = bell_diagonal_state(*triple).matrix
+        for _ in range(n):
+            u = tensor(haar_unitary(2, rng), np.eye(2))
+            states.append(DensityMatrix.from_matrix(u @ base @ dagger(u), (2, 2)))
+    return states
 
 
 def planted_quadratic():
@@ -487,19 +515,95 @@ class TestGridSearch:
         thetas, phis, grid = qfi_sphere_grid(MIXED, np.int64(2), np.int32(3))
         assert grid.shape == (2, 3) and len(thetas) == 2 and len(phis) == 3
 
-    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    @pytest.mark.parametrize("d_b", [1, 2, 3, 4])
     def test_compass_search_equals_the_reference_loop(self, d_b):
+        # The screened grid stage gives the bits of the full scan; at d_B = 2 the
+        # near ties, where a rounding-blind screen picks the wrong block, too.
         rng = np.random.default_rng(160 + d_b)
-        grids = ((64, 128), (64, 129), (256, 512), correlations.SEARCH_GRID)
-        for _ in range(2):
-            rho = random_density_matrix((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
-            for weights, grid in product(
-                (correlations._qfi_weights, correlations._skew_weights), grids
-            ):
-                landscape = correlations._pauli_landscape(rho, weights)
-                value, direction = correlations._sphere_minimum(landscape, grid)
-                ref_value, ref_direction = reference_sphere_minimum(landscape, grid)
-                assert value == ref_value and direction.tobytes() == ref_direction.tobytes()
+        states = screen_states(d_b, rng) + (near_tie_states(6, rng) if d_b == 2 else [])
+        grids = ((64, 128), (64, 129), (181, 360), (256, 512), correlations.SEARCH_GRID)
+        for rho, weights, grid in product(
+            states, (correlations._qfi_weights, correlations._skew_weights), grids
+        ):
+            landscape = correlations._pauli_landscape(rho, weights)
+            value, direction = correlations._sphere_minimum(landscape, grid)
+            ref_value, ref_direction = reference_sphere_minimum(landscape, grid)
+            assert value == ref_value and direction.tobytes() == ref_direction.tobytes()
+
+    def test_a_screen_without_slack_misses_near_ties(self):
+        # The same searches with delta = 0 land in another block of tied rows.
+        misses = 0
+        for rho, weights in product(
+            near_tie_states(6, np.random.default_rng(162)),
+            (correlations._qfi_weights, correlations._skew_weights),
+        ):
+            exact = correlations._pauli_landscape(rho, weights)
+
+            def planted(ns, exact=exact):
+                return exact(ns)
+
+            planted.block_rows, planted.screen = exact.block_rows, (exact.screen[0], 0.0)
+            for grid in ((256, 512), correlations.SEARCH_GRID):
+                found = correlations._sphere_minimum(planted, grid)
+                ref_value, ref_direction = reference_sphere_minimum(exact, grid)
+                misses += found[0] != ref_value or found[1].tobytes() != ref_direction.tobytes()
+        assert misses > 0
+
+    @pytest.mark.parametrize("d_b, blocks", [(2, 8), (3, 16), (4, 32)])
+    def test_screen_scores_one_block_unless_the_form_is_flat(self, d_b, blocks):
+        # Each scored block is a slice of the direction cache at a multiple of
+        # block_rows, in ascending order; the stencil's buffer is not in the cache.
+        rho = random_density_matrix((2, d_b), np.random.default_rng(40 + d_b))
+        mixed = DensityMatrix.from_matrix(np.eye(2 * d_b) / (2 * d_b), (2, d_b))
+        cache = correlations._grid_directions(256, 512, 256)
+        for state, weights in product(
+            (rho, mixed), (correlations._qfi_weights, correlations._skew_weights)
+        ):
+            exact = correlations._pauli_landscape(state, weights)
+            size = exact.block_rows
+            starts = []
+
+            def recording(ns):
+                if np.shares_memory(ns, cache):
+                    assert ns.shape == (size, 3)
+                    starts.append((ns.ctypes.data - cache.ctypes.data) // cache.strides[0])
+                return exact(ns)
+
+            recording.block_rows, recording.screen = size, exact.screen
+            correlations._sphere_minimum(recording, (256, 512))
+            assert len(cache) == blocks * size
+            assert len(starts) == (1 if state is rho else blocks)
+            assert starts == sorted(starts) and all(start % size == 0 for start in starts)
+
+    def test_the_oracle_reads_none_of_the_closed_forms_code(self, monkeypatch):
+        # A relative 1e-9 change in the 3x3 forms moves the closed form and fails
+        # the oracle family, while the oracle's bits stay as they were and the
+        # oracle never calls the planted form.
+        states = [random_density_matrix((2, 2), np.random.default_rng(seed)) for seed in range(3)]
+        before = [ip_grid_search(rho, 256, 512) for rho in states]
+        assert verify.check_oracle_equivalence(np.random.default_rng(0), 3, 1e-10).passed
+        form, calls = correlations._quadratic_form, []
+
+        def planted(rho, weights):
+            calls.append(rho)
+            return form(rho, weights) * (1 + 1e-9)
+
+        monkeypatch.setattr(correlations, "_quadratic_form", planted)
+        assert not verify.check_oracle_equivalence(np.random.default_rng(0), 3, 1e-10).passed
+        calls.clear()
+        for rho, (value, direction) in zip(states, before):
+            again = ip_grid_search(rho, 256, 512)
+            assert again[0] == value and again[1].tobytes() == direction.tobytes()
+        assert not calls
+
+    def test_rejects_a_half_grid_above_the_cap(self, monkeypatch):
+        # 1024x2048 has 2^20 half-grid points, the cap; the search is stubbed,
+        # so neither size is allocated.
+        monkeypatch.setattr(correlations, "_sphere_minimum", lambda landscape, grid: grid)
+        assert ip_grid_search(MIXED, 1024, 2048) == (1024, 2048)
+        for grid in ((1024, 2049), (100_000, 100_000)):
+            with pytest.raises(ValueError, match="at most"):
+                ip_grid_search(MIXED, *grid)
 
     def test_compass_search_equals_the_reference_loop_on_the_planted_landscape(self):
         landscape = planted_quadratic()
