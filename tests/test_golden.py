@@ -10,7 +10,9 @@
 * the lines of ``verify --trials 100 --seed S`` for S = 0-3, whose worst
   deviations are rounding-level numbers;
 * ``one_state.sha256``: the sha256 of the raw bytes of each one-state measure
-  over seeded qubit-qudit states built with plain numpy (:func:`one_state_digests`);
+  over seeded qubit-qudit states built with plain numpy, and of the sphere
+  oracles' values and directions over those states and four flat ones
+  (:func:`one_state_digests`);
 * ``environment.json``: the numpy version, BLAS build and machine they were
   made with.  Rounding-level cells (e.g. a power of 5e-32) depend on the
   build, so on another environment the test fails naming the mismatch.
@@ -36,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ipower import correlations, sampling
+from ipower import correlations, probes, sampling
 from ipower.cli import main
 from ipower.states import DensityMatrix, LocalHamiltonian
 
@@ -116,6 +118,15 @@ def one_state_digests() -> bytes:
     def record(name, value):
         digests.setdefault(name, hashlib.sha256()).update(np.asarray(value).tobytes())
 
+    def record_oracles(rho):
+        for name, (value, direction) in (
+            ("ip_grid_search", correlations.ip_grid_search(rho, 256, 512)),
+            ("skew_grid_search", correlations.skew_grid_search(rho)),
+        ):
+            record(f"{name}_value", value)
+            record(f"{name}_direction", direction)
+        record("qfi_sphere_grid", correlations.qfi_sphere_grid(rho, 64, 64)[2])
+
     for matrix, d_b, bloch, phase, kraus in _one_state_inputs():
         rho = DensityMatrix.from_matrix(matrix, (2, d_b))
         ham = LocalHamiltonian.from_bloch(bloch)
@@ -133,6 +144,11 @@ def one_state_digests() -> bytes:
         record("sld_basis", derivative.eigenbasis)
         record("ip_after_channel", correlations.interferometric_power(
             sampling.apply_channel_b(rho, kraus)))
+        record_oracles(rho)
+    # Flat forms, whose screens keep every block of the grid.
+    for d_b in (2, 3, 4):
+        record_oracles(DensityMatrix.from_matrix(np.eye(2 * d_b) / (2 * d_b), (2, d_b)))
+    record_oracles(probes.werner_state(0.5))
     return "".join(f"{h.hexdigest()}  {name}\n" for name, h in digests.items()).encode()
 
 
