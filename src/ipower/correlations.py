@@ -53,16 +53,13 @@ BELL_DIAGONAL_DENOMINATOR_CUTOFF = 1e-9
 # compass search.
 SEARCH_GRID = (128, 256)
 
-# Rows of a grid's direction stack scored by one call of a landscape that does
-# not give its own ``block_rows``.
-_GRID_BLOCK = 4096
+# Grid directions passed to one landscape call: its (rows, 2P) product is at most
+# 0.9 MiB (2P = 56 at d_B = 4), within a 2 MiB L2 cache.
+_GRID_BLOCK = 2048
 
-# A Pauli landscape's (rows, 2P) float64 product is kept near this size, which
-# stays in a 2 MiB L2 cache: 4096 rows at d_B = 4 (2P = 56) fall out of it.
-_BLOCK_BYTES = 2**20
-
-# Most points the half-grid phi < pi of ip_grid_search may hold: its cached
-# directions take 24 bytes a point, 24 MiB at the cap.
+# Most points the half-grid phi < pi of ip_grid_search may hold.  A landscape that
+# ties everywhere (the maximally mixed state) keeps every row in the screen of
+# _candidate_blocks, whose index arrays then take about 41 MB traced at the cap.
 _MAX_HALF_GRID = 2**20
 
 # (theta, phi) offsets of the compass-search stencil; row 4 is the centre.
@@ -291,9 +288,7 @@ def _pauli_landscape(rho: DensityMatrix, weights):
 
     E is taken as a row-major copy: :func:`_pair_elements` returns it column-major,
     and the product with a row-major copy costs less and gives the same bits.  The
-    product is squared in place.  The closure's ``block_rows``, the power of two
-    of rows whose (rows, 2P) product stays within ``_BLOCK_BYTES``, is how many
-    grid directions :func:`_grid_values` passes it at once.
+    product is squared in place.
 
     Its ``screen`` (K, delta) tells :func:`_candidate_blocks` which grid rows can
     hold the grid's lowest literal value; it never supplies a value.  K = (E w) E^T
@@ -305,9 +300,9 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     over the 2P columns E_k of E (w >= 0), which bounds every |term| below, and every
     grid sine and cosine at most 1 in size:
 
-    * direction: the screen takes the sines and cosines of the same angles as
-      :func:`_grid_directions` and is analysed at their exact products n; a cached
-      row rounds each product once, so each n . E_k moves by at most u ||E_k||_1:
+    * direction: the screen reads the sines and cosines that :func:`_grid_rows`
+      builds rows from and is analysed at their exact products n; a built row
+      rounds each product once, so each n . E_k moves by at most u ||E_k||_1:
       2u S;
     * the three-term products n . E_k (gamma_3, doubled by the square): 6u S, and
       the square itself: u S;
@@ -334,8 +329,6 @@ def _pauli_landscape(rho: DensityMatrix, weights):
         amplitudes = ns @ e
         return np.square(amplitudes, out=amplitudes) @ w
 
-    rows = max(_BLOCK_BYTES // (8 * e.shape[1]), 1)
-    landscape.block_rows = 1 << (rows.bit_length() - 1)
     scale = w @ np.abs(e).sum(axis=0) ** 2
     landscape.screen = (e * w) @ e.T, (2 * e.shape[1] + 44) * np.finfo(float).eps * scale
     return landscape
@@ -347,23 +340,29 @@ def _grid_angles(n_theta: int, n_phi: int, n_cols: int) -> tuple[np.ndarray, np.
     return np.linspace(0.0, np.pi, n_theta), np.arange(n_cols) * (2.0 * np.pi / n_phi)
 
 
-@functools.lru_cache(maxsize=4)
-def _grid_directions(n_theta: int, n_phi: int, n_cols: int) -> np.ndarray:
-    """(n_theta * n_cols, 3) stack of the grid's unit vectors, theta-major, keyed
-    by the columns it builds: built once per key on first use (four cover the
-    grids of ``verify``: the half-grids of 256x512 and 128x256 that the oracles
-    search, and the whole 181x360 and 64x64 landscapes) and read-only, as every
-    caller shares it.  Its three columns are filled in place from the sines and
-    cosines of the n_theta + n_cols angles, bitwise ``_bloch`` of their meshgrid."""
-    thetas, phis = _grid_angles(n_theta, n_phi, n_cols)
-    ns = np.empty((n_theta, n_cols, 3))
-    sin_t = np.sin(thetas)[:, None]
-    np.multiply(sin_t, np.cos(phis), out=ns[..., 0])
-    np.multiply(sin_t, np.sin(phis), out=ns[..., 1])
-    ns[..., 2] = np.cos(thetas)[:, None]
-    ns = ns.reshape(-1, 3)
-    ns.flags.writeable = False
-    return ns
+def _grid_trig(thetas: np.ndarray, phis: np.ndarray):
+    """(sin theta, cos theta, cos phi, sin phi) of a grid's angles, the thetas' as
+    columns: the one set that :func:`_grid_rows` builds directions from and
+    :func:`_candidate_blocks` reads."""
+    return np.sin(thetas)[:, None], np.cos(thetas)[:, None], np.cos(phis), np.sin(phis)
+
+
+def _grid_rows(trig, start: int, stop: int) -> np.ndarray:
+    """Rows start:stop (stop clipped to the grid) of the theta-major stack of the
+    grid's unit vectors, from its :func:`_grid_trig`: the outer products of the
+    theta rows they cover, over the columns they cover when that is one theta row,
+    so each row is bitwise ``_bloch`` of the meshgrid's angles."""
+    sin_t, cos_t, cos_p, sin_p = trig
+    n_cols = len(cos_p)
+    stop = min(stop, len(sin_t) * n_cols)
+    first, last = start // n_cols, -(-stop // n_cols)
+    lo, hi = (start % n_cols, stop - first * n_cols) if last - first == 1 else (0, n_cols)
+    ns = np.empty((last - first, hi - lo, 3))
+    np.multiply(sin_t[first:last], cos_p[lo:hi], out=ns[..., 0])
+    np.multiply(sin_t[first:last], sin_p[lo:hi], out=ns[..., 1])
+    ns[..., 2] = cos_t[first:last]
+    offset = first * n_cols + lo
+    return ns.reshape(-1, 3)[start - offset : stop - offset]
 
 
 def _grid_values(landscape, n_theta: int, n_phi: int, n_cols: int | None = None):
@@ -372,28 +371,27 @@ def _grid_values(landscape, n_theta: int, n_phi: int, n_cols: int | None = None)
     default) of the n_phi columns spaced over [0, 2 pi); values has shape
     (n_theta, n_cols).
 
-    The directions of :func:`_grid_directions` are scored in blocks of the
-    landscape's ``block_rows`` (``_GRID_BLOCK`` if it has none), so no (N, 2P)
-    intermediate is built.  Each value reads only its own row, so the blocks give
-    the bits of one whole-stack call.  ``thetas`` and ``phis`` are fresh arrays,
-    never views of the cache.
+    The grid is scored in blocks of ``_GRID_BLOCK`` rows from :func:`_grid_rows`,
+    so no (N, 2P) intermediate is built.  Each value reads only its own row, so
+    the blocks give the bits of one whole-stack call.
     """
     n_cols = n_phi if n_cols is None else n_cols
-    ns = _grid_directions(n_theta, n_phi, n_cols)
-    values = np.empty(len(ns))
-    block = getattr(landscape, "block_rows", _GRID_BLOCK)
-    for start in range(0, len(ns), block):
-        values[start : start + block] = landscape(ns[start : start + block])
     thetas, phis = _grid_angles(n_theta, n_phi, n_cols)
+    trig = _grid_trig(thetas, phis)
+    values = np.empty(n_theta * n_cols)
+    for start in range(0, len(values), _GRID_BLOCK):
+        values[start : start + _GRID_BLOCK] = landscape(
+            _grid_rows(trig, start, start + _GRID_BLOCK)
+        )
     return thetas, phis, values.reshape(n_theta, n_cols)
 
 
-def _candidate_blocks(screen, thetas: np.ndarray, phis: np.ndarray, block: int):
-    """First rows, ascending, of the blocks of ``block`` rows of the theta-major
-    (len(thetas), len(phis)) grid that can hold its lowest literal value: every
-    block when ``screen`` is None, and otherwise each block holding a row whose
-    screen value lies within 2 delta of M, the lowest screen value of the columns
-    kept.
+def _candidate_blocks(screen, trig):
+    """First rows, ascending, of the blocks of ``_GRID_BLOCK`` rows of the
+    theta-major grid of :func:`_grid_trig` ``trig`` that can hold its lowest literal
+    value: every block when ``screen`` is None, and otherwise each block holding a
+    row whose screen value lies within 2 delta of M, the lowest screen value of the
+    columns kept.
 
     ``screen`` = (K, delta) is a landscape's (see :func:`_pauli_landscape`).  On the
     column phi, n^T K n is the meridian form alpha sin^2 + 2 beta sin cos + gamma cos^2
@@ -406,11 +404,11 @@ def _candidate_blocks(screen, thetas: np.ndarray, phis: np.ndarray, block: int):
     Every screen value, so U and M too, is then at least m - a, m the grid's lowest
     literal value, so a row holding m is kept: its column's bound is at most
     m + a + b <= U + 2 delta, and its screen value at most m + a <= M + 2 delta."""
+    sin_t, cos_t, cos_p, sin_p = trig
+    size = len(sin_t) * len(cos_p)
     if screen is None:
-        return range(0, len(thetas) * len(phis), block)
+        return range(0, size, _GRID_BLOCK)
     form, slack = screen
-    sin_t, cos_t = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    cos_p, sin_p = np.cos(phis), np.sin(phis)
     alpha = (form[0, 0] * cos_p + 2.0 * form[0, 1] * sin_p) * cos_p + form[1, 1] * sin_p * sin_p
     beta = form[0, 2] * cos_p + form[1, 2] * sin_p
     gamma = form[2, 2]
@@ -424,9 +422,9 @@ def _candidate_blocks(screen, thetas: np.ndarray, phis: np.ndarray, block: int):
     cols = np.flatnonzero(bound <= upper + 2.0 * slack)
     values = column_values(cols)
     rows, kept = np.nonzero(values <= values.min() + 2.0 * slack)
-    hit = np.zeros(-(-len(thetas) * len(phis) // block), dtype=bool)
-    hit[(rows * len(phis) + cols[kept]) // block] = True
-    return (np.flatnonzero(hit) * block).tolist()
+    hit = np.zeros(-(-size // _GRID_BLOCK), dtype=bool)
+    hit[(rows * len(cos_p) + cols[kept]) // _GRID_BLOCK] = True
+    return (np.flatnonzero(hit) * _GRID_BLOCK).tolist()
 
 
 def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray]:
@@ -437,12 +435,11 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     So only the half-grid phi < pi of ``grid`` = (n_theta, n_phi), its first
     ceil(n_phi / 2) columns, is searched.  For even n_phi every other grid point
     is the antipode of a scored one; for odd n_phi the half-grid still comes
-    within one spacing of every axis.  Of the blocks of ``block_rows`` rows that
-    :func:`_grid_values` would score (``_GRID_BLOCK`` without ``block_rows``), the
-    landscape scores those :func:`_candidate_blocks` names from its ``screen``
-    (all of them without one), in ascending order with the same slices; the
-    first of equal values is kept, strict ``<`` across blocks, so the grid stage
-    returns the value and point of ``np.argmin`` over a full scan.  From that
+    within one spacing of every axis.  Of the blocks that :func:`_grid_values`
+    would score, the landscape scores those :func:`_candidate_blocks` names from
+    its ``screen`` (all of them without one), in ascending order with the same
+    rows; the first of equal values is kept, strict ``<`` across blocks, so the
+    grid stage returns the value and point of ``np.argmin`` over a full scan.  From that
     point a 3x3 stencil in (theta, phi), one grid spacing wide and free
     to cross phi = pi, moves to its lowest point if that undercuts ``best``,
     the value last accepted, and otherwise halves its steps, until both fall
@@ -460,12 +457,11 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     """
     n_theta, n_phi = grid
     n_cols = (n_phi + 1) // 2
-    ns = _grid_directions(n_theta, n_phi, n_cols)
     thetas, phis = _grid_angles(n_theta, n_phi, n_cols)
-    block = getattr(landscape, "block_rows", _GRID_BLOCK)
+    trig = _grid_trig(thetas, phis)
     best, row = np.inf, 0
-    for start in _candidate_blocks(getattr(landscape, "screen", None), thetas, phis, block):
-        values = landscape(ns[start : start + block])
+    for start in _candidate_blocks(getattr(landscape, "screen", None), trig):
+        values = landscape(_grid_rows(trig, start, start + _GRID_BLOCK))
         k = int(values.argmin())
         if values[k] < best:
             best, row = values[k], start + k

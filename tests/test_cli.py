@@ -290,14 +290,14 @@ class TestIpCommand:
         assert float(lines["oracle_minimum"].split()[0]) == pytest.approx(power, abs=1e-12)
 
     def test_oversized_grid_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch):
-        # The half-grid of 100000x100000 would take 112 GiB of directions.
+        # The half-grid of 100000x100000 holds 5e9 points.
         path = tmp_path / "werner.json"
         save_state(werner_state(0.5), path)
 
         def refuse(*args):
             raise AssertionError("the grid's directions were built")
 
-        monkeypatch.setattr(correlations, "_grid_directions", refuse)
+        monkeypatch.setattr(correlations, "_grid_rows", refuse)
         assert run_cli(["ip", str(path), "--grid", "100000x100000"]) == 2
         assert "--grid" in capsys.readouterr().err
 

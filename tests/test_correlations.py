@@ -491,25 +491,21 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="positive integers"):
             search(MIXED, *grid)
 
-    @pytest.mark.parametrize("d_b, rows", [(1, 65536), (2, 8192), (3, 4096), (4, 2048)])
-    def test_grid_block_is_sized_from_the_pair_count(self, d_b, rows):
-        # One block's (rows, 2P) float64 product stays within 1 MiB, the largest
-        # power of two of rows that does: 2P = 2, 12, 30, 56 at d_B = 1-4.
+    @pytest.mark.parametrize("d_b", [1, 2, 3, 4])
+    def test_every_scored_block_has_grid_block_rows(self, d_b):
+        # One block size for every landscape, whatever its pair count 2P.
         rho = random_density_matrix((2, d_b), np.random.default_rng(30 + d_b))
         exact = correlations._pauli_landscape(rho, correlations._qfi_weights)
-        width = 2 * d_b * (2 * d_b - 1)
-        assert exact.block_rows == rows
-        assert rows * width * 8 <= correlations._BLOCK_BYTES < 2 * rows * width * 8
         sizes = []
 
         def recording(ns):
             sizes.append(len(ns))
             return exact(ns)
 
-        recording.block_rows = exact.block_rows
         _, _, values = correlations._grid_values(recording, 256, 512, 256)
-        assert sizes == [rows] * (256 * 256 // rows)
-        assert np.array_equal(values.ravel(), exact(correlations._grid_directions(256, 512, 256)))
+        assert sizes == [correlations._GRID_BLOCK] * (256 * 256 // correlations._GRID_BLOCK)
+        tt, pp = np.meshgrid(*correlations._grid_angles(256, 512, 256), indexing="ij")
+        assert np.array_equal(values.ravel(), exact(correlations._bloch(tt, pp).reshape(-1, 3)))
 
     def test_accepts_numpy_integer_counts(self):
         thetas, phis, grid = qfi_sphere_grid(MIXED, np.int64(2), np.int32(3))
@@ -542,38 +538,36 @@ class TestGridSearch:
             def planted(ns, exact=exact):
                 return exact(ns)
 
-            planted.block_rows, planted.screen = exact.block_rows, (exact.screen[0], 0.0)
+            planted.screen = exact.screen[0], 0.0
             for grid in ((256, 512), correlations.SEARCH_GRID):
                 found = correlations._sphere_minimum(planted, grid)
                 ref_value, ref_direction = reference_sphere_minimum(exact, grid)
                 misses += found[0] != ref_value or found[1].tobytes() != ref_direction.tobytes()
         assert misses > 0
 
-    @pytest.mark.parametrize("d_b, blocks", [(2, 8), (3, 16), (4, 32)])
-    def test_screen_scores_one_block_unless_the_form_is_flat(self, d_b, blocks):
-        # Each scored block is a slice of the direction cache at a multiple of
-        # block_rows, in ascending order; the stencil's buffer is not in the cache.
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    def test_screen_scores_one_block_unless_the_form_is_flat(self, d_b, monkeypatch):
+        # The 256x256 half-grid holds 32 blocks; each block the search builds
+        # starts at a multiple of _GRID_BLOCK, in ascending order.
         rho = random_density_matrix((2, d_b), np.random.default_rng(40 + d_b))
         mixed = DensityMatrix.from_matrix(np.eye(2 * d_b) / (2 * d_b), (2, d_b))
-        cache = correlations._grid_directions(256, 512, 256)
+        size, rows, built = correlations._GRID_BLOCK, correlations._grid_rows, []
+
+        def recording(trig, start, stop):
+            built.append((start, stop))
+            return rows(trig, start, stop)
+
+        monkeypatch.setattr(correlations, "_grid_rows", recording)
+        assert 256 * 256 == 32 * size
         for state, weights in product(
             (rho, mixed), (correlations._qfi_weights, correlations._skew_weights)
         ):
-            exact = correlations._pauli_landscape(state, weights)
-            size = exact.block_rows
-            starts = []
-
-            def recording(ns):
-                if np.shares_memory(ns, cache):
-                    assert ns.shape == (size, 3)
-                    starts.append((ns.ctypes.data - cache.ctypes.data) // cache.strides[0])
-                return exact(ns)
-
-            recording.block_rows, recording.screen = size, exact.screen
-            correlations._sphere_minimum(recording, (256, 512))
-            assert len(cache) == blocks * size
-            assert len(starts) == (1 if state is rho else blocks)
+            built.clear()
+            correlations._sphere_minimum(correlations._pauli_landscape(state, weights), (256, 512))
+            starts = [start for start, _ in built]
+            assert len(built) == (1 if state is rho else 32)
             assert starts == sorted(starts) and all(start % size == 0 for start in starts)
+            assert all(stop == start + size for start, stop in built)
 
     def test_the_oracle_reads_none_of_the_closed_forms_code(self, monkeypatch):
         # A relative 1e-9 change in the 3x3 forms moves the closed form and fails
@@ -700,29 +694,18 @@ class TestGridSearch:
         assert abs(value - 0.3) <= 1e-12
         assert min(np.linalg.norm(direction - n_star), np.linalg.norm(direction + n_star)) < 1e-6
 
-    def test_direction_cache_holds_the_verify_grids(self):
-        # The four grids of verify: two half-grids searched, two landscapes.
-        rho = random_density_matrix((2, 2), np.random.default_rng(6))
-        correlations._grid_directions.cache_clear()
-        for _ in range(2):
-            ip_grid_search(rho, 256, 512)
-            skew_grid_search(rho)
-            qfi_sphere_grid(rho, 181, 360)
-            qfi_sphere_grid(rho, 64, 64)
-            info = correlations._grid_directions.cache_info()
-            assert info.currsize == 4 and info.misses == 4
-
     def test_peak_traced_memory(self):
-        # Traced allocation is deterministic, unlike the resident set size.
-        # Each search starts on an empty direction cache, so its fill is counted.
+        # Traced allocation is deterministic, unlike the resident set size.  The
+        # searches build only the blocks they score, so the 2^20-point half-grid
+        # of the cap (1024x2048) takes about what the 256x512 one takes.
         rho = random_density_matrix((2, 4), np.random.default_rng(3))
         searches = (
-            (lambda: ip_grid_search(rho, 256, 512), 6 * 1024),
-            (lambda: skew_grid_search(rho), 3 * 1024),
+            (lambda: ip_grid_search(rho, 256, 512), 2 * 1024),
+            (lambda: ip_grid_search(rho, 1024, 2048), 2 * 1024),
+            (lambda: skew_grid_search(rho), 2 * 1024),
             (lambda: min_local_variance(rho), 64),
         )
         for search, kib in searches:
-            correlations._grid_directions.cache_clear()
             tracemalloc.start()
             try:
                 search()
@@ -752,27 +735,21 @@ class TestGridSearch:
                 assert np.array_equal(qfi_sphere_grid(rho, *grid)[2], 4.0 * one_shot)
 
     @pytest.mark.parametrize(
-        "grid", [(256, 512, 256), (128, 256, 128), (181, 360, 360), (64, 64, 64), (7, 5, 3),
-                 (1, 1, 1)]
+        "grid", [(256, 512, 256), (128, 256, 128), (180, 360, 180), (181, 360, 360),
+                 (64, 64, 64), (3, 5000, 5000), (7, 5, 3), (1, 1, 1)]
     )
-    def test_direction_cache_is_bloch_of_the_meshgrid(self, grid):
-        tt, pp = np.meshgrid(*correlations._grid_angles(*grid), indexing="ij")
+    def test_grid_rows_are_bloch_of_the_meshgrid(self, grid):
+        # 180 and 360 columns make blocks that straddle theta rows; 5000 columns
+        # make blocks inside one theta row.
+        thetas, phis = correlations._grid_angles(*grid)
+        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
         reference = correlations._bloch(tt, pp).reshape(-1, 3)
-        assert correlations._grid_directions(*grid).tobytes() == reference.tobytes()
+        trig, size = correlations._grid_trig(thetas, phis), correlations._GRID_BLOCK
+        for start in range(0, len(reference), size):
+            rows = correlations._grid_rows(trig, start, start + size)
+            assert rows.tobytes() == reference[start : start + size].tobytes()
 
-    def test_direction_cache_fill_allocates_little_beyond_itself(self):
-        # The 256x256 half-grid of directions is 1.5 MiB; no full-grid
-        # temporaries (meshgrid, per-component products) are allocated.
-        correlations._grid_directions.cache_clear()
-        tracemalloc.start()
-        try:
-            correlations._grid_directions(256, 512, 256)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
-
-    def test_returned_angles_do_not_alias_the_direction_cache(self):
+    def test_returned_angles_are_fresh(self):
         rho = random_density_matrix((2, 2), np.random.default_rng(4))
         thetas, phis, grid = qfi_sphere_grid(rho, 64, 64)
         thetas[:] = 0.0
@@ -780,7 +757,6 @@ class TestGridSearch:
         again_thetas, again_phis, again = qfi_sphere_grid(rho, 64, 64)
         assert np.array_equal(again, grid)
         assert again_thetas[-1] == math.pi and again_phis[1] == 2.0 * math.pi / 64
-        assert not correlations._grid_directions(64, 64, 64).flags.writeable
 
 
 class TestBellDiagonal:
