@@ -253,9 +253,11 @@ def predicted_qfi(label: str, p: float, k: int) -> float:
     return 0.0
 
 
-# A float64 array holds fewer numbers than this; numpy refuses a longer one before
-# allocating it.
-_MAX_GRID_POINTS = np.iinfo(np.intp).max // 8
+# Most points a flip-angle grid may hold.  A figure3 sweep of the default probes
+# (Q and C at three settings) traces about 20.5 KiB a point, the slope between
+# 3601 points (72.5 MiB) and 9001 points (180.8 MiB) under numpy 2.4, so a sweep
+# of the cap traces about 1 GiB.
+_MAX_GRID_POINTS = 50_000
 
 
 def flip_angle_grid(
@@ -265,7 +267,8 @@ def flip_angle_grid(
 
     The default sweep runs from 0 to 90 degrees in 2.5-degree steps
     (37 points), giving p from 1 down to 0.  Every argument must be finite, and
-    the grid must fit in an array.
+    the grid may hold at most ``_MAX_GRID_POINTS`` points: a finer one is refused
+    before any array is built.
     """
     for name, value in zip(("start_deg", "stop_deg", "step_deg"), (start_deg, stop_deg, step_deg)):
         if not np.isfinite(value):
@@ -277,7 +280,8 @@ def flip_angle_grid(
     span = (stop_deg - start_deg) / step_deg  # inf when the quotient overflows
     if not span < _MAX_GRID_POINTS:
         raise ParameterOutOfRangeError(
-            f"step {step_deg!r} is too small: the grid would have {span:.3g} points"
+            f"step {step_deg!r} is too small: the grid would have {span + 1:.3g} points, "
+            f"more than {_MAX_GRID_POINTS}"
         )
     count = int(round(span))
     degrees = start_deg + step_deg * np.arange(count + 1)

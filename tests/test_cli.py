@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,14 +67,26 @@ class TestFigure3:
         [
             ["--p-steps", "1e-300"],
             ["--p-stop", "1e308", "--p-steps", "1e-308"],
+            ["--p-steps", "1e-15"],
+            ["--p-steps", "9e-8"],
+            ["--p-stop", "50000", "--p-steps", "1"],
         ],
     )
     def test_grid_too_fine_for_an_array_exits_2(self, argv, tmp_path, capsys):
-        # Both grids are refused before any array is allocated.
-        with pytest.raises(SystemExit) as info:
-            run_cli(["figure3", *argv, "--out", str(tmp_path / "x")])
+        # Every grid is refused before any array is allocated: 1e-15 gives 9e16
+        # points, numpy's refusal, and 9e-8 gives 1e9, which numpy would allocate;
+        # 0..50000 by 1 is one point above the cap.
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as info:
+                run_cli(["figure3", *argv, "--out", str(tmp_path / "x")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert info.value.code == 2
-        assert "flip-angle grid" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "flip-angle grid" in err and "more than 50000" in err
+        assert peak < 2**20, f"peak {peak / 2**10:.1f} KiB"
 
     def test_bad_probe_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:

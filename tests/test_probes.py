@@ -213,6 +213,12 @@ class TestFlipAngleGrid:
         with pytest.raises(ParameterOutOfRangeError):
             flip_angle_grid(start_deg=10, stop_deg=0)
 
+    def test_caps_the_point_count(self):
+        # 0..49999 by 1 holds the cap's 50000 points; one more point is refused.
+        assert len(flip_angle_grid(0.0, 49_999.0, 1.0)) == 50_000
+        with pytest.raises(ParameterOutOfRangeError, match="more than 50000"):
+            flip_angle_grid(0.0, 50_000.0, 1.0)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["start_deg", "stop_deg", "step_deg"])
     def test_rejects_non_finite_arguments(self, name, value):
