@@ -281,10 +281,12 @@ def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastS
 
 
 # np.roots strips a zero leading coefficient C - iD, and with it the last,
-# C + iD, its conjugate, which leaves the root 0; when A - iB is 0 as well,
-# every coefficient is and there are no roots.  Leading zeros -> (the
-# coefficients kept, the number of roots at 0).
-_REDUCED = {0: (slice(0, 5), 0), 1: (slice(1, 4), 1), 2: (slice(2, 3), 0)}
+# C + iD, its conjugate, which leaves a root at 0 that is not kept: the roots of
+# the reduced (A - iB) z^2 + (A + iB) have modulus 1, so it clusters only with
+# itself, and its angle 0 is a window end already scanned.  When A - iB is 0 as
+# well, every coefficient is and there are no roots.  Leading zeros -> the
+# coefficients kept.
+_REDUCED = {0: slice(0, 5), 1: slice(1, 4), 2: slice(2, 3)}
 
 _WINDOW_ENDS = np.array([0.0, math.pi])
 
@@ -317,13 +319,10 @@ def _fit_stack(d_meas, omega, a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarr
         for flat, (lead, second) in zip(failed.tolist(), (coeffs[:, :2] != 0.0).tolist())
     ]
     for zeros in set(groups) - {-1}:
-        kept, at_zero = _REDUCED[zeros]
         rows = [i for i, group in enumerate(groups) if group == zeros]
         if len(rows) == len(groups):
             rows = slice(None)  # one group: views, not copies
-        roots = _companion_roots(coeffs[rows, kept])
-        if at_zero:
-            roots = np.concatenate((roots, np.zeros((len(roots), at_zero), complex)), axis=1)
+        roots = _companion_roots(coeffs[rows, _REDUCED[zeros]])
         phi_hat[rows], residual[rows], failed[rows] = _scan_roots(
             roots, alpha[rows], b[rows], c[rows], omega[rows]
         )
