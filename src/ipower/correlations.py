@@ -31,18 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidCorrelationTripleError, SubsystemANotQubitError
+from .errors import SubsystemANotQubitError
 from .linalg import (
     _PAULI_STACK,
     RANK_CUTOFF,
-    TOL_PSD,
     _is_positive_int,
     apply_local,
     dagger,
     degenerate_clusters,
     eigh_sorted,
 )
-from .probes import _bell_diagonal_eigenvalues, bell_diagonal_state
+from .probes import _require_tetrahedron, bell_diagonal_state
 from .states import DensityMatrix, LocalHamiltonian, _require_single
 
 # Below this value of 1 - ||C||_inf^2 the Bell-diagonal closed formula is
@@ -533,14 +532,11 @@ def ip_bell_diagonal(c1: float, c2: float, c3: float) -> float:
     Uses the closed expression
     (||C||_2^2 - ||C||_inf^2 + 2 det C) / (1 - ||C||_inf^2); when the
     denominator degenerates (near-pure states) the spectral route on the
-    explicit 4x4 matrix is used instead.
+    explicit 4x4 matrix is used instead.  A triple outside the state tetrahedron
+    raises ``InvalidCorrelationTripleError``, as ``bell_diagonal_state`` does.
     """
+    _require_tetrahedron(c1, c2, c3)
     c = np.array([c1, c2, c3], dtype=float)
-    eigs = _bell_diagonal_eigenvalues(c1, c2, c3)
-    if not eigs.min() >= -TOL_PSD:  # also rejects a non-finite triple
-        raise InvalidCorrelationTripleError(
-            f"triple {tuple(c)} gives eigenvalues {np.sort(eigs)}"
-        )
     sup_sq = float(np.max(c**2))
     if 1.0 - sup_sq < BELL_DIAGONAL_DENOMINATOR_CUTOFF:
         return interferometric_power(bell_diagonal_state(c1, c2, c3))

@@ -29,8 +29,9 @@ class SubsystemANotQubitError(ValueError):
     """The closed-form route requires subsystem A to be a qubit."""
 
 
-class InvalidCorrelationTripleError(ValueError):
-    """A (c1, c2, c3) triple lies outside the Bell-diagonal state tetrahedron."""
+class InvalidCorrelationTripleError(NotPositiveSemidefiniteError):
+    """A (c1, c2, c3) triple lies outside the Bell-diagonal state tetrahedron: the
+    state it names would have a negative eigenvalue."""
 
 
 class ParameterOutOfRangeError(ValueError):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (
     BadSettingError,
-    NotPositiveSemidefiniteError,
+    InvalidCorrelationTripleError,
     ParameterOutOfRangeError,
 )
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS, TOL_PSD, tensor
@@ -139,11 +139,12 @@ def werner_state(f: float) -> DensityMatrix:
     return DensityMatrix.from_matrix(_werner_matrix(f), TWO_QUBITS)
 
 
-def _bell_diagonal_eigenvalues(c1: float, c2: float, c3: float) -> np.ndarray:
-    """Eigenvalues of the Bell-diagonal state (c1, c2, c3) in closed form.  The triple
-    lies in the state tetrahedron when none falls below -``TOL_PSD``; those of a
-    non-finite triple include a nan or -inf, so ``min() >= -TOL_PSD`` rejects it."""
-    return np.array(
+def _require_tetrahedron(c1: float, c2: float, c3: float) -> None:
+    """Reject a triple outside the Bell-diagonal state tetrahedron with
+    ``InvalidCorrelationTripleError``: one of the closed-form eigenvalues of the
+    state (c1, c2, c3) falls below -``TOL_PSD``.  Those of a non-finite triple
+    include a nan or -inf, so ``min() >= -TOL_PSD`` rejects it too."""
+    eigenvalues = np.array(
         [
             1 + c1 - c2 + c3,
             1 - c1 + c2 + c3,
@@ -151,13 +152,14 @@ def _bell_diagonal_eigenvalues(c1: float, c2: float, c3: float) -> np.ndarray:
             1 - c1 - c2 - c3,
         ]
     ) / 4.0
+    if not eigenvalues.min() >= -TOL_PSD:
+        raise InvalidCorrelationTripleError(
+            f"correlation triple ({c1}, {c2}, {c3}) lies outside the state tetrahedron"
+        )
 
 
 def _bell_diagonal_matrix(c1: float, c2: float, c3: float) -> np.ndarray:
-    if not _bell_diagonal_eigenvalues(c1, c2, c3).min() >= -TOL_PSD:
-        raise NotPositiveSemidefiniteError(
-            f"correlation triple ({c1}, {c2}, {c3}) lies outside the state tetrahedron"
-        )
+    _require_tetrahedron(c1, c2, c3)
     m = np.eye(4, dtype=complex)
     for c, s in zip((c1, c2, c3), PAULIS):
         m += c * tensor(s, s)

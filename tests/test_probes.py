@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ipower.correlations import interferometric_power
+from ipower.correlations import interferometric_power, ip_bell_diagonal
 from ipower.errors import (
     BadSettingError,
+    InvalidCorrelationTripleError,
     NotPositiveSemidefiniteError,
     ParameterOutOfRangeError,
 )
@@ -146,6 +147,19 @@ class TestBuildProbes:
             for build in (lambda: build_probes([family]), lambda: bell_diagonal_state(*triple)):
                 with pytest.raises(NotPositiveSemidefiniteError, match="outside the state"):
                     build()
+
+    def test_both_bell_diagonal_entry_points_share_one_rule(self):
+        # The state and its closed-form power reject a triple with one error
+        # and one message.
+        for triple in ((0.9, 0.9, 0.9), (1.0, 1.0, 1.0), (np.nan, 0.0, 0.0)):
+            messages = []
+            for build in (bell_diagonal_state, ip_bell_diagonal):
+                with pytest.raises(InvalidCorrelationTripleError) as raised:
+                    build(*triple)
+                assert isinstance(raised.value, NotPositiveSemidefiniteError)
+                messages.append(str(raised.value))
+            assert messages[0] == messages[1]
+            assert "lies outside the state tetrahedron" in messages[0]
 
 
 class TestSettings:
