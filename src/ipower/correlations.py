@@ -333,24 +333,22 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     return landscape
 
 
-def _grid_angles(n_theta: int, n_phi: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh (thetas, phis): theta in [0, pi] with both poles, and the first
-    ``n_cols`` of the n_phi columns phi_j = j 2 pi / n_phi."""
-    return np.linspace(0.0, np.pi, n_theta), np.arange(n_cols) * (2.0 * np.pi / n_phi)
-
-
-def _grid_trig(thetas: np.ndarray, phis: np.ndarray):
-    """(sin theta, cos theta, cos phi, sin phi) of a grid's angles, the thetas' as
-    columns: the one set that :func:`_grid_rows` builds directions from and
+def _grid_angles(n_theta: int, n_phi: int, n_cols: int):
+    """Fresh (thetas, phis, trig): theta in [0, pi] with both poles, the first
+    ``n_cols`` of the n_phi columns phi_j = j 2 pi / n_phi, and trig = (sin theta,
+    cos theta, cos phi, sin phi), the thetas' as columns, the one set of sines and
+    cosines that :func:`_grid_rows` builds directions from and
     :func:`_candidate_blocks` reads."""
-    return np.sin(thetas)[:, None], np.cos(thetas)[:, None], np.cos(phis), np.sin(phis)
+    thetas, phis = np.linspace(0.0, np.pi, n_theta), np.arange(n_cols) * (2.0 * np.pi / n_phi)
+    sin_t, cos_t = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
+    return thetas, phis, (sin_t, cos_t, np.cos(phis), np.sin(phis))
 
 
 def _grid_rows(trig, start: int, stop: int) -> np.ndarray:
     """Rows start:stop (stop clipped to the grid) of the theta-major stack of the
-    grid's unit vectors, from its :func:`_grid_trig`: the outer products of the
-    theta rows they cover, over the columns they cover when that is one theta row,
-    so each row is bitwise ``_bloch`` of the meshgrid's angles."""
+    grid's unit vectors, from its ``trig`` (:func:`_grid_angles`): the outer
+    products of the theta rows they cover, over the columns they cover when that
+    is one theta row, so each row is bitwise ``_bloch`` of the meshgrid's angles."""
     sin_t, cos_t, cos_p, sin_p = trig
     n_cols = len(cos_p)
     stop = min(stop, len(sin_t) * n_cols)
@@ -375,8 +373,7 @@ def _grid_values(landscape, n_theta: int, n_phi: int, n_cols: int | None = None)
     the blocks give the bits of one whole-stack call.
     """
     n_cols = n_phi if n_cols is None else n_cols
-    thetas, phis = _grid_angles(n_theta, n_phi, n_cols)
-    trig = _grid_trig(thetas, phis)
+    thetas, phis, trig = _grid_angles(n_theta, n_phi, n_cols)
     values = np.empty(n_theta * n_cols)
     for start in range(0, len(values), _GRID_BLOCK):
         values[start : start + _GRID_BLOCK] = landscape(
@@ -387,7 +384,7 @@ def _grid_values(landscape, n_theta: int, n_phi: int, n_cols: int | None = None)
 
 def _candidate_blocks(screen, trig):
     """First rows, ascending, of the blocks of ``_GRID_BLOCK`` rows of the
-    theta-major grid of :func:`_grid_trig` ``trig`` that can hold its lowest literal
+    theta-major grid of ``trig`` (:func:`_grid_angles`) that can hold its lowest literal
     value: every block when ``screen`` is None, and otherwise each block holding a
     row whose screen value lies within 2 delta of M, the lowest screen value of the
     columns kept.
@@ -438,8 +435,8 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     would score, the landscape scores those :func:`_candidate_blocks` names from
     its ``screen`` (all of them without one), in ascending order with the same
     rows; the first of equal values is kept, strict ``<`` across blocks, so the
-    grid stage returns the value and point of ``np.argmin`` over a full scan.  From that
-    point a 3x3 stencil in (theta, phi), one grid spacing wide and free
+    grid stage returns the value and point of ``np.argmin`` over a full scan.
+    From that point a 3x3 stencil in (theta, phi), one grid spacing wide and free
     to cross phi = pi, moves to its lowest point if that undercuts ``best``,
     the value last accepted, and otherwise halves its steps, until both fall
     below 1e-10.  As ``best`` only falls, the search stops; a fresh centre value
@@ -456,8 +453,7 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     """
     n_theta, n_phi = grid
     n_cols = (n_phi + 1) // 2
-    thetas, phis = _grid_angles(n_theta, n_phi, n_cols)
-    trig = _grid_trig(thetas, phis)
+    thetas, phis, trig = _grid_angles(n_theta, n_phi, n_cols)
     best, row = np.inf, 0
     for start in _candidate_blocks(getattr(landscape, "screen", None), trig):
         values = landscape(_grid_rows(trig, start, start + _GRID_BLOCK))

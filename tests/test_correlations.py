@@ -504,7 +504,7 @@ class TestGridSearch:
 
         _, _, values = correlations._grid_values(recording, 256, 512, 256)
         assert sizes == [correlations._GRID_BLOCK] * (256 * 256 // correlations._GRID_BLOCK)
-        tt, pp = np.meshgrid(*correlations._grid_angles(256, 512, 256), indexing="ij")
+        tt, pp = np.meshgrid(*correlations._grid_angles(256, 512, 256)[:2], indexing="ij")
         assert np.array_equal(values.ravel(), exact(correlations._bloch(tt, pp).reshape(-1, 3)))
 
     def test_accepts_numpy_integer_counts(self):
@@ -741,10 +741,10 @@ class TestGridSearch:
     def test_grid_rows_are_bloch_of_the_meshgrid(self, grid):
         # 180 and 360 columns make blocks that straddle theta rows; 5000 columns
         # make blocks inside one theta row.
-        thetas, phis = correlations._grid_angles(*grid)
+        thetas, phis, trig = correlations._grid_angles(*grid)
         tt, pp = np.meshgrid(thetas, phis, indexing="ij")
         reference = correlations._bloch(tt, pp).reshape(-1, 3)
-        trig, size = correlations._grid_trig(thetas, phis), correlations._GRID_BLOCK
+        size = correlations._GRID_BLOCK
         for start in range(0, len(reference), size):
             rows = correlations._grid_rows(trig, start, start + size)
             assert rows.tobytes() == reference[start : start + size].tobytes()
