@@ -23,6 +23,7 @@ qubit on subsystem A, 1 when verification fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -306,8 +307,13 @@ def _verify(args, parser) -> int:
     return 0 if passed == len(results) else 1
 
 
+# The parser of main, built on its first call: a parser keeps no state between
+# parse_args calls, and each call returns a fresh namespace.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "seed", 0) is None:  # ip and adaptive have no --seed
         args.seed = _env_seed(parser)

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import SubsystemANotQubitError
 from .linalg import (
     _PAULI_STACK,
+    DEGENERACY_GAP,
     RANK_CUTOFF,
     _is_positive_int,
     apply_local,
@@ -56,9 +57,15 @@ SEARCH_GRID = (128, 256)
 # 0.9 MiB (2P = 56 at d_B = 4), within a 2 MiB L2 cache.
 _GRID_BLOCK = 2048
 
-# Most points the half-grid phi < pi of ip_grid_search may hold.  A landscape that
-# ties everywhere (the maximally mixed state) keeps every row in the screen of
-# _candidate_blocks, whose index arrays then take about 41 MB traced at the cap.
+# Most screen values _candidate_blocks holds at once: it screens the columns it
+# keeps in chunks of at most this many grid rows.
+_SCREEN_CHUNK = 8 * _GRID_BLOCK
+
+# Most points the half-grid phi < pi of ip_grid_search may hold.  It bounds time,
+# not memory: a landscape that ties everywhere (the maximally mixed state) keeps
+# every block in the screen of _candidate_blocks, and a search at the cap then
+# scores all 512 blocks: 40-110 ms on one Xeon core, against about 1 ms for a
+# random state.
 _MAX_HALF_GRID = 2**20
 
 # (theta, phi) offsets of the compass-search stencil; row 4 is the centre.
@@ -228,6 +235,13 @@ def _sld_stack(rho: DensityMatrix, h, u) -> tuple[np.ndarray, np.ndarray]:
     and the tie-break eigenproblems of every cluster of one size are one more;
     one state solves each of its clusters in place.  Each step reads only its own
     run, so a run's bits do not depend on the rest of the stack.
+
+    A stack finds its clusters in one pass over the neighbour gaps of every run:
+    a cluster opens where a run of gaps below ``DEGENERACY_GAP`` starts and shuts
+    where it ends, and as clusters do not nest the k-th opening pairs with the
+    k-th shutting.  The columns of every cluster of one size are gathered into one
+    contiguous (n, d, size) stack, as a copy of each slice would lay them out, and
+    the tie-broken blocks are scattered back, both by fancy indexing.
     """
     q, v = rho.eigenvalues, rho.eigenvectors
     qi, ql = q[..., :, None], q[..., None, :]
@@ -236,20 +250,23 @@ def _sld_stack(rho: DensityMatrix, h, u) -> tuple[np.ndarray, np.ndarray]:
     l_matrix = v @ l_el @ dagger(v)
     l_vals, l_vecs = eigh_sorted((l_matrix + dagger(l_matrix)) / 2.0)
     d = l_vals.shape[-1]
+    tie = 2.0 ** np.arange(d)
     if l_vecs.ndim == 2:
         for start, stop in degenerate_clusters(l_vals.tolist()):
             c = l_vecs[:, start:stop]
-            l_vecs[:, start:stop] = c @ eigh_sorted((dagger(c) * 2.0 ** np.arange(d)) @ c)[1]
+            l_vecs[:, start:stop] = c @ eigh_sorted((dagger(c) * tie) @ c)[1]
         return l_vals, apply_local(u, l_vecs, rho.dims)
-    clusters: dict[int, list[tuple[int, int]]] = {}  # size -> (run, first column)
-    for run, row in enumerate(l_vals.tolist()):
-        for start, stop in degenerate_clusters(row):
-            clusters.setdefault(stop - start, []).append((run, start))
-    tie = 2.0 ** np.arange(d)
-    for size, found in clusters.items():
-        c = np.array([l_vecs[run, :, start : start + size] for run, start in found])
-        for (run, start), block in zip(found, c @ eigh_sorted((dagger(c) * tie) @ c)[1]):
-            l_vecs[run, :, start : start + size] = block
+    close = np.zeros((len(l_vals), d + 1), dtype=np.int8)
+    close[:, 1:-1] = np.diff(l_vals, axis=-1) < DEGENERACY_GAP
+    edges = np.diff(close, axis=-1)  # +1 at a cluster's first column, -1 after its last
+    runs, starts = np.nonzero(edges == 1)
+    sizes = np.nonzero(edges == -1)[1] + 1 - starts
+    rows = np.arange(d)[:, None]
+    for size in set(sizes.tolist()):
+        found = sizes == size
+        run, cols = runs[found, None, None], starts[found, None, None] + np.arange(size)
+        c = l_vecs[run, rows, cols]
+        l_vecs[run, rows, cols] = c @ eigh_sorted((dagger(c) * tie) @ c)[1]
     return l_vals, apply_local(u, l_vecs, rho.dims)
 
 
@@ -399,7 +416,13 @@ def _candidate_blocks(screen, trig):
     a column bound exceed the screen values of its rows by at most b, a + b <= delta.
     Every screen value, so U and M too, is then at least m - a, m the grid's lowest
     literal value, so a row holding m is kept: its column's bound is at most
-    m + a + b <= U + 2 delta, and its screen value at most m + a <= M + 2 delta."""
+    m + a + b <= U + 2 delta, and its screen value at most m + a <= M + 2 delta.
+
+    The kept columns are screened ``_SCREEN_CHUNK`` rows at a time: a first pass
+    finds M, and a second marks the blocks of the rows within 2 delta of it, chunk
+    by chunk, reusing the first chunk's values (every kept column's, unless the
+    landscape nearly ties).  So memory stays bounded by one chunk and the block
+    count, even on a landscape that ties everywhere and keeps every column."""
     sin_t, cos_t, cos_p, sin_p = trig
     size = len(sin_t) * len(cos_p)
     if screen is None:
@@ -416,10 +439,16 @@ def _candidate_blocks(screen, trig):
     lowest = bound.argmin()
     upper = max(column_values([lowest]).min(), bound[lowest])
     cols = np.flatnonzero(bound <= upper + 2.0 * slack)
-    values = column_values(cols)
-    rows, kept = np.nonzero(values <= values.min() + 2.0 * slack)
+    step = max(1, _SCREEN_CHUNK // len(sin_t))
+    chunks = [cols[i : i + step] for i in range(0, len(cols), step)]
+    values = column_values(chunks[0])
+    least = min([values.min()] + [column_values(chunk).min() for chunk in chunks[1:]])
     hit = np.zeros(-(-size // _GRID_BLOCK), dtype=bool)
-    hit[(rows * len(cos_p) + cols[kept]) // _GRID_BLOCK] = True
+    for i, chunk in enumerate(chunks):
+        if i:
+            values = column_values(chunk)
+        rows, kept = np.nonzero(values <= least + 2.0 * slack)
+        hit[(rows * len(cos_p) + chunk[kept]) // _GRID_BLOCK] = True
     return (np.flatnonzero(hit) * _GRID_BLOCK).tolist()
 
 

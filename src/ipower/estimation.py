@@ -40,7 +40,7 @@ from .errors import (
     ZeroInformationError,
 )
 from .linalg import apply_local
-from .probes import SWEPT_LABELS, ProbeFamily, build_probes, setting_hamiltonian
+from .probes import SETTINGS, SWEPT_LABELS, ProbeFamily, build_probes, setting_hamiltonian
 from .states import DensityMatrix, LocalHamiltonian, _require_single
 
 # Fisher information (or least-squares range) below this cutoff counts as the
@@ -264,8 +264,11 @@ def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastS
     value lies within 1e-12 of the range above the minimum, since exactly
     symmetric populations can zero the objective at two phases.
 
-    This is :func:`_fit_stack` on a stack of one; :func:`run_batch` fits a
-    whole sweep in one call of it.
+    This is :func:`_fit_stack` of one row, which :func:`run_batch` calls on a
+    whole sweep.  One fit takes its bound and quartic from scalars, each dot
+    the same BLAS dot on the same view, so it skips the stack's small-array
+    dispatch; it shares the stack's root finding and scan, so its bits are
+    those of the row.
     """
     d_meas = np.asarray(d_meas, dtype=float)
     if d_meas.size != model.a.size:
@@ -274,10 +277,22 @@ def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastS
         )
     if not np.isfinite(d_meas).all():
         raise ParameterOutOfRangeError(f"populations must be finite, got {d_meas}")
-    phi_hat, residual, failed = _fit_stack(
-        d_meas[None], np.array([model.omega]), model.a[None], model.b[None], model.c[None]
+    omega, alpha, b, c = model.omega, model.a - d_meas, model.b, model.c
+    bb, cc = b @ b, c @ c
+    amp = math.sqrt(bb + cc)
+    bound = 2.0 * (2.0 * math.sqrt(alpha @ alpha) * amp + amp * amp)
+    if np.minimum(omega, bound) <= FLAT_CUTOFF:
+        return LeastSquaresResult(math.nan, float((alpha + b) @ (alpha + b)), True)
+    A, B = 2.0 * (alpha @ c), -2.0 * (alpha @ b)
+    C, D = 2.0 * (b @ c), cc - bb
+    iB, iD = _I * B, _I * D
+    coeffs = np.array([[C - iD, A - iB, 0.0, A + iB, C + iD]])
+    zeros = 0 if coeffs[0, 0] else 1 if coeffs[0, 1] else 2
+    roots = _companion_roots(coeffs[:, _REDUCED[zeros]])
+    phi_hat, residual, flat = _scan_roots(roots, alpha[None], b[None], c[None], np.array([omega]))
+    return LeastSquaresResult(
+        math.nan if flat[0] else float(phi_hat[0]), float(residual[0]), bool(flat[0])
     )
-    return LeastSquaresResult(float(phi_hat[0]), float(residual[0]), bool(failed[0]))
 
 
 # np.roots strips a zero leading coefficient C - iD, and with it the last,
@@ -289,6 +304,9 @@ def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastS
 _REDUCED = {0: slice(0, 5), 1: slice(1, 4), 2: slice(2, 3)}
 
 _WINDOW_ENDS = np.array([0.0, math.pi])
+
+# i as a numpy scalar: i * x then rounds as the ufunc 1j * x of _fit_stack does.
+_I = np.complex128(1j)
 
 # The ones below the diagonal of a companion matrix, by degree.
 _SUBDIAGONAL = {degree: np.eye(degree, k=-1, dtype=complex) for degree in (2, 4)}
@@ -455,8 +473,12 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
 
     Every run is checked first, in order and as :func:`run_experiment` checks
     it: ``nu``, then the probe's parameters (:attr:`ProbeFamily.matrix`), the
-    setting and the window.  So the first bad run raises before anything is
-    computed, and ``runs`` may be a generator that makes its families as it goes.
+    setting and the window.  A family's parameters are checked once, at its
+    first run, and so are a setting and its window, once per distinct setting:
+    every later run of that setting is only matched against ``probes.SETTINGS``,
+    so a setting outside them, hashable or not, raises ``BadSettingError`` from
+    its own run.  So the first bad run raises before anything is computed, and
+    ``runs`` may be a generator that makes its families as it goes.
     Then the distinct families, equal ones counted once, are built by one
     :func:`probes.build_probes` (one ``eigh`` for their states, one ``eigvalsh``
     for their powers); every run reads its probe's state of that stack, and its
@@ -468,22 +490,25 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     record is bit-identical whatever else the batch holds.
     """
     _require_ensemble_size(nu)
-    checked, families, settings = [], {}, {}
+    checked, families, settings, rows, by_setting = [], {}, {}, [], []
     for probe, k, noise in runs:
-        if probe not in families:
+        row = families.get(probe)
+        if row is None:
             probe.matrix  # checks the family's parameters, or raises
-            families[probe] = len(families)
-        ham = setting_hamiltonian(k)
-        _check_in_window(ham, phi_true)
-        settings.setdefault(int(k), (len(settings), ham))
+            row = families[probe] = len(families)
+        setting = settings.get(int(k)) if k in SETTINGS else None
+        if setting is None:
+            ham = setting_hamiltonian(k)  # raises for a k outside SETTINGS
+            _check_in_window(ham, phi_true)
+            setting = settings[int(k)] = len(settings), ham
         checked.append((probe, int(k), noise or NoiseSpec()))
+        rows.append(row)
+        by_setting.append(setting[0])
     if not checked:
         return []
     probes, powers = build_probes(list(families))
-    rows = np.array([families[probe] for probe, _, _ in checked])
     states = probes[rows]
     hams = [ham for _, ham in settings.values()]
-    by_setting = np.array([settings[k][0] for _, k, _ in checked])
     l_values, basis = _sld_stack(
         states,
         np.stack([ham.matrix for ham in hams])[by_setting],
@@ -526,7 +551,7 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
         )
         for (probe, k, noise), row, d, l, mean, v, f, fail in zip(
             checked,
-            rows.tolist(),
+            rows,
             populations.tolist(),
             l_values.tolist(),
             phi_hat.tolist(),
@@ -551,8 +576,9 @@ def run_sweep(
 
     Rows are ordered by (label, setting, p); per-run noise seeds are derived
     from the root seed in that fixed order, so the output never depends on
-    evaluation order.  Each distinct probe family is built once and shared by
-    all its settings and, for families without parameters (``sep``, ``bell``),
+    evaluation order.  One :class:`ProbeFamily` per (label, p) serves all its
+    settings, and each distinct probe family is built once and shared by all
+    its settings and, for families without parameters (``sep``, ``bell``),
     all its values of p.  ``sigma`` and ``nu`` are checked before any run,
     so an empty sweep rejects them too; the runs are then checked in order,
     and the first bad one raises before anything is computed.
@@ -560,22 +586,22 @@ def run_sweep(
     NoiseSpec(sigma)
     _require_ensemble_size(nu)
     combos = [
-        (label, int(k), float(p))
+        (label, int(k), j, float(p))
         for label in sorted(labels)
         for k in sorted(settings)
-        for p in sorted(np.asarray(p_values, dtype=float))
+        for j, p in enumerate(sorted(np.asarray(p_values, dtype=float)))
     ]
     root = np.random.default_rng(seed)
     run_seeds = root.integers(0, 2**63 - 1, size=len(combos))
-    runs = (
-        (
-            ProbeFamily(label, (p,) if label in SWEPT_LABELS else ()),
-            k,
-            NoiseSpec(sigma, int(run_seed)),
-        )
-        for (label, k, p), run_seed in zip(combos, run_seeds)
-    )
-    return run_batch(runs, phi_true, nu)
+
+    def runs():
+        families = {}  # (label, index of p) -> the one family its settings share
+        for (label, k, j, p), run_seed in zip(combos, run_seeds):
+            if (label, j) not in families:
+                families[label, j] = ProbeFamily(label, (p,) if label in SWEPT_LABELS else ())
+            yield families[label, j], k, NoiseSpec(sigma, int(run_seed))
+
+    return run_batch(runs(), phi_true, nu)
 
 
 def round12(x) -> float | None:

@@ -337,9 +337,9 @@ def check_guaranteed_precision(bound, ps=(0.2, 0.5, 0.8, 1.0)) -> PropertyResult
 
 def _misflagged(run) -> bool:
     """An exact-mode run must fail exactly when the model predicts no information:
-    probe C under setting 3, p = 0 or f_exp <= 1e-10."""
+    probe C under setting 3, p = 0 or f_exp <= ``estimation.FLAT_CUTOFF``."""
     no_information = run.probe_label == "C" and run.setting_k == 3
-    return run.failed != (no_information or run.p == 0.0 or run.f_exp <= 1e-10)
+    return run.failed != (no_information or run.p == 0.0 or run.f_exp <= estimation.FLAT_CUTOFF)
 
 
 def check_exact_sweep(bound) -> PropertyResult:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ipower import correlations
+from ipower import cli, correlations
 from ipower.cli import main
 from ipower.estimation import SWEEP_COLUMNS
 from ipower.probes import classical_probe, werner_state
@@ -145,6 +145,43 @@ class TestFigure3:
         assert len(records) == 2 * 3 * 5
         precision = json.loads((tmp_path / "fig_precision.json").read_text())
         assert set(precision[0]) == {"s", "k", "p", "f_exp_over_4", "ip"}
+
+
+GOLDEN = Path(__file__).with_name("golden")
+FIGURE3_FILES = ("sweep", "precision", "variance", "mean")
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see another's flags."""
+
+    def _figure3(self, argv, out, capsys, fresh):
+        if fresh:
+            cli._parser.cache_clear()  # as in a process of its own
+        assert run_cli(["figure3", *argv, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        fmt = "json" if "json" in argv else "csv"
+        return printed, {name: Path(f"{out}_{name}.{fmt}").read_bytes() for name in FIGURE3_FILES}
+
+    def test_calls_write_what_they_write_alone(self, tmp_path, capsys):
+        noisy = ["--probe", "Q", "--setting", "1", "--noise", "0.05", "--seed", "7",
+                 "--format", "json"]
+        together = [
+            self._figure3(argv, tmp_path / "one", capsys, fresh)
+            for argv, fresh in ((noisy, True), ([], False))
+        ]
+        alone = [self._figure3(argv, tmp_path / "one", capsys, True) for argv in (noisy, [])]
+        assert together == alone
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        for name in FIGURE3_FILES:
+            assert together[1][1][name] == (GOLDEN / f"figure3_{name}.csv").read_bytes()
+
+    def test_extended_lists_start_empty_on_every_call(self, tmp_path, capsys):
+        grid = ["--setting", "1", "--p-stop", "10"]
+        self._figure3(["--probe", "Q", "--probe", "C", *grid], tmp_path / "a", capsys, True)
+        _, files = self._figure3(["--probe", "C", *grid], tmp_path / "b", capsys, False)
+        rows = files["sweep"].decode().splitlines()[1:]
+        assert len(rows) == 5 and {row.split(",")[0] for row in rows} == {"C"}
 
 
 def strict_json(text):

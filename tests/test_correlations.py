@@ -26,7 +26,15 @@ from ipower.errors import (
     ParameterOutOfRangeError,
     SubsystemANotQubitError,
 )
-from ipower.linalg import RANK_CUTOFF, SIGMA_X, SIGMA_Y, SIGMA_Z, dagger, tensor
+from ipower.linalg import (
+    RANK_CUTOFF,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    dagger,
+    degenerate_clusters,
+    tensor,
+)
 from ipower.probes import (
     ProbeFamily,
     bell_diagonal_state,
@@ -203,6 +211,31 @@ class TestSld:
     def test_defining_equation_and_moments(self):
         result = check_sld_equation(np.random.default_rng(9), 15, 1e-9)
         assert result.passed, result.line()
+
+    @pytest.mark.parametrize("d_b", [2, 3, 4])
+    def test_stacked_tie_break_equals_each_states_own(self, d_b):
+        # The two-qubit probe families give L(0) clusters only at (start, size)
+        # (0, 2), (0, 4), (1, 2) and (2, 2).  A rank-r qubit-qudit state has a zero
+        # cluster of size d - 2r at start r, and the maximally mixed state one
+        # over all d columns; each run of a shuffled stack must get its own bits.
+        rng = np.random.default_rng(60 + d_b)
+        dims, d = (2, d_b), 2 * d_b
+        matrices = [
+            random_density_matrix(dims, rng, env_dim=rank).matrix
+            for rank in range(1, d + 1)
+            for _ in range(2)
+        ]
+        matrices.append(np.eye(d) / d)
+        stack = DensityMatrix.from_matrix(np.array(matrices)[rng.permutation(len(matrices))], dims)
+        for ham in (setting_hamiltonian(2), random_generator(2, rng)):
+            values, basis = correlations._sld_stack(stack, ham.matrix, ham.phase_unitary(0.3))
+            shapes = set()
+            for i, (run_values, run_basis) in enumerate(zip(values, basis)):
+                own = sld(stack[i], ham, 0.3)
+                assert own.eigenvalues.tobytes() == run_values.tobytes()
+                assert own.eigenbasis.tobytes() == run_basis.tobytes()
+                shapes |= {(s, e - s) for s, e in degenerate_clusters(run_values.tolist())}
+            assert shapes == {(r, d - 2 * r) for r in range(d_b)}
 
     @pytest.mark.parametrize("phi0", [math.inf, -math.inf, math.nan])
     def test_non_finite_reference_phase_rejected(self, phi0):
@@ -697,11 +730,15 @@ class TestGridSearch:
     def test_peak_traced_memory(self):
         # Traced allocation is deterministic, unlike the resident set size.  The
         # searches build only the blocks they score, so the 2^20-point half-grid
-        # of the cap (1024x2048) takes about what the 256x512 one takes.
+        # of the cap (1024x2048) takes about what the 256x512 one takes; the
+        # screen holds one chunk of rows at a time, so a landscape that ties
+        # everywhere, keeping every row, stays under the same bound.
         rho = random_density_matrix((2, 4), np.random.default_rng(3))
+        mixed = DensityMatrix.from_matrix(np.eye(8) / 8, (2, 4))
         searches = (
             (lambda: ip_grid_search(rho, 256, 512), 2 * 1024),
             (lambda: ip_grid_search(rho, 1024, 2048), 2 * 1024),
+            (lambda: ip_grid_search(mixed, 1024, 2048), 2 * 1024),
             (lambda: skew_grid_search(rho), 2 * 1024),
             (lambda: min_local_variance(rho), 64),
         )

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -824,6 +825,28 @@ class TestBatch:
             expected = reference_fit(d_meas, model)
             assert tuple(r[i] for r in result) == pytest.approx(expected, nan_ok=True, abs=0)
 
+    @pytest.mark.parametrize("d_b", [1, 2, 3, 4])
+    def test_one_fit_equals_its_row_of_the_stack(self, d_b):
+        # least_squares_estimate takes its bound and quartic from scalars.  The
+        # models keep population_model's b, a strided view, as a row view does.
+        rng = np.random.default_rng(30 + d_b)
+        for rank in range(1, 2 * d_b + 1):
+            rho = random_density_matrix((2, d_b), rng, env_dim=rank)
+            n = rng.standard_normal(3)
+            ham = LocalHamiltonian.from_bloch(n / np.linalg.norm(n))
+            model = population_model(rho, ham, sld(rho, ham, float(rng.uniform(0.0, 1.5))))
+            noise = NoiseSpec(0.05, int(rng.integers(2**31)))
+            for d_meas in (model.a.copy(), model.at(0.4), measure_populations(model, 0.4, noise)):
+                single = least_squares_estimate(d_meas, model)
+                phi_hat, residual, failed = estimation_mod._fit_stack(
+                    d_meas[None], np.array([model.omega]),
+                    model.a[None], model.b[None], model.c[None],
+                )
+                assert np.array([single.phi_hat, single.residual]).tobytes() == (
+                    np.array([phi_hat[0], residual[0]]).tobytes()
+                )
+                assert single.failed == failed[0]
+
     def test_bad_probe_mid_sweep_raises_before_any_run(self, monkeypatch):
         shapes = _eigh_calls(monkeypatch)
         with pytest.raises(ParameterOutOfRangeError) as raised:
@@ -850,6 +873,16 @@ class TestBatch:
         assert str(raised.value) == str(single.value)
         if belldiag_first:
             assert "lies outside the state tetrahedron" in str(raised.value)
+        assert shapes == []
+
+    @pytest.mark.parametrize("bad", [4, 1.5, [1]])
+    def test_bad_setting_after_checked_ones_raises_from_its_own_run(self, bad, monkeypatch):
+        # Settings are checked once each; a later bad one, unhashable or not,
+        # still raises its own error before any probe is built.
+        shapes = _eigh_calls(monkeypatch)
+        good = ProbeFamily("Q", (0.5,))
+        with pytest.raises(BadSettingError, match=rf"got {re.escape(repr(bad))}$"):
+            estimation_mod.run_batch([(good, 1, None), (good, 1.0, None), (good, bad, None)], PI4)
         assert shapes == []
 
     @pytest.mark.parametrize(
