@@ -51,6 +51,7 @@ from .estimation import (
     run_sweep,
     sweep_csv_text,
 )
+from .linalg import HIERARCHY_SLACK
 from .probes import (
     PROBE_LABELS,
     SETTINGS,
@@ -236,16 +237,16 @@ def _ip(args, parser) -> int:
         f"oracle_minimum {fmt12(value)} at direction "
         f"({fmt12(direction[0])}, {fmt12(direction[1])}, {fmt12(direction[2])})"
     )
-    ok = power >= uncertainty - 1e-10
+    ok = power >= uncertainty - HIERARCHY_SLACK
     print(f"hierarchy power >= uncertainty: {'OK' if ok else 'VIOLATED'}")
     return 0
 
 
 def _estimate(args, parser) -> int:
     noise = NoiseSpec(args.noise, args.seed)
-    params = args.params
-    if params is None:
-        params = (args.p,) if args.probe in SWEPT_LABELS else ()
+    params, flag = args.params or (), "--params"
+    if args.params is None and args.probe in SWEPT_LABELS:
+        params, flag = (args.p,), "--p"
     try:
         family = ProbeFamily(args.probe, params)
         run = run_experiment(
@@ -253,8 +254,8 @@ def _estimate(args, parser) -> int:
         )
     except PhaseOutOfWindowError as exc:
         parser.error(f"--phi-true: {exc}")
-    except ValueError as exc:
-        parser.error(f"--probe: {exc}")
+    except ValueError as exc:  # the probe's parameters, from the flag that gave them
+        parser.error(f"{flag}: {exc}")
     if args.format == "json":
         text = json.dumps(run.to_json_dict(), indent=1) + "\n"
     else:

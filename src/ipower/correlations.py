@@ -34,9 +34,11 @@ import numpy as np
 from .errors import SubsystemANotQubitError
 from .linalg import (
     _PAULI_STACK,
+    BELL_DIAGONAL_DENOMINATOR_CUTOFF,
+    COMPASS_STOP,
     DEGENERACY_GAP,
     RANK_CUTOFF,
-    _is_positive_int,
+    _is_int,
     apply_local,
     dagger,
     degenerate_clusters,
@@ -44,10 +46,6 @@ from .linalg import (
 )
 from .probes import _require_tetrahedron, bell_diagonal_state
 from .states import DensityMatrix, LocalHamiltonian, _require_single
-
-# Below this value of 1 - ||C||_inf^2 the Bell-diagonal closed formula is
-# singular and the spectral route is used instead.
-BELL_DIAGONAL_DENOMINATOR_CUTOFF = 1e-9
 
 # (theta, phi) grid whose half phi < pi skew_grid_search scores before its
 # compass search.
@@ -468,9 +466,9 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     From that point a 3x3 stencil in (theta, phi), one grid spacing wide and free
     to cross phi = pi, moves to its lowest point if that undercuts ``best``,
     the value last accepted, and otherwise halves its steps, until both fall
-    below 1e-10.  As ``best`` only falls, the search stops; a fresh centre value
-    can read a few ulps high in another batch row and keep it moving.  Returns
-    (value, direction); the direction is defined up to sign.
+    below ``COMPASS_STOP``.  As ``best`` only falls, the search stops; a fresh
+    centre value can read a few ulps high in another batch row and keep it
+    moving.  Returns (value, direction); the direction is defined up to sign.
 
     The stencil's nine points hold three thetas and three phis, so each step
     takes one sine and one cosine of those six angles and fills the nine
@@ -495,7 +493,7 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     angles, trig, stencil = np.empty(6), np.empty((2, 6)), np.empty((3, 3, 3))
     # Views into the buffers: sin and cos of the thetas, (cos, sin) of the phis.
     sin_t, cos_t, cos_sin_p = trig[0, :3, None, None], trig[1, :3, None], trig[::-1, 3:].T
-    while max(d_theta, d_phi) >= 1e-10:
+    while max(d_theta, d_phi) >= COMPASS_STOP:
         ts, ps = (theta - d_theta, theta, theta + d_theta), (phi - d_phi, phi, phi + d_phi)
         angles[:] = ts + ps
         np.sin(angles, trig[0])
@@ -513,7 +511,7 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
 
 def _check_grid(n_theta, n_phi) -> None:
     """Reject grid counts that are not positive whole numbers; a bool is not a count."""
-    if not (_is_positive_int(n_theta) and _is_positive_int(n_phi)):
+    if not (_is_int(n_theta) and _is_int(n_phi)):
         raise ValueError(f"grid counts ({n_theta!r}, {n_phi!r}) must be positive integers")
 
 

@@ -39,23 +39,18 @@ from .errors import (
     SubsystemANotQubitError,
     ZeroInformationError,
 )
-from .linalg import apply_local
+from .linalg import (
+    FISHER_CUTOFF,
+    FREQUENCY_CUTOFF,
+    LOCALIZED_WITHIN,
+    RANGE_CUTOFF,
+    ROOT_CLUSTER,
+    TIE_BAND,
+    _is_int,
+    apply_local,
+)
 from .probes import SETTINGS, SWEPT_LABELS, ProbeFamily, build_probes, setting_hamiltonian
 from .states import DensityMatrix, LocalHamiltonian, _require_single
-
-# Fisher information (or least-squares range) below this cutoff counts as the
-# analytic zero of a pathological setting rather than numerical dust.
-FLAT_CUTOFF = 1e-10
-
-# The adaptive loop has converged once a trial is this close to the true phase.
-LOCALIZED_WITHIN = 1e-6
-
-# np.roots is backward stable (exact roots of coefficients off by ~eps), so a
-# root z0 of multiplicity m splits by (eps ||p||_1 / |p^(m)(z0)/m!|)^(1/m).  Here
-# m <= 3: the z^2 coefficient is 0, so a triple root z0 forces the fourth to -z0,
-# and on the unit circle that ratio is 3, a split of (3 eps)^(1/3) = 8.7e-6.
-# Roots closer than the split at a backward error of 1000 eps form one cluster.
-_ROOT_CLUSTER = (3000.0 * np.finfo(float).eps) ** (1.0 / 3.0)
 
 SWEEP_COLUMNS = (
     "s",
@@ -81,7 +76,10 @@ FIGURE3_COLUMNS = {
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Relative Gaussian population noise of width ``sigma``, seeded for replay."""
+    """Relative Gaussian population noise of width ``sigma``, seeded for replay.
+
+    The seed is None or a non-negative Python or numpy integer, not a bool, and
+    is kept as a Python ``int``; a bad seed raises whatever ``sigma`` is."""
 
     sigma: float = 0.0
     seed: int | None = None
@@ -89,6 +87,12 @@ class NoiseSpec:
     def __post_init__(self):
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        if self.seed is not None:
+            if not _is_int(self.seed, 0):
+                raise ValueError(
+                    f"seed must be None or a non-negative integer, got {self.seed!r}"
+                )
+            object.__setattr__(self, "seed", int(self.seed))
         if self.sigma == 0:  # exact mode draws nothing, so it has no seed
             object.__setattr__(self, "seed", None)
 
@@ -251,18 +255,19 @@ def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastS
     A = 2 alpha.c, B = -2 alpha.b, C = 2 b.c and D = c.c - b.b.  Times 2 z^2
     it is a quartic in z = exp(i theta), whose roots are those ``np.roots``
     finds.  Every root, on the unit circle or
-    not, is replaced by the mean of the roots within ``_ROOT_CLUSTER`` of it:
+    not, is replaced by the mean of the roots within ``ROOT_CLUSTER`` of it:
     a triple root splits by about eps^(1/3), its cluster's mean is exact to eps.
 
     f is evaluated exactly at the angles of these means inside the window
     [0, pi/omega] and at both of its ends; these include its minimum and
     maximum on the window.  When the range of f there is below
-    ``FLAT_CUTOFF`` the landscape is flat and the result is flagged failed.
-    So is a fit whose omega, or the bound b and c set on the range of f over
-    the whole circle, is below the cutoff, before any root is sought, with
-    f(0) as its residual.  Otherwise ``phi_hat`` is the smallest phase whose
-    value lies within 1e-12 of the range above the minimum, since exactly
-    symmetric populations can zero the objective at two phases.
+    ``RANGE_CUTOFF`` the landscape is flat and the result is flagged failed.
+    So is a fit whose omega is at most ``FREQUENCY_CUTOFF``, or whose bound b
+    and c set on the range of f over the whole circle is at most
+    ``RANGE_CUTOFF``, before any root is sought, with f(0) as its residual.
+    Otherwise ``phi_hat`` is the smallest phase whose value lies within
+    ``TIE_BAND`` times the range above the minimum, since exactly symmetric
+    populations can zero the objective at two phases.
 
     This is :func:`_fit_stack` of one row, which :func:`run_batch` calls on a
     whole sweep.  One fit takes its bound and quartic from scalars, each dot
@@ -281,7 +286,7 @@ def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastS
     bb, cc = b @ b, c @ c
     amp = math.sqrt(bb + cc)
     bound = 2.0 * (2.0 * math.sqrt(alpha @ alpha) * amp + amp * amp)
-    if np.minimum(omega, bound) <= FLAT_CUTOFF:
+    if omega <= FREQUENCY_CUTOFF or bound <= RANGE_CUTOFF:
         return LeastSquaresResult(math.nan, float((alpha + b) @ (alpha + b)), True)
     A, B = 2.0 * (alpha @ c), -2.0 * (alpha @ b)
     C, D = 2.0 * (b @ c), cc - bb
@@ -325,7 +330,7 @@ def _fit_stack(d_meas, omega, a, b, c) -> tuple[np.ndarray, np.ndarray, np.ndarr
     bb, cc = np.vecdot(b, b), np.vecdot(c, c)
     amp = np.sqrt(bb + cc)  # |b cos + c sin| <= amp bounds the range of f
     bound = 2.0 * (2.0 * np.sqrt(np.vecdot(alpha, alpha)) * amp + amp * amp)
-    failed = np.minimum(omega, bound) <= FLAT_CUTOFF
+    failed = (omega <= FREQUENCY_CUTOFF) | (bound <= RANGE_CUTOFF)
     at_0 = alpha + b
     phi_hat, residual = np.empty(len(omega)), np.vecdot(at_0, at_0)
     A, B = 2.0 * np.vecdot(alpha, c), -2.0 * np.vecdot(alpha, b)
@@ -367,7 +372,7 @@ def _scan_roots(roots, alpha, b, c, omega):
     the angles of the cluster means inside it (an angle outside is replaced by
     the end 0, a candidate already).  A flat row's residual is the minimum of
     f; its phi_hat is left for the caller to discard."""
-    near = np.abs(roots[:, :, None] - roots[:, None, :]) <= _ROOT_CLUSTER
+    near = np.abs(roots[:, :, None] - roots[:, None, :]) <= ROOT_CLUSTER
     means = (near @ roots[:, :, None])[:, :, 0] / near.sum(axis=2)
     angles = np.arctan2(means.imag, means.real) % (2.0 * math.pi)
     theta = np.empty((len(roots), 2 + roots.shape[1]))
@@ -377,15 +382,18 @@ def _scan_roots(roots, alpha, b, c, omega):
     values = (residuals * residuals).sum(axis=-1)
     low = values.min(axis=1)
     spread = values.max(axis=1) - low
-    tied = values <= (low + 1e-12 * spread)[:, None]
+    tied = values <= (low + TIE_BAND * spread)[:, None]
     best = np.where(tied, theta, np.inf).argmin(axis=1)
     rows = np.arange(len(roots))
-    flat = spread < FLAT_CUTOFF
+    flat = spread < RANGE_CUTOFF
     return theta[rows, best] / omega, np.where(flat, low, values[rows, best]), flat
 
 
 def _require_ensemble_size(nu: float) -> None:
-    if not (math.isfinite(nu) and nu >= 1 and nu == math.floor(nu)):
+    """Reject an ensemble size that is not a whole number >= 1; a bool is not a count."""
+    if isinstance(nu, (bool, np.bool_)) or not (
+        math.isfinite(nu) and nu >= 1 and nu == math.floor(nu)
+    ):
         raise ParameterOutOfRangeError(f"nu must be finite and >= 1 and whole, got {nu!r}")
 
 
@@ -402,9 +410,9 @@ def estimator_statistics(
     _require_ensemble_size(nu)
     if not math.isfinite(f_exp):
         raise ParameterOutOfRangeError(f"f_exp must be finite, got {f_exp!r}")
-    if f_exp <= FLAT_CUTOFF:
+    if f_exp <= FISHER_CUTOFF:
         raise ZeroInformationError(
-            f"reconstructed Fisher information {f_exp:.3e} is below {FLAT_CUTOFF:g}"
+            f"reconstructed Fisher information {f_exp:.3e} is below {FISHER_CUTOFF:g}"
         )
     return float(
         _variance(np.asarray(d_meas, dtype=float), np.asarray(l_values, dtype=float), f_exp, nu)
@@ -432,7 +440,7 @@ def adaptive_localize(
     came within ``LOCALIZED_WITHIN`` of the true phase.  Raises
     :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside [0, pi/omega).
     """
-    if qfi(rho, ham) <= FLAT_CUTOFF:
+    if qfi(rho, ham) <= FISHER_CUTOFF:
         raise NotIdentifiableError("QFI vanishes for this probe and generator")
     _check_in_window(ham, phi_true)
     trials = [0.0]
@@ -530,7 +538,7 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
         populations[noisy] = _perturb(populations[noisy], sigma, draws)
     f_exp = (l_values**2 * populations).sum(axis=-1)
     phi_hat, _, failed = _fit_stack(populations, omega, a, b, c)
-    failed |= f_exp <= FLAT_CUTOFF
+    failed |= f_exp <= FISHER_CUTOFF
     var = np.full(len(checked), math.nan)
     var[~failed] = _variance(populations[~failed], l_values[~failed], f_exp[~failed], nu)
     return [

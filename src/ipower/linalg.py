@@ -7,6 +7,7 @@ Row ``a * d_B + b`` of a bipartite matrix belongs to |a>|b>, the layout of
 :func:`tensor`; :func:`apply_local` applies an operator on one factor by reshaping.
 Data entering the program passes :func:`hermitian_part` once; :func:`eigh_sorted`
 trusts its input and returns LAPACK's eigenpairs, eigenvalues ascending, as they are.
+The constants block below is the one table of the library's numerical cutoffs.
 """
 
 from __future__ import annotations
@@ -17,18 +18,79 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NoConvergenceError, NonHermitianError
 
-# Tolerances used throughout the library.
-TOL_HERM = 1e-10
-TOL_TRACE = 1e-10
-TOL_NORM = 1e-10
+# Every numerical cutoff of the library, in one table; every value is absolute.
+# Each entry says its kind and the quantity, with units, it is compared to.  The
+# kinds: an input policy (how far an input may sit from a valid one, as the
+# README states), a zero-information rule (when a quantity is the analytic zero
+# of a blind setting), a rounding rule (when computed values are rounded images
+# of one exact value) and a resolution rule (when an iteration or a check stops).
+
+# Input policy: the largest entry of |m - m^dagger| of a Hermitian input (a state
+# or a generator, in the units of its entries), |Tr rho - 1| of a state and
+# ||n| - 1| of a unit Bloch vector.
+TOL_INPUT = 1e-10
+
+# Input policy: how far below 0 the least eigenvalue of a state (its matrix, or
+# the closed-form spectrum of a Bell-diagonal triple) may fall; probability.
 TOL_PSD = 1e-9
 
-# Eigenvalue pairs whose sum falls below this cutoff are dropped from the
-# spectral sums (the analytic formulas skip vanishing denominators).
+# Zero-information rule: a Fisher information at or below this, the QFI of a
+# probe and generator or f_exp reconstructed from measured populations, is the
+# analytic zero of a blind setting rather than numerical dust; units of 1/phi^2.
+FISHER_CUTOFF = 1e-10
+
+# Zero-information rule: the least-squares objective |d(theta) - d_meas|^2 of a
+# fit (squared populations) is flat when the bound b and c set on its range is at
+# or below this, or its range over the fit's candidate angles is below it.
+RANGE_CUTOFF = 1e-10
+
+# Zero-information rule: a generator frequency omega = h_2 - h_1 at or below this
+# imprints no phase; units of the generator's spectrum.
+FREQUENCY_CUTOFF = 1e-10
+
+# Rounding rule: eigenvalue pairs whose sum q_i + q_l falls below this cutoff are
+# dropped from the spectral sums (the analytic formulas skip vanishing
+# denominators); probability.
 RANK_CUTOFF = 1e-12
 
-# Eigenvalues closer than this are treated as one degenerate cluster.
+# Rounding rule: ascending eigenvalues (of a state or an SLD) whose neighbours
+# differ by less than this are treated as one degenerate cluster.
 DEGENERACY_GAP = 1e-8
+
+# Rounding rule: below this value of 1 - ||C||_inf^2 (dimensionless) the
+# Bell-diagonal closed formula is singular and the spectral route is used instead.
+BELL_DIAGONAL_DENOMINATOR_CUTOFF = 1e-9
+
+# Rounding rule: roots of the fit's quartic in z = exp(i theta) closer than this
+# form one cluster.  np.roots is backward stable (exact roots of coefficients off
+# by ~eps), so a root z0 of multiplicity m splits by
+# (eps ||p||_1 / |p^(m)(z0)/m!|)^(1/m).  Here m <= 3: the z^2 coefficient is 0,
+# so a triple root z0 forces the fourth to -z0, and on the unit circle that ratio
+# is 3, a split of (3 eps)^(1/3) = 8.7e-6.  Roots closer than the split at a
+# backward error of 1000 eps form one cluster.
+ROOT_CLUSTER = (3000.0 * np.finfo(float).eps) ** (1.0 / 3.0)
+
+# Rounding rule: a fit's candidate whose objective lies within this fraction of
+# the range over the candidates above the minimum ties with it; the smallest
+# tied phase is reported.
+TIE_BAND = 1e-12
+
+# Resolution rule: the compass search of the sphere oracles stops once both of
+# its (theta, phi) steps fall below this; radians.
+COMPASS_STOP = 1e-10
+
+# Resolution rule: the adaptive loop has converged once a trial phase is closer
+# than this to the true phase; units of phi.
+LOCALIZED_WITHIN = 1e-6
+
+# Resolution rule: a flip-angle grid point at most this far beyond the stop angle
+# still belongs to the grid; degrees.
+FLIP_ANGLE_SLACK = 1e-12
+
+# Resolution rule: ``ipower ip`` reports the hierarchy interferometric power >=
+# local quantum uncertainty as held when it fails by at most this; both measures
+# are dimensionless.
+HIERARCHY_SLACK = 1e-10
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,9 +111,9 @@ def _square_complex(m, max_ndim: int = 2) -> np.ndarray:
     return arr
 
 
-def _is_positive_int(n) -> bool:
-    """Whether ``n`` is a positive Python or numpy integer; a bool is not one."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+def _is_int(n, low: int = 1) -> bool:
+    """Whether ``n`` is a Python or numpy integer of at least ``low``; a bool is not one."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= low
 
 
 def _finite_rows(arr: np.ndarray):
@@ -78,23 +140,23 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def _split_hermitian(arr: np.ndarray):
     """((arr + arr^dagger) / 2, max |arr - arr^dagger|) of a finite square matrix, or of
     each matrix of a stack: the exactly Hermitian part, and the deviation (max norm)
-    that :func:`hermitian_part` holds to ``TOL_HERM``."""
+    that :func:`hermitian_part` holds to ``TOL_INPUT``."""
     adj = dagger(arr)
     return (arr + adj) / 2.0, np.abs(arr - adj).max(axis=(-2, -1))
 
 
 def _non_hermitian(what: str, deviation: float) -> NonHermitianError:
-    """The error for a ``what`` whose deviation from Hermitian exceeds ``TOL_HERM``."""
+    """The error for a ``what`` whose deviation from Hermitian exceeds ``TOL_INPUT``."""
     return NonHermitianError(
-        f"{what} is not Hermitian within {TOL_HERM:g} (deviation {deviation:.3e})"
+        f"{what} is not Hermitian within {TOL_INPUT:g} (deviation {deviation:.3e})"
     )
 
 
 def hermitian_part(m, what: str = "matrix") -> np.ndarray:
-    """Check ``m`` is a finite square matrix, Hermitian within ``TOL_HERM`` (max
+    """Check ``m`` is a finite square matrix, Hermitian within ``TOL_INPUT`` (max
     norm), and return (m + m^dagger) / 2, which is exactly Hermitian."""
     herm, deviation = _split_hermitian(as_square_complex(m))
-    if deviation > TOL_HERM:
+    if deviation > TOL_INPUT:
         raise _non_hermitian(what, deviation)
     return herm
 
@@ -134,7 +196,7 @@ def eig_hermitian(m) -> tuple[np.ndarray, np.ndarray]:
     order and orthonormal eigenvectors as the columns of the second array, as
     LAPACK returns them.  Inside a degenerate eigenspace that basis is
     reproducible only for bit-identical inputs.  Raises
-    :class:`NonHermitianError` beyond ``TOL_HERM`` and
+    :class:`NonHermitianError` beyond ``TOL_INPUT`` and
     :class:`NoConvergenceError` if LAPACK fails.
     """
     return eigh_sorted(hermitian_part(m))

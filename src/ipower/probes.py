@@ -19,7 +19,7 @@ from .errors import (
     InvalidCorrelationTripleError,
     ParameterOutOfRangeError,
 )
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS, TOL_PSD, tensor
+from .linalg import FLIP_ANGLE_SLACK, SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS, TOL_PSD, tensor
 from .states import DensityMatrix, LocalHamiltonian
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -287,7 +287,7 @@ def flip_angle_grid(
         )
     count = int(round(span))
     degrees = start_deg + step_deg * np.arange(count + 1)
-    degrees = degrees[degrees <= stop_deg + 1e-12]  # keeps start: never empty
+    degrees = degrees[degrees <= stop_deg + FLIP_ANGLE_SLACK]  # keeps start: never empty
     return np.cos(np.deg2rad(degrees))
 
 

@@ -25,12 +25,10 @@ from .linalg import (
     _NOT_FINITE,
     _PAULI_STACK,
     PAULIS,
-    TOL_HERM,
-    TOL_NORM,
+    TOL_INPUT,
     TOL_PSD,
-    TOL_TRACE,
     _finite_rows,
-    _is_positive_int,
+    _is_int,
     _non_hermitian,
     _split_hermitian,
     _square_complex,
@@ -51,8 +49,8 @@ def _spectra(matrix, dims):
     """(Hermitian part, eigenvalues, eigenvectors) of a (d, d) density matrix, or of
     every matrix of an (N, d, d) stack, d split into d_A x d_B by ``dims``.
 
-    Each matrix is checked in this order: finite entries, Hermitian within ``TOL_HERM``
-    (max norm), ``dims``, unit trace within ``TOL_TRACE``; then the Hermitian parts are
+    Each matrix is checked in this order: finite entries, Hermitian within ``TOL_INPUT``
+    (max norm), ``dims``, unit trace within ``TOL_INPUT``; then the Hermitian parts are
     diagonalized in one ``eigh``, each must be PSD within ``TOL_PSD``, and its ascending
     eigenvalues are clamped at 0 and renormalized to unit sum.  A stack that fails a
     check is checked again one matrix at a time, so it raises what a loop over its
@@ -67,7 +65,7 @@ def _spectra(matrix, dims):
         herm, deviation = _split_hermitian(arr)
         trace = herm.trace(0, -2, -1).real
         dims_error = _dims_error(dims, arr.shape[-1])
-        passed = (deviation <= TOL_HERM) & (abs(trace - 1.0) <= TOL_TRACE)
+        passed = (deviation <= TOL_INPUT) & (abs(trace - 1.0) <= TOL_INPUT)
         if dims_error is None and every(passed):
             vals, vecs = eigh_sorted(herm)
             if every(vals[..., 0] >= -TOL_PSD):
@@ -79,18 +77,18 @@ def _spectra(matrix, dims):
         raise dims_error  # only an empty stack gets here, and it fails on its dims
     if not finite:
         raise ValueError(_NOT_FINITE)
-    if deviation > TOL_HERM:
+    if deviation > TOL_INPUT:
         raise _non_hermitian("density matrix", deviation)
     if dims_error is not None:
         raise dims_error
-    if abs(trace - 1.0) > TOL_TRACE:
+    if abs(trace - 1.0) > TOL_INPUT:
         raise ValueError(f"trace must be 1, got {trace!r}")
     raise NotPositiveSemidefiniteError(f"minimum eigenvalue {vals[0]:.3e} below -{TOL_PSD:g}")
 
 
 def _dims_error(dims, d: int) -> DimensionMismatchError | None:
     """The error for ``dims`` unless they are two positive integers, not bools, with product d."""
-    if len(dims) == 2 and all(_is_positive_int(n) for n in dims) and dims[0] * dims[1] == d:
+    if len(dims) == 2 and all(_is_int(n) for n in dims) and dims[0] * dims[1] == d:
         return None
     return DimensionMismatchError(f"dims {dims} must be two positive integers with product {d}")
 
@@ -223,8 +221,8 @@ class LocalHamiltonian:
             n = np.array([np.trace(s @ arr).real / 2.0 for s in PAULIS])
             recon = _pauli_sum(n)
             if (
-                abs(np.linalg.norm(n) - 1.0) <= TOL_NORM
-                and np.max(np.abs(recon - arr)) <= TOL_HERM
+                abs(np.linalg.norm(n) - 1.0) <= TOL_INPUT
+                and np.max(np.abs(recon - arr)) <= TOL_INPUT
             ):
                 bloch = _freeze(n)
         return cls(_freeze(arr), _freeze(vals), _freeze(vecs), bloch)
@@ -236,7 +234,7 @@ class LocalHamiltonian:
         if n.shape != (3,):
             raise ValueError("Bloch vector must have three components")
         norm = np.linalg.norm(n)
-        if not abs(norm - 1.0) <= TOL_NORM:  # also rejects nan and inf
+        if not abs(norm - 1.0) <= TOL_INPUT:  # also rejects nan and inf
             raise ValueError(f"Bloch vector must be unit length, |n| = {norm!r}")
         matrix = _pauli_sum(n)  # exactly Hermitian
         vals, vecs = eigh_sorted(matrix)

@@ -26,7 +26,7 @@ from .correlations import (
     sld,
 )
 from .estimation import NoiseSpec, ProbeFamily, adaptive_localize, run_sweep
-from .linalg import dagger, eig_hermitian, tensor
+from .linalg import FISHER_CUTOFF, dagger, eig_hermitian, tensor
 from .probes import (
     classical_probe,
     discordant_probe,
@@ -337,9 +337,9 @@ def check_guaranteed_precision(bound, ps=(0.2, 0.5, 0.8, 1.0)) -> PropertyResult
 
 def _misflagged(run) -> bool:
     """An exact-mode run must fail exactly when the model predicts no information:
-    probe C under setting 3, p = 0 or f_exp <= ``estimation.FLAT_CUTOFF``."""
+    probe C under setting 3, p = 0 or f_exp <= ``FISHER_CUTOFF``."""
     no_information = run.probe_label == "C" and run.setting_k == 3
-    return run.failed != (no_information or run.p == 0.0 or run.f_exp <= estimation.FLAT_CUTOFF)
+    return run.failed != (no_information or run.p == 0.0 or run.f_exp <= FISHER_CUTOFF)
 
 
 def check_exact_sweep(bound) -> PropertyResult:

@@ -474,11 +474,22 @@ class TestPhaseWindowFlag:
         assert "--phi-true" in err and "window" in err
         assert not list(tmp_path.iterdir())
 
-    def test_probe_errors_still_name_probe(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--probe", "Q", "--p", "1.5"], "--p"),
+            (["--probe", "werner", "--p", "-1"], "--p"),
+            (["--probe", "belldiag", "--params", "0.5,0.5,0.9"], "--params"),
+            (["--probe", "Q", "--params", "0.5,0.2"], "--params"),
+            (["--probe", "belldiag"], "--params"),
+        ],
+        ids=["p", "werner-p", "params", "params-count", "params-missing"],
+    )
+    def test_parameter_errors_name_their_flag(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as info:
-            run_cli(["estimate", "--probe", "Q", "--p", "1.5"])
+            run_cli(["estimate", *argv])
         assert info.value.code == 2
-        assert "--probe" in capsys.readouterr().err
+        assert f"error: {flag}: " in capsys.readouterr().err
 
 
 def test_module_entry_point():

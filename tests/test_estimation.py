@@ -192,6 +192,24 @@ class TestNoiseSpec:
             with pytest.raises(ValueError, match="sigma must be finite"):
                 run_sweep(*grid, PI4, nu=-1, sigma=math.nan)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [True, False, np.True_, -1, np.int64(-2), 1.5, 2.0, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, sigma, seed):
+        # seed = True used to reach the JSON records as `"seed": True`, and
+        # seeds -1 and 1.5 to raise from numpy only after the batch's SLD work.
+        with pytest.raises(ValueError, match="seed must be None or a non-negative integer"):
+            NoiseSpec(sigma, seed)
+
+    def test_numpy_seed_is_kept_as_a_python_int(self):
+        spec = NoiseSpec(0.05, np.int64(7))
+        assert spec == NoiseSpec(0.05, 7) and type(spec.seed) is int
+        family = ProbeFamily("Q", (0.5,))
+        run = run_experiment(family, 1, PI4, noise=spec)
+        reference = run_experiment(family, 1, PI4, noise=NoiseSpec(0.05, 7))
+        # np.int64(7) used to make json.dumps of the record raise TypeError.
+        assert json.dumps(run.to_json_dict()) == json.dumps(reference.to_json_dict())
+        assert sweep_json_text([run]) == sweep_json_text([reference])
+
     def test_exact_mode_drops_the_seed(self):
         assert NoiseSpec(0.0, 3) == NoiseSpec()
         run = run_experiment(ProbeFamily("Q", (0.5,)), 1, PI4, noise=NoiseSpec(0.0, 3))
@@ -420,11 +438,12 @@ class TestEstimatorStatistics:
             estimator_statistics(d, l, f, 10**6) / 2.0
         )
 
-    @pytest.mark.parametrize("nu", [-1, 0, 0.5, 2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("nu", [-1, 0, 0.5, 2.5, math.nan, math.inf, True, np.True_])
     def test_ensemble_size_must_be_finite_and_at_least_one(self, nu):
         # nu = -1 used to return a negative variance unflagged, nu = 0 to
-        # divide by zero, nu = nan to fail converting the record's int, and
-        # nu = 2.5 to record nu = 2 beside a variance computed with 2.5.
+        # divide by zero, nu = nan to fail converting the record's int,
+        # nu = 2.5 to record nu = 2 beside a variance computed with 2.5, and
+        # nu = True to pass as 1, though a bool is not a count.
         with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
             estimator_statistics([0.4, 0.3, 0.2, 0.1], [-2.0, -1.0, 1.0, 2.0], 2.0, nu)
         with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
@@ -432,7 +451,7 @@ class TestEstimatorStatistics:
         with pytest.raises(ParameterOutOfRangeError, match="nu must be finite and >= 1"):
             run_sweep(("C",), (3,), [0.5], PI4, nu=nu)  # every run fails, nu is still checked
 
-    @pytest.mark.parametrize("nu", [-1, 0, 0.5, 2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("nu", [-1, 0, 0.5, 2.5, math.nan, math.inf, True])
     @pytest.mark.parametrize("grid", [((), (1,), [0.5]), (("Q",), (), [0.5]), (("Q",), (1,), [])])
     def test_empty_sweep_rejects_bad_nu(self, nu, grid):
         # An empty sweep used to return [] without looking at nu.
@@ -699,20 +718,20 @@ def reference_fit(d_meas, model):
     alpha = model.a - d_meas
     amp = math.sqrt(b @ b + c @ c)
     bound = 2.0 * (2.0 * math.sqrt(alpha @ alpha) * amp + amp * amp)
-    if min(omega, bound) <= estimation_mod.FLAT_CUTOFF:
+    if omega <= linalg_mod.FREQUENCY_CUTOFF or bound <= linalg_mod.RANGE_CUTOFF:
         return math.nan, float((alpha + b) @ (alpha + b)), True
     A, B = 2.0 * (alpha @ c), -2.0 * (alpha @ b)
     C, D = 2.0 * (b @ c), c @ c - b @ b
     roots = np.roots([C - 1j * D, A - 1j * B, 0.0, A + 1j * B, C + 1j * D])
-    near = np.abs(roots[:, None] - roots[None, :]) <= estimation_mod._ROOT_CLUSTER
+    near = np.abs(roots[:, None] - roots[None, :]) <= linalg_mod.ROOT_CLUSTER
     theta = np.angle(near @ roots / near.sum(axis=1)) % (2.0 * math.pi)
     theta = np.concatenate(([0.0, math.pi], theta[theta <= math.pi]))
     residuals = alpha + np.outer(np.cos(theta), b) + np.outer(np.sin(theta), c)
     values = np.sum(residuals * residuals, axis=1)
     spread = values.max() - values.min()
-    if spread < estimation_mod.FLAT_CUTOFF:
+    if spread < linalg_mod.RANGE_CUTOFF:
         return math.nan, float(values.min()), True
-    tied = values <= values.min() + 1e-12 * spread
+    tied = values <= values.min() + linalg_mod.TIE_BAND * spread
     best = int(np.argmin(np.where(tied, theta, np.inf)))
     return float(theta[best] / omega), float(values[best]), False
 

@@ -1,7 +1,13 @@
+import ast
+import io
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ipower
 from ipower.errors import DimensionMismatchError, NonHermitianError
 from ipower.linalg import (
     SIGMA_X,
@@ -115,3 +121,32 @@ def test_apply_local_matches_tensor(d_b, side):
 def test_apply_local_rejects_wrong_factor_dimension():
     with pytest.raises(DimensionMismatchError):
         apply_local(np.eye(3), np.eye(4), (2, 2), "B")
+
+
+def small_literals(path: Path) -> list[str]:
+    """``file:line literal`` of every number literal v in ``path`` with
+    0 < |v| < 1e-5: the size of a tolerance or cutoff."""
+    tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+    return [
+        f"{path.name}:{token.start[0]} {token.string}"
+        for token in tokens
+        if token.type == tokenize.NUMBER and 0 < abs(ast.literal_eval(token.string)) < 1e-5
+    ]
+
+
+def test_every_cutoff_lives_in_the_linalg_table():
+    """No module of ``ipower`` but ``linalg`` holds a cutoff-sized literal, so a
+    cutoff is changed in ``linalg``'s constants block and nowhere else.
+
+    ``verify`` is exempt: its bounds are the tolerances of the property checks,
+    one per family in ``ALL_CHECKS`` and inside the checks, which state what each
+    check accepts rather than how the library rounds.
+    """
+    package = Path(ipower.__file__).parent
+    found = [
+        hit
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("linalg.py", "verify.py")
+        for hit in small_literals(path)
+    ]
+    assert found == []
