@@ -7,6 +7,8 @@
   and of ``figure3 --probe werner,Q,C --noise 0.3 --seed 3 --format json``;
 * the stdout of the README's ``estimate`` and ``adaptive`` examples, and the
   ``adaptive --out`` record;
+* the stdout of ``estimate --noise 0.05`` with the seed 2^70, whose entropy
+  takes three 32-bit words, so numpy's multi-word seeding is pinned too;
 * the lines of ``verify --trials 100 --seed S`` for S = 0-3, whose worst
   deviations are rounding-level numbers;
 * ``one_state.sha256``: the sha256 of the raw bytes of each one-state measure
@@ -63,6 +65,12 @@ RUNS = {
     "estimate": (
         ["estimate", "--probe", "Q", "--p", "0.5", "--setting", "2", "--noise", "0.05",
          "--seed", "7"],
+        [],
+        False,
+    ),
+    "estimate_long_seed": (
+        ["estimate", "--probe", "Q", "--p", "0.5", "--setting", "1", "--noise", "0.05",
+         "--seed", "1180591620717411303424"],
         [],
         False,
     ),
