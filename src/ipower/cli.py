@@ -74,7 +74,8 @@ def _write(path: str, text: str) -> None:
 
 def _number(kind=float, low=-math.inf, whole=False):
     """argparse type of a finite ``kind`` not below ``low``, and with ``whole`` a
-    whole number (1e15 passes, 2.5 does not); argparse exits 2 otherwise."""
+    whole number (1e15 passes, 2.5 does not); argparse exits 2 otherwise.  An
+    integer beyond the float range (about 1.8e308) is not finite either."""
     expected = "an integer" if kind is int else "a finite number"
     if low > -math.inf:
         expected += f" >= {low:g}"
@@ -82,9 +83,10 @@ def _number(kind=float, low=-math.inf, whole=False):
     def parse(text: str):
         try:
             value = kind(text)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value >= low):
+            finite = math.isfinite(value)  # OverflowError for such an integer
+        except (ValueError, OverflowError):
+            value, finite = math.nan, False
+        if not (finite and value >= low):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         if whole and value != math.floor(value):
             raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
@@ -93,7 +95,16 @@ def _number(kind=float, low=-math.inf, whole=False):
     return parse
 
 
-_seed = _number(int, 0)
+def _seed(text: str) -> int:
+    """argparse type of a seed: any non-negative integer, however large, as
+    numpy takes it; argparse exits 2 otherwise."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _env_seed(parser) -> int:
@@ -167,7 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="run one estimation instance")
     est.add_argument("--probe", default="Q", choices=PROBE_LABELS)
-    est.add_argument("--p", type=_number(), default=0.5)
+    est.add_argument(
+        "--p", type=_number(), default=None,
+        help="parameter of a family among " + ", ".join(SWEPT_LABELS) + " (default 0.5)",
+    )
     est.add_argument(
         "--params", type=_listed(_number()), default=None,
         help="comma-separated parameters, e.g. 0.5,0.3,0.1",
@@ -244,9 +258,13 @@ def _ip(args, parser) -> int:
 
 def _estimate(args, parser) -> int:
     noise = NoiseSpec(args.noise, args.seed)
+    if args.p is not None and args.params is not None:
+        parser.error("--p: not used when --params gives the parameters")
+    if args.p is not None and args.probe not in SWEPT_LABELS:
+        parser.error(f"--p: only {', '.join(SWEPT_LABELS)} take p, not {args.probe!r}")
     params, flag = args.params or (), "--params"
     if args.params is None and args.probe in SWEPT_LABELS:
-        params, flag = (args.p,), "--p"
+        params, flag = (0.5 if args.p is None else args.p,), "--p"
     try:
         family = ProbeFamily(args.probe, params)
         run = run_experiment(

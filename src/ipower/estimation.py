@@ -24,6 +24,7 @@ the protocol rejects it with :class:`PhaseOutOfWindowError`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
@@ -78,14 +79,17 @@ FIGURE3_COLUMNS = {
 class NoiseSpec:
     """Relative Gaussian population noise of width ``sigma``, seeded for replay.
 
-    The seed is None or a non-negative Python or numpy integer, not a bool, and
-    is kept as a Python ``int``; a bad seed raises whatever ``sigma`` is."""
+    ``sigma`` is a finite non-negative number, not a bool.  The seed is None or
+    a non-negative Python or numpy integer, not a bool, and is kept as a Python
+    ``int``; a bad seed raises whatever ``sigma`` is."""
 
     sigma: float = 0.0
     seed: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+        if isinstance(self.sigma, (bool, np.bool_)) or not (
+            math.isfinite(self.sigma) and self.sigma >= 0
+        ):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
         if self.seed is not None:
             if not _is_int(self.seed, 0):
@@ -95,6 +99,14 @@ class NoiseSpec:
             object.__setattr__(self, "seed", int(self.seed))
         if self.sigma == 0:  # exact mode draws nothing, so it has no seed
             object.__setattr__(self, "seed", None)
+
+
+def _frozen(cls, **fields):
+    """``cls(**fields)`` of a frozen dataclass, every field given and already
+    checked: its ``__init__`` would set each through ``object.__setattr__``."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 @dataclass(frozen=True)
@@ -208,13 +220,14 @@ def measure_populations(
 
     Exact mode (no noise, or sigma == 0) returns the ideal expectation values;
     noisy mode perturbs each population by an independent zero-mean Gaussian of
-    relative width sigma, clamps to [0, 1] and renormalizes.
+    relative width sigma, clamps to [0, 1] and renormalizes.  The draws are
+    those of ``np.random.default_rng(noise.seed).standard_normal``, taken
+    through :func:`_standard_normal_rows` as a batch's are.
     """
     d = model.at(phi_true)
     if noise is None or noise.sigma == 0.0:
         return d
-    draws = np.random.default_rng(noise.seed).standard_normal(d.size)
-    return _perturb(d, noise.sigma, draws)
+    return _perturb(d, noise.sigma, _standard_normal_rows([noise.seed], d.size)[0])
 
 
 def _perturb(d, sigma, draws) -> np.ndarray:
@@ -224,6 +237,102 @@ def _perturb(d, sigma, draws) -> np.ndarray:
     total = d.sum(axis=-1, keepdims=True)
     uniform = np.full_like(d, 1.0 / d.shape[-1])
     return np.divide(d, total, out=uniform, where=total > 0.0)
+
+
+# numpy's SeedSequence: its pool of 32-bit words, and the start and multiplier
+# of the hash constant of mixing the entropy into the pool (A) and of expanding
+# the pool into words (B); the multipliers of its mix; and PCG64's LCG multiplier.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _standard_normal_rows(seeds, d: int) -> np.ndarray:
+    """An (N, d) array whose row i is ``np.random.default_rng(seeds[i]).standard_normal(d)``,
+    bit for bit, for N seeds each None or a non-negative integer.
+
+    ``default_rng(seed)`` hashes the seed's 32-bit words, least significant
+    first, into a ``SeedSequence`` pool, expands the pool into PCG64's seed and
+    increment, and steps the LCG twice.  The hash constants do not depend on the
+    words, so the seeds with as many words are hashed as one uint32 array.  A
+    None seed is 128 fresh bits of OS entropy, as ``SeedSequence(None)`` takes
+    from ``os.urandom``, hashed the same way.  One ``Generator`` then draws
+    every row, its PCG64 state set to the row's seeded state.
+    """
+    seeds = [
+        int.from_bytes(os.urandom(4 * _POOL_SIZE), "little") if seed is None else int(seed)
+        for seed in seeds
+    ]
+    counts = [max(1, -(-seed.bit_length() // 32)) for seed in seeds]
+    words = np.empty((len(seeds), 8), np.uint32)
+    for n in set(counts):
+        rows = [i for i, count in enumerate(counts) if count == n]
+        entropy = b"".join(seeds[i].to_bytes(4 * n, "little") for i in rows)
+        words[rows] = _seed_words(np.frombuffer(entropy, "<u4").reshape(len(rows), n))
+    # generate_state(4, uint64) reads the words as little-endian uint64 pairs;
+    # PCG64 takes the first two as the high and low halves of its 128-bit seed
+    # and the last two as those of its sequence.
+    wide = words.astype(np.uint64)
+    state_hi, state_lo, seq_hi, seq_lo = (wide[:, 0::2] | wide[:, 1::2] << 32).T.tolist()
+    bits = np.random.PCG64(0)
+    generator = np.random.Generator(bits)
+    draws = np.empty((len(seeds), d))
+    for row, s_hi, s_lo, q_hi, q_lo in zip(draws, state_hi, state_lo, seq_hi, seq_lo):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        generator.standard_normal(out=row)
+    return draws
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(8)`` of each seed whose uint32 words,
+    least significant first, are a row of ``entropy``; every row has as many.
+    Arithmetic on uint32 arrays wraps modulo 2^32, as the C code's does."""
+    n = entropy.shape[1]
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [
+        _hash(entropy[:, i] if i < n else np.zeros(len(entropy), np.uint32), constants, _MULT_A)
+        for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], constants, _MULT_A))
+    for src in range(_POOL_SIZE, n):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(entropy[:, src], constants, _MULT_A))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    return np.stack([_hash(pool[i % _POOL_SIZE], constants, _MULT_B) for i in range(8)], axis=1)
+
+
+def _hash_constants(constant: int, mult: int):
+    """The hash constants of SeedSequence, one per hashed word: ``constant``,
+    then times ``mult`` modulo 2^32 at each word."""
+    while True:
+        yield constant
+        constant = constant * mult & _MASK32
+
+
+def _hash(value: np.ndarray, constants, mult: int) -> np.ndarray:
+    """SeedSequence's hash of uint32 words with the next of ``constants``."""
+    constant = next(constants)
+    value = (value ^ constant) * (constant * mult & _MASK32)
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 words."""
+    result = _MIX_L * x - _MIX_R * y
+    return result ^ result >> 16
 
 
 def _frequency(ham: LocalHamiltonian) -> float:
@@ -493,11 +602,13 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     generator's row of the stacked settings.  The SLD eigenproblems of all runs
     are one ``eigh`` (one more per tie-break cluster size, see
     :func:`correlations._sld_stack`), the population models one pass, and the
-    fits one stacked ``eigvals``.  Each run draws its noise from its own
-    ``default_rng(noise.seed)``.  Every step reads only its own run, so a run's
-    record is bit-identical whatever else the batch holds.
+    fits one stacked ``eigvals``.  Each noisy run draws the stream of the
+    ``default_rng(noise.seed)`` it records, and :func:`_standard_normal_rows`
+    draws all of them in one pass.  Every step reads only its own run, so a
+    run's record is bit-identical whatever else the batch holds.
     """
     _require_ensemble_size(nu)
+    exact = NoiseSpec()
     checked, families, settings, rows, by_setting = [], {}, {}, [], []
     for probe, k, noise in runs:
         row = families.get(probe)
@@ -509,7 +620,7 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
             ham = setting_hamiltonian(k)  # raises for a k outside SETTINGS
             _check_in_window(ham, phi_true)
             setting = settings[int(k)] = len(settings), ham
-        checked.append((probe, int(k), noise or NoiseSpec()))
+        checked.append((probe, int(k), noise or exact))
         rows.append(row)
         by_setting.append(setting[0])
     if not checked:
@@ -531,9 +642,7 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     populations = _fourier((omega * phi_true)[:, None], a, b, c)
     noisy = [i for i, (_, _, noise) in enumerate(checked) if noise.sigma != 0.0]
     if noisy:
-        draws = np.stack(
-            [np.random.default_rng(checked[i][2].seed).standard_normal(a.shape[1]) for i in noisy]
-        )
+        draws = _standard_normal_rows([checked[i][2].seed for i in noisy], a.shape[1])
         sigma = np.array([checked[i][2].sigma for i in noisy])[:, None]
         populations[noisy] = _perturb(populations[noisy], sigma, draws)
     f_exp = (l_values**2 * populations).sum(axis=-1)
@@ -542,7 +651,8 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     var = np.full(len(checked), math.nan)
     var[~failed] = _variance(populations[~failed], l_values[~failed], f_exp[~failed], nu)
     return [
-        EstimationRun(
+        _frozen(
+            EstimationRun,
             probe_label=probe.label,
             p=probe.p,
             setting_k=k,
@@ -587,11 +697,14 @@ def run_sweep(
     evaluation order.  One :class:`ProbeFamily` per (label, p) serves all its
     settings, and each distinct probe family is built once and shared by all
     its settings and, for families without parameters (``sep``, ``bell``),
-    all its values of p.  ``sigma`` and ``nu`` are checked before any run,
-    so an empty sweep rejects them too; the runs are then checked in order,
-    and the first bad one raises before anything is computed.
+    all its values of p.  ``sigma``, the root ``seed`` (as :class:`NoiseSpec`
+    checks them) and ``nu`` are checked once, before any run, so an empty sweep
+    rejects them too; the runs are then checked in order, and the first bad one
+    raises before anything is computed.  A noisy run's seed is drawn from
+    ``default_rng(seed)``, and its :class:`NoiseSpec` is built from the checked
+    sigma without checking it again; an exact sweep draws no seeds.
     """
-    NoiseSpec(sigma)
+    NoiseSpec(sigma, seed)
     _require_ensemble_size(nu)
     combos = [
         (label, int(k), j, float(p))
@@ -599,15 +712,18 @@ def run_sweep(
         for k in sorted(settings)
         for j, p in enumerate(sorted(np.asarray(p_values, dtype=float)))
     ]
-    root = np.random.default_rng(seed)
-    run_seeds = root.integers(0, 2**63 - 1, size=len(combos))
+    if sigma == 0:
+        noises = [NoiseSpec()] * len(combos)
+    else:
+        run_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(combos))
+        noises = [_frozen(NoiseSpec, sigma=sigma, seed=s) for s in run_seeds.tolist()]
 
     def runs():
         families = {}  # (label, index of p) -> the one family its settings share
-        for (label, k, j, p), run_seed in zip(combos, run_seeds):
+        for (label, k, j, p), noise in zip(combos, noises):
             if (label, j) not in families:
                 families[label, j] = ProbeFamily(label, (p,) if label in SWEPT_LABELS else ())
-            yield families[label, j], k, NoiseSpec(sigma, int(run_seed))
+            yield families[label, j], k, noise
 
     return run_batch(runs(), phi_true, nu)
 

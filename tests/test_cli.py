@@ -22,6 +22,10 @@ def run_cli(args):
     return main(list(args))
 
 
+# An integer of 401 digits, beyond the float range.
+BIG = str(10**400)
+
+
 class TestFigure3:
     def test_default_outputs(self, tmp_path, capsys):
         out = tmp_path / "fig"
@@ -264,6 +268,9 @@ class TestBoundedFlags:
             (["verify", "--trials", "0"], "an integer >= 1"),
             (["verify", "--trials", "-3"], "an integer >= 1"),
             (["adaptive", "--max-iters", "0"], "an integer >= 1"),
+            # Counts beyond the float range used to end in an OverflowError.
+            (["verify", "--trials", BIG], "an integer >= 1"),
+            (["adaptive", "--max-iters", BIG], "an integer >= 1"),
             (["estimate", "--noise", "-0.1"], "a finite number >= 0"),
             (["figure3", "--nu", "0.5"], "a finite number >= 1"),
         ],
@@ -304,6 +311,30 @@ class TestBoundedFlags:
             run_cli(["estimate", "--noise", "0.05"])
         assert info.value.code == 2
         assert "IPOWER_SEED: expected an integer >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["estimate", "figure3", "verify", "IPOWER_SEED"])
+    def test_seed_of_any_size_is_taken(self, source, tmp_path, capsys, monkeypatch):
+        # A seed beyond the float range used to end each command with an
+        # OverflowError and exit 1, verify's "verification failed" code.
+        if source == "IPOWER_SEED":
+            monkeypatch.setenv(source, BIG)
+            assert run_cli(["estimate", "--noise", "0.05"]) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] == 10**400
+        elif source == "estimate":
+            assert run_cli(["estimate", "--noise", "0.05", "--seed", BIG]) == 0
+            assert json.loads(capsys.readouterr().out)["seed"] == 10**400
+        elif source == "figure3":
+            out = tmp_path / "fig"
+            assert run_cli(
+                ["figure3", "--probe", "Q", "--setting", "1", "--p-steps", "45", "--noise",
+                 "0.05", "--seed", BIG, "--format", "json", "--out", str(out)]
+            ) == 0
+            records = json.loads((tmp_path / "fig_sweep.json").read_text())
+            seeds = np.random.default_rng(10**400).integers(0, 2**63 - 1, size=3).tolist()
+            assert [record["seed"] for record in records] == seeds
+        else:
+            assert run_cli(["verify", "--trials", "5", "--seed", BIG]) == 0
+            assert "FAIL" not in capsys.readouterr().out
 
     def test_seed_flag_overrides_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("IPOWER_SEED", "abc")
@@ -409,6 +440,31 @@ class TestEstimateCommand:
         assert run_cli(["estimate", "--noise", "0.05"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["seed"] == 123
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--probe", "sep", "--p", "0.9"],
+            ["--probe", "bell", "--p", "0.5"],
+            ["--probe", "Q", "--p", "0.3", "--params", "0.5"],
+            ["--probe", "belldiag", "--p", "0.3", "--params", "0.5,0.3,0.1"],
+        ],
+        ids=["sep", "bell", "Q-params", "belldiag-params"],
+    )
+    def test_unused_p_exits_2_naming_p(self, argv, capsys):
+        # These used to run without a word: sep recorded p null, Q ran at 0.5.
+        with pytest.raises(SystemExit) as info:
+            run_cli(["estimate", *argv])
+        assert info.value.code == 2
+        assert "error: --p: " in capsys.readouterr().err
+
+    def test_p_defaults_to_one_half_for_the_swept_families(self, capsys):
+        assert run_cli(["estimate", "--probe", "werner"]) == 0
+        default = capsys.readouterr().out
+        assert run_cli(["estimate", "--probe", "werner", "--p", "0.5"]) == 0
+        assert capsys.readouterr().out == default and json.loads(default)["p"] == 0.5
+        assert run_cli(["estimate", "--probe", "sep"]) == 0
+        assert json.loads(capsys.readouterr().out)["p"] is None
 
     @pytest.mark.parametrize("bad", ["abc", "nan"])
     def test_bad_params_entry_exits_2_naming_params(self, bad, capsys):

@@ -173,7 +173,8 @@ class TestMeasurePopulations:
 
 
 class TestNoiseSpec:
-    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -0.1])
+    # sigma = True used to construct and perturb with width 1.0.
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, -0.1, True, np.True_])
     def test_sigma_must_be_finite_and_nonnegative(self, sigma):
         with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
             NoiseSpec(sigma, 3)
@@ -199,6 +200,9 @@ class TestNoiseSpec:
         # seeds -1 and 1.5 to raise from numpy only after the batch's SLD work.
         with pytest.raises(ValueError, match="seed must be None or a non-negative integer"):
             NoiseSpec(sigma, seed)
+        # A sweep's root seed is checked alike; True used to seed it as 1.
+        with pytest.raises(ValueError, match="seed must be None or a non-negative integer"):
+            run_sweep(("Q",), (1,), [0.5], PI4, sigma=sigma, seed=seed)
 
     def test_numpy_seed_is_kept_as_a_python_int(self):
         spec = NoiseSpec(0.05, np.int64(7))
@@ -214,6 +218,56 @@ class TestNoiseSpec:
         assert NoiseSpec(0.0, 3) == NoiseSpec()
         run = run_experiment(ProbeFamily("Q", (0.5,)), 1, PI4, noise=NoiseSpec(0.0, 3))
         assert run.seed is None and run.to_json_dict()["seed"] is None
+
+
+# Seeds of one, two, three and more 32-bit words, numpy integers among them,
+# in mixed order and with repeats.
+DRAW_SEEDS = [
+    2**64, 0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**128 + 3, 10**400, np.int64(7),
+    np.uint64(2**64 - 1), 1, 2**32, 10**400, 0, np.uint32(9), 2**70,
+]
+
+
+class TestNoiseDraws:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_rows_are_the_default_rng_streams(self, d):
+        rows = estimation_mod._standard_normal_rows(DRAW_SEEDS, d)
+        expected = np.array([np.random.default_rng(seed).standard_normal(d) for seed in DRAW_SEEDS])
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+
+    def test_each_seed_alone_draws_its_row(self):
+        rows = estimation_mod._standard_normal_rows(DRAW_SEEDS, 4)
+        for seed, row in zip(DRAW_SEEDS, rows):
+            assert estimation_mod._standard_normal_rows([seed], 4)[0].tobytes() == row.tobytes()
+
+    def test_none_seed_draws_fresh_entropy(self):
+        first, second = estimation_mod._standard_normal_rows([None, None], 4)
+        again = estimation_mod._standard_normal_rows([None], 4)[0]
+        assert np.isfinite(first).all()
+        assert len({first.tobytes(), second.tobytes(), again.tobytes()}) == 3
+
+    def test_measurement_draws_the_seeded_stream(self):
+        rho, ham = discordant_probe(0.5), setting_hamiltonian(1)
+        model = population_model(rho, ham, sld(rho, ham, PI4))
+        draws = np.random.default_rng(2**70).standard_normal(4)
+        expected = estimation_mod._perturb(model.at(PI4), 0.05, draws)
+        assert measure_populations(model, PI4, NoiseSpec(0.05, 2**70)).tobytes() == expected.tobytes()
+
+    def test_noisy_sweep_rows_replay_one_by_one(self):
+        grid = (("Q", "C"), (1, 2, 3), flip_angle_grid(0.0, 90.0, 15.0))
+        runs = run_sweep(*grid, PI4, nu=10**6, sigma=0.05, seed=2**70)
+        assert len({run.seed for run in runs}) == len(runs) == 42
+        for run in runs:
+            replay = run_experiment(
+                ProbeFamily(run.probe_label, (run.p,)), run.setting_k, PI4, 10**6,
+                NoiseSpec(0.05, run.seed),
+            )
+            assert replay == run and repr(replay) == repr(run)
+        # The batch's records are frozen dataclasses like those __init__ builds.
+        built = dataclasses.replace(runs[0])
+        assert built == runs[0] and repr(built) == repr(runs[0]) and hash(built) == hash(runs[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            runs[0].seed = 1
 
 
 class TestLeastSquares:
