@@ -66,9 +66,6 @@ _SCREEN_CHUNK = 8 * _GRID_BLOCK
 # random state.
 _MAX_HALF_GRID = 2**20
 
-# (theta, phi) offsets of the compass-search stencil; row 4 is the centre.
-_STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
-
 
 def _pair_ratio(s: np.ndarray, numerator: np.ndarray) -> np.ndarray:
     """numerator / s for pair sums s = q_i + q_l, zero where s falls below ``RANK_CUTOFF``."""
@@ -377,32 +374,29 @@ def _grid_rows(trig, start: int, stop: int) -> np.ndarray:
     return ns.reshape(-1, 3)[start - offset : stop - offset]
 
 
-def _grid_values(landscape, n_theta: int, n_phi: int, n_cols: int | None = None):
+def _grid_values(landscape, n_theta: int, n_phi: int):
     """(thetas, phis, values) of ``landscape``, a map from an (N, 3) stack of unit
-    vectors to N values, on theta in [0, pi] and the first ``n_cols`` (all by
-    default) of the n_phi columns spaced over [0, 2 pi); values has shape
-    (n_theta, n_cols).
+    vectors to N values, on theta in [0, pi] and the n_phi columns spaced over
+    [0, 2 pi); values has shape (n_theta, n_phi).
 
     The grid is scored in blocks of ``_GRID_BLOCK`` rows from :func:`_grid_rows`,
     so no (N, 2P) intermediate is built.  Each value reads only its own row, so
     the blocks give the bits of one whole-stack call.
     """
-    n_cols = n_phi if n_cols is None else n_cols
-    thetas, phis, trig = _grid_angles(n_theta, n_phi, n_cols)
-    values = np.empty(n_theta * n_cols)
+    thetas, phis, trig = _grid_angles(n_theta, n_phi, n_phi)
+    values = np.empty(n_theta * n_phi)
     for start in range(0, len(values), _GRID_BLOCK):
         values[start : start + _GRID_BLOCK] = landscape(
             _grid_rows(trig, start, start + _GRID_BLOCK)
         )
-    return thetas, phis, values.reshape(n_theta, n_cols)
+    return thetas, phis, values.reshape(n_theta, n_phi)
 
 
 def _candidate_blocks(screen, trig):
     """First rows, ascending, of the blocks of ``_GRID_BLOCK`` rows of the
     theta-major grid of ``trig`` (:func:`_grid_angles`) that can hold its lowest literal
-    value: every block when ``screen`` is None, and otherwise each block holding a
-    row whose screen value lies within 2 delta of M, the lowest screen value of the
-    columns kept.
+    value: each block holding a row whose screen value lies within 2 delta of M, the
+    lowest screen value of the columns kept.  A screen (0, inf) keeps every block.
 
     ``screen`` = (K, delta) is a landscape's (see :func:`_pauli_landscape`).  On the
     column phi, n^T K n is the meridian form alpha sin^2 + 2 beta sin cos + gamma cos^2
@@ -422,9 +416,6 @@ def _candidate_blocks(screen, trig):
     landscape nearly ties).  So memory stays bounded by one chunk and the block
     count, even on a landscape that ties everywhere and keeps every column."""
     sin_t, cos_t, cos_p, sin_p = trig
-    size = len(sin_t) * len(cos_p)
-    if screen is None:
-        return range(0, size, _GRID_BLOCK)
     form, slack = screen
     alpha = (form[0, 0] * cos_p + 2.0 * form[0, 1] * sin_p) * cos_p + form[1, 1] * sin_p * sin_p
     beta = form[0, 2] * cos_p + form[1, 2] * sin_p
@@ -441,7 +432,7 @@ def _candidate_blocks(screen, trig):
     chunks = [cols[i : i + step] for i in range(0, len(cols), step)]
     values = column_values(chunks[0])
     least = min([values.min()] + [column_values(chunk).min() for chunk in chunks[1:]])
-    hit = np.zeros(-(-size // _GRID_BLOCK), dtype=bool)
+    hit = np.zeros(-(-len(sin_t) * len(cos_p) // _GRID_BLOCK), dtype=bool)
     for i, chunk in enumerate(chunks):
         if i:
             values = column_values(chunk)
@@ -458,11 +449,12 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     So only the half-grid phi < pi of ``grid`` = (n_theta, n_phi), its first
     ceil(n_phi / 2) columns, is searched.  For even n_phi every other grid point
     is the antipode of a scored one; for odd n_phi the half-grid still comes
-    within one spacing of every axis.  Of the blocks that :func:`_grid_values`
-    would score, the landscape scores those :func:`_candidate_blocks` names from
-    its ``screen`` (all of them without one), in ascending order with the same
-    rows; the first of equal values is kept, strict ``<`` across blocks, so the
-    grid stage returns the value and point of ``np.argmin`` over a full scan.
+    within one spacing of every axis.  Of the half-grid's blocks of
+    ``_GRID_BLOCK`` rows (:func:`_grid_rows`), the landscape scores those
+    :func:`_candidate_blocks` names from its ``screen`` (see
+    :func:`_pauli_landscape`), in ascending order; the first of equal values is
+    kept, strict ``<`` across blocks, so the grid stage returns the value and
+    point of ``np.argmin`` over a full scan.
     From that point a 3x3 stencil in (theta, phi), one grid spacing wide and free
     to cross phi = pi, moves to its lowest point if that undercuts ``best``,
     the value last accepted, and otherwise halves its steps, until both fall
@@ -472,17 +464,17 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
 
     The stencil's nine points hold three thetas and three phis, so each step
     takes one sine and one cosine of those six angles and fills the nine
-    directions, as outer products, into one reused (9, 3) buffer in ``_STENCIL``
-    order: row k is bitwise ``_bloch(*(x + _STENCIL[k] * step))``, since
-    x + (-1.0) s is x - s and x + 0.0 s is x (no angle is ever -0.0).  Every
-    stencil call passes that same buffer, so ``landscape`` must not keep its
-    argument.
+    directions, as outer products, into one reused (9, 3) buffer: row 3 a + b
+    is bitwise ``_bloch(theta + (a - 1) d_theta, phi + (b - 1) d_phi)`` for a, b
+    in 0, 1, 2, since x + (-1.0) s is x - s and x + 0.0 s is x (no angle is
+    ever -0.0).  Every stencil call passes that same buffer, so ``landscape``
+    must not keep its argument.
     """
     n_theta, n_phi = grid
     n_cols = (n_phi + 1) // 2
     thetas, phis, trig = _grid_angles(n_theta, n_phi, n_cols)
     best, row = np.inf, 0
-    for start in _candidate_blocks(getattr(landscape, "screen", None), trig):
+    for start in _candidate_blocks(landscape.screen, trig):
         values = landscape(_grid_rows(trig, start, start + _GRID_BLOCK))
         k = int(values.argmin())
         if values[k] < best:

@@ -50,7 +50,7 @@ from .linalg import (
     _is_int,
     apply_local,
 )
-from .probes import SETTINGS, SWEPT_LABELS, ProbeFamily, build_probes, setting_hamiltonian
+from .probes import SWEPT_LABELS, ProbeFamily, _setting_index, build_probes, setting_hamiltonian
 from .states import DensityMatrix, LocalHamiltonian, _require_single
 
 SWEEP_COLUMNS = (
@@ -385,9 +385,9 @@ def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastS
     those of the row.
     """
     d_meas = np.asarray(d_meas, dtype=float)
-    if d_meas.size != model.a.size:
+    if d_meas.shape != model.a.shape:
         raise BasisMismatchError(
-            f"got {d_meas.size} populations for dimension {model.a.size}"
+            f"got populations of shape {d_meas.shape} for dimension {model.a.size}"
         )
     if not np.isfinite(d_meas).all():
         raise ParameterOutOfRangeError(f"populations must be finite, got {d_meas}")
@@ -514,7 +514,8 @@ def estimator_statistics(
     Var = [sum_j l_j^2 d_j - (sum_j l_j d_j)^2] / (nu f_exp^2); with exact
     populations at the reference phase the linear term vanishes and the
     variance reduces to 1 / (nu f_exp).  ``nu`` must be a whole number >= 1
-    and ``f_exp`` finite.
+    and ``f_exp`` finite, and ``d_meas`` and ``l_values`` 1-D of one length
+    (``BasisMismatchError`` otherwise).
     """
     _require_ensemble_size(nu)
     if not math.isfinite(f_exp):
@@ -523,9 +524,10 @@ def estimator_statistics(
         raise ZeroInformationError(
             f"reconstructed Fisher information {f_exp:.3e} is below {FISHER_CUTOFF:g}"
         )
-    return float(
-        _variance(np.asarray(d_meas, dtype=float), np.asarray(l_values, dtype=float), f_exp, nu)
-    )
+    d, l = np.asarray(d_meas, dtype=float), np.asarray(l_values, dtype=float)
+    if d.ndim != 1 or d.shape != l.shape:
+        raise BasisMismatchError(f"need 1-D d_meas, l_values of one length: {d.shape}, {l.shape}")
+    return float(_variance(d, l, f_exp, nu))
 
 
 def _variance(d, l, f_exp, nu):
@@ -591,10 +593,10 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     Every run is checked first, in order and as :func:`run_experiment` checks
     it: ``nu``, then the probe's parameters (:attr:`ProbeFamily.matrix`), the
     setting and the window.  A family's parameters are checked once, at its
-    first run, and so are a setting and its window, once per distinct setting:
-    every later run of that setting is only matched against ``probes.SETTINGS``,
-    so a setting outside them, hashable or not, raises ``BadSettingError`` from
-    its own run.  So the first bad run raises before anything is computed, and
+    first run, and a setting's window once per distinct setting; every run's
+    setting is checked before it is cast to an int, so one that is not in
+    ``probes.SETTINGS``, a bool among them, raises ``BadSettingError`` from its
+    own run.  So the first bad run raises before anything is computed, and
     ``runs`` may be a generator that makes its families as it goes.
     Then the distinct families, equal ones counted once, are built by one
     :func:`probes.build_probes` (one ``eigh`` for their states, one ``eigvalsh``
@@ -615,12 +617,13 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
         if row is None:
             probe.matrix  # checks the family's parameters, or raises
             row = families[probe] = len(families)
-        setting = settings.get(int(k)) if k in SETTINGS else None
+        k = _setting_index(k)
+        setting = settings.get(k)
         if setting is None:
-            ham = setting_hamiltonian(k)  # raises for a k outside SETTINGS
+            ham = setting_hamiltonian(k)
             _check_in_window(ham, phi_true)
-            setting = settings[int(k)] = len(settings), ham
-        checked.append((probe, int(k), noise or exact))
+            setting = settings[k] = len(settings), ham
+        checked.append((probe, k, noise or exact))
         rows.append(row)
         by_setting.append(setting[0])
     if not checked:
@@ -699,15 +702,15 @@ def run_sweep(
     its settings and, for families without parameters (``sep``, ``bell``),
     all its values of p.  ``sigma``, the root ``seed`` (as :class:`NoiseSpec`
     checks them) and ``nu`` are checked once, before any run, so an empty sweep
-    rejects them too; the runs are then checked in order, and the first bad one
-    raises before anything is computed.  A noisy run's seed is drawn from
-    ``default_rng(seed)``, and its :class:`NoiseSpec` is built from the checked
-    sigma without checking it again; an exact sweep draws no seeds.
+    rejects them too; the runs are then checked in order, each setting as given,
+    and the first bad one raises before anything is computed.  A noisy run's
+    seed is drawn from ``default_rng(seed)``, and its :class:`NoiseSpec` is built
+    from the checked sigma without checking it again; an exact sweep draws no seeds.
     """
     NoiseSpec(sigma, seed)
     _require_ensemble_size(nu)
     combos = [
-        (label, int(k), j, float(p))
+        (label, k, j, float(p))
         for label in sorted(labels)
         for k in sorted(settings)
         for j, p in enumerate(sorted(np.asarray(p_values, dtype=float)))
@@ -842,22 +845,17 @@ def _table_text(cells: dict[str, list[str]], columns, fmt: str) -> str:
     return _json_list([template % row for row in rows], "") + "\n"
 
 
-def rows_text(rows: list[dict], columns: tuple[str, ...], fmt: str) -> str:
-    """Render :func:`sweep_rows` output restricted to ``columns``, as CSV or JSON.
-
-    Both formats carry the same cells: ``s`` and ``k`` as they are, ``failed``
-    as true / false and the other columns with 12 significant digits, a
-    missing value (None) or NaN being ``nan`` in CSV and ``null`` in JSON.
-    The CSV decimal separator is always '.' and the field separator ','.  The
-    JSON text is ``json.dumps`` of the rows rounded by :func:`round12` with
-    ``indent=1``.
-    """
-    return _table_text(_row_cells(rows, columns, fmt), columns, fmt)
-
-
 def sweep_csv_text(runs: list[EstimationRun]) -> str:
-    """Render a sweep as CSV with the fixed column schema."""
-    return rows_text(sweep_rows(runs), SWEEP_COLUMNS, "csv")
+    """Render a sweep as CSV with the fixed column schema ``SWEEP_COLUMNS``.
+
+    ``s`` and ``k`` are written as they are, ``failed`` as true / false and the
+    other columns with 12 significant digits, a missing value (None) or NaN
+    being ``nan``.  The decimal separator is always '.' and the field separator
+    ','.  The JSON files of :func:`figure3_texts` carry the same cells, ``null``
+    where CSV has ``nan``, as ``json.dumps`` of the rows rounded by
+    :func:`round12` with ``indent=1`` lays them out.
+    """
+    return _table_text(_row_cells(sweep_rows(runs), SWEEP_COLUMNS, "csv"), SWEEP_COLUMNS, "csv")
 
 
 # The layout of EstimationRun.to_json_dict, one %s per field in its order.

@@ -226,11 +226,17 @@ _GENERATORS = tuple(
 )
 
 
+def _setting_index(k) -> int:
+    """``k`` as an int of ``SETTINGS``, checked before the cast: 2, 2.0 and
+    ``np.int64(2)`` are setting 2, while 2.9, "2" and a bool raise ``BadSettingError``."""
+    if isinstance(k, (bool, np.bool_)) or k not in SETTINGS:
+        raise BadSettingError(f"setting must be 1, 2 or 3, got {k!r}")
+    return int(k)
+
+
 def setting_hamiltonian(k: int) -> LocalHamiltonian:
     """Benchmark generator for setting k: sigma_z, (sigma_x + sigma_y)/sqrt(2), sigma_x."""
-    if k not in SETTINGS:
-        raise BadSettingError(f"setting must be 1, 2 or 3, got {k!r}")
-    return _GENERATORS[int(k) - 1]
+    return _GENERATORS[_setting_index(k) - 1]
 
 
 def predicted_qfi(label: str, p: float, k: int) -> float:

@@ -376,9 +376,9 @@ class TestIpCommand:
         save_state(werner_state(0.5), path)
 
         def refuse(*args):
-            raise AssertionError("the grid's directions were built")
+            raise AssertionError("the sphere search ran")
 
-        monkeypatch.setattr(correlations, "_grid_rows", refuse)
+        monkeypatch.setattr(correlations, "_sphere_minimum", refuse)
         assert run_cli(["ip", str(path), "--grid", "100000x100000"]) == 2
         assert "--grid" in capsys.readouterr().err
 

@@ -50,7 +50,6 @@ from ipower.probes import (
 )
 from ipower.sampling import haar_unitary, random_density_matrix
 from ipower.states import DensityMatrix, LocalHamiltonian
-from ipower.verify import check_adaptive_convergence, check_guaranteed_precision
 
 PI4 = math.pi / 4
 
@@ -158,6 +157,19 @@ class TestMeasurePopulations:
             population_model(rho, ham, wrong)
         with pytest.raises(BasisMismatchError):
             least_squares_estimate(np.full(2, 0.5), population_model(rho, ham, full))
+
+    @pytest.mark.parametrize("shape", [(4, 1), (1, 4), (2, 2), (1,), (5,), ()])
+    def test_fit_and_statistics_need_1d_inputs_of_matching_length(self, shape):
+        # (4, 1) used to raise numpy's TypeError in the fit, (1, 4) and (2, 2) its
+        # ValueError, and estimator_statistics broadcast (4,) against (1,) to 0.0.
+        rho, ham = discordant_probe(0.5), setting_hamiltonian(1)
+        model = population_model(rho, ham, sld(rho, ham, PI4))
+        d, bad = measure_populations(model, PI4), np.full(shape, 0.25)
+        with pytest.raises(BasisMismatchError):
+            least_squares_estimate(bad, model)
+        for args in ((bad, np.ones(4)), (d, bad)):
+            with pytest.raises(BasisMismatchError):
+                estimator_statistics(*args, 2.0, 100)
 
     def test_noise_is_seeded_and_normalized(self):
         rho = discordant_probe(0.5)
@@ -950,13 +962,30 @@ class TestBatch:
 
     @pytest.mark.parametrize("bad", [4, 1.5, [1]])
     def test_bad_setting_after_checked_ones_raises_from_its_own_run(self, bad, monkeypatch):
-        # Settings are checked once each; a later bad one, unhashable or not,
-        # still raises its own error before any probe is built.
+        # Every run's setting is checked; a later bad one, unhashable or not,
+        # raises its own error before any probe is built.
         shapes = _eigh_calls(monkeypatch)
         good = ProbeFamily("Q", (0.5,))
         with pytest.raises(BadSettingError, match=rf"got {re.escape(repr(bad))}$"):
             estimation_mod.run_batch([(good, 1, None), (good, 1.0, None), (good, bad, None)], PI4)
         assert shapes == []
+
+    @pytest.mark.parametrize(
+        "k, valid",
+        [(2.9, False), (1.5, False), ("2", False), (True, False), (np.True_, False),
+         (2, True), (2.0, True), (np.int64(2), True)],
+    )
+    def test_a_setting_is_checked_before_it_is_cast(self, k, valid):
+        # 2.9, 1.5, "2" and True used to run as settings 2, 1, 2 and 1 in a sweep,
+        # and True as 1 in run_experiment; a bool is not a setting.
+        family = ProbeFamily("Q", (0.5,))
+        for run in (lambda: run_sweep(["Q"], [k], [0.5], PI4)[0],
+                    lambda: run_experiment(family, k, PI4)):
+            if valid:
+                assert run() == run_experiment(family, 2, PI4)
+            else:
+                with pytest.raises(BadSettingError, match="setting must be"):
+                    run()
 
     @pytest.mark.parametrize(
         "grid, phi, error",
@@ -987,14 +1016,3 @@ class TestBatch:
         assert first == run_sweep(("sep", "bell"), (1, 2), [0.5], PI4)
         assert ",nan," in sweep_csv_text(first).splitlines()[1]
         assert json.loads(sweep_json_text(first))[0]["p"] is None
-
-
-def test_power_lower_bounds_every_direction():
-    # The worst-case value certifies the QFI of every concrete generator.
-    result = check_guaranteed_precision(1e-9, (0.2, 0.6, 1.0))
-    assert result.passed, result.line()
-
-
-def test_adaptive_converges_for_random_informative_pairs():
-    result = check_adaptive_convergence(np.random.default_rng(21), 5, 0.5)
-    assert result.passed, result.line()

@@ -19,7 +19,6 @@ from ipower.linalg import (
     hermitian_part,
     tensor,
 )
-from ipower.verify import check_eig_roundtrip
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -51,11 +50,6 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianError):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_eigen_equation_and_orthonormality(self):
-        # Sorted eigenvalues, eigen equation, orthonormality and reconstruction.
-        result = check_eig_roundtrip(np.random.default_rng(11), 100, 1e-9)
-        assert result.passed, result.line()
 
     def test_deterministic_on_degenerate_input(self):
         m = tensor(SIGMA_Z, np.eye(2))  # doubly degenerate spectrum

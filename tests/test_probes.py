@@ -23,7 +23,6 @@ from ipower.probes import (
     setting_hamiltonian,
     werner_state,
 )
-from ipower.verify import check_probe_regression, check_setting_landscape
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -201,17 +200,6 @@ class TestPredictedQfi:
         with pytest.raises(ParameterOutOfRangeError):
             predicted_qfi("werner", 0.5, 1)
 
-    # One run of the grid regression (purity, QFI per setting, power) backs both.
-    @pytest.fixture(scope="class")
-    def regression(self):
-        return check_probe_regression(1e-9)
-
-    def test_matches_computed_qfi_on_grid(self, regression):
-        assert regression.passed, regression.line()
-
-    def test_interferometric_power_identities_on_grid(self, regression):
-        assert regression.passed, regression.line()
-
 
 class TestFlipAngleGrid:
     def test_default_grid(self):
@@ -240,11 +228,3 @@ class TestFlipAngleGrid:
         # failed converting to int.
         with pytest.raises(ParameterOutOfRangeError, match=f"{name} must be finite"):
             flip_angle_grid(**{name: value})
-
-
-class TestSettingLandscape:
-    def test_best_and_worst_directions_at_p08(self):
-        # Both families peak at the pole (within 1e-12); the worst case sits on
-        # the equator, and for the classical family at azimuth 0 mod pi.
-        result = check_setting_landscape(0.02)
-        assert result.passed, result.line()

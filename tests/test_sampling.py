@@ -13,7 +13,6 @@ from ipower.sampling import (
     random_isometry_kraus,
     remix_degenerate_eigenspaces,
 )
-from ipower.verify import check_faithfulness
 
 
 def test_haar_unitary_is_unitary():
@@ -31,11 +30,6 @@ def test_random_density_matrix_rank_control():
     assert np.all(full.eigenvalues > 1e-6)
     rank2 = random_density_matrix((2, 2), rng, env_dim=2)
     assert np.sum(rank2.eigenvalues > 1e-9) == 2
-
-
-def test_classical_states_have_no_power():
-    result = check_faithfulness(np.random.default_rng(2), 10, 1e-9)
-    assert result.passed, result.line()
 
 
 def test_channels_preserve_state_validity():

@@ -24,7 +24,6 @@ from ipower.states import (
     partial_trace,
     save_state,
 )
-from ipower.verify import check_evolve_spectrum
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -159,10 +158,6 @@ class TestEvolve:
         out = evolve(rho, LocalHamiltonian.from_matrix(SIGMA_Z), np.pi / 4)
         expected = tensor(qubit_state([0.0, 1.0, 0.0]), np.eye(2) / 2.0)
         assert_allclose(out.matrix, expected, atol=1e-14)
-
-    def test_spectrum_preserved(self):
-        result = check_evolve_spectrum(np.random.default_rng(3), 25, 1e-9)
-        assert result.passed, result.line()
 
     def test_dimension_mismatch(self):
         rho = DensityMatrix.from_matrix(np.eye(4) / 4.0, (4, 1))
