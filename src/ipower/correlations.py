@@ -35,7 +35,6 @@ from .errors import SubsystemANotQubitError
 from .linalg import (
     _PAULI_STACK,
     BELL_DIAGONAL_DENOMINATOR_CUTOFF,
-    COMPASS_STOP,
     DEGENERACY_GAP,
     RANK_CUTOFF,
     _is_int,
@@ -43,6 +42,7 @@ from .linalg import (
     dagger,
     degenerate_clusters,
     eigh_sorted,
+    landscape_rounding,
 )
 from .probes import _require_tetrahedron, bell_diagonal_state
 from .states import DensityMatrix, LocalHamiltonian, _require_single
@@ -301,15 +301,16 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     and the product with a row-major copy costs less and gives the same bits.  The
     product is squared in place.
 
-    Its ``screen`` (K, delta) tells :func:`_candidate_blocks` which grid rows can
-    hold the grid's lowest literal value; it never supplies a value.  K = (E w) E^T
-    is the same pair sum as a 3x3 form, n^T K n, built here from E and w and never
-    through :func:`_quadratic_form`, so the oracles stay independent of the closed
-    forms.  delta bounds, at every grid row, |screen value - literal sum| plus the
-    amount by which the screen's column bound can exceed a screen value of its
-    column.  Error model, first order in u = eps / 2, with S = sum_k w_k ||E_k||_1^2
-    over the 2P columns E_k of E (w >= 0), which bounds every |term| below, and every
-    grid sine and cosine at most 1 in size:
+    Its ``screen`` (K, delta, r) tells :func:`_candidate_blocks` which grid rows can
+    hold the grid's lowest literal value, and :func:`_sphere_minimum` where its
+    compass search may start and when it stops; it never supplies a value.
+    K = (E w) E^T is the same pair sum as a 3x3 form, n^T K n, built here from E
+    and w and never through :func:`_quadratic_form`, so the oracles stay
+    independent of the closed forms.  delta bounds, at every grid row, |screen
+    value - literal sum| plus the amount by which the screen's column bound can
+    exceed a screen value of its column.  Error model, first order in u = eps / 2,
+    with S = sum_k w_k ||E_k||_1^2 over the 2P columns E_k of E (w >= 0), which
+    bounds every |term| below, and every grid sine and cosine at most 1 in size:
 
     * direction: the screen reads the sines and cosines that :func:`_grid_rows`
       builds rows from and is analysed at their exact products n; a built row
@@ -330,7 +331,10 @@ def _pauli_landscape(rho: DensityMatrix, weights):
       once each: 2u S.
 
     The sum, (4P + 44) u S, is doubled to cover the second-order terms and the
-    rounding of S itself: delta = (4P + 44) eps S.
+    rounding of S itself: delta = (4P + 44) eps S, ``landscape_rounding(2P)`` times
+    S.  K's eigenvalues lie in [0, S], so a step of r = sqrt(delta / S) =
+    sqrt((4P + 44) eps) from the landscape's minimum moves it by at most
+    S r^2 <= delta: below r no compass stencil can tell a neighbour from its centre.
     """
     _require_single(rho)
     _require_qubit(rho.dims)
@@ -340,8 +344,9 @@ def _pauli_landscape(rho: DensityMatrix, weights):
         amplitudes = ns @ e
         return np.square(amplitudes, out=amplitudes) @ w
 
+    rounding = landscape_rounding(e.shape[1])
     scale = w @ np.abs(e).sum(axis=0) ** 2
-    landscape.screen = (e * w) @ e.T, (2 * e.shape[1] + 44) * np.finfo(float).eps * scale
+    landscape.screen = (e * w) @ e.T, rounding * scale, float(np.sqrt(rounding))
     return landscape
 
 
@@ -392,13 +397,14 @@ def _grid_values(landscape, n_theta: int, n_phi: int):
     return thetas, phis, values.reshape(n_theta, n_phi)
 
 
-def _candidate_blocks(screen, trig):
+def _candidate_blocks(form, slack, trig):
     """First rows, ascending, of the blocks of ``_GRID_BLOCK`` rows of the
     theta-major grid of ``trig`` (:func:`_grid_angles`) that can hold its lowest literal
     value: each block holding a row whose screen value lies within 2 delta of M, the
     lowest screen value of the columns kept.  A screen (0, inf) keeps every block.
 
-    ``screen`` = (K, delta) is a landscape's (see :func:`_pauli_landscape`).  On the
+    ``form`` K and ``slack`` delta are a landscape's screen (see
+    :func:`_pauli_landscape`).  On the
     column phi, n^T K n is the meridian form alpha sin^2 + 2 beta sin cos + gamma cos^2
     of theta, bounded below by the lowest eigenvalue of [[alpha, beta], [beta, gamma]].
     Columns whose bound exceeds U + 2 delta are dropped in O(n_phi), U >= M being
@@ -416,7 +422,6 @@ def _candidate_blocks(screen, trig):
     landscape nearly ties).  So memory stays bounded by one chunk and the block
     count, even on a landscape that ties everywhere and keeps every column."""
     sin_t, cos_t, cos_p, sin_p = trig
-    form, slack = screen
     alpha = (form[0, 0] * cos_p + 2.0 * form[0, 1] * sin_p) * cos_p + form[1, 1] * sin_p * sin_p
     beta = form[0, 2] * cos_p + form[1, 2] * sin_p
     gamma = form[2, 2]
@@ -451,16 +456,20 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     is the antipode of a scored one; for odd n_phi the half-grid still comes
     within one spacing of every axis.  Of the half-grid's blocks of
     ``_GRID_BLOCK`` rows (:func:`_grid_rows`), the landscape scores those
-    :func:`_candidate_blocks` names from its ``screen`` (see
+    :func:`_candidate_blocks` names from its ``screen`` (K, delta, r) (see
     :func:`_pauli_landscape`), in ascending order; the first of equal values is
     kept, strict ``<`` across blocks, so the grid stage returns the value and
     point of ``np.argmin`` over a full scan.
-    From that point a 3x3 stencil in (theta, phi), one grid spacing wide and free
-    to cross phi = pi, moves to its lowest point if that undercuts ``best``,
-    the value last accepted, and otherwise halves its steps, until both fall
-    below ``COMPASS_STOP``.  As ``best`` only falls, the search stops; a fresh
-    centre value can read a few ulps high in another batch row and keep it
-    moving.  Returns (value, direction); the direction is defined up to sign.
+    Then the landscape reads one row, the lowest eigenvector of K from
+    ``np.linalg.eigh``.  If that value undercuts the grid's, a 3x3 stencil in
+    (theta, phi) starts there with both steps 2r, and otherwise at the grid
+    point, one grid spacing wide.  Free to cross phi = pi, it moves to its
+    lowest point if that undercuts ``best``, the value last accepted, and
+    otherwise halves its steps, until both fall below r, the landscape's
+    rounding step.  The screen only places the start: every value is the
+    landscape's.  As ``best`` only falls, the search stops; a fresh centre value
+    can read a few ulps high in another batch row and keep it moving.  Returns
+    (value, direction); the direction is defined up to sign.
 
     The stencil's nine points hold three thetas and three phis, so each step
     takes one sine and one cosine of those six angles and fills the nine
@@ -473,8 +482,9 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     n_theta, n_phi = grid
     n_cols = (n_phi + 1) // 2
     thetas, phis, trig = _grid_angles(n_theta, n_phi, n_cols)
+    form, slack, stop = landscape.screen
     best, row = np.inf, 0
-    for start in _candidate_blocks(landscape.screen, trig):
+    for start in _candidate_blocks(form, slack, trig):
         values = landscape(_grid_rows(trig, start, start + _GRID_BLOCK))
         k = int(values.argmin())
         if values[k] < best:
@@ -482,10 +492,16 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     i, j = divmod(row, n_cols)
     theta, phi = float(thetas[i]), float(phis[j])
     d_theta, d_phi = float(thetas[1] - thetas[0]), float(phis[1] - phis[0])
+    x, y, z = np.linalg.eigh(form)[1][:, 0]
+    # The polar angles of K's lowest eigenvector; + 0.0 turns a phi of -0.0 into 0.0.
+    lowest = float(np.arctan2(np.hypot(x, y), z)), float(np.arctan2(y, x)) + 0.0
+    value = landscape(_bloch(*lowest)[None])[0]
+    if value < best:
+        best, (theta, phi), d_theta, d_phi = value, lowest, 2.0 * stop, 2.0 * stop
     angles, trig, stencil = np.empty(6), np.empty((2, 6)), np.empty((3, 3, 3))
     # Views into the buffers: sin and cos of the thetas, (cos, sin) of the phis.
     sin_t, cos_t, cos_sin_p = trig[0, :3, None, None], trig[1, :3, None], trig[::-1, 3:].T
-    while max(d_theta, d_phi) >= COMPASS_STOP:
+    while max(d_theta, d_phi) >= stop:
         ts, ps = (theta - d_theta, theta, theta + d_theta), (phi - d_phi, phi, phi + d_phi)
         angles[:] = ts + ps
         np.sin(angles, trig[0])
@@ -531,7 +547,9 @@ def ip_grid_search(
     the half phi < pi of an (n_theta, n_phi) grid, at least 64 points per angle
     and at most ``_MAX_HALF_GRID`` = 2^20 points in all, n_theta * ceil(n_phi / 2)
     (the QFI of -n is that of n), then the compass search of the other sphere
-    oracles.  Returns (value, direction), the direction defined up to sign.
+    oracles: from the lowest eigenvector of the landscape's own pair-sum form when
+    its QFI undercuts the grid's, down to the landscape's rounding step, about
+    1e-7 rad.  Returns (value, direction), the direction defined up to sign.
     """
     _check_grid(n_theta, n_phi)
     if n_theta < 64 or n_phi < 64:
@@ -590,8 +608,10 @@ def skew_grid_search(rho: DensityMatrix) -> tuple[float, np.ndarray]:
     Cross-checks :func:`local_quantum_uncertainty` without going through the
     3x3 form: the skew information is summed separately for every direction,
     first on the half phi < pi of the ``SEARCH_GRID`` (it is even in n) and then
-    along a compass search on the angles that polishes the grid argmin.
-    Returns (value, direction), the direction defined up to sign.
+    along a compass search on the angles, as :func:`ip_grid_search` polishes, from
+    the grid argmin or the lowest eigenvector of the landscape's own pair-sum
+    form, whichever reads lower.  Returns (value, direction), the direction
+    defined up to sign.
     """
     return _sphere_minimum(_pauli_landscape(rho, _skew_weights), SEARCH_GRID)
 

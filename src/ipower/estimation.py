@@ -683,6 +683,19 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     ]
 
 
+def _sorted_or_rejected(items, check) -> list:
+    """``sorted(items)``.  Valid labels, or valid settings, always compare, so a list
+    that ``sorted`` cannot order holds an item that ``check`` rejects: the first
+    such raises the library's error in place of the sort's ``TypeError``."""
+    items = list(items)
+    try:
+        return sorted(items)
+    except TypeError:
+        for item in items:
+            check(item)
+        raise
+
+
 def run_sweep(
     labels,
     settings,
@@ -703,16 +716,20 @@ def run_sweep(
     all its values of p.  ``sigma``, the root ``seed`` (as :class:`NoiseSpec`
     checks them) and ``nu`` are checked once, before any run, so an empty sweep
     rejects them too; the runs are then checked in order, each setting as given,
-    and the first bad one raises before anything is computed.  A noisy run's
-    seed is drawn from ``default_rng(seed)``, and its :class:`NoiseSpec` is built
-    from the checked sigma without checking it again; an exact sweep draws no seeds.
+    and the first bad one raises before anything is computed.  Labels, or
+    settings, whose types cannot be sorted hold a bad one, which raises first.
+    A noisy run's seed is drawn from ``default_rng(seed)``, and its
+    :class:`NoiseSpec` is built from the checked sigma without checking it again;
+    an exact sweep draws no seeds.
     """
     NoiseSpec(sigma, seed)
     _require_ensemble_size(nu)
+    labels = _sorted_or_rejected(labels, ProbeFamily)
+    settings = _sorted_or_rejected(settings, _setting_index)
     combos = [
         (label, k, j, float(p))
-        for label in sorted(labels)
-        for k in sorted(settings)
+        for label in labels
+        for k in settings
         for j, p in enumerate(sorted(np.asarray(p_values, dtype=float)))
     ]
     if sigma == 0:

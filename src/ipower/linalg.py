@@ -75,9 +75,19 @@ ROOT_CLUSTER = (3000.0 * np.finfo(float).eps) ** (1.0 / 3.0)
 # tied phase is reported.
 TIE_BAND = 1e-12
 
-# Resolution rule: the compass search of the sphere oracles stops once both of
-# its (theta, phi) steps fall below this; radians.
-COMPASS_STOP = 1e-10
+
+def landscape_rounding(n_columns: int) -> float:
+    """Rounding rule, derived: a sphere landscape of the oracles, sum_k w_k (n . E_k)^2
+    over ``n_columns`` = 2P pair columns E_k, reads within delta = this times its
+    scale S = sum_k w_k ||E_k||_1^2 (correlations._pauli_landscape derives it).
+
+    Resolution rule, derived from it: the compass search of the sphere oracles
+    stops once both of its (theta, phi) steps fall below r = sqrt(delta / S), the
+    square root of this, 1.0e-7 to 1.9e-7 radians for d_B = 1-4.  A step below r
+    moves the landscape by at most S r^2 <= delta, so no stencil can tell a
+    neighbour from its centre."""
+    return (2 * n_columns + 44) * np.finfo(float).eps
+
 
 # Resolution rule: the adaptive loop has converged once a trial phase is closer
 # than this to the true phase; units of phi.

@@ -228,8 +228,9 @@ _GENERATORS = tuple(
 
 def _setting_index(k) -> int:
     """``k`` as an int of ``SETTINGS``, checked before the cast: 2, 2.0 and
-    ``np.int64(2)`` are setting 2, while 2.9, "2" and a bool raise ``BadSettingError``."""
-    if isinstance(k, (bool, np.bool_)) or k not in SETTINGS:
+    ``np.int64(2)`` are setting 2, while 2.9, "2", 2 + 0j and a bool raise
+    ``BadSettingError``."""
+    if isinstance(k, (bool, np.bool_, complex, np.complexfloating)) or k not in SETTINGS:
         raise BadSettingError(f"setting must be 1, 2 or 3, got {k!r}")
     return int(k)
 

@@ -418,7 +418,7 @@ ALL_CHECKS = (
     (2, check_partial_trace_factors, 50, 1e-9),
     (3, check_evolve_spectrum, 50, 1e-9),
     (4, check_fidelity_properties, 50, 1e-12),
-    (5, check_oracle_equivalence, 200, 1e-10),
+    (5, check_oracle_equivalence, 200, 1e-12),
     (6, check_faithfulness, 50, 1e-9),
     (7, check_local_unitary_invariance, 100, 1e-9),
     (23, partial(check_local_unitary_invariance, d_b=3), 100, 1e-9),

@@ -112,7 +112,7 @@ def test_criterion_04_bell_diagonal_closed_form():
 def test_criterion_05_oracle_equivalence():
     with criterion(5, "sphere-grid minimization agrees with the closed form"):
         start = time.perf_counter()
-        assert_passes(check_oracle_equivalence(np.random.default_rng(50), 200, 1e-10))
+        assert_passes(check_oracle_equivalence(np.random.default_rng(50), 200, 1e-12))
         assert time.perf_counter() - start < 60.0
 
 

@@ -33,6 +33,7 @@ from ipower.linalg import (
     SIGMA_Z,
     dagger,
     degenerate_clusters,
+    landscape_rounding,
     tensor,
 )
 from ipower.probes import (
@@ -379,8 +380,11 @@ STENCIL = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
 def reference_sphere_minimum(landscape, grid):
     """The search the sphere oracles must equal bitwise, sharing none of their grid
     code: one landscape call scores the whole half-grid phi < pi, built from
-    ``np.meshgrid`` and ``_bloch``, and the nine stencil directions are built with
-    ``_bloch`` at every step."""
+    ``np.meshgrid`` and ``_bloch``; the compass starts at the lowest eigenvector of
+    the screen's form, with steps of twice the screen's stop, if the landscape there
+    undercuts the grid's best, and at the grid argmin with the grid spacing
+    otherwise; and the nine stencil directions are built with ``_bloch`` at every
+    step, until both steps fall below the stop."""
     n_theta, n_phi = grid
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.arange((n_phi + 1) // 2) * (2.0 * np.pi / n_phi)
@@ -390,7 +394,14 @@ def reference_sphere_minimum(landscape, grid):
     i, j = divmod(k, len(phis))
     best, x = values[k], np.array([thetas[i], phis[j]])
     step = np.array([thetas[1] - thetas[0], phis[1] - phis[0]])
-    while step.max() >= 1e-10:
+    form, _, stop = landscape.screen
+    v = np.linalg.eigh(form)[1][:, 0]
+    # Polar angles of v; + 0.0 turns a phi of -0.0 into 0.0.
+    start = np.array([np.arctan2(np.hypot(v[0], v[1]), v[2]), np.arctan2(v[1], v[0])]) + 0.0
+    value = landscape(correlations._bloch(*start)[None])[0]
+    if value < best:
+        best, x, step = value, start, np.array([2.0 * stop, 2.0 * stop])
+    while step.max() >= stop:
         points = x + STENCIL * step
         values = landscape(correlations._bloch(points[:, 0], points[:, 1]))
         k = int(np.argmin(values))
@@ -425,8 +436,9 @@ def near_tie_states(n, rng):
 
 
 def scoring_every_block(landscape):
-    """``landscape`` with the screen (0, inf), which keeps every row of the grid."""
-    landscape.screen = np.zeros((3, 3)), np.inf
+    """``landscape`` with the screen (0, inf), which keeps every row of the grid, and
+    the stop of a two-qubit landscape."""
+    landscape.screen = np.zeros((3, 3)), np.inf, math.sqrt(landscape_rounding(12))
     return landscape
 
 
@@ -487,6 +499,45 @@ class TestGridSearch:
                 assert qfi(rho, LocalHamiltonian.from_bloch(direction)) / 4 == (
                     pytest.approx(value, abs=1e-12)
                 )
+
+    @pytest.mark.parametrize(
+        "triple, tilt, polar",
+        [((0.1, 0.2, 0.5), 1e-3, 1e-3), ((0.3, 0.3 - 1e-7, -0.1), 0.02, math.pi / 2)],
+        ids=["worst-direction-near-the-pole", "near-degenerate-lowest-pair"],
+    )
+    def test_tilted_bell_diagonal_states_take_few_calls(self, triple, tilt, polar, monkeypatch):
+        # Bell-diagonal states tilted about x on A by ``tilt``, whose worst direction
+        # lies ``polar`` rad from the pole.  For the first, a stencil's phi steps
+        # barely move there; the second's two lowest eigenvalues of the form are
+        # about 1e-7 apart, so its landscape is nearly flat along a great circle.  A
+        # compass started at the grid point stopped 2e-7 high on the first and
+        # crawled for tens of thousands of calls on the second.
+        rho = evolve(
+            bell_diagonal_state(*triple), LocalHamiltonian.from_bloch([1.0, 0.0, 0.0]), tilt / 2
+        )
+        worst = np.linalg.eigh(qfi_quadratic_form(rho))[1][:, 0]
+        assert math.acos(abs(worst[2])) == pytest.approx(polar, rel=1e-6)
+        made, calls = correlations._pauli_landscape, []
+
+        def recording(state, weights):
+            exact = made(state, weights)
+
+            def landscape(ns):
+                calls.append(len(ns))
+                return exact(ns)
+
+            landscape.screen = exact.screen
+            return landscape
+
+        monkeypatch.setattr(correlations, "_pauli_landscape", recording)
+        for search, closed in (
+            (ip_grid_search, interferometric_power),
+            (skew_grid_search, local_quantum_uncertainty),
+        ):
+            calls.clear()
+            value, _ = search(rho)
+            assert abs(value - closed(rho)) <= 1e-12
+            assert 0 < len(calls) <= 16
 
     def test_rejects_coarse_grid(self):
         with pytest.raises(ValueError, match="64"):
@@ -550,7 +601,7 @@ class TestGridSearch:
             def planted(ns, exact=exact):
                 return exact(ns)
 
-            planted.screen = exact.screen[0], 0.0
+            planted.screen = exact.screen[0], 0.0, exact.screen[2]
             for grid in ((256, 512), correlations.SEARCH_GRID):
                 found = correlations._sphere_minimum(planted, grid)
                 ref_value, ref_direction = reference_sphere_minimum(exact, grid)
@@ -569,7 +620,7 @@ class TestGridSearch:
             exact, scored = correlations._pauli_landscape(state, weights), []
 
             def recording(ns, exact=exact, scored=scored):
-                if len(ns) != 9:  # a block of the grid, not a stencil call
+                if len(ns) not in (1, 9):  # a block of the grid, not the start or a stencil
                     scored.append(len(ns))
                 return exact(ns)
 
@@ -682,7 +733,7 @@ class TestGridSearch:
 
         @scoring_every_block
         def recording(ns):
-            if len(ns) != 9:  # a block of the grid, not a stencil call
+            if len(ns) not in (1, 9):  # a block of the grid, not the start or a stencil
                 scored.append(np.array(ns))
             return exact(ns)
 

@@ -973,11 +973,13 @@ class TestBatch:
     @pytest.mark.parametrize(
         "k, valid",
         [(2.9, False), (1.5, False), ("2", False), (True, False), (np.True_, False),
+         (2 + 0j, False), (np.complex64(2), False),
          (2, True), (2.0, True), (np.int64(2), True)],
     )
     def test_a_setting_is_checked_before_it_is_cast(self, k, valid):
         # 2.9, 1.5, "2" and True used to run as settings 2, 1, 2 and 1 in a sweep,
-        # and True as 1 in run_experiment; a bool is not a setting.
+        # and True as 1 in run_experiment; a bool is not a setting.  2 + 0j equals
+        # setting 2 but cannot be cast to an int, where it raised a bare TypeError.
         family = ProbeFamily("Q", (0.5,))
         for run in (lambda: run_sweep(["Q"], [k], [0.5], PI4)[0],
                     lambda: run_experiment(family, k, PI4)):
@@ -998,6 +1000,21 @@ class TestBatch:
     def test_first_bad_run_raises_in_row_order(self, grid, phi, error):
         with pytest.raises(error):
             run_sweep(*grid, phi)
+
+    @pytest.mark.parametrize(
+        "labels, settings, error, message",
+        [
+            (["Q"], [1, "2"], BadSettingError, "setting must be 1, 2 or 3, got '2'"),
+            (["Q", 1], [1], ParameterOutOfRangeError, "unknown probe label 1"),
+        ],
+        ids=["setting", "label"],
+    )
+    def test_labels_or_settings_that_cannot_be_sorted_raise_the_library_error(
+        self, labels, settings, error, message
+    ):
+        # sorted() cannot order 1 and "2", or "Q" and 1; the sweep raised its TypeError.
+        with pytest.raises(error, match=message):
+            run_sweep(labels, settings, [0.5], PI4)
 
     def test_default_grid_solves_every_sld_in_one_stack(self, monkeypatch):
         # One eigh for the 74 probe states, one for all 222 L(0), at most one

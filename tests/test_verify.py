@@ -7,13 +7,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ipower import estimation, verify
+from ipower import correlations, estimation, verify
 
 ip, lqu, qfi, sld, evolve = (
     verify.interferometric_power, verify.local_quantum_uncertainty, verify.qfi, verify.sld,
     verify.evolve,
 )
 eig, landscape = verify.eig_hermitian, verify.qfi_sphere_grid
+quadratic_form = correlations._quadratic_form
 batch = estimation.run_batch
 
 
@@ -57,6 +58,10 @@ def pole_lowered(offset):
     return planted
 
 
+def form_scaled(factor):  # both 3x3 forms, so both closed forms, times factor
+    return lambda rho, weights: quadratic_form(rho, weights) * factor
+
+
 def eigenbasis_scaled(*args):  # each column's norm is now 1 + 1e-11
     decomposition = sld(*args)
     return dataclasses.replace(decomposition, eigenbasis=decomposition.eigenbasis * (1 + 1e-11))
@@ -74,7 +79,7 @@ CHECKS = {
     "evolve": lambda: verify.check_evolve_spectrum(rng(), 3, 1e-9),
     "regression": lambda: verify.check_probe_regression(1e-9),
     "landscape": lambda: verify.check_setting_landscape(0.02),
-    "oracle": lambda: verify.check_oracle_equivalence(rng(), 3, 1e-10),
+    "oracle": lambda: verify.check_oracle_equivalence(rng(), 3, 1e-12),
     "hierarchy": lambda: verify.check_hierarchy(rng(), 5, 1e-10),
     "hierarchy-qutrit": lambda: verify.check_hierarchy(rng(), 5, 1e-10, d_b=3),
     "faithfulness": lambda: verify.check_faithfulness(rng(), 3, 1e-9),
@@ -92,8 +97,11 @@ CHECKS = {
     "noise": lambda: verify.check_noise_robustness(rng(), 5, 0.05),
 }
 
-# id: (check in CHECKS, name patched in ipower.verify, planted fault); run_batch is
-# patched in ipower.estimation, through which run_sweep and verify call it.
+# id: (check in CHECKS, name patched, planted fault).  The name is patched in
+# ipower.verify, or in the module HOMES gives: run_batch in ipower.estimation,
+# through which run_sweep and verify call it, and _quadratic_form in
+# ipower.correlations, where both closed forms read it.
+HOMES = {"run_batch": estimation, "_quadratic_form": correlations}
 FAULTS = {
     "eig-unsorted": ("eig", "eig_hermitian", lambda h: tuple(a[..., ::-1] for a in eig(h))),
     "eig-near-degenerate-swap": ("eig-near-degenerate", "eig_hermitian", swap_lowest_pair),
@@ -104,6 +112,9 @@ FAULTS = {
     "oracle-grid-below-closed-form": ("oracle", "ip_grid_search", minimum_at(-1e-9)),
     "oracle-grid-far-above": ("oracle", "ip_grid_search", minimum_at(1e-3)),
     "oracle-grid-slightly-above": ("oracle", "ip_grid_search", minimum_at(1e-8)),
+    "oracle-closed-form-high": ("oracle", "_quadratic_form", form_scaled(1 + 1e-11)),
+    # About 2e-12 below the oracle, which a bound of 1e-10 would pass.
+    "oracle-closed-form-low": ("oracle", "_quadratic_form", form_scaled(1 - 1e-11)),
     "hierarchy-LQU-above-IP": ("hierarchy", "local_quantum_uncertainty", stack_shifted(1e-8)),
     "hierarchy-qutrit-B": ("hierarchy-qutrit", "local_quantum_uncertainty", stack_shifted(1e-8)),
     "faithfulness-classical-shifted": ("faithfulness", "interferometric_power", shifted(1e-8)),
@@ -141,7 +152,7 @@ def test_planted_fault_fails_the_family(name, monkeypatch):
     family, target, fault = FAULTS[name]
     clean = CHECKS[family]()
     assert clean.passed, clean.line()
-    monkeypatch.setattr(estimation if target == "run_batch" else verify, target, fault)
+    monkeypatch.setattr(HOMES.get(target, verify), target, fault)
     result = CHECKS[family]()
     assert not result.passed and result.trials == clean.trials, result.line()
 
