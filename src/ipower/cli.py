@@ -169,12 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(fig)
     fig.add_argument("--out", default="figure3")
     fig.add_argument("--format", choices=("csv", "json"), default="csv")
-    fig.set_defaults(run=_figure3)
+    fig.set_defaults(run=_figure3, parser=fig)
 
     ipc = sub.add_parser("ip", help="correlation measures of a JSON state file")
     ipc.add_argument("state_file")
     ipc.add_argument("--grid", default="180x360", help="oracle grid, e.g. 180x360")
-    ipc.set_defaults(run=_ip)
+    ipc.set_defaults(run=_ip, parser=ipc)
 
     est = sub.add_parser("estimate", help="run one estimation instance")
     est.add_argument("--probe", default="Q", choices=PROBE_LABELS)
@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(est)
     est.add_argument("--out", default=None)
     est.add_argument("--format", choices=("csv", "json"), default="json")
-    est.set_defaults(run=_estimate)
+    est.set_defaults(run=_estimate, parser=est)
 
     ada = sub.add_parser("adaptive", help="iterative phase localization")
     ada.add_argument("--probe", default="Q", choices=SWEPT_LABELS)
@@ -199,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
     ada.add_argument("--max-iters", type=_number(int, 1), default=10)
     ada.add_argument("--phi-true", type=_number(), default=math.pi / 4)
     ada.add_argument("--out", default=None)
-    ada.set_defaults(run=_adaptive)
+    ada.set_defaults(run=_adaptive, parser=ada)
 
     ver = sub.add_parser("verify", help="run the seeded property suites")
     ver.add_argument("--trials", type=_number(int, 1), default=100, help="base ensemble size")
     ver.add_argument("--seed", type=_seed, default=None)
-    ver.set_defaults(run=_verify)
+    ver.set_defaults(run=_verify, parser=ver)
 
     return parser
 
@@ -332,12 +332,11 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     if getattr(args, "seed", 0) is None:  # ip and adaptive have no --seed
-        args.seed = _env_seed(parser)
+        args.seed = _env_seed(args.parser)
     try:
-        return args.run(args, parser)
+        return args.run(args, args.parser)
     except SubsystemANotQubitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -24,7 +24,6 @@ the protocol rejects it with :class:`PhaseOutOfWindowError`.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
@@ -221,8 +220,8 @@ def measure_populations(
     Exact mode (no noise, or sigma == 0) returns the ideal expectation values;
     noisy mode perturbs each population by an independent zero-mean Gaussian of
     relative width sigma, clamps to [0, 1] and renormalizes.  The draws are
-    those of ``np.random.default_rng(noise.seed).standard_normal``, taken
-    through :func:`_standard_normal_rows` as a batch's are.
+    those of ``np.random.default_rng(noise.seed).standard_normal``, as a
+    batch's are (:func:`_standard_normal_rows`).
     """
     d = model.at(phi_true)
     if noise is None or noise.sigma == 0.0:
@@ -239,100 +238,14 @@ def _perturb(d, sigma, draws) -> np.ndarray:
     return np.divide(d, total, out=uniform, where=total > 0.0)
 
 
-# numpy's SeedSequence: its pool of 32-bit words, and the start and multiplier
-# of the hash constant of mixing the entropy into the pool (A) and of expanding
-# the pool into words (B); the multipliers of its mix; and PCG64's LCG multiplier.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
 def _standard_normal_rows(seeds, d: int) -> np.ndarray:
     """An (N, d) array whose row i is ``np.random.default_rng(seeds[i]).standard_normal(d)``,
-    bit for bit, for N seeds each None or a non-negative integer.
-
-    ``default_rng(seed)`` hashes the seed's 32-bit words, least significant
-    first, into a ``SeedSequence`` pool, expands the pool into PCG64's seed and
-    increment, and steps the LCG twice.  The hash constants do not depend on the
-    words, so the seeds with as many words are hashed as one uint32 array.  A
-    None seed is 128 fresh bits of OS entropy, as ``SeedSequence(None)`` takes
-    from ``os.urandom``, hashed the same way.  One ``Generator`` then draws
-    every row, its PCG64 state set to the row's seeded state.
-    """
-    seeds = [
-        int.from_bytes(os.urandom(4 * _POOL_SIZE), "little") if seed is None else int(seed)
-        for seed in seeds
-    ]
-    counts = [max(1, -(-seed.bit_length() // 32)) for seed in seeds]
-    words = np.empty((len(seeds), 8), np.uint32)
-    for n in set(counts):
-        rows = [i for i, count in enumerate(counts) if count == n]
-        entropy = b"".join(seeds[i].to_bytes(4 * n, "little") for i in rows)
-        words[rows] = _seed_words(np.frombuffer(entropy, "<u4").reshape(len(rows), n))
-    # generate_state(4, uint64) reads the words as little-endian uint64 pairs;
-    # PCG64 takes the first two as the high and low halves of its 128-bit seed
-    # and the last two as those of its sequence.
-    wide = words.astype(np.uint64)
-    state_hi, state_lo, seq_hi, seq_lo = (wide[:, 0::2] | wide[:, 1::2] << 32).T.tolist()
-    bits = np.random.PCG64(0)
-    generator = np.random.Generator(bits)
+    for N seeds each None or a non-negative integer: every run draws its own
+    seeded stream, so its draws do not depend on the other seeds."""
     draws = np.empty((len(seeds), d))
-    for row, s_hi, s_lo, q_hi, q_lo in zip(draws, state_hi, state_lo, seq_hi, seq_lo):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        bits.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        generator.standard_normal(out=row)
+    for row, seed in zip(draws, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
     return draws
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(seed).generate_state(8)`` of each seed whose uint32 words,
-    least significant first, are a row of ``entropy``; every row has as many.
-    Arithmetic on uint32 arrays wraps modulo 2^32, as the C code's does."""
-    n = entropy.shape[1]
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [
-        _hash(entropy[:, i] if i < n else np.zeros(len(entropy), np.uint32), constants, _MULT_A)
-        for i in range(_POOL_SIZE)
-    ]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], constants, _MULT_A))
-    for src in range(_POOL_SIZE, n):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hash(entropy[:, src], constants, _MULT_A))
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    return np.stack([_hash(pool[i % _POOL_SIZE], constants, _MULT_B) for i in range(8)], axis=1)
-
-
-def _hash_constants(constant: int, mult: int):
-    """The hash constants of SeedSequence, one per hashed word: ``constant``,
-    then times ``mult`` modulo 2^32 at each word."""
-    while True:
-        yield constant
-        constant = constant * mult & _MASK32
-
-
-def _hash(value: np.ndarray, constants, mult: int) -> np.ndarray:
-    """SeedSequence's hash of uint32 words with the next of ``constants``."""
-    constant = next(constants)
-    value = (value ^ constant) * (constant * mult & _MASK32)
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of two uint32 words."""
-    result = _MIX_L * x - _MIX_R * y
-    return result ^ result >> 16
 
 
 def _frequency(ham: LocalHamiltonian) -> float:
@@ -547,10 +460,15 @@ def adaptive_localize(
 
     Starts from a trial phase of zero; each round measures (exactly) in the
     SLD eigenbasis at the current trial phase and replaces the trial with the
-    least-squares estimate.  Returns the trial sequence and whether some trial
-    came within ``LOCALIZED_WITHIN`` of the true phase.  Raises
-    :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside [0, pi/omega).
+    least-squares estimate.  ``max_iters`` caps the number of trials, the start
+    at zero included, and must be an integer >= 1, not a bool
+    (:class:`ParameterOutOfRangeError` otherwise).  Returns the trial sequence
+    and whether some trial came within ``LOCALIZED_WITHIN`` of the true phase.
+    Raises :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside
+    [0, pi/omega).
     """
+    if not _is_int(max_iters):
+        raise ParameterOutOfRangeError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     if qfi(rho, ham) <= FISHER_CUTOFF:
         raise NotIdentifiableError("QFI vanishes for this probe and generator")
     _check_in_window(ham, phi_true)
@@ -604,9 +522,9 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     generator's row of the stacked settings.  The SLD eigenproblems of all runs
     are one ``eigh`` (one more per tie-break cluster size, see
     :func:`correlations._sld_stack`), the population models one pass, and the
-    fits one stacked ``eigvals``.  Each noisy run draws the stream of the
-    ``default_rng(noise.seed)`` it records, and :func:`_standard_normal_rows`
-    draws all of them in one pass.  Every step reads only its own run, so a
+    fits one stacked ``eigvals``.  Each noisy run draws its noise from its
+    own ``default_rng(noise.seed)``, the seed it records
+    (:func:`_standard_normal_rows`).  Every step reads only its own run, so a
     run's record is bit-identical whatever else the batch holds.
     """
     _require_ensemble_size(nu)

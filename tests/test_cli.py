@@ -310,7 +310,7 @@ class TestBoundedFlags:
         with pytest.raises(SystemExit) as info:
             run_cli(["estimate", "--noise", "0.05"])
         assert info.value.code == 2
-        assert "IPOWER_SEED: expected an integer >= 0" in capsys.readouterr().err
+        assert "ipower estimate: error: IPOWER_SEED: expected an integer >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["estimate", "figure3", "verify", "IPOWER_SEED"])
     def test_seed_of_any_size_is_taken(self, source, tmp_path, capsys, monkeypatch):
@@ -528,6 +528,7 @@ class TestPhaseWindowFlag:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert "--phi-true" in err and "window" in err
+        assert f"usage: ipower {argv[0]} " in err and f"ipower {argv[0]}: error: --phi-true" in err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(

@@ -258,12 +258,25 @@ class TestNoiseDraws:
         assert np.isfinite(first).all()
         assert len({first.tobytes(), second.tobytes(), again.tobytes()}) == 3
 
-    def test_measurement_draws_the_seeded_stream(self):
+    @pytest.mark.parametrize("seed", DRAW_SEEDS)
+    def test_measurement_draws_the_seeded_stream(self, seed):
         rho, ham = discordant_probe(0.5), setting_hamiltonian(1)
         model = population_model(rho, ham, sld(rho, ham, PI4))
-        draws = np.random.default_rng(2**70).standard_normal(4)
+        draws = np.random.default_rng(seed).standard_normal(4)
         expected = estimation_mod._perturb(model.at(PI4), 0.05, draws)
-        assert measure_populations(model, PI4, NoiseSpec(0.05, 2**70)).tobytes() == expected.tobytes()
+        assert measure_populations(model, PI4, NoiseSpec(0.05, seed)).tobytes() == expected.tobytes()
+
+    def test_each_batch_run_draws_its_seeded_stream(self):
+        families = [ProbeFamily(label, (p,)) for label in ("Q", "C") for p in (0.3, 0.8)]
+        runs = [
+            (families[i % 4], 1 + i % 3, NoiseSpec(0.05, seed)) for i, seed in enumerate(DRAW_SEEDS)
+        ]
+        for (family, k, noise), record in zip(runs, estimation_mod.run_batch(runs, PI4)):
+            rho, ham = make_probe(family), setting_hamiltonian(k)
+            model = population_model(rho, ham, sld(rho, ham, PI4))
+            draws = np.random.default_rng(noise.seed).standard_normal(4)
+            expected = estimation_mod._perturb(model.at(PI4), 0.05, draws)
+            assert np.array(record.d_meas).tobytes() == expected.tobytes()
 
     def test_noisy_sweep_rows_replay_one_by_one(self):
         grid = (("Q", "C"), (1, 2, 3), flip_angle_grid(0.0, 90.0, 15.0))
@@ -551,6 +564,13 @@ class TestAdaptive:
     def test_zero_qfi_not_identifiable(self):
         with pytest.raises(NotIdentifiableError):
             adaptive_localize(classical_probe(0.5), setting_hamiltonian(3), PI4)
+
+    @pytest.mark.parametrize("max_iters", [0, -5, 2.5, math.nan, True, np.True_])
+    def test_max_iters_must_be_an_integer_of_at_least_one(self, max_iters):
+        # 0, -5, True and nan used to run silently and return ([0.0], False),
+        # and 2.5 to run 3 trials, as 3 does.
+        with pytest.raises(ParameterOutOfRangeError, match="max_iters must be an integer >= 1"):
+            adaptive_localize(discordant_probe(0.13), setting_hamiltonian(1), PI4, max_iters)
 
 
 class TestRunExperiment:
