@@ -10,9 +10,10 @@ adaptive  run the iterative phase localization loop
 verify    run the seeded property suites
 
 The library owns every decision behind a flag: the file formats
-(``estimation.FIGURE3_COLUMNS``, ``estimation.figure3_texts`` and
-``EstimationRun.to_json_dict``), the probe families and which of them take p
-(``probes.PROBE_LABELS``, ``probes.SWEPT_LABELS``) and the range checks.
+(``estimation.FIGURE3_COLUMNS`` and ``estimation.RECORD_FIELDS``, rendered
+by ``estimation.figure3_texts`` and ``estimation.run_json_text``), the probe
+families and which of them take p (``probes.PROBE_LABELS``,
+``probes.SWEPT_LABELS``) and the range checks.
 This module only maps their errors to exit codes.  The environment variable
 ``IPOWER_SEED`` overrides the default seed when ``--seed`` is not given; both
 must be non-negative integers.
@@ -48,6 +49,7 @@ from .estimation import (
     fmt12,
     round12,
     run_experiment,
+    run_json_text,
     run_sweep,
     sweep_csv_text,
 )
@@ -274,10 +276,7 @@ def _estimate(args, parser) -> int:
         parser.error(f"--phi-true: {exc}")
     except ValueError as exc:  # the probe's parameters, from the flag that gave them
         parser.error(f"{flag}: {exc}")
-    if args.format == "json":
-        text = json.dumps(run.to_json_dict(), indent=1) + "\n"
-    else:
-        text = sweep_csv_text([run])
+    text = run_json_text(run) if args.format == "json" else sweep_csv_text([run])
     if args.out:
         _write(args.out, text)
         print(args.out)

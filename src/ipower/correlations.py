@@ -517,10 +517,11 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     return float(best), _bloch(theta, phi)
 
 
-def _check_grid(n_theta, n_phi) -> None:
-    """Reject grid counts that are not positive whole numbers; a bool is not a count."""
+def _check_grid(n_theta, n_phi) -> tuple[int, int]:
+    """Grid counts as Python ints; counts that are not positive integers, bools included, raise."""
     if not (_is_int(n_theta) and _is_int(n_phi)):
         raise ValueError(f"grid counts ({n_theta!r}, {n_phi!r}) must be positive integers")
+    return int(n_theta), int(n_phi)
 
 
 def qfi_sphere_grid(
@@ -532,7 +533,7 @@ def qfi_sphere_grid(
     returns (thetas, phis, F) with F of shape (n_theta, n_phi).  Both counts
     must be positive integers.
     """
-    _check_grid(n_theta, n_phi)
+    n_theta, n_phi = _check_grid(n_theta, n_phi)
     thetas, phis, values = _grid_values(_pauli_landscape(rho, _qfi_weights), n_theta, n_phi)
     return thetas, phis, 4.0 * values
 
@@ -551,7 +552,7 @@ def ip_grid_search(
     its QFI undercuts the grid's, down to the landscape's rounding step, about
     1e-7 rad.  Returns (value, direction), the direction defined up to sign.
     """
-    _check_grid(n_theta, n_phi)
+    n_theta, n_phi = _check_grid(n_theta, n_phi)
     if n_theta < 64 or n_phi < 64:
         raise ValueError("grid must have at least 64 points per angle")
     if n_theta * ((n_phi + 1) // 2) > _MAX_HALF_GRID:

@@ -73,6 +73,23 @@ FIGURE3_COLUMNS = {
     "mean": ("s", "k", "p", "phi_hat", "failed"),
 }
 
+# The fields of a run's JSON record, in order, as (field, cell kind, the sweep
+# column that holds the same cells or None); the kinds are those of _CELLS.
+RECORD_FIELDS = (
+    ("probe_label", "str", None),
+    ("p", "float", "p"),
+    ("setting_k", "int", None),
+    ("phi0", "float", None),
+    ("nu", "int", None),
+    ("d_meas", "floats", None),
+    ("l_values", "floats", None),
+    ("phi_hat_mean", "float", "phi_hat"),
+    ("phi_hat_var", "float", "var"),
+    ("f_exp", "float", None),
+    ("failed", "bool", None),
+    ("seed", "int", None),
+)
+
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -122,8 +139,8 @@ class EstimationRun:
     ``phi_hat_mean`` and ``phi_hat_var`` are ``None`` when the run failed
     (flat least-squares landscape or vanishing Fisher information), and ``p``
     is ``None`` for a family without parameters (``sep``, ``bell``); output
-    files print each None as nan (CSV) or null (JSON).  ``ip`` is the
-    interferometric power of the probe; the JSON record leaves it out.
+    files print each None as nan (CSV) or null (JSON).  ``ip`` is the probe's
+    interferometric power; the JSON record (``RECORD_FIELDS``) leaves it out.
     """
 
     probe_label: str
@@ -141,20 +158,16 @@ class EstimationRun:
     ip: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "probe_label": self.probe_label,
-            "p": round12(self.p),
-            "setting_k": self.setting_k,
-            "phi0": round12(self.phi0),
-            "nu": self.nu,
-            "d_meas": [round12(x) for x in self.d_meas],
-            "l_values": [round12(x) for x in self.l_values],
-            "phi_hat_mean": round12(self.phi_hat_mean),
-            "phi_hat_var": round12(self.phi_hat_var),
-            "f_exp": round12(self.f_exp),
-            "failed": self.failed,
-            "seed": self.seed,
-        }
+        """The JSON record: the fields of ``RECORD_FIELDS`` in order, floats by :func:`round12`."""
+        record = {}
+        for field, kind, _ in RECORD_FIELDS:
+            value = getattr(self, field)
+            if kind == "float":
+                value = round12(value)
+            elif kind == "floats":
+                value = [round12(x) for x in value]
+            record[field] = value
+        return record
 
 
 @dataclass(frozen=True)
@@ -675,9 +688,7 @@ def round12(x) -> float | None:
 
 def fmt12(x) -> str:
     """12 significant digits; a missing value (None) prints as nan."""
-    if x is None:
-        return "nan"
-    return f"{float(x):.12g}"
+    return "nan" if x is None else f"{float(x):.12g}"
 
 
 # The JSON cell of a non-finite 12-digit text: round12 maps NaN to None.
@@ -731,42 +742,46 @@ def _run_order(run: EstimationRun):
 
 
 def sweep_rows(runs: list[EstimationRun]) -> list[dict]:
-    """Tabular view of a sweep, one dict per run with the documented columns."""
-    rows = []
-    for run in runs:
-        nu_var = None if run.phi_hat_var is None else run.nu * run.phi_hat_var
-        rows.append(
-            {
-                "s": run.probe_label,
-                "k": run.setting_k,
-                "p": run.p,
-                "f_exp_over_4": run.f_exp / 4.0,
-                "ip": run.ip,
-                "var": run.phi_hat_var,
-                "nu_var_product": nu_var,
-                "phi_hat": run.phi_hat_mean,
-                "failed": run.failed,
-            }
-        )
-    rows.sort(key=lambda r: (r["s"], r["k"], r["p"]))
-    return rows
+    """Tabular view of a sweep, one dict per run with the documented columns,
+    sorted by s, k, p."""
+    return [
+        {
+            "s": run.probe_label,
+            "k": run.setting_k,
+            "p": run.p,
+            "f_exp_over_4": run.f_exp / 4.0,
+            "ip": run.ip,
+            "var": run.phi_hat_var,
+            "nu_var_product": None if run.phi_hat_var is None else run.nu * run.phi_hat_var,
+            "phi_hat": run.phi_hat_mean,
+            "failed": run.failed,
+        }
+        for run in sorted(runs, key=_run_order)
+    ]
 
 
-# Cells of the sweep columns that are not floats (or None), by column.
-_COLUMN_CELLS = {
-    "s": lambda values, fmt: values if fmt == "csv" else list(map(_json_string, values)),
-    "k": lambda values, fmt: list(map(str, values)),
-    "failed": lambda values, fmt: ["true" if v else "false" for v in values],
+def _list_cells(values, fmt: str) -> list[list[str]]:
+    """The cells of each list of floats in ``values``, all in one :func:`_cells12`."""
+    cells = iter(_cells12([x for v in values for x in v], fmt))
+    return [list(islice(cells, len(v))) for v in values]
+
+
+# The cells of a column of values by kind: a str as it is (a JSON string in JSON),
+# an int (None is null), a bool, a float or None by _cells12, a list of floats.
+_CELLS = {
+    "str": lambda values, fmt: values if fmt == "csv" else list(map(_json_string, values)),
+    "int": lambda values, fmt: ["null" if v is None else str(v) for v in values],
+    "bool": lambda values, fmt: ["true" if v else "false" for v in values],
+    "float": lambda values, fmt: _cells12(values, fmt),
+    "floats": _list_cells,
 }
 
 
 def _row_cells(rows: list[dict], columns, fmt: str) -> dict[str, list[str]]:
-    """``{column: cells}`` of :func:`sweep_rows` output, each value formatted
-    once: ``s`` as it is (a JSON string in JSON), ``k`` as an integer,
-    ``failed`` as true / false and every other column by :func:`_cells12`."""
-    return {
-        c: _COLUMN_CELLS.get(c, _cells12)([row[c] for row in rows], fmt) for c in columns
-    }
+    """``{column: cells}`` of :func:`sweep_rows` output, each value formatted once
+    by ``_CELLS``: ``s`` is a str, ``k`` an int, ``failed`` a bool, the rest floats."""
+    kinds = {"s": "str", "k": "int", "failed": "bool"}
+    return {c: _CELLS[kinds.get(c, "float")]([row[c] for row in rows], fmt) for c in columns}
 
 
 def _table_text(cells: dict[str, list[str]], columns, fmt: str) -> str:
@@ -793,44 +808,27 @@ def sweep_csv_text(runs: list[EstimationRun]) -> str:
     return _table_text(_row_cells(sweep_rows(runs), SWEEP_COLUMNS, "csv"), SWEEP_COLUMNS, "csv")
 
 
-# The layout of EstimationRun.to_json_dict, one %s per field in its order.
-_RECORD = _json_template(
-    (
-        "probe_label", "p", "setting_k", "phi0", "nu", "d_meas", "l_values",
-        "phi_hat_mean", "phi_hat_var", "f_exp", "failed", "seed",
-    ),
-    " ",
-)
+def _record_texts(runs: list[EstimationRun], pad: str, cells: dict) -> list[str]:
+    """``json.dumps(run.to_json_dict(), indent=1)`` of each run, opened on a line
+    indented by ``pad``, from one template.  A field reads its sweep column's
+    JSON cells from ``cells`` (the runs' :func:`sweep_rows`) when they are there;
+    every other field is formatted in one ``_CELLS`` pass over the runs."""
+    template = _json_template([field for field, _, _ in RECORD_FIELDS], pad)
+    columns = []
+    for field, kind, column in RECORD_FIELDS:
+        values = cells.get(column) or _CELLS[kind]([getattr(r, field) for r in runs], "json")
+        columns.append([_json_list(v, pad + " ") for v in values] if kind == "floats" else values)
+    return [template % record for record in zip(*columns)]
 
 
-def _records_text(runs: list[EstimationRun], cells: dict[str, list[str]]) -> str:
-    """``json.dumps(records, indent=1)`` plus a newline, for the runs' records
-    :meth:`EstimationRun.to_json_dict`, laid out from one record template.
-    ``runs`` are in :func:`sweep_rows` order and ``cells`` hold the JSON cells of
-    their rows' ``p``, ``var`` and ``phi_hat``; every other float is formatted in
-    one pass of :func:`_cells12`."""
-    floats = [x for run in runs for x in (run.phi0, run.f_exp, *run.d_meas, *run.l_values)]
-    numbers = iter(_cells12(floats, "json"))
-    records = []
-    for run, p, var, mean in zip(runs, cells["p"], cells["var"], cells["phi_hat"]):
-        phi0, f_exp = next(numbers), next(numbers)
-        d_meas = _json_list(list(islice(numbers, len(run.d_meas))), "  ")
-        l_values = _json_list(list(islice(numbers, len(run.l_values))), "  ")
-        records.append(
-            _RECORD
-            % (
-                _json_string(run.probe_label), p, run.setting_k, phi0, run.nu, d_meas, l_values,
-                mean, var, f_exp, "true" if run.failed else "false",
-                "null" if run.seed is None else run.seed,
-            )
-        )
-    return _json_list(records, "") + "\n"
+def run_json_text(run: EstimationRun) -> str:
+    """``json.dumps(run.to_json_dict(), indent=1)`` plus a newline: ``ipower estimate``'s JSON."""
+    return _record_texts([run], "", {})[0] + "\n"
 
 
 def sweep_json_text(runs: list[EstimationRun]) -> str:
     """Render a sweep as a JSON array of run records (sorted by s, k, p)."""
-    ordered = sorted(runs, key=_run_order)
-    return _records_text(ordered, _row_cells(sweep_rows(ordered), ("p", "var", "phi_hat"), "json"))
+    return _json_list(_record_texts(sorted(runs, key=_run_order), " ", {}), "") + "\n"
 
 
 def figure3_texts(runs: list[EstimationRun], fmt: str) -> dict[str, str]:
@@ -843,7 +841,7 @@ def figure3_texts(runs: list[EstimationRun], fmt: str) -> dict[str, str]:
     cells = _row_cells(sweep_rows(ordered), SWEEP_COLUMNS, fmt)
     return {
         name: (
-            _records_text(ordered, cells)
+            _json_list(_record_texts(ordered, " ", cells), "") + "\n"
             if fmt == "json" and name == "sweep"
             else _table_text(cells, columns, fmt)
         )

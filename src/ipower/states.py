@@ -245,9 +245,9 @@ class LocalHamiltonian:
         return self.matrix.shape[0]
 
     def phase_unitary(self, phi: float) -> np.ndarray:
-        """exp(-i phi H) on subsystem A, via the cached eigendecomposition; phi must be finite."""
-        if not np.isfinite(phi):
-            raise ParameterOutOfRangeError(f"phase must be finite, got {phi!r}")
+        """exp(-i phi H) on subsystem A from the cached eigendecomposition, phi finite and real."""
+        if np.iscomplexobj(phi) or not np.isfinite(phi):  # 0.3+0j is complex too
+            raise ParameterOutOfRangeError(f"phase must be finite and real, got {phi!r}")
         return (self.eigenvectors * np.exp(-1j * phi * self.spectrum)) @ dagger(
             self.eigenvectors
         )

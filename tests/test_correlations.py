@@ -661,6 +661,18 @@ class TestGridSearch:
             with pytest.raises(ValueError, match="at most"):
                 ip_grid_search(MIXED, *grid)
 
+    def test_narrow_integer_counts_do_not_wrap(self, monkeypatch):
+        # np.int16 counts used to wrap: 3000 * 1500 half-grid points to -21984,
+        # which passed the cap, and 200 * 200 grid points to -25536.
+        assert qfi_sphere_grid(MIXED, np.int16(200), np.int16(200))[2].shape == (200, 200)
+
+        def oversized(landscape, grid):
+            raise AssertionError(f"searched the {grid} grid above the cap")
+
+        monkeypatch.setattr(correlations, "_sphere_minimum", oversized)
+        with pytest.raises(ValueError, match="at most"):
+            ip_grid_search(MIXED, np.int16(3000), np.int16(3000))
+
     def test_compass_search_equals_the_reference_loop_on_the_planted_landscape(self):
         landscape = planted_quadratic()
         value, direction = correlations._sphere_minimum(landscape, (64, 128))

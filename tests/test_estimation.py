@@ -240,29 +240,23 @@ DRAW_SEEDS = [
 ]
 
 
+def _noise_model(d_b):
+    rho, ham = random_density_matrix((2, d_b), np.random.default_rng(d_b)), setting_hamiltonian(1)
+    return population_model(rho, ham, sld(rho, ham, PI4))
+
+
 class TestNoiseDraws:
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_rows_are_the_default_rng_streams(self, d):
-        rows = estimation_mod._standard_normal_rows(DRAW_SEEDS, d)
-        expected = np.array([np.random.default_rng(seed).standard_normal(d) for seed in DRAW_SEEDS])
-        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
-
-    def test_each_seed_alone_draws_its_row(self):
-        rows = estimation_mod._standard_normal_rows(DRAW_SEEDS, 4)
-        for seed, row in zip(DRAW_SEEDS, rows):
-            assert estimation_mod._standard_normal_rows([seed], 4)[0].tobytes() == row.tobytes()
-
     def test_none_seed_draws_fresh_entropy(self):
-        first, second = estimation_mod._standard_normal_rows([None, None], 4)
-        again = estimation_mod._standard_normal_rows([None], 4)[0]
-        assert np.isfinite(first).all()
-        assert len({first.tobytes(), second.tobytes(), again.tobytes()}) == 3
+        model = _noise_model(2)
+        first, second = (measure_populations(model, PI4, NoiseSpec(0.05, None)) for _ in range(2))
+        assert np.isfinite(first).all() and np.isfinite(second).all()
+        assert first.tobytes() != second.tobytes()
 
     @pytest.mark.parametrize("seed", DRAW_SEEDS)
-    def test_measurement_draws_the_seeded_stream(self, seed):
-        rho, ham = discordant_probe(0.5), setting_hamiltonian(1)
-        model = population_model(rho, ham, sld(rho, ham, PI4))
-        draws = np.random.default_rng(seed).standard_normal(4)
+    @pytest.mark.parametrize("d_b", range(1, 5))
+    def test_measurement_draws_the_seeded_stream(self, d_b, seed):
+        model = _noise_model(d_b)
+        draws = np.random.default_rng(seed).standard_normal(2 * d_b)
         expected = estimation_mod._perturb(model.at(PI4), 0.05, draws)
         assert measure_populations(model, PI4, NoiseSpec(0.05, seed)).tobytes() == expected.tobytes()
 
@@ -668,21 +662,7 @@ class TestSweepSerialization:
 
     def test_run_record_round_trip(self):
         run = run_experiment(ProbeFamily("Q", (0.5,)), 1, PI4)
-        record = run.to_json_dict()
-        clone = EstimationRun(
-            probe_label=record["probe_label"],
-            p=record["p"],
-            setting_k=record["setting_k"],
-            phi0=record["phi0"],
-            nu=record["nu"],
-            d_meas=tuple(record["d_meas"]),
-            l_values=tuple(record["l_values"]),
-            phi_hat_mean=record["phi_hat_mean"],
-            phi_hat_var=record["phi_hat_var"],
-            f_exp=record["f_exp"],
-            failed=record["failed"],
-            seed=record["seed"],
-        )
+        clone = EstimationRun(**run.to_json_dict())
         assert clone.setting_k == run.setting_k
         assert clone.phi_hat_mean == pytest.approx(run.phi_hat_mean, abs=1e-11)
 

@@ -20,6 +20,7 @@ from ipower.estimation import (
     figure3_texts,
     fmt12,
     round12,
+    run_json_text,
     run_sweep,
     sweep_csv_text,
     sweep_json_text,
@@ -163,6 +164,11 @@ def test_synthetic_records_match_reference(fmt):
     assert list(texts) == list(reference)
     for name, text in reference.items():
         assert texts[name] == text, name
+
+
+@pytest.mark.parametrize("run", _synthetic_runs())
+def test_run_json_text_matches_json_dumps(run):
+    assert run_json_text(run) == json.dumps(run.to_json_dict(), indent=1) + "\n"
 
 
 def test_synthetic_records_match_reference_one_by_one():

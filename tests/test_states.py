@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ipower.correlations import sld
 from ipower.errors import (
     BadSubsystemError,
     DimensionMismatchError,
@@ -170,6 +171,17 @@ class TestEvolve:
         rho = random_density_matrix((2, 2), np.random.default_rng(4))
         with pytest.raises(ParameterOutOfRangeError, match="phase must be finite"):
             evolve(rho, LocalHamiltonian.from_matrix(SIGMA_Z), phi)
+
+    @pytest.mark.parametrize(
+        "phi", [1j, np.complex128(0.3), 0.3 + 0j], ids=["1j", "complex128", "zero_imaginary"]
+    )
+    @pytest.mark.parametrize("encode", [evolve, sld])
+    def test_complex_phase_rejected(self, encode, phi):
+        # With no error, 1j used to give evolve a state of trace 2.73 here and
+        # sld a basis 3.5 away from unitary; 0.3+0j was taken as the phase 0.3.
+        rho = random_density_matrix((2, 2), np.random.default_rng(4))
+        with pytest.raises(ParameterOutOfRangeError, match="finite and real"):
+            encode(rho, LocalHamiltonian.from_matrix(SIGMA_Z), phi)
 
 
 class TestHsFidelity:
