@@ -51,19 +51,20 @@ from .states import DensityMatrix, LocalHamiltonian, _require_single
 # compass search.
 SEARCH_GRID = (128, 256)
 
-# Grid directions passed to one landscape call: its (rows, 2P) product is at most
+# Most grid rows passed to one landscape call: its (rows, 2P) product is at most
 # 0.9 MiB (2P = 56 at d_B = 4), within a 2 MiB L2 cache.
 _GRID_BLOCK = 2048
 
-# Most screen values _candidate_blocks holds at once: it screens the columns it
-# keeps in chunks of at most this many grid rows.
+# Most screen values _candidate_rows holds at once: it screens the columns it
+# keeps in bands of whole thetas, at most this many values per band unless one
+# theta holds more (within ip_grid_search's limits one holds at most 2^20 / 64).
 _SCREEN_CHUNK = 8 * _GRID_BLOCK
 
 # Most points the half-grid phi < pi of ip_grid_search may hold.  It bounds time,
 # not memory: a landscape that ties everywhere (the maximally mixed state) keeps
-# every block in the screen of _candidate_blocks, and a search at the cap then
-# scores all 512 blocks: 40-110 ms on one Xeon core, against about 1 ms for a
-# random state.
+# every row in the screen of _candidate_rows, and a search at the cap then
+# scores all 2^20 rows in 512 calls: 40-110 ms on one Xeon core, against under
+# 0.5 ms for a random state.
 _MAX_HALF_GRID = 2**20
 
 
@@ -287,11 +288,15 @@ def interferometric_power(rho: DensityMatrix) -> float:
 
 
 def _bloch(theta, phi) -> np.ndarray:
-    """Unit vectors n(theta, phi), stacked along a trailing axis of length 3."""
-    return np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
-        axis=-1,
-    )
+    """Unit vectors n(theta, phi), stacked along a trailing axis of length 3; theta
+    has the shape of the stack.  Filled in place: a stack of two scalars, as the
+    searches take it, costs a third of what ``np.stack`` costs."""
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    n = np.empty(np.shape(cos_t) + (3,))
+    n[..., 0] = sin_t * np.cos(phi)
+    n[..., 1] = sin_t * np.sin(phi)
+    n[..., 2] = cos_t
+    return n
 
 
 def _pauli_landscape(rho: DensityMatrix, weights):
@@ -301,7 +306,7 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     and the product with a row-major copy costs less and gives the same bits.  The
     product is squared in place.
 
-    Its ``screen`` (K, delta, r) tells :func:`_candidate_blocks` which grid rows can
+    Its ``screen`` (K, delta, r) tells :func:`_candidate_rows` which grid rows can
     hold the grid's lowest literal value, and :func:`_sphere_minimum` where its
     compass search may start and when it stops; it never supplies a value.
     K = (E w) E^T is the same pair sum as a 3x3 form, n^T K n, built here from E
@@ -327,7 +332,7 @@ def _pauli_landscape(rho: DensityMatrix, weights):
       1 ulp and one subtraction, 4u S; a row value rounds 4 operations of that
       form, 4u S; and the rounded sin^2 + cos^2 of a row's theta is 1 within 16u
       (sin and cos taken to be within 4 ulp), times |eigenvalue| <= S: 16u S;
-    * the thresholds U + 2 delta and M + 2 delta of :func:`_candidate_blocks` round
+    * the thresholds U + 2 delta and M + 2 delta of :func:`_candidate_rows` round
       once each: 2u S.
 
     The sum, (4P + 44) u S, is doubled to cover the second-order terms and the
@@ -350,58 +355,57 @@ def _pauli_landscape(rho: DensityMatrix, weights):
     return landscape
 
 
-def _grid_angles(n_theta: int, n_phi: int, n_cols: int):
-    """Fresh (thetas, phis, trig): theta in [0, pi] with both poles, the first
-    ``n_cols`` of the n_phi columns phi_j = j 2 pi / n_phi, and trig = (sin theta,
-    cos theta, cos phi, sin phi), the thetas' as columns, the one set of sines and
-    cosines that :func:`_grid_rows` builds directions from and
-    :func:`_candidate_blocks` reads."""
-    thetas, phis = np.linspace(0.0, np.pi, n_theta), np.arange(n_cols) * (2.0 * np.pi / n_phi)
-    sin_t, cos_t = np.sin(thetas)[:, None], np.cos(thetas)[:, None]
-    return thetas, phis, (sin_t, cos_t, np.cos(phis), np.sin(phis))
+@functools.lru_cache(maxsize=8)
+def _grid_angles(n_theta: int, n_phi: int):
+    """(thetas, phis, trig) of the (n_theta, n_phi) grid: theta in [0, pi] with both
+    poles, phi_j = j 2 pi / n_phi, and trig = (sin theta, cos theta, cos phi, sin phi),
+    the one set of sines and cosines that :func:`_grid_rows` builds directions from
+    and :func:`_candidate_rows` reads.  Built once per grid shape, on first use, and
+    read-only, as every caller of a shape shares them."""
+    thetas, phis = np.linspace(0.0, np.pi, n_theta), np.arange(n_phi) * (2.0 * np.pi / n_phi)
+    arrays = thetas, phis, np.sin(thetas), np.cos(thetas), np.cos(phis), np.sin(phis)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays[0], arrays[1], arrays[2:]
 
 
-def _grid_rows(trig, start: int, stop: int) -> np.ndarray:
-    """Rows start:stop (stop clipped to the grid) of the theta-major stack of the
-    grid's unit vectors, from its ``trig`` (:func:`_grid_angles`): the outer
-    products of the theta rows they cover, over the columns they cover when that
-    is one theta row, so each row is bitwise ``_bloch`` of the meshgrid's angles."""
+def _grid_rows(trig, rows: np.ndarray) -> np.ndarray:
+    """The unit vectors at the flat indices ``rows`` of the theta-major grid whose
+    ``trig`` (:func:`_grid_angles`) holds one sine and cosine per theta and per
+    column: row t n_cols + c is (sin t cos c, sin t sin c, cos t), each product
+    rounded once, so it is bitwise ``_bloch`` of the meshgrid's angles."""
     sin_t, cos_t, cos_p, sin_p = trig
-    n_cols = len(cos_p)
-    stop = min(stop, len(sin_t) * n_cols)
-    first, last = start // n_cols, -(-stop // n_cols)
-    lo, hi = (start % n_cols, stop - first * n_cols) if last - first == 1 else (0, n_cols)
-    ns = np.empty((last - first, hi - lo, 3))
-    np.multiply(sin_t[first:last], cos_p[lo:hi], out=ns[..., 0])
-    np.multiply(sin_t[first:last], sin_p[lo:hi], out=ns[..., 1])
-    ns[..., 2] = cos_t[first:last]
-    offset = first * n_cols + lo
-    return ns.reshape(-1, 3)[start - offset : stop - offset]
+    t, c = np.divmod(rows, len(cos_p))
+    ns = np.empty((len(rows), 3))
+    s = sin_t[t]
+    np.multiply(s, cos_p[c], out=ns[:, 0])
+    np.multiply(s, sin_p[c], out=ns[:, 1])
+    ns[:, 2] = cos_t[t]
+    return ns
 
 
 def _grid_values(landscape, n_theta: int, n_phi: int):
     """(thetas, phis, values) of ``landscape``, a map from an (N, 3) stack of unit
     vectors to N values, on theta in [0, pi] and the n_phi columns spaced over
-    [0, 2 pi); values has shape (n_theta, n_phi).
+    [0, 2 pi); values has shape (n_theta, n_phi), and the angles are fresh copies.
 
-    The grid is scored in blocks of ``_GRID_BLOCK`` rows from :func:`_grid_rows`,
-    so no (N, 2P) intermediate is built.  Each value reads only its own row, so
+    The grid is scored ``_GRID_BLOCK`` rows at a time, built by :func:`_grid_rows`,
+    so no (N, 2P) intermediate is built.  Each value reads only its own row, and
     the blocks give the bits of one whole-stack call.
     """
-    thetas, phis, trig = _grid_angles(n_theta, n_phi, n_phi)
+    thetas, phis, trig = _grid_angles(n_theta, n_phi)
     values = np.empty(n_theta * n_phi)
     for start in range(0, len(values), _GRID_BLOCK):
-        values[start : start + _GRID_BLOCK] = landscape(
-            _grid_rows(trig, start, start + _GRID_BLOCK)
-        )
-    return thetas, phis, values.reshape(n_theta, n_phi)
+        rows = np.arange(start, min(start + _GRID_BLOCK, len(values)))
+        values[start : start + _GRID_BLOCK] = landscape(_grid_rows(trig, rows))
+    return thetas.copy(), phis.copy(), values.reshape(n_theta, n_phi)
 
 
-def _candidate_blocks(form, slack, trig):
-    """First rows, ascending, of the blocks of ``_GRID_BLOCK`` rows of the
-    theta-major grid of ``trig`` (:func:`_grid_angles`) that can hold its lowest literal
-    value: each block holding a row whose screen value lies within 2 delta of M, the
-    lowest screen value of the columns kept.  A screen (0, inf) keeps every block.
+def _candidate_rows(form, slack, trig):
+    """The rows of the theta-major grid of ``trig`` (:func:`_grid_angles`) that can
+    hold its lowest literal value, as flat indices, yielded band by band in
+    ascending order: each row whose screen value lies within 2 delta of M, the
+    lowest screen value of the columns kept.  A screen (0, inf) keeps every row.
 
     ``form`` K and ``slack`` delta are a landscape's screen (see
     :func:`_pauli_landscape`).  On the
@@ -416,34 +420,33 @@ def _candidate_blocks(form, slack, trig):
     literal value, so a row holding m is kept: its column's bound is at most
     m + a + b <= U + 2 delta, and its screen value at most m + a <= M + 2 delta.
 
-    The kept columns are screened ``_SCREEN_CHUNK`` rows at a time: a first pass
-    finds M, and a second marks the blocks of the rows within 2 delta of it, chunk
-    by chunk, reusing the first chunk's values (every kept column's, unless the
-    landscape nearly ties).  So memory stays bounded by one chunk and the block
-    count, even on a landscape that ties everywhere and keeps every column."""
+    The kept columns are screened in bands of thetas, at most ``_SCREEN_CHUNK``
+    values per band: a first pass finds M, and a second yields each band's kept
+    rows, reusing the first band's values (every theta's, unless the landscape
+    nearly ties).  So memory stays bounded by one band, even on a landscape that
+    ties everywhere and keeps every row."""
     sin_t, cos_t, cos_p, sin_p = trig
     alpha = (form[0, 0] * cos_p + 2.0 * form[0, 1] * sin_p) * cos_p + form[1, 1] * sin_p * sin_p
     beta = form[0, 2] * cos_p + form[1, 2] * sin_p
     gamma = form[2, 2]
     bound = (alpha + gamma) / 2.0 - np.hypot((gamma - alpha) / 2.0, beta)
 
-    def column_values(cols):
-        return (alpha[cols] * sin_t + 2.0 * beta[cols] * cos_t) * sin_t + gamma * cos_t * cos_t
+    def band_values(band, cols):
+        s, c = sin_t[band, None], cos_t[band, None]
+        return (alpha[cols] * s + 2.0 * beta[cols] * c) * s + gamma * c * c
 
     lowest = bound.argmin()
-    upper = max(column_values([lowest]).min(), bound[lowest])
+    upper = max(band_values(slice(None), [lowest]).min(), bound[lowest])
     cols = np.flatnonzero(bound <= upper + 2.0 * slack)
-    step = max(1, _SCREEN_CHUNK // len(sin_t))
-    chunks = [cols[i : i + step] for i in range(0, len(cols), step)]
-    values = column_values(chunks[0])
-    least = min([values.min()] + [column_values(chunk).min() for chunk in chunks[1:]])
-    hit = np.zeros(-(-len(sin_t) * len(cos_p) // _GRID_BLOCK), dtype=bool)
-    for i, chunk in enumerate(chunks):
+    step = max(1, _SCREEN_CHUNK // len(cols))
+    bands = [slice(i, i + step) for i in range(0, len(sin_t), step)]
+    values = band_values(bands[0], cols)
+    least = min([values.min()] + [band_values(band, cols).min() for band in bands[1:]])
+    for i, band in enumerate(bands):
         if i:
-            values = column_values(chunk)
-        rows, kept = np.nonzero(values <= least + 2.0 * slack)
-        hit[(rows * len(cos_p) + chunk[kept]) // _GRID_BLOCK] = True
-    return (np.flatnonzero(hit) * _GRID_BLOCK).tolist()
+            values = band_values(band, cols)
+        t, c = np.nonzero(values <= least + 2.0 * slack)
+        yield (t + band.start) * len(cos_p) + cols[c]
 
 
 def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray]:
@@ -454,12 +457,14 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     So only the half-grid phi < pi of ``grid`` = (n_theta, n_phi), its first
     ceil(n_phi / 2) columns, is searched.  For even n_phi every other grid point
     is the antipode of a scored one; for odd n_phi the half-grid still comes
-    within one spacing of every axis.  Of the half-grid's blocks of
-    ``_GRID_BLOCK`` rows (:func:`_grid_rows`), the landscape scores those
-    :func:`_candidate_blocks` names from its ``screen`` (K, delta, r) (see
-    :func:`_pauli_landscape`), in ascending order; the first of equal values is
-    kept, strict ``<`` across blocks, so the grid stage returns the value and
-    point of ``np.argmin`` over a full scan.
+    within one spacing of every axis.  Of the half-grid's rows
+    (:func:`_grid_rows`), the landscape scores those :func:`_candidate_rows`
+    keeps by its ``screen`` (K, delta, r) (see :func:`_pauli_landscape`), every
+    row that can hold the half-grid's lowest value, in ascending order and at
+    most ``_GRID_BLOCK`` per call; the first of equal values is kept, strict
+    ``<`` across calls, so the grid stage returns the value and point of
+    ``np.argmin`` over a full scan, up to rounding: a row's value can differ in
+    its last bit between calls of different row counts.
     Then the landscape reads one row, the lowest eigenvector of K from
     ``np.linalg.eigh``.  If that value undercuts the grid's, a 3x3 stencil in
     (theta, phi) starts there with both steps 2r, and otherwise at the grid
@@ -481,14 +486,17 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     """
     n_theta, n_phi = grid
     n_cols = (n_phi + 1) // 2
-    thetas, phis, trig = _grid_angles(n_theta, n_phi, n_cols)
+    thetas, phis, (sin_t, cos_t, cos_p, sin_p) = _grid_angles(n_theta, n_phi)
+    trig = sin_t, cos_t, cos_p[:n_cols], sin_p[:n_cols]
     form, slack, stop = landscape.screen
     best, row = np.inf, 0
-    for start in _candidate_blocks(form, slack, trig):
-        values = landscape(_grid_rows(trig, start, start + _GRID_BLOCK))
-        k = int(values.argmin())
-        if values[k] < best:
-            best, row = values[k], start + k
+    for rows in _candidate_rows(form, slack, trig):
+        for start in range(0, len(rows), _GRID_BLOCK):
+            block = rows[start : start + _GRID_BLOCK]
+            values = landscape(_grid_rows(trig, block))
+            k = int(values.argmin())
+            if values[k] < best:
+                best, row = values[k], int(block[k])
     i, j = divmod(row, n_cols)
     theta, phi = float(thetas[i]), float(phis[j])
     d_theta, d_phi = float(thetas[1] - thetas[0]), float(phis[1] - phis[0])

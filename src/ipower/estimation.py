@@ -680,8 +680,9 @@ def run_sweep(
 
 
 def round12(x) -> float | None:
-    """Round to 12 significant digits for stable, readable output files."""
-    if x is None or math.isnan(x):
+    """Round to 12 significant digits for stable, readable output files; None for
+    None, NaN and +-inf, which strict JSON cannot hold."""
+    if x is None or not math.isfinite(x):
         return None
     return float(f"{float(x):.12g}")
 
@@ -691,14 +692,14 @@ def fmt12(x) -> str:
     return "nan" if x is None else f"{float(x):.12g}"
 
 
-# The JSON cell of a non-finite 12-digit text: round12 maps NaN to None.
-_JSON_CELL = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+# The JSON cell of a non-finite 12-digit text: round12 maps NaN and +-inf to None.
+_JSON_CELL = {"nan": "null", "inf": "null", "-inf": "null"}
 
 
 def _cells12(values, fmt: str) -> list[str]:
     """The cells of ``values`` (floats or None), each formatted once: in CSV
     the text t of :func:`fmt12`, in JSON what ``json.dumps`` writes for
-    :func:`round12`'s float, ``null`` for None and NaN.
+    :func:`round12`'s float, ``null`` for None, NaN and +-inf.
 
     That float is float(t), and its ``repr`` has t's digits: two decimals of
     at most 12 digits that round to one normal double are equal.  So the JSON
@@ -802,8 +803,8 @@ def sweep_csv_text(runs: list[EstimationRun]) -> str:
     other columns with 12 significant digits, a missing value (None) or NaN
     being ``nan``.  The decimal separator is always '.' and the field separator
     ','.  The JSON files of :func:`figure3_texts` carry the same cells, ``null``
-    where CSV has ``nan``, as ``json.dumps`` of the rows rounded by
-    :func:`round12` with ``indent=1`` lays them out.
+    where CSV has ``nan``, ``inf`` or ``-inf``, as ``json.dumps`` of the rows
+    rounded by :func:`round12` with ``indent=1`` lays them out.
     """
     return _table_text(_row_cells(sweep_rows(runs), SWEEP_COLUMNS, "csv"), SWEEP_COLUMNS, "csv")
 

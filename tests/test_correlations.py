@@ -442,6 +442,42 @@ def scoring_every_block(landscape):
     return landscape
 
 
+def recording(landscape):
+    """``landscape`` under its own screen, keeping a copy of the rows of every call in
+    ``.calls``: the search reuses its stencil buffer from call to call."""
+    calls = []
+
+    def recorded(ns):
+        calls.append(np.array(ns))
+        return landscape(ns)
+
+    recorded.screen, recorded.calls = landscape.screen, calls
+    return recorded
+
+
+def split_calls(calls):
+    """(grid, start, stencils) of one search's landscape calls, told apart by position,
+    as a grid call can hold 1 or 9 rows too: the stencils are the trailing run of 9-row
+    calls, the one-row start comes just before them, and every earlier call is the
+    grid stage's."""
+    k = len(calls)
+    while len(calls[k - 1]) == 9:
+        k -= 1
+    return calls[: k - 1], calls[k - 1], calls[k:]
+
+
+def half_grid_rows(grid):
+    """The rows phi < pi of the (n_theta, n_phi) meshgrid, theta-major, by ``_bloch``."""
+    tt, pp = np.meshgrid(
+        np.linspace(0.0, np.pi, grid[0]),
+        np.arange(grid[1]) * (2.0 * np.pi / grid[1]),
+        indexing="ij",
+    )
+    half = pp < np.pi
+    assert half.sum() == grid[0] * math.ceil(grid[1] / 2)
+    return correlations._bloch(tt[half], pp[half])
+
+
 def planted_quadratic():
     """An even landscape n^T A n whose minimum 0.3 sits at +-n*, n* at phi = 4.0,
     with a screen that keeps every row."""
@@ -609,27 +645,20 @@ class TestGridSearch:
         assert misses > 0
 
     @pytest.mark.parametrize("d_b", [2, 3, 4])
-    def test_screen_scores_one_block_unless_the_form_is_flat(self, d_b):
-        # A random state's screen leaves a small part of the 256x256 half-grid to
-        # score; the maximally mixed state's forms are flat, so it scores every row.
+    def test_screen_scores_a_few_rows_unless_the_form_is_flat(self, d_b):
+        # A random state's whole search passes a few dozen rows to the landscape;
+        # the maximally mixed state's forms are flat, so its grid stage scores
+        # each row of the 256x256 half-grid once, in order.
         rho = random_density_matrix((2, d_b), np.random.default_rng(40 + d_b))
         mixed = DensityMatrix.from_matrix(np.eye(2 * d_b) / (2 * d_b), (2, d_b))
-        for state, weights in product(
-            (rho, mixed), (correlations._qfi_weights, correlations._skew_weights)
-        ):
-            exact, scored = correlations._pauli_landscape(state, weights), []
-
-            def recording(ns, exact=exact, scored=scored):
-                if len(ns) not in (1, 9):  # a block of the grid, not the start or a stencil
-                    scored.append(len(ns))
-                return exact(ns)
-
-            recording.screen = exact.screen
-            correlations._sphere_minimum(recording, (256, 512))
-            if state is rho:
-                assert 0 < sum(scored) <= 256 * 256 // 16
-            else:
-                assert sum(scored) == 256 * 256
+        for weights in (correlations._qfi_weights, correlations._skew_weights):
+            probe = recording(correlations._pauli_landscape(rho, weights))
+            correlations._sphere_minimum(probe, (256, 512))
+            assert sum(map(len, probe.calls)) <= 64
+            probe = recording(correlations._pauli_landscape(mixed, weights))
+            correlations._sphere_minimum(probe, (256, 512))
+            grid = split_calls(probe.calls)[0]
+            assert np.array_equal(np.concatenate(grid), half_grid_rows((256, 512)))
 
     def test_the_oracle_reads_none_of_the_closed_forms_code(self, monkeypatch):
         # A relative 1e-9 change in the 3x3 forms moves the closed form and fails
@@ -682,22 +711,14 @@ class TestGridSearch:
     @pytest.mark.parametrize("grid", [(64, 128), (64, 129), (256, 512)])
     def test_stencil_calls_pass_the_reference_rows(self, grid):
         # Each stencil call passes nine rows, row k bitwise _bloch(x + STENCIL[k]
-        # * step) as the reference loop builds it.  The stencil buffer is reused,
-        # so each call is copied.
+        # * step) as the reference loop builds it.
         rho = random_density_matrix((2, 3), np.random.default_rng(7))
         exact = correlations._pauli_landscape(rho, correlations._qfi_weights)
         calls = []
         for search in (correlations._sphere_minimum, reference_sphere_minimum):
-            seen = []
-
-            def recording(ns, seen=seen):
-                if len(ns) == 9:  # a stencil call, not a block of the grid
-                    seen.append(np.array(ns))
-                return exact(ns)
-
-            recording.screen = exact.screen
-            search(recording, grid)
-            calls.append(seen)
+            probe = recording(exact)
+            search(probe, grid)
+            calls.append(split_calls(probe.calls)[2])
         new, old = calls
         assert len(new) == len(old) > 0
         assert all(a.tobytes() == b.tobytes() for a, b in zip(new, old))
@@ -708,7 +729,9 @@ class TestGridSearch:
         # keeps moving forever, and the planted landscape raises instead.
         rho = random_density_matrix((2, 2), np.random.default_rng(1))
         exact = correlations._pauli_landscape(rho, correlations._qfi_weights)
-        calls = 0
+        probe = recording(exact)
+        correlations._sphere_minimum(probe, (64, 128))
+        grid_calls, calls = len(split_calls(probe.calls)[0]), 0
 
         def planted(ns):
             nonlocal calls
@@ -716,7 +739,7 @@ class TestGridSearch:
             if calls > 10_000:
                 raise RuntimeError("the compass search did not stop")
             values = exact(ns)
-            if len(ns) == 9:  # a stencil call, not a block of the grid
+            if calls > grid_calls + 1:  # a stencil call: the grid stage and the start come first
                 values[4] += 1e-12
             return values
 
@@ -741,23 +764,10 @@ class TestGridSearch:
         # 181x360 scores in calls that straddle theta rows, 3x5000 in calls inside one.
         rho = random_density_matrix((2, 3), np.random.default_rng(5))
         exact = correlations._pauli_landscape(rho, correlations._qfi_weights)
-        scored = []
-
-        @scoring_every_block
-        def recording(ns):
-            if len(ns) not in (1, 9):  # a block of the grid, not the start or a stencil
-                scored.append(np.array(ns))
-            return exact(ns)
-
-        correlations._sphere_minimum(recording, grid)
-        tt, pp = np.meshgrid(
-            np.linspace(0.0, np.pi, grid[0]),
-            np.arange(grid[1]) * (2.0 * np.pi / grid[1]),
-            indexing="ij",
-        )
-        half = pp < np.pi
-        assert half.sum() == grid[0] * math.ceil(grid[1] / 2)
-        assert np.array_equal(np.concatenate(scored), correlations._bloch(tt[half], pp[half]))
+        probe = scoring_every_block(recording(exact))
+        correlations._sphere_minimum(probe, grid)
+        scored = split_calls(probe.calls)[0]
+        assert np.array_equal(np.concatenate(scored), half_grid_rows(grid))
 
     def test_planted_minimum_beyond_phi_pi_is_found(self):
         # The half-grid holds only the antipode of the planted minimum's n*.
@@ -768,10 +778,11 @@ class TestGridSearch:
 
     def test_peak_traced_memory(self):
         # Traced allocation is deterministic, unlike the resident set size.  The
-        # searches build only the blocks they score, so the 2^20-point half-grid
-        # of the cap (1024x2048) takes about what the 256x512 one takes; the
-        # screen holds one chunk of rows at a time, so a landscape that ties
-        # everywhere, keeping every row, stays under the same bound.
+        # searches build only the rows they score, at most one block of them at a
+        # time, so the 2^20-point half-grid of the cap (1024x2048) takes about what
+        # the 256x512 one takes; the screen holds one band of rows at a time, so a
+        # landscape that ties everywhere, keeping every row, stays under the same
+        # bound.
         rho = random_density_matrix((2, 4), np.random.default_rng(3))
         mixed = DensityMatrix.from_matrix(np.eye(8) / 8, (2, 4))
         searches = (
@@ -815,6 +826,24 @@ class TestGridSearch:
         again_thetas, again_phis, again = qfi_sphere_grid(rho, 64, 64)
         assert np.array_equal(again, grid)
         assert again_thetas[-1] == math.pi and again_phis[1] == 2.0 * math.pi / 64
+
+    def test_cached_angles_do_not_leak_between_calls(self):
+        # The searches share one read-only set of angles per grid shape, and
+        # qfi_sphere_grid hands out copies of them.
+        rho = random_density_matrix((2, 2), np.random.default_rng(8))
+        other = random_density_matrix((2, 3), np.random.default_rng(9))
+        value, direction = ip_grid_search(rho, 256, 512)
+        thetas, phis, _ = qfi_sphere_grid(rho, 256, 512)
+        thetas[:] = 0.0
+        phis[:] = 0.0
+        ip_grid_search(other, 181, 360)
+        skew_grid_search(other)
+        again = ip_grid_search(rho, 256, 512)
+        assert again[0] == value and again[1].tobytes() == direction.tobytes()
+        thetas, phis, trig = correlations._grid_angles(256, 512)
+        for array in (thetas, phis, *trig):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestBellDiagonal:

@@ -27,6 +27,7 @@ from ipower.estimation import (
     sweep_rows,
 )
 from ipower.probes import SETTINGS, flip_angle_grid
+from test_cli import strict_json
 
 PI4 = math.pi / 4
 INF = float("inf")
@@ -169,6 +170,14 @@ def test_synthetic_records_match_reference(fmt):
 @pytest.mark.parametrize("run", _synthetic_runs())
 def test_run_json_text_matches_json_dumps(run):
     assert run_json_text(run) == json.dumps(run.to_json_dict(), indent=1) + "\n"
+
+
+def test_every_json_text_is_strict_json():
+    # An infinite float prints null, as NaN does: strict JSON has no Infinity.
+    runs = _synthetic_runs()
+    texts = [*figure3_texts(runs, "json").values(), sweep_json_text(runs)]
+    for text in texts + [run_json_text(run) for run in runs]:
+        strict_json(text)
 
 
 def test_synthetic_records_match_reference_one_by_one():
