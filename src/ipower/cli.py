@@ -53,7 +53,7 @@ from .estimation import (
     run_sweep,
     sweep_csv_text,
 )
-from .linalg import HIERARCHY_SLACK
+from .linalg import HIERARCHY_SLACK, _count, _real
 from .probes import (
     PROBE_LABELS,
     SETTINGS,
@@ -75,9 +75,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _number(kind=float, low=-math.inf, whole=False):
-    """argparse type of a finite ``kind`` not below ``low``, and with ``whole`` a
-    whole number (1e15 passes, 2.5 does not); argparse exits 2 otherwise.  An
-    integer beyond the float range (about 1.8e308) is not finite either."""
+    """argparse type of a ``kind`` that is a real (README, "Tolerances": an integer
+    beyond about 1.8e308 is not) not below ``low``, and with ``whole`` a whole
+    number (1e15 passes, 2.5 does not); argparse exits 2 otherwise."""
     expected = "an integer" if kind is int else "a finite number"
     if low > -math.inf:
         expected += f" >= {low:g}"
@@ -85,12 +85,10 @@ def _number(kind=float, low=-math.inf, whole=False):
     def parse(text: str):
         try:
             value = kind(text)
-            finite = math.isfinite(value)  # OverflowError for such an integer
-        except (ValueError, OverflowError):
-            value, finite = math.nan, False
-        if not (finite and value >= low):
-            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
-        if whole and value != math.floor(value):
+            _real(value, "value", low)
+        except ValueError:  # ParameterOutOfRangeError is one
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+        if whole and value % 1:
             raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}")
         return value
 
@@ -98,15 +96,12 @@ def _number(kind=float, low=-math.inf, whole=False):
 
 
 def _seed(text: str) -> int:
-    """argparse type of a seed: any non-negative integer, however large, as
-    numpy takes it; argparse exits 2 otherwise."""
+    """argparse type of a seed: a count >= 0 of any size, as numpy takes it;
+    argparse exits 2 otherwise."""
     try:
-        value = int(text)
+        return _count(int(text), "seed")
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}") from None
 
 
 def _env_seed(parser) -> int:
@@ -243,6 +238,8 @@ def _ip(args, parser) -> int:
     uncertainty = local_quantum_uncertainty(rho)
     try:
         n_theta, n_phi = (int(x) for x in args.grid.lower().split("x"))
+        if min(n_theta, n_phi) < 1:  # the flag's own message for a count below 1
+            raise ValueError(f"grid counts ({n_theta!r}, {n_phi!r}) must be positive integers")
         value, direction = ip_grid_search(rho, n_theta, n_phi)
     except ValueError as exc:
         print(f"error: --grid: {exc}", file=sys.stderr)

@@ -31,20 +31,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SubsystemANotQubitError
+from .errors import ParameterOutOfRangeError, SubsystemANotQubitError
 from .linalg import (
     _PAULI_STACK,
     BELL_DIAGONAL_DENOMINATOR_CUTOFF,
     DEGENERACY_GAP,
     RANK_CUTOFF,
-    _is_int,
+    _count,
     apply_local,
     dagger,
     degenerate_clusters,
     eigh_sorted,
     landscape_rounding,
 )
-from .probes import _require_tetrahedron, bell_diagonal_state
+from .probes import _tetrahedron, bell_diagonal_state
 from .states import DensityMatrix, LocalHamiltonian, _require_single
 
 # (theta, phi) grid whose half phi < pi skew_grid_search scores before its
@@ -446,7 +446,9 @@ def _candidate_rows(form, slack, trig):
         if i:
             values = band_values(band, cols)
         t, c = np.nonzero(values <= least + 2.0 * slack)
-        yield (t + band.start) * len(cos_p) + cols[c]
+        rows = (t + band.start) * len(cos_p) + cols[c]
+        del values, t, c  # not held while the caller scores the band's rows
+        yield rows
 
 
 def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray]:
@@ -525,13 +527,6 @@ def _sphere_minimum(landscape, grid: tuple[int, int]) -> tuple[float, np.ndarray
     return float(best), _bloch(theta, phi)
 
 
-def _check_grid(n_theta, n_phi) -> tuple[int, int]:
-    """Grid counts as Python ints; counts that are not positive integers, bools included, raise."""
-    if not (_is_int(n_theta) and _is_int(n_phi)):
-        raise ValueError(f"grid counts ({n_theta!r}, {n_phi!r}) must be positive integers")
-    return int(n_theta), int(n_phi)
-
-
 def qfi_sphere_grid(
     rho: DensityMatrix, n_theta: int, n_phi: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -541,7 +536,7 @@ def qfi_sphere_grid(
     returns (thetas, phis, F) with F of shape (n_theta, n_phi).  Both counts
     must be positive integers.
     """
-    n_theta, n_phi = _check_grid(n_theta, n_phi)
+    n_theta, n_phi = _count(n_theta, "n_theta", 1), _count(n_phi, "n_phi", 1)
     thetas, phis, values = _grid_values(_pauli_landscape(rho, _qfi_weights), n_theta, n_phi)
     return thetas, phis, 4.0 * values
 
@@ -560,11 +555,13 @@ def ip_grid_search(
     its QFI undercuts the grid's, down to the landscape's rounding step, about
     1e-7 rad.  Returns (value, direction), the direction defined up to sign.
     """
-    n_theta, n_phi = _check_grid(n_theta, n_phi)
+    n_theta, n_phi = _count(n_theta, "n_theta", 1), _count(n_phi, "n_phi", 1)
     if n_theta < 64 or n_phi < 64:
-        raise ValueError("grid must have at least 64 points per angle")
+        raise ParameterOutOfRangeError("grid must have at least 64 points per angle")
     if n_theta * ((n_phi + 1) // 2) > _MAX_HALF_GRID:
-        raise ValueError(f"grid half phi < pi must hold at most {_MAX_HALF_GRID} points")
+        raise ParameterOutOfRangeError(
+            f"grid half phi < pi must hold at most {_MAX_HALF_GRID} points"
+        )
     return _sphere_minimum(_pauli_landscape(rho, _qfi_weights), (n_theta, n_phi))
 
 
@@ -577,7 +574,7 @@ def ip_bell_diagonal(c1: float, c2: float, c3: float) -> float:
     explicit 4x4 matrix is used instead.  A triple outside the state tetrahedron
     raises ``InvalidCorrelationTripleError``, as ``bell_diagonal_state`` does.
     """
-    _require_tetrahedron(c1, c2, c3)
+    c1, c2, c3 = _tetrahedron(c1, c2, c3)
     c = np.array([c1, c2, c3], dtype=float)
     sup_sq = float(np.max(c**2))
     if 1.0 - sup_sq < BELL_DIAGONAL_DENOMINATOR_CUTOFF:

@@ -46,7 +46,8 @@ from .linalg import (
     RANGE_CUTOFF,
     ROOT_CLUSTER,
     TIE_BAND,
-    _is_int,
+    _count,
+    _real,
     apply_local,
 )
 from .probes import SWEPT_LABELS, ProbeFamily, _setting_index, build_probes, setting_hamiltonian
@@ -95,24 +96,16 @@ RECORD_FIELDS = (
 class NoiseSpec:
     """Relative Gaussian population noise of width ``sigma``, seeded for replay.
 
-    ``sigma`` is a finite non-negative number, not a bool.  The seed is None or
-    a non-negative Python or numpy integer, not a bool, and is kept as a Python
-    ``int``; a bad seed raises whatever ``sigma`` is."""
+    ``sigma`` is a real >= 0 and the seed None or a count >= 0 of any size
+    (README, "Tolerances"), kept as Python numbers; a bad seed raises at sigma 0 too."""
 
     sigma: float = 0.0
     seed: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.sigma, (bool, np.bool_)) or not (
-            math.isfinite(self.sigma) and self.sigma >= 0
-        ):
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma", 0.0))
         if self.seed is not None:
-            if not _is_int(self.seed, 0):
-                raise ValueError(
-                    f"seed must be None or a non-negative integer, got {self.seed!r}"
-                )
-            object.__setattr__(self, "seed", int(self.seed))
+            object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if self.sigma == 0:  # exact mode draws nothing, so it has no seed
             object.__setattr__(self, "seed", None)
 
@@ -127,6 +120,11 @@ def _frozen(cls, **fields):
 
 @dataclass(frozen=True)
 class LeastSquaresResult:
+    """A fit of :func:`least_squares_estimate`: ``failed`` (omega at most
+    ``FREQUENCY_CUTOFF``, or an objective flat within ``RANGE_CUTOFF``) exactly when
+    ``phi_hat`` is NaN.  ``residual`` is the objective at ``phi_hat``; if failed, at
+    phase 0 when no root was sought, else the least value found."""
+
     phi_hat: float
     residual: float
     failed: bool
@@ -181,10 +179,8 @@ class PopulationModel:
     c: np.ndarray
 
     def at(self, phi: float) -> np.ndarray:
-        """Populations <lambda_j|U rho U†|lambda_j>, U = exp(-i phi H); phi must be finite."""
-        if not math.isfinite(phi):
-            raise ParameterOutOfRangeError(f"phase must be finite, got {phi!r}")
-        return _fourier(self.omega * phi, self.a, self.b, self.c)
+        """Populations <lambda_j|U rho U†|lambda_j>, U = exp(-i phi H), phi a finite real."""
+        return _fourier(self.omega * _real(phi, "phi"), self.a, self.b, self.c)
 
 
 def _fourier(theta, a, b, c) -> np.ndarray:
@@ -315,8 +311,7 @@ def least_squares_estimate(d_meas: np.ndarray, model: PopulationModel) -> LeastS
         raise BasisMismatchError(
             f"got populations of shape {d_meas.shape} for dimension {model.a.size}"
         )
-    if not np.isfinite(d_meas).all():
-        raise ParameterOutOfRangeError(f"populations must be finite, got {d_meas}")
+    _require_finite("d_meas", d_meas)
     omega, alpha, b, c = model.omega, model.a - d_meas, model.b, model.c
     bb, cc = b @ b, c @ c
     amp = math.sqrt(bb + cc)
@@ -425,11 +420,15 @@ def _scan_roots(roots, alpha, b, c, omega):
 
 
 def _require_ensemble_size(nu: float) -> None:
-    """Reject an ensemble size that is not a whole number >= 1; a bool is not a count."""
-    if isinstance(nu, (bool, np.bool_)) or not (
-        math.isfinite(nu) and nu >= 1 and nu == math.floor(nu)
-    ):
+    """Reject an ensemble size that is not a real >= 1 and a whole number."""
+    if _real(nu, "nu", 1.0) % 1:
         raise ParameterOutOfRangeError(f"nu must be finite and >= 1 and whole, got {nu!r}")
+
+
+def _require_finite(name: str, values: np.ndarray) -> None:
+    """Reject measured data with an entry that is not finite."""
+    if not np.isfinite(values).all():
+        raise ParameterOutOfRangeError(f"{name} must be finite, got {values}")
 
 
 def estimator_statistics(
@@ -439,13 +438,12 @@ def estimator_statistics(
 
     Var = [sum_j l_j^2 d_j - (sum_j l_j d_j)^2] / (nu f_exp^2); with exact
     populations at the reference phase the linear term vanishes and the
-    variance reduces to 1 / (nu f_exp).  ``nu`` must be a whole number >= 1
-    and ``f_exp`` finite, and ``d_meas`` and ``l_values`` 1-D of one length
-    (``BasisMismatchError`` otherwise).
+    variance reduces to 1 / (nu f_exp).  ``nu`` must be a whole number >= 1,
+    ``f_exp`` a finite real, and ``d_meas`` and ``l_values`` finite, 1-D and of
+    one length (``BasisMismatchError`` for the shapes).
     """
     _require_ensemble_size(nu)
-    if not math.isfinite(f_exp):
-        raise ParameterOutOfRangeError(f"f_exp must be finite, got {f_exp!r}")
+    f_exp = _real(f_exp, "f_exp")
     if f_exp <= FISHER_CUTOFF:
         raise ZeroInformationError(
             f"reconstructed Fisher information {f_exp:.3e} is below {FISHER_CUTOFF:g}"
@@ -453,6 +451,8 @@ def estimator_statistics(
     d, l = np.asarray(d_meas, dtype=float), np.asarray(l_values, dtype=float)
     if d.ndim != 1 or d.shape != l.shape:
         raise BasisMismatchError(f"need 1-D d_meas, l_values of one length: {d.shape}, {l.shape}")
+    _require_finite("d_meas", d)
+    _require_finite("l_values", l)
     return float(_variance(d, l, f_exp, nu))
 
 
@@ -474,14 +474,12 @@ def adaptive_localize(
     Starts from a trial phase of zero; each round measures (exactly) in the
     SLD eigenbasis at the current trial phase and replaces the trial with the
     least-squares estimate.  ``max_iters`` caps the number of trials, the start
-    at zero included, and must be an integer >= 1, not a bool
-    (:class:`ParameterOutOfRangeError` otherwise).  Returns the trial sequence
-    and whether some trial came within ``LOCALIZED_WITHIN`` of the true phase.
-    Raises :class:`PhaseOutOfWindowError` when ``phi_true`` lies outside
-    [0, pi/omega).
+    at zero included: a count >= 1 by the scalar rule (README, "Tolerances").
+    Returns the trial sequence and whether some trial came within
+    ``LOCALIZED_WITHIN`` of the true phase.  Raises :class:`PhaseOutOfWindowError`
+    when ``phi_true`` lies outside [0, pi/omega).
     """
-    if not _is_int(max_iters):
-        raise ParameterOutOfRangeError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    max_iters, phi_true = _count(max_iters, "max_iters", 1), _real(phi_true, "phi_true")
     if qfi(rho, ham) <= FISHER_CUTOFF:
         raise NotIdentifiableError("QFI vanishes for this probe and generator")
     _check_in_window(ham, phi_true)
@@ -521,13 +519,12 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     """The protocol instances ``runs``, each a (probe, k, noise) triple, at one
     true phase, computed as one stack.
 
-    Every run is checked first, in order and as :func:`run_experiment` checks
-    it: ``nu``, then the probe's parameters (:attr:`ProbeFamily.matrix`), the
-    setting and the window.  A family's parameters are checked once, at its
-    first run, and a setting's window once per distinct setting; every run's
-    setting is checked before it is cast to an int, so one that is not in
-    ``probes.SETTINGS``, a bool among them, raises ``BadSettingError`` from its
-    own run.  So the first bad run raises before anything is computed, and
+    ``nu`` and ``phi_true`` are checked first, then every run, in order and as
+    :func:`run_experiment` checks it: the probe's parameters
+    (:attr:`ProbeFamily.matrix`), the setting and the window.  A family's
+    parameters are checked once, at its first run, and a setting's window once
+    per distinct setting; a bad setting raises ``BadSettingError`` from its own
+    run.  So the first bad run raises before anything is computed, and
     ``runs`` may be a generator that makes its families as it goes.
     Then the distinct families, equal ones counted once, are built by one
     :func:`probes.build_probes` (one ``eigh`` for their states, one ``eigvalsh``
@@ -541,7 +538,7 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     run's record is bit-identical whatever else the batch holds.
     """
     _require_ensemble_size(nu)
-    exact = NoiseSpec()
+    phi_true, exact = _real(phi_true, "phi_true"), NoiseSpec()
     checked, families, settings, rows, by_setting = [], {}, {}, [], []
     for probe, k, noise in runs:
         row = families.get(probe)
@@ -590,7 +587,7 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
             probe_label=probe.label,
             p=probe.p,
             setting_k=k,
-            phi0=float(phi_true),
+            phi0=phi_true,
             nu=int(nu),
             d_meas=tuple(d),
             l_values=tuple(l),
@@ -614,19 +611,6 @@ def run_batch(runs, phi_true: float, nu: float = 10**15) -> list[EstimationRun]:
     ]
 
 
-def _sorted_or_rejected(items, check) -> list:
-    """``sorted(items)``.  Valid labels, or valid settings, always compare, so a list
-    that ``sorted`` cannot order holds an item that ``check`` rejects: the first
-    such raises the library's error in place of the sort's ``TypeError``."""
-    items = list(items)
-    try:
-        return sorted(items)
-    except TypeError:
-        for item in items:
-            check(item)
-        raise
-
-
 def run_sweep(
     labels,
     settings,
@@ -644,30 +628,24 @@ def run_sweep(
     evaluation order.  One :class:`ProbeFamily` per (label, p) serves all its
     settings, and each distinct probe family is built once and shared by all
     its settings and, for families without parameters (``sep``, ``bell``),
-    all its values of p.  ``sigma``, the root ``seed`` (as :class:`NoiseSpec`
-    checks them) and ``nu`` are checked once, before any run, so an empty sweep
-    rejects them too; the runs are then checked in order, each setting as given,
-    and the first bad one raises before anything is computed.  Labels, or
-    settings, whose types cannot be sorted hold a bad one, which raises first.
-    A noisy run's seed is drawn from ``default_rng(seed)``, and its
-    :class:`NoiseSpec` is built from the checked sigma without checking it again;
-    an exact sweep draws no seeds.
+    all its values of p.  ``sigma``, ``seed`` (as :class:`NoiseSpec` checks them),
+    ``nu``, the settings and each p pass the scalar rule (README, "Tolerances")
+    before any run, so an empty sweep rejects them too; the runs are then checked
+    in order (a label naming no family at its first run), and the first bad one
+    raises before anything is computed.  A noisy run's seed is drawn from
+    ``default_rng(seed)``, and its :class:`NoiseSpec` is built from the checked
+    sigma without checking it again; an exact sweep draws no seeds.
     """
-    NoiseSpec(sigma, seed)
+    spec = NoiseSpec(sigma, seed)
     _require_ensemble_size(nu)
-    labels = _sorted_or_rejected(labels, ProbeFamily)
-    settings = _sorted_or_rejected(settings, _setting_index)
-    combos = [
-        (label, k, j, float(p))
-        for label in labels
-        for k in settings
-        for j, p in enumerate(sorted(np.asarray(p_values, dtype=float)))
-    ]
-    if sigma == 0:
-        noises = [NoiseSpec()] * len(combos)
+    labels, settings = sorted(labels, key=str), sorted(map(_setting_index, settings))
+    ps = sorted(_real(p, "p") for p in p_values)
+    combos = [(label, k, j, p) for label in labels for k in settings for j, p in enumerate(ps)]
+    if spec.sigma == 0:
+        noises = [spec] * len(combos)
     else:
-        run_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=len(combos))
-        noises = [_frozen(NoiseSpec, sigma=sigma, seed=s) for s in run_seeds.tolist()]
+        run_seeds = np.random.default_rng(spec.seed).integers(0, 2**63 - 1, size=len(combos))
+        noises = [_frozen(NoiseSpec, sigma=spec.sigma, seed=s) for s in run_seeds.tolist()]
 
     def runs():
         families = {}  # (label, index of p) -> the one family its settings share

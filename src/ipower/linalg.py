@@ -5,18 +5,21 @@ entries; matrices are row-major and square.
 
 Row ``a * d_B + b`` of a bipartite matrix belongs to |a>|b>, the layout of
 :func:`tensor`; :func:`apply_local` applies an operator on one factor by reshaping.
-Data entering the program passes :func:`hermitian_part` once; :func:`eigh_sorted`
-trusts its input and returns LAPACK's eigenpairs, eigenvalues ascending, as they are.
-The constants block below is the one table of the library's numerical cutoffs.
+Data entering the program passes :func:`hermitian_part` once, and each scalar
+:func:`_real` or :func:`_count`; :func:`eigh_sorted` trusts its input and returns
+LAPACK's eigenpairs, eigenvalues ascending, as they are.  The constants block
+below is the one table of the library's numerical cutoffs.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NoConvergenceError, NonHermitianError
+from .errors import ParameterOutOfRangeError
 
 # Every numerical cutoff of the library, in one table; every value is absolute.
 # Each entry says its kind and the quantity, with units, it is compared to.  The
@@ -102,6 +105,37 @@ FLIP_ANGLE_SLACK = 1e-12
 # are dimensionless.
 HIERARCHY_SLACK = 1e-10
 
+# The scalar rule (README, "Tolerances"): each public scalar passes one of these two.
+def _real(value, name: str, low=-math.inf, high=math.inf, error=ParameterOutOfRangeError) -> float:
+    """``value`` as a Python float, a real that is finite (an int too large for a
+    float is not) and in [low, high], or ``error`` naming ``name``."""
+    typed = isinstance(value, (int, float, np.integer, np.floating)) and value.__class__ is not bool
+    try:
+        x = float(value) if typed else math.nan
+    except OverflowError:
+        x = math.nan
+    if low <= x <= high and math.isfinite(x):
+        return x
+    bound = f" and >= {low:g}" if low > -math.inf else " and real"
+    rule = f"lie in [{low:g}, {high:g}]" if high < math.inf else f"be finite{bound}"
+    raise _refusal(error, name, rule, value, typed)
+
+
+def _count(value, name: str, low: int = 0, high=math.inf, error=ParameterOutOfRangeError) -> int:
+    """``value`` as a Python int of any size, a count (a float, 2.0 included, is
+    not one) in [low, high], or ``error`` naming ``name``."""
+    typed = isinstance(value, (int, np.integer)) and value.__class__ is not bool
+    if typed and low <= value <= high:
+        return int(value)
+    rule = f"be an integer in [{low}, {high}]" if high < math.inf else f"be an integer >= {low}"
+    raise _refusal(error, name, rule, value, typed)
+
+
+def _refusal(error, name: str, rule: str, value, typed: bool):
+    shown = "" if typed else f"{type(value).__name__} "
+    return error(f"{name} must {rule}, got {shown}{value!r}")
+
+
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -119,11 +153,6 @@ def _square_complex(m, max_ndim: int = 2) -> np.ndarray:
     if not 2 <= arr.ndim <= max_ndim or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     return arr
-
-
-def _is_int(n, low: int = 1) -> bool:
-    """Whether ``n`` is a Python or numpy integer of at least ``low``; a bool is not one."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= low
 
 
 def _finite_rows(arr: np.ndarray):
@@ -231,4 +260,3 @@ def degenerate_clusters(vals: Sequence[float]):
         if stop - start > 1:
             yield start, stop
         start = stop
-

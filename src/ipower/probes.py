@@ -20,6 +20,7 @@ from .errors import (
     ParameterOutOfRangeError,
 )
 from .linalg import FLIP_ANGLE_SLACK, SIGMA_X, SIGMA_Y, SIGMA_Z, PAULIS, TOL_PSD, tensor
+from .linalg import _count, _real
 from .states import DensityMatrix, LocalHamiltonian
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -33,9 +34,10 @@ BELL_PHI_PLUS = np.array([_INV_SQRT2, 0.0, 0.0, _INV_SQRT2], dtype=complex)
 
 @dataclass(frozen=True)
 class ProbeFamily:
-    """A probe family label together with its parameters, compared and hashed as
-    a value: equal labels and parameters are one family.  :attr:`matrix` is built
-    from them on first access; :func:`build_probes` turns families into states."""
+    """A probe family label together with its parameters, reals (README, "Tolerances")
+    kept as Python floats, compared and hashed as a value: equal labels and parameters
+    are one family.  A ``belldiag`` triple is kept as given for its tetrahedron rule at
+    :attr:`matrix`, built on first access; :func:`build_probes` turns families into states."""
 
     label: str
     params: tuple[float, ...] = field(default_factory=tuple)
@@ -45,7 +47,9 @@ class ProbeFamily:
             raise ParameterOutOfRangeError(
                 f"unknown probe label {self.label!r}; choose from {PROBE_LABELS}"
             )
-        object.__setattr__(self, "params", tuple(float(x) for x in self.params))
+        keep = self.label == "belldiag"  # a triple's own rule is _tetrahedron's, at .matrix
+        params = tuple(x if keep else _real(x, "params") for x in self.params)
+        object.__setattr__(self, "params", params)
 
     @property
     def p(self) -> float | None:
@@ -84,7 +88,7 @@ def build_probes(families) -> tuple[DensityMatrix, list[float]]:
 
 
 def _discordant_matrix(p: float) -> np.ndarray:
-    require_within("p", p)
+    p = _real(p, "p", 0.0, 1.0)
     m = np.array(
         [
             [1 + p * p, 0, 0, 2 * p],
@@ -107,7 +111,7 @@ def discordant_probe(p: float) -> DensityMatrix:
 
 
 def _classical_matrix(p: float) -> np.ndarray:
-    require_within("p", p)
+    p = _real(p, "p", 0.0, 1.0)
     m = np.array(
         [
             [1, p * p, p, p],
@@ -130,7 +134,7 @@ def classical_probe(p: float) -> DensityMatrix:
 
 
 def _werner_matrix(f: float) -> np.ndarray:
-    require_within("f", f)
+    f = _real(f, "f", 0.0, 1.0)
     return f * np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj()) + (1 - f) * np.eye(4) / 4.0
 
 
@@ -139,27 +143,20 @@ def werner_state(f: float) -> DensityMatrix:
     return DensityMatrix.from_matrix(_werner_matrix(f), TWO_QUBITS)
 
 
-def _require_tetrahedron(c1: float, c2: float, c3: float) -> None:
-    """Reject a triple outside the Bell-diagonal state tetrahedron with
-    ``InvalidCorrelationTripleError``: one of the closed-form eigenvalues of the
-    state (c1, c2, c3) falls below -``TOL_PSD``.  Those of a non-finite triple
-    include a nan or -inf, so ``min() >= -TOL_PSD`` rejects it too."""
-    eigenvalues = np.array(
-        [
-            1 + c1 - c2 + c3,
-            1 - c1 + c2 + c3,
-            1 + c1 + c2 - c3,
-            1 - c1 - c2 - c3,
-        ]
-    ) / 4.0
-    if not eigenvalues.min() >= -TOL_PSD:
-        raise InvalidCorrelationTripleError(
-            f"correlation triple ({c1}, {c2}, {c3}) lies outside the state tetrahedron"
-        )
+def _tetrahedron(c1: float, c2: float, c3: float) -> tuple[float, float, float]:
+    """(c1, c2, c3) as Python floats, or ``InvalidCorrelationTripleError`` for a triple
+    outside the Bell-diagonal state tetrahedron: an entry that is not a finite real,
+    or a closed-form eigenvalue of the state (c1, c2, c3) below -``TOL_PSD``."""
+    outside = f"correlation triple ({c1}, {c2}, {c3}) lies outside the state tetrahedron"
+    error = InvalidCorrelationTripleError
+    c1, c2, c3 = (_real(c, f"{outside}: c{i}", error=error) for i, c in enumerate((c1, c2, c3), 1))
+    if min(1 + c1 - c2 + c3, 1 - c1 + c2 + c3, 1 + c1 + c2 - c3, 1 - c1 - c2 - c3) / 4 < -TOL_PSD:
+        raise InvalidCorrelationTripleError(outside)
+    return c1, c2, c3
 
 
 def _bell_diagonal_matrix(c1: float, c2: float, c3: float) -> np.ndarray:
-    _require_tetrahedron(c1, c2, c3)
+    c1, c2, c3 = _tetrahedron(c1, c2, c3)
     m = np.eye(4, dtype=complex)
     for c, s in zip((c1, c2, c3), PAULIS):
         m += c * tensor(s, s)
@@ -227,12 +224,11 @@ _GENERATORS = tuple(
 
 
 def _setting_index(k) -> int:
-    """``k`` as an int of ``SETTINGS``, checked before the cast: 2, 2.0 and
-    ``np.int64(2)`` are setting 2, while 2.9, "2", 2 + 0j and a bool raise
-    ``BadSettingError``."""
-    if isinstance(k, (bool, np.bool_, complex, np.complexfloating)) or k not in SETTINGS:
+    """``k`` as a Python int of ``SETTINGS``, a count by the scalar rule (README,
+    "Tolerances"), or ``BadSettingError``."""
+    if k not in SETTINGS:
         raise BadSettingError(f"setting must be 1, 2 or 3, got {k!r}")
-    return int(k)
+    return _count(k, "setting", 1, error=BadSettingError)
 
 
 def setting_hamiltonian(k: int) -> LocalHamiltonian:
@@ -250,8 +246,7 @@ def predicted_qfi(label: str, p: float, k: int) -> float:
         raise ParameterOutOfRangeError(
             f"analytic curves exist for labels 'Q' and 'C', got {label!r}"
         )
-    require_within("p", p)
-    setting_hamiltonian(k)  # rejects a k outside SETTINGS
+    p, k = _real(p, "p", 0.0, 1.0), _setting_index(k)
     p2 = p * p
     if k == 1:
         return 8.0 * p2 / (1.0 + p2)
@@ -275,13 +270,12 @@ def flip_angle_grid(
     """Purity parameters p = cos(theta) for flip angles theta on a degree grid.
 
     The default sweep runs from 0 to 90 degrees in 2.5-degree steps
-    (37 points), giving p from 1 down to 0.  Every argument must be finite, and
-    the grid may hold at most ``_MAX_GRID_POINTS`` points: a finer one is refused
-    before any array is built.
+    (37 points), giving p from 1 down to 0.  Every argument must be a finite
+    real, and the grid may hold at most ``_MAX_GRID_POINTS`` points: a finer one
+    is refused before any array is built.
     """
-    for name, value in zip(("start_deg", "stop_deg", "step_deg"), (start_deg, stop_deg, step_deg)):
-        if not np.isfinite(value):
-            raise ParameterOutOfRangeError(f"{name} must be finite, got {value!r}")
+    names = ("start_deg", "stop_deg", "step_deg")
+    start_deg, stop_deg, step_deg = map(_real, (start_deg, stop_deg, step_deg), names)
     if step_deg <= 0:
         raise ParameterOutOfRangeError("step must be positive")
     if stop_deg < start_deg:
@@ -296,10 +290,3 @@ def flip_angle_grid(
     degrees = start_deg + step_deg * np.arange(count + 1)
     degrees = degrees[degrees <= stop_deg + FLIP_ANGLE_SLACK]  # keeps start: never empty
     return np.cos(np.deg2rad(degrees))
-
-
-def require_within(name: str, value: float, high: float = 1.0) -> None:
-    """Reject ``value`` outside [0, high], nan included."""
-    if not 0.0 <= value <= high:
-        raise ParameterOutOfRangeError(f"{name} must lie in [0, {high:.6g}], got {value!r}")
-

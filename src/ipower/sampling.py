@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import PAULIS, apply_local, dagger, degenerate_clusters, tensor
-from .probes import require_within
-from .states import DensityMatrix, _require_single
+from .linalg import PAULIS, _count, _real, apply_local, dagger, degenerate_clusters, tensor
+from .states import DensityMatrix, _dims, _require_single
+
+# Largest dimension of a matrix a sampler draws (256 MiB), and of a state vector its square.
+_MAX_DIM = 4096
+
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix.
@@ -18,6 +21,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     The R-diagonal phases are divided out so the distribution is exactly
     Haar rather than QR-convention dependent.
     """
+    dim = _count(dim, "dim", 1, _MAX_DIM)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     q, r = np.linalg.qr(z / np.sqrt(2.0))
     phases = np.diag(r)
@@ -26,6 +30,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector."""
+    dim = _count(dim, "dim", 1, _MAX_DIM**2)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
@@ -45,8 +50,8 @@ def random_density_matrix(
 def _random_density_array(dims, rng: np.random.Generator, env_dim: int | None = None):
     """The raw (d, d) matrix of :func:`random_density_matrix`, from the same draws,
     for a caller that validates many at once."""
-    d = dims[0] * dims[1]
-    env = d if env_dim is None else int(env_dim)
+    d = np.prod(_dims(dims, most=_MAX_DIM))
+    env = d if env_dim is None else _count(env_dim, "env_dim", 1, _MAX_DIM**2 // d)
     psi = random_pure_state(d * env, rng).reshape(d, env)
     return psi @ dagger(psi)
 
@@ -54,11 +59,12 @@ def _random_density_array(dims, rng: np.random.Generator, env_dim: int | None = 
 def random_pure_density_matrix(
     dims: tuple[int, int], rng: np.random.Generator
 ) -> DensityMatrix:
-    psi = random_pure_state(dims[0] * dims[1], rng)
+    psi = random_pure_state(np.prod(_dims(dims, most=_MAX_DIM)), rng)
     return DensityMatrix.from_matrix(np.outer(psi, psi.conj()), dims)
 
 
 def random_probability_vector(n: int, rng: np.random.Generator) -> np.ndarray:
+    n = _count(n, "n", 1)
     w = rng.dirichlet(np.ones(n))
     return w / w.sum()
 
@@ -67,7 +73,7 @@ def random_classical_quantum_state(
     dims: tuple[int, int], rng: np.random.Generator
 ) -> DensityMatrix:
     """State diagonal in a random local basis on A: sum_j s_j |j><j| x chi_j."""
-    d_a, d_b = dims
+    d_a, d_b = _dims(dims, most=_MAX_DIM)
     u_a = haar_unitary(d_a, rng)
     weights = random_probability_vector(d_a, rng)
     blocks = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
@@ -82,7 +88,7 @@ def random_classical_classical_state(
     dims: tuple[int, int], rng: np.random.Generator
 ) -> DensityMatrix:
     """State diagonal in a random product basis on A and B."""
-    d_a, d_b = dims
+    d_a, d_b = _dims(dims, most=_MAX_DIM)
     u_a = haar_unitary(d_a, rng)
     u_b = haar_unitary(d_b, rng)
     blocks = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
@@ -123,7 +129,7 @@ def apply_channel_b(rho: DensityMatrix, kraus: list[np.ndarray]) -> DensityMatri
 
 def depolarizing_kraus(strength: float) -> list[np.ndarray]:
     """Kraus operators of the qubit depolarizing channel of strength in [0, 4/3]."""
-    require_within("depolarizing strength", strength, 4.0 / 3.0)
+    strength = _real(strength, "depolarizing strength", 0.0, 4.0 / 3.0)
     ops = [np.sqrt(1.0 - 3.0 * strength / 4.0) * np.eye(2, dtype=complex)]
     ops += [np.sqrt(strength / 4.0) * s for s in PAULIS]
     return ops
@@ -131,7 +137,7 @@ def depolarizing_kraus(strength: float) -> list[np.ndarray]:
 
 def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
     """Kraus operators of the qubit amplitude-damping channel, gamma in [0, 1]."""
-    require_within("damping gamma", gamma, 1.0)
+    gamma = _real(gamma, "damping gamma", 0.0, 1.0)
     k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]], dtype=complex)
     k1 = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]], dtype=complex)
     return [k0, k1]
@@ -140,6 +146,7 @@ def amplitude_damping_kraus(gamma: float) -> list[np.ndarray]:
 def random_isometry_kraus(dim: int, rng: np.random.Generator) -> list[np.ndarray]:
     """Kraus operators of a random channel on C^dim: the m row blocks
     K_j = (<j| x I) V of a Haar isometry V: C^dim -> C^m x C^dim, m uniform in 1..3."""
+    dim = _count(dim, "dim", 1)
     m = int(rng.integers(1, 4))
     v = haar_unitary(dim * m, rng)[:, :dim]
     return [v[j * dim : (j + 1) * dim] for j in range(m)]

@@ -9,6 +9,7 @@ objects.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass, field
 
@@ -18,7 +19,6 @@ from .errors import (
     BadSubsystemError,
     DimensionMismatchError,
     NotPositiveSemidefiniteError,
-    ParameterOutOfRangeError,
     ZeroPurityError,
 )
 from .linalg import (
@@ -27,9 +27,10 @@ from .linalg import (
     PAULIS,
     TOL_INPUT,
     TOL_PSD,
+    _count,
     _finite_rows,
-    _is_int,
     _non_hermitian,
+    _real,
     _split_hermitian,
     _square_complex,
     apply_local,
@@ -46,8 +47,8 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _spectra(matrix, dims):
-    """(Hermitian part, eigenvalues, eigenvectors) of a (d, d) density matrix, or of
-    every matrix of an (N, d, d) stack, d split into d_A x d_B by ``dims``.
+    """(Hermitian part, eigenvalues, eigenvectors, dims) of a (d, d) density matrix,
+    or of every matrix of an (N, d, d) stack, d split into d_A x d_B by ``dims``.
 
     Each matrix is checked in this order: finite entries, Hermitian within ``TOL_INPUT``
     (max norm), ``dims``, unit trace within ``TOL_INPUT``; then the Hermitian parts are
@@ -64,33 +65,34 @@ def _spectra(matrix, dims):
     if every(finite):
         herm, deviation = _split_hermitian(arr)
         trace = herm.trace(0, -2, -1).real
-        dims_error = _dims_error(dims, arr.shape[-1])
-        passed = (deviation <= TOL_INPUT) & (abs(trace - 1.0) <= TOL_INPUT)
-        if dims_error is None and every(passed):
+        if every((deviation <= TOL_INPUT) & (abs(trace - 1.0) <= TOL_INPUT)):
+            dims = _dims(dims, arr.shape[-1])  # the one check left before the PSD test
             vals, vecs = eigh_sorted(herm)
             if every(vals[..., 0] >= -TOL_PSD):
                 vals = np.maximum(vals, 0.0)
-                return herm, vals / vals.sum(axis=-1, keepdims=True), vecs
+                return herm, vals / vals.sum(axis=-1, keepdims=True), vecs, dims
     if arr.ndim == 3:
         for one in arr:
             _spectra(one, dims)  # the lowest-index bad matrix raises its own error
-        raise dims_error  # only an empty stack gets here, and it fails on its dims
     if not finite:
         raise ValueError(_NOT_FINITE)
     if deviation > TOL_INPUT:
         raise _non_hermitian("density matrix", deviation)
-    if dims_error is not None:
-        raise dims_error
+    _dims(dims, arr.shape[-1])
     if abs(trace - 1.0) > TOL_INPUT:
         raise ValueError(f"trace must be 1, got {trace!r}")
     raise NotPositiveSemidefiniteError(f"minimum eigenvalue {vals[0]:.3e} below -{TOL_PSD:g}")
 
 
-def _dims_error(dims, d: int) -> DimensionMismatchError | None:
-    """The error for ``dims`` unless they are two positive integers, not bools, with product d."""
-    if len(dims) == 2 and all(_is_int(n) for n in dims) and dims[0] * dims[1] == d:
-        return None
-    return DimensionMismatchError(f"dims {dims} must be two positive integers with product {d}")
+def _dims(dims, d: int | None = None, most: float = np.inf) -> tuple[int, int]:
+    """``dims`` as two counts >= 1 (README, "Tolerances") of product ``d`` (any when
+    None) and at most ``most``, as Python ints; ``DimensionMismatchError`` otherwise."""
+    with contextlib.suppress(TypeError, ValueError):  # not a pair of counts
+        d_a, d_b = (_count(n, "dims", 1) for n in dims)
+        if d in (None, d_a * d_b) and d_a * d_b <= most:
+            return d_a, d_b
+    product = f"product {d}" if d is not None else f"a product of at most {most}"
+    raise DimensionMismatchError(f"dims {dims} must be two positive integers with {product}")
 
 
 @dataclass(frozen=True)
@@ -127,14 +129,14 @@ class DensityMatrix:
     @classmethod
     def from_matrix(cls, matrix, dims: tuple[int, int]) -> "DensityMatrix":
         """Validate a raw matrix (finite, square, Hermitian, unit trace, PSD) and its
-        ``dims``, two positive Python or numpy integers (True, 2.7 or "2" is refused),
-        and diagonalize it once; the state keeps its eigenpairs for every later formula.
+        ``dims``, two counts >= 1 by the scalar rule (README, "Tolerances"), and
+        diagonalize it once; the state keeps its eigenpairs for every later formula.
 
         An (N, d, d) ``matrix`` makes a stack of N states in one ``eigh``, each bitwise
         its own call, and the lowest-index bad matrix raises its own error (:func:`_spectra`).
         """
-        arr, vals, vecs = _spectra(matrix, dims)
-        return cls(_freeze(arr), (int(dims[0]), int(dims[1])), _freeze(vals), _freeze(vecs))
+        arr, vals, vecs, dims = _spectra(matrix, dims)
+        return cls(_freeze(arr), dims, _freeze(vals), _freeze(vecs))
 
     def __getitem__(self, index) -> "DensityMatrix":
         """State ``index`` of a stack, or the stack of the states that ``index`` (a
@@ -229,10 +231,10 @@ class LocalHamiltonian:
 
     @classmethod
     def from_bloch(cls, n) -> "LocalHamiltonian":
-        """Qubit generator n . sigma for a unit Bloch vector n."""
-        n = np.asarray(n, dtype=float)
-        if n.shape != (3,):
+        """Qubit generator n . sigma for a unit Bloch vector n of three reals."""
+        if np.shape(n) != (3,):
             raise ValueError("Bloch vector must have three components")
+        n = np.array([_real(x, "Bloch vector entry") for x in n])
         norm = np.linalg.norm(n)
         if not abs(norm - 1.0) <= TOL_INPUT:  # also rejects nan and inf
             raise ValueError(f"Bloch vector must be unit length, |n| = {norm!r}")
@@ -245,9 +247,8 @@ class LocalHamiltonian:
         return self.matrix.shape[0]
 
     def phase_unitary(self, phi: float) -> np.ndarray:
-        """exp(-i phi H) on subsystem A from the cached eigendecomposition, phi finite and real."""
-        if np.iscomplexobj(phi) or not np.isfinite(phi):  # 0.3+0j is complex too
-            raise ParameterOutOfRangeError(f"phase must be finite and real, got {phi!r}")
+        """exp(-i phi H) on subsystem A from the cached eigendecomposition, phi a finite real."""
+        phi = _real(phi, "phi")
         return (self.eigenvectors * np.exp(-1j * phi * self.spectrum)) @ dagger(
             self.eigenvectors
         )

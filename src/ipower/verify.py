@@ -26,7 +26,7 @@ from .correlations import (
     sld,
 )
 from .estimation import NoiseSpec, ProbeFamily, adaptive_localize, run_sweep
-from .linalg import FISHER_CUTOFF, dagger, eig_hermitian, tensor
+from .linalg import FISHER_CUTOFF, _count, _real, dagger, eig_hermitian, tensor
 from .probes import (
     classical_probe,
     discordant_probe,
@@ -90,7 +90,7 @@ def _random_bloch(rng) -> np.ndarray:
 
 
 def check_eig_roundtrip(rng, n, bound) -> PropertyResult:
-    devs = []
+    devs, n, bound = [], _count(n, "n"), _real(bound, "bound", 0.0)
     for _ in range(n):
         dim = int(rng.integers(2, 9))
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -105,7 +105,7 @@ def check_eig_roundtrip(rng, n, bound) -> PropertyResult:
 
 
 def check_partial_trace_factors(rng, n, bound) -> PropertyResult:
-    devs = []
+    devs, n, bound = [], _count(n, "n"), _real(bound, "bound", 0.0)
     for _ in range(n):
         rho_a = random_density_matrix((2, 1), rng)
         rho_b = random_density_matrix((2, 1), rng)
@@ -120,7 +120,7 @@ def check_partial_trace_factors(rng, n, bound) -> PropertyResult:
 def check_evolve_spectrum(rng, n, bound) -> PropertyResult:
     """The evolved matrix against the literal (U x I) rho (U x I)†, with
     U = cos(phi) I - i sin(phi) n . sigma, and its spectrum against the input's."""
-    devs = []
+    devs, n, bound = [], _count(n, "n"), _real(bound, "bound", 0.0)
     for _ in range(n):
         rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
         ham = LocalHamiltonian.from_bloch(_random_bloch(rng))
@@ -133,7 +133,7 @@ def check_evolve_spectrum(rng, n, bound) -> PropertyResult:
 
 
 def check_fidelity_properties(rng, n, bound) -> PropertyResult:
-    devs = []
+    devs, n, bound = [], _count(n, "n"), _real(bound, "bound", 0.0)
     for _ in range(n):
         a = random_density_matrix((2, 2), rng)
         b = random_density_matrix((2, 2), rng)
@@ -144,7 +144,7 @@ def check_fidelity_properties(rng, n, bound) -> PropertyResult:
 
 
 def check_oracle_equivalence(rng, n, bound) -> PropertyResult:
-    devs = []
+    devs, n, bound = [], _count(n, "n"), _real(bound, "bound", 0.0)
     for _ in range(n):
         rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
         closed = interferometric_power(rho)
@@ -159,6 +159,7 @@ def check_oracle_equivalence(rng, n, bound) -> PropertyResult:
 def check_faithfulness(rng, n, bound, d_b=2) -> PropertyResult:
     """``n`` classical-quantum, then ``n`` classical-classical states must have
     a power within ``bound``; then ``n`` random states must exceed 1e-6."""
+    n, bound, d_b = _count(n, "n"), _real(bound, "bound", 0.0), _count(d_b, "d_b", 1)
     devs = [
         interferometric_power(sampler((2, d_b), rng))
         for sampler in (random_classical_quantum_state, random_classical_classical_state)
@@ -174,7 +175,7 @@ def check_local_unitary_invariance(rng, n, bound, d_b=2) -> PropertyResult:
     """The power of every state, and the uncertainty of full-rank states, under
     U_A x U_B.  On rank-deficient states the uncertainty carries square roots of
     eigenvalue dust, up to ~1e-8, so it is compared at full rank only."""
-    devs = []
+    devs, n, bound, d_b = [], _count(n, "n"), _real(bound, "bound", 0.0), _count(d_b, "d_b", 1)
     for _ in range(n):
         env_dim = int(rng.integers(1, 2 * d_b + 1))
         rho = random_density_matrix((2, d_b), rng, env_dim=env_dim)
@@ -190,6 +191,7 @@ def check_channel_monotonicity(rng, n, bound, d_b=2) -> PropertyResult:
     """Power and uncertainty of full-rank states under B-side channels: on a
     qubit B depolarizing, amplitude damping and random isometric channels in
     turn, on a larger B random isometric channels only."""
+    devs, n, bound, d_b = [], _count(n, "n"), _real(bound, "bound", 0.0), _count(d_b, "d_b", 1)
     channels = (
         lambda: depolarizing_kraus(rng.uniform(0, 1)),
         lambda: amplitude_damping_kraus(rng.uniform(0, 1)),
@@ -197,7 +199,6 @@ def check_channel_monotonicity(rng, n, bound, d_b=2) -> PropertyResult:
     )
     if d_b != 2:
         channels = channels[2:]
-    devs = []
     for i in range(n):
         rho = random_density_matrix((2, d_b), rng)
         degraded = apply_channel_b(rho, channels[i % len(channels)]())
@@ -209,7 +210,7 @@ def check_channel_monotonicity(rng, n, bound, d_b=2) -> PropertyResult:
 def check_pure_state_reduction(rng, n, bound, d_b=2) -> PropertyResult:
     """IP = minimal local variance within 1e-12, a deviation scaled onto ``bound``,
     and IP = LQU within ``bound``: the LQU carries sqrt(eigenvalue dust)."""
-    devs = []
+    devs, n, bound, d_b = [], _count(n, "n"), _real(bound, "bound", 0.0), _count(d_b, "d_b", 1)
     for _ in range(n):
         pure = random_pure_density_matrix((2, d_b), rng)
         ip = interferometric_power(pure)
@@ -223,6 +224,7 @@ def check_hierarchy(rng, n, bound, d_b=2) -> PropertyResult:
     """LQU <= IP on ``n`` random states of random rank, all drawn first and then
     measured as one stacked state: every uncertainty in one ``eigvalsh``, every
     power in another."""
+    n, bound, d_b = _count(n, "n"), _real(bound, "bound", 0.0), _count(d_b, "d_b", 1)
     drawn = [
         _random_density_array((2, d_b), rng, env_dim=int(rng.integers(1, 2 * d_b + 1)))
         for _ in range(n)
@@ -237,7 +239,7 @@ def check_sld_equation(rng, n, bound) -> PropertyResult:
     """The SLD equation, <L> = 0 and <L^2> = F at phi0 in [0, pi) for the
     settings and random Bloch generators; the eigenbasis must be orthonormal
     within 1e-12, a deviation scaled onto ``bound``."""
-    devs = []
+    devs, n, bound = [], _count(n, "n"), _real(bound, "bound", 0.0)
     for _ in range(n):
         rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
         ham = (
@@ -264,7 +266,7 @@ def check_sld_equation(rng, n, bound) -> PropertyResult:
 
 
 def check_basis_independence(rng, n, bound) -> PropertyResult:
-    devs = []
+    devs, n, bound = [], _count(n, "n"), _real(bound, "bound", 0.0)
     for i in range(n):
         f = rng.uniform(0.1, 0.9)
         rho = werner_state(f) if i % 2 == 0 else random_density_matrix(
@@ -279,7 +281,7 @@ def check_basis_independence(rng, n, bound) -> PropertyResult:
 
 def check_qfi_additive_invariance(rng, n, bound) -> PropertyResult:
     """F(a H + b I) = a^2 F(H), deviations relative to max(1, a^2 F(H))."""
-    devs = []
+    devs, n, bound = [], _count(n, "n"), _real(bound, "bound", 0.0)
     for _ in range(n):
         rho = random_density_matrix((2, 2), rng, env_dim=int(rng.integers(1, 5)))
         ham = LocalHamiltonian.from_bloch(_random_bloch(rng))
@@ -293,7 +295,7 @@ def check_qfi_additive_invariance(rng, n, bound) -> PropertyResult:
 
 
 def check_probe_regression(bound) -> PropertyResult:
-    devs = []
+    devs, bound = [], _real(bound, "bound", 0.0)
     for p in flip_angle_grid():
         probes = {"Q": discordant_probe(p), "C": classical_probe(p)}
         for label, rho in probes.items():
@@ -309,8 +311,7 @@ def check_probe_regression(bound) -> PropertyResult:
 
 
 def check_setting_landscape(bound) -> PropertyResult:
-    p = 0.8
-    devs = []
+    p, devs, bound = 0.8, [], _real(bound, "bound", 0.0)
     for label, rho in (("Q", discordant_probe(p)), ("C", classical_probe(p))):
         thetas, phis, grid = qfi_sphere_grid(rho, 181, 360)
         bottom = np.unravel_index(np.argmin(grid), grid.shape)
@@ -326,7 +327,7 @@ def check_setting_landscape(bound) -> PropertyResult:
 
 
 def check_guaranteed_precision(bound, ps=(0.2, 0.5, 0.8, 1.0)) -> PropertyResult:
-    devs = []
+    devs, bound = [], _real(bound, "bound", 0.0)
     for p in ps:
         for rho in (discordant_probe(p), classical_probe(p)):
             ip = interferometric_power(rho)
@@ -345,7 +346,7 @@ def _misflagged(run) -> bool:
 def check_exact_sweep(bound) -> PropertyResult:
     """The figure-3 sweep at pi/4: Cramer-Rao saturation and the predicted
     variance (relative) within ``bound``, the bias within 1e-6."""
-    devs = []
+    devs, bound = [], _real(bound, "bound", 0.0)
     for run in run_sweep(("Q", "C"), (1, 2, 3), flip_angle_grid(), math.pi / 4, nu=10**15):
         if run.failed or _misflagged(run):
             devs.append(math.inf if _misflagged(run) else 0.0)
@@ -359,7 +360,7 @@ def check_exact_sweep(bound) -> PropertyResult:
 
 def check_unbiasedness_exact(bound) -> PropertyResult:
     """Q and C at three purities under every setting, one batch per true phase."""
-    devs = []
+    devs, bound = [], _real(bound, "bound", 0.0)
     grid = product(("Q", "C"), (1, 2, 3), (0.13, 0.5, 0.9))
     runs = [(ProbeFamily(label, (p,)), k, None) for label, k, p in grid]
     for phi_true in (math.pi / 8, math.pi / 4, 3 * math.pi / 8):
@@ -374,6 +375,7 @@ def check_unbiasedness_exact(bound) -> PropertyResult:
 def check_noise_robustness(rng, n, bound) -> PropertyResult:
     """Probe Q, setting 1, 5 % noise: at most a ``bound`` share of the runs may
     miss pi/4 by more than 0.05 rad.  The ``n`` runs are one batch."""
+    n, bound = _count(n, "n"), _real(bound, "bound", 0.0)
     families = [ProbeFamily("Q", (p,)) for p in flip_angle_grid() if p >= 0.3]
     run_seeds = rng.integers(0, 2**63 - 1, size=n)
     runs = [
@@ -395,7 +397,7 @@ def check_noise_robustness(rng, n, bound) -> PropertyResult:
 
 
 def check_adaptive_convergence(rng, n, bound) -> PropertyResult:
-    devs = []
+    devs, n, bound = [], _count(n, "n"), _real(bound, "bound", 0.0)
     found = 0
     while found < n:
         label = "Q" if rng.uniform() < 0.5 else "C"
@@ -444,7 +446,8 @@ ALL_CHECKS = (
 
 
 def run_all(seed: int = 0, scale: float = 1.0) -> list[PropertyResult]:
-    """Run every property family; ``scale`` multiplies the ensemble sizes."""
+    """Run every property family; ``scale``, a real >= 0, multiplies the ensemble sizes."""
+    seed, scale = _count(seed, "seed"), _real(scale, "scale", 0.0)
     results = []
     for family, check, base, bound in ALL_CHECKS:
         if family is None:

@@ -25,3 +25,16 @@ def test_declared_numpy_floor_has_the_calls_the_code_makes():
     floors = re.findall(r'"numpy>=(\d+)\.(\d+)"', (SRC.parent / "pyproject.toml").read_text())
     assert len(floors) == 1, floors
     assert tuple(map(int, floors[0])) >= (2, 0)
+
+
+def test_the_scalar_rule_lives_in_linalg_alone():
+    # Bool and integer tests of scalars belong to linalg's two coercers.
+    pattern = re.compile(r"np\.bool_|isinstance\([^)]*\bbool\b|\b_is_int\b")
+    found = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted((SRC / "ipower").glob("*.py"))
+        if path.name != "linalg.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert found == []

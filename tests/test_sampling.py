@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ipower.errors import ParameterOutOfRangeError
 from ipower.linalg import dagger
 from ipower.sampling import (
     amplitude_damping_kraus,
@@ -46,22 +45,6 @@ def test_kraus_completeness():
     for kraus in (depolarizing_kraus(0.7), amplitude_damping_kraus(0.2), isometric):
         total = sum(dagger(k) @ k for k in kraus)
         assert_allclose(total, np.eye(2), atol=1e-12)
-
-
-@pytest.mark.parametrize(
-    "make, value",
-    [
-        (depolarizing_kraus, -0.1),
-        (depolarizing_kraus, 2.0),
-        (depolarizing_kraus, np.nan),
-        (amplitude_damping_kraus, -0.1),
-        (amplitude_damping_kraus, 1.5),
-        (amplitude_damping_kraus, np.nan),
-    ],
-)
-def test_channel_parameter_out_of_range_raises(make, value):
-    with pytest.raises(ParameterOutOfRangeError):
-        make(value)
 
 
 def test_remix_keeps_the_state():
